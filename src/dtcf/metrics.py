@@ -8,6 +8,12 @@ min(C_miss * P_target, C_fa * (1 - P_target)).
 
 Both metrics depend on the scores only through their ranks, so any strictly
 increasing transform of all scores leaves them unchanged.
+
+The sweep takes O(N log N) time and O(N) memory for N trials: each class is
+sorted once and its rates are exact counts over the sorted scores, found by
+binary search at every threshold. Trial scoring normalises each stored
+embedding once and scores a block of trials at a time, so its working memory
+is the store plus one block, however long the trial list.
 """
 
 from __future__ import annotations
@@ -58,6 +64,8 @@ def _split_scores(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     lab = np.asarray([l == "target" if isinstance(l, str) else bool(l) for l in labels])
     if scores.shape != lab.shape or scores.ndim != 1:
         raise DataError("scores and labels must be equal-length vectors")
+    if np.isnan(scores).any():
+        raise DataError("scores must not be NaN")
     tar, non = scores[lab], scores[~lab]
     if tar.size == 0 or non.size == 0:
         raise DataError("need at least one target and one nontarget score")
@@ -65,10 +73,14 @@ def _split_scores(scores, labels) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sweep_rates(tar: np.ndarray, non: np.ndarray):
-    """FAR and FRR at [-inf, each distinct score, +inf], threshold ascending."""
+    """FAR and FRR at [-inf, each distinct score, +inf], threshold ascending.
+
+    A left binary search into each sorted class counts the scores below a
+    threshold, so FRR counts targets < thr and FAR nontargets >= thr.
+    """
     thr = np.concatenate(([-np.inf], np.unique(np.concatenate([tar, non])), [np.inf]))
-    far = (non[None, :] >= thr[:, None]).mean(axis=1)
-    frr = (tar[None, :] < thr[:, None]).mean(axis=1)
+    far = (non.size - np.searchsorted(np.sort(non), thr, side="left")) / non.size
+    frr = np.searchsorted(np.sort(tar), thr, side="left") / tar.size
     return thr, far, frr
 
 
@@ -101,15 +113,44 @@ def compute_min_dcf(scores: Sequence[float], labels: Sequence,
     return float(dcf[i]), float(thr[i])
 
 
+_BLOCK = 1024       # trials per gather: two 4 MiB operands at 512 dimensions
+
+
 def score_trials(store: dict[str, np.ndarray],
                  trials: Sequence[tuple[str, str, str]]) -> list[TrialScore]:
-    """One cosine score per trial, order preserved."""
-    out = []
-    for enroll, test, label in trials:
-        for utt in (enroll, test):
-            if utt not in store:
+    """One cosine score per trial, order preserved.
+
+    Raises for the first trial, in order, that names an id missing from the
+    store (DataError) or an embedding of zero norm (DomainError). Unit rows
+    are gathered and dotted _BLOCK trials at a time.
+    """
+    ids = list(store)
+    row = {utt: i for i, utt in enumerate(ids)}
+    absent = len(ids)                   # row index standing for a missing id
+    dim = len(next(iter(store.values()), ()))
+    try:
+        mat = np.array([store[u] for u in ids], dtype=np.float64).reshape(absent, dim)
+    except ValueError:
+        raise DataError("embeddings must be vectors of one dimension") from None
+    norm = np.linalg.norm(mat, axis=1)
+    zero = np.append(norm < 1e-300, False)
+    mat /= np.where(zero[:-1], 1.0, norm)[:, None]
+    out: list[TrialScore] = []
+    for lo in range(0, len(trials), _BLOCK):
+        chunk = trials[lo:lo + _BLOCK]
+        pair = np.array([(row.get(e, absent), row.get(t, absent)) for e, t, _ in chunk],
+                        dtype=np.intp)
+        missing = pair == absent
+        bad = (missing | zero[pair]).any(axis=1)
+        if bad.any():
+            k = int(np.argmax(bad))
+            if missing[k].any():
+                utt = chunk[k][int(np.argmax(missing[k]))]
                 raise DataError(f"utterance id not in embedding store: {utt}")
-        out.append(TrialScore(enroll, test, label, cosine_score(store[enroll], store[test])))
+            raise DomainError("zero-norm embedding")
+        scores = np.einsum("ij,ij->i", mat[pair[:, 0]], mat[pair[:, 1]])
+        out.extend(TrialScore(e, t, label, s)
+                   for (e, t, label), s in zip(chunk, scores.tolist()))
     return out
 
 

@@ -1,12 +1,16 @@
 """Metric tests against brute-force threshold-sweep oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dtcf import metrics
 from dtcf.errors import DataError, DomainError
-from dtcf.metrics import (DCFParams, compute_eer, compute_min_dcf, cosine_score,
-                          export_embeddings, read_embeddings, score_trials,
-                          write_scores)
+from dtcf.metrics import (DCFParams, _sweep_rates, compute_eer, compute_min_dcf,
+                          cosine_score, export_embeddings, read_embeddings,
+                          score_trials, write_scores)
 
 
 def rng(seed=0):
@@ -47,6 +51,14 @@ def min_dcf_oracle(scores, labels, p=DCFParams()):
         p_miss = sum(1 for s in tar if s < th) / len(tar)
         best = min(best, (p.c_miss * p_miss * p.p_target + p.c_fa * p_fa * (1 - p.p_target)) / norm)
     return best
+
+
+def dense_sweep_rates(tar, non):
+    """The original O(N^2) sweep: one bool per (threshold, score) pair."""
+    thr = np.concatenate(([-np.inf], np.unique(np.concatenate([tar, non])), [np.inf]))
+    far = (non[None, :] >= thr[:, None]).mean(axis=1)
+    frr = (tar[None, :] < thr[:, None]).mean(axis=1)
+    return thr, far, frr
 
 
 def random_scoreset(n, seed):
@@ -148,6 +160,50 @@ class TestMinDCF:
         assert compute_min_dcf(scores, labels, p)[0] == min_dcf_oracle(scores, labels, p)
 
 
+# ------------------------------------------------------------------ sweep
+
+@st.composite
+def tied_scoresets(draw):
+    """Target and nontarget scores on 1 to 5 distinct levels (1: all equal)
+    or continuous, 1..N-1 targets (often just one of either class) and
+    occasional infinities and signed zeros."""
+    n = draw(st.integers(2, 500))
+    n_tar = draw(st.sampled_from([1, n - 1]) | st.integers(1, n - 1))
+    levels = draw(st.sampled_from([1, 2, 3, 5, 0]))       # 0: continuous
+    r = rng(draw(st.integers(0, 2**32 - 1)))
+    scores = r.normal(size=n) if levels == 0 else r.integers(0, levels, n) / 4.0
+    if draw(st.booleans()):
+        k = r.integers(0, n, size=r.integers(1, 4))
+        scores[k] = r.choice([-np.inf, np.inf, 0.0, -0.0], size=k.size)
+    return scores[:n_tar], scores[n_tar:]
+
+
+class TestSweep:
+    @settings(max_examples=300, deadline=None)
+    @given(tied_scoresets())
+    def test_equals_dense_sweep(self, scoreset):
+        tar, non = scoreset
+        got, want = _sweep_rates(tar, non), dense_sweep_rates(tar, non)
+        for name, g, w in zip(("thr", "far", "frr"), got, want):
+            assert np.array_equal(g, w), name
+
+    def test_nan_score_rejected(self):
+        with pytest.raises(DataError, match="NaN"):
+            compute_eer([0.1, np.nan, 0.3], ["target", "nontarget", "target"])
+
+    def test_memory_is_linear(self):
+        """200k trials: the dense sweep would need ~40 GB of comparisons."""
+        scores, labels = random_scoreset(200_000, seed=70)
+        tracemalloc.start()
+        try:
+            compute_eer(scores, labels)
+            compute_min_dcf(scores, labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
 class TestRankInvariance:
     @pytest.mark.parametrize("transform", [
         lambda s: 2.0 * s + 3.0,
@@ -184,6 +240,73 @@ class TestScoreTrials:
         store = self.make_store(2)
         with pytest.raises(DataError, match="nope"):
             score_trials(store, [("u0", "nope", "target")])
+
+    def test_float32_store_matches_cosine(self):
+        r = rng(63)
+        store = {f"u{i}": r.normal(size=192).astype(np.float32) for i in range(20)}
+        trials = [(f"u{a}", f"u{b}", "target") for a, b in r.integers(0, 20, (300, 2))]
+        for (e, t, _), got in zip(trials, score_trials(store, trials)):
+            assert abs(got.score - cosine_score(store[e], store[t])) <= 1e-12
+
+    def test_duplicate_trials_identical(self, monkeypatch):
+        monkeypatch.setattr(metrics, "_BLOCK", 17)
+        store = self.make_store(n=10, dim=37, seed=64)
+        trials = [(f"u{i % 10}", f"u{(3 * i) % 10}", "target") for i in range(40)]
+        scored = score_trials(store, trials * 3)
+        for i, row in enumerate(scored):
+            assert row.score == scored[i % 40].score
+
+    def test_unreferenced_zero_norm_is_fine(self):
+        store = self.make_store()
+        store["z"] = np.zeros(8)
+        assert len(score_trials(store, [("u0", "u1", "target")])) == 1
+        with pytest.raises(DomainError, match="zero-norm"):
+            score_trials(store, [("u0", "u1", "target"), ("u2", "z", "nontarget")])
+
+    def test_ragged_store_rejected(self):
+        store = self.make_store()
+        store["short"] = np.ones(5)
+        with pytest.raises(DataError, match="one dimension"):
+            score_trials(store, [("u0", "u1", "target")])
+
+    @pytest.mark.parametrize("block", [1, 2, 1024])
+    def test_first_missing_id_in_trial_order_named(self, block, monkeypatch):
+        monkeypatch.setattr(metrics, "_BLOCK", block)
+        store = self.make_store()
+        store["z"] = np.zeros(8)
+        trials = [("u0", "u1", "target"), ("u2", "ghost_b", "target"),
+                  ("ghost_a", "u3", "nontarget"), ("z", "u1", "target")]
+        with pytest.raises(DataError, match="ghost_b"):
+            score_trials(store, trials)
+        with pytest.raises(DomainError):
+            score_trials(store, trials[:1] + trials[3:] + trials[1:3])
+        with pytest.raises(DataError, match="ghost_c"):      # ids are checked first
+            score_trials(store, trials[:1] + [("z", "ghost_c", "target")])
+
+    def test_blocks_equal_one_at_a_time(self):
+        store = self.make_store(n=30, dim=64, seed=65)
+        r = rng(66)
+        trials = [(f"u{a}", f"u{b}", "nontarget") for a, b in r.integers(0, 30, (2500, 2))]
+        assert len(trials) > 2 * metrics._BLOCK
+        assert score_trials(store, trials) == [score_trials(store, [t])[0] for t in trials]
+
+    def test_memory_is_store_plus_one_block(self):
+        """100k trials over a 500 x 512 store: the working memory beyond the
+        returned list is bounded by the store and one block, not the trials
+        (gathering every pair at once would take 800 MB)."""
+        r = rng(67)
+        store = {f"u{i}": r.normal(size=512) for i in range(500)}
+        trials = [(f"u{a}", f"u{b}", "target") for a, b in r.integers(0, 500, (100_000, 2))]
+        store_mb, block_mb = 500 * 512 * 8 / 2**20, 2 * metrics._BLOCK * 512 * 8 / 2**20
+        tracemalloc.start()
+        try:
+            scored = score_trials(store, trials)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(scored) == 100_000
+        work_mb = (peak - current) / 2**20
+        assert work_mb < store_mb + 1.5 * block_mb, f"{work_mb:.1f} MiB"
 
     def test_write_scores_csv(self, tmp_path):
         store = self.make_store()
