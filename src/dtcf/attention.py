@@ -10,8 +10,8 @@ concatenated [freq-profile, time-profile] matrix through a shared 1x1
 bottleneck, then derives one mask over (C, T) and one over (C, F) and
 multiplies both into the map.
 
-All ops accept an optional leading batch axis; the unbatched (C, T, F) form
-is the reference contract.
+Shapes below are per sample; every op also takes a leading batch axis
+(see ``dtcf.tensor.unbatched``).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .layers import xavier_uniform
-from .tensor import Tensor, concat, matmul, mean_axis, reshape, split, transpose
+from .tensor import Tensor, concat, matmul, mean_axis, reshape, split, transpose, unbatched
 
 __all__ = ["SEBlock", "DTCFBlock", "reduced_channels", "param_count"]
 
@@ -44,14 +44,6 @@ def _per_column(w: Tensor, u: Tensor, bias: Tensor | None = None) -> Tensor:
     return transpose(reshape(out, (w.shape[0], b, p)), (1, 0, 2))
 
 
-def _as_batch(x: Tensor) -> tuple[Tensor, bool]:
-    if x.ndim == 3:
-        return reshape(x, (1,) + x.shape), False
-    if x.ndim == 4:
-        return x, True
-    raise ShapeError(f"expected a (C,T,F) or (B,C,T,F) map, got {x.shape}")
-
-
 class SEBlock:
     """Squeeze-and-excitation: global-average squeeze, two FC layers, sigmoid gate."""
 
@@ -66,35 +58,31 @@ class SEBlock:
         self.b1 = Tensor(np.zeros(c_red, dtype=dtype), requires_grad=True) if bias else None
         self.b2 = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True) if bias else None
 
+    @unbatched(3)
     def squeeze(self, x: Tensor) -> Tensor:
-        """Mean over time and frequency: (C,T,F) -> (C,) or (B,C,T,F) -> (B,C)."""
-        xb, batched = _as_batch(x)
-        if xb.shape[2] < 1 or xb.shape[3] < 1:
+        """Mean over time and frequency: (C,T,F) -> (C,)."""
+        if x.shape[2] < 1 or x.shape[3] < 1:
             raise ShapeError("empty time or frequency axis")
-        pooled = mean_axis(mean_axis(xb, 3), 2)
-        return pooled if batched else reshape(pooled, (-1,))
+        return mean_axis(mean_axis(x, 3), 2)
 
+    @unbatched(1)
     def mask(self, xc: Tensor) -> Tensor:
         """Gate per channel: sigmoid(W2 relu(W1 xc)), values strictly in (0,1)."""
-        vec = xc.ndim == 1
         if xc.shape[-1] != self.channels:
             raise ShapeError(f"expected {self.channels} channels, got {xc.shape[-1]}")
-        u = reshape(xc, (1, -1)) if vec else xc
-        hidden = matmul(u, transpose(self.w1, (1, 0)))
+        hidden = matmul(xc, transpose(self.w1, (1, 0)))
         if self.b1 is not None:
             hidden = hidden + self.b1.reshape(1, -1)
         out = matmul(hidden.relu(), transpose(self.w2, (1, 0)))
         if self.b2 is not None:
             out = out + self.b2.reshape(1, -1)
-        out = out.sigmoid()
-        return reshape(out, (-1,)) if vec else out
+        return out.sigmoid()
 
+    @unbatched(3)
     def apply(self, x: Tensor) -> Tensor:
         """Recalibrate: multiply every (t, f) cell of channel c by its gate."""
-        xb, batched = _as_batch(x)
-        m = self.mask(self.squeeze(xb))
-        out = xb * reshape(m, m.shape + (1, 1))
-        return out if batched else reshape(out, x.shape)
+        m = self.mask(self.squeeze(x))
+        return x * reshape(m, m.shape + (1, 1))
 
     def params(self):
         named = [("w1", self.w1), ("w2", self.w2)]
@@ -129,57 +117,39 @@ class DTCFBlock:
         else:
             self.b1 = self.b2 = self.b3 = None
 
+    @unbatched(3)
     def pool(self, x: Tensor) -> tuple[Tensor, Tensor]:
         """Parallel means: xcf[c,f] over time, xct[c,t] over frequency."""
-        xb, batched = _as_batch(x)
-        if xb.shape[2] < 1 or xb.shape[3] < 1:
+        if x.shape[2] < 1 or x.shape[3] < 1:
             raise ShapeError("empty time or frequency axis")
-        xcf = mean_axis(xb, 2)   # (B, C, F)
-        xct = mean_axis(xb, 3)   # (B, C, T)
-        if not batched:
-            xcf = reshape(xcf, xcf.shape[1:])
-            xct = reshape(xct, xct.shape[1:])
-        return xcf, xct
+        return mean_axis(x, 2), mean_axis(x, 3)
 
+    @unbatched(2)
     def encode(self, xcf: Tensor, xct: Tensor) -> Tensor:
         """relu(W1 [xcf, xct]): a (C', F+T) joint context, column-independent."""
-        vec = xcf.ndim == 2
-        a = reshape(xcf, (1,) + xcf.shape) if vec else xcf
-        b = reshape(xct, (1,) + xct.shape) if vec else xct
-        if a.shape[1] != self.channels or b.shape[1] != self.channels:
+        if xcf.shape[1] != self.channels or xct.shape[1] != self.channels:
             raise ShapeError(f"profile channel dim must be {self.channels}")
-        u = concat(a, b, axis=2)
-        enc = _per_column(self.w1, u, self.b1).relu()
-        return reshape(enc, enc.shape[1:]) if vec else enc
+        return _per_column(self.w1, concat(xcf, xct, axis=2), self.b1).relu()
 
+    @unbatched(2)
     def masks(self, x1: Tensor, f_len: int) -> tuple[Tensor, Tensor]:
         """Split the encoding back at f_len and gate each half.
 
         Returns (mct, mcf): the time mask sigmoid(W2 . time half) of shape
         (C, T) and the frequency mask sigmoid(W3 . freq half) of shape (C, F).
         """
-        vec = x1.ndim == 2
-        u = reshape(x1, (1,) + x1.shape) if vec else x1
-        if not 0 < f_len < u.shape[2]:
-            raise ShapeError(f"split point {f_len} out of range for {u.shape[2]} positions")
-        part_f, part_t = split(u, axis=2, at=f_len)
-        mct = _per_column(self.w2, part_t, self.b2).sigmoid()
-        mcf = _per_column(self.w3, part_f, self.b3).sigmoid()
-        if vec:
-            mct = reshape(mct, mct.shape[1:])
-            mcf = reshape(mcf, mcf.shape[1:])
-        return mct, mcf
+        if not 0 < f_len < x1.shape[2]:
+            raise ShapeError(f"split point {f_len} out of range for {x1.shape[2]} positions")
+        part_f, part_t = split(x1, axis=2, at=f_len)
+        return (_per_column(self.w2, part_t, self.b2).sigmoid(),
+                _per_column(self.w3, part_f, self.b3).sigmoid())
 
+    @unbatched(3)
     def apply(self, x: Tensor) -> Tensor:
         """Full pipeline: pool, encode, mask, and recalibrate the map."""
-        xb, batched = _as_batch(x)
-        _, _, t, f = xb.shape
-        xcf = mean_axis(xb, 2)
-        xct = mean_axis(xb, 3)
-        enc = _per_column(self.w1, concat(xcf, xct, axis=2), self.b1).relu()
-        mct, mcf = self.masks(enc, f)
-        out = xb * reshape(mct, mct.shape + (1,)) * reshape(mcf, (mcf.shape[0], mcf.shape[1], 1, f))
-        return out if batched else reshape(out, x.shape)
+        b, c, t, f = x.shape
+        mct, mcf = self.masks(self.encode(*self.pool(x)), f)
+        return x * reshape(mct, (b, c, t, 1)) * reshape(mcf, (b, c, 1, f))
 
     def params(self):
         named = [("w1", self.w1), ("w2", self.w2), ("w3", self.w3)]

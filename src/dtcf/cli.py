@@ -78,8 +78,7 @@ def cmd_train(args) -> int:
     train_cfg = TrainConfig(
         batch_size=cfg["batch_size"], steps=cfg["steps"], crop=cfg["crop"],
         weight_decay=cfg["weight_decay"], seed=cfg["seed"],
-        checkpoint_every=cfg["checkpoint_every"], scale=cfg["scale"],
-        margin=cfg["margin"],
+        checkpoint_every=cfg["checkpoint_every"],
         augment=AugmentConfig(cfg["time_mask_max"], cfg["freq_mask_max"],
                               cfg["n_time_masks"], cfg["n_freq_masks"]))
     sched = Triangular2Schedule(cfg["base_lr"], cfg["max_lr"], cfg["step_size"])

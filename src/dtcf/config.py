@@ -13,18 +13,6 @@ from .errors import ConfigError
 __all__ = ["SCHEMA", "default_config", "load_config", "parse_config_text"]
 
 
-def _parse_int(v: str) -> int:
-    return int(v)
-
-
-def _parse_float(v: str) -> float:
-    return float(v)
-
-
-def _parse_str(v: str) -> str:
-    return v
-
-
 def _parse_int_tuple(v: str) -> tuple[int, ...]:
     return tuple(int(p) for p in v.replace(" ", "").split(",") if p)
 
@@ -39,29 +27,29 @@ def _parse_choice(*options):
 
 # key -> (parser, default, help)
 SCHEMA: dict[str, tuple] = {
-    "manifest":         (_parse_str, "", "training manifest CSV path"),
+    "manifest":         (str, "", "training manifest CSV path"),
     "attention":        (_parse_choice("none", "se", "dtcf"), "dtcf", "per-block attention kind"),
-    "reduction":        (_parse_int, 8, "attention bottleneck reduction factor r"),
+    "reduction":        (int, 8, "attention bottleneck reduction factor r"),
     "widths":           (_parse_int_tuple, (32, 64, 128, 256), "stage channel widths"),
     "blocks":           (_parse_int_tuple, (3, 4, 6, 3), "residual blocks per stage"),
-    "emb_dim":          (_parse_int, 512, "embedding dimensionality"),
-    "asp_hidden":       (_parse_int, 128, "pooling attention hidden width"),
-    "n_mels":           (_parse_int, 80, "mel filterbank size"),
-    "batch_size":       (_parse_int, 32, "utterance crops per step"),
-    "steps":            (_parse_int, 2000, "optimizer steps"),
-    "crop":             (_parse_int, 200, "training crop length in frames"),
-    "weight_decay":     (_parse_float, 2e-5, "decoupled weight decay"),
-    "base_lr":          (_parse_float, 1e-8, "cyclical LR floor"),
-    "max_lr":           (_parse_float, 1e-3, "cyclical LR peak"),
-    "step_size":        (_parse_int, 500, "iterations per LR half-cycle"),
-    "scale":            (_parse_float, 30.0, "margin-softmax scale s"),
-    "margin":           (_parse_float, 0.2, "margin-softmax additive angle m"),
-    "seed":             (_parse_int, 0, "global seed"),
-    "checkpoint_every": (_parse_int, 500, "steps between checkpoints"),
-    "time_mask_max":    (_parse_int, 10, "max feature time-mask width (frames)"),
-    "freq_mask_max":    (_parse_int, 8, "max feature freq-mask width (bins)"),
-    "n_time_masks":     (_parse_int, 1, "time masks per crop"),
-    "n_freq_masks":     (_parse_int, 1, "freq masks per crop"),
+    "emb_dim":          (int, 512, "embedding dimensionality"),
+    "asp_hidden":       (int, 128, "pooling attention hidden width"),
+    "n_mels":           (int, 80, "mel filterbank size"),
+    "batch_size":       (int, 32, "utterance crops per step"),
+    "steps":            (int, 2000, "optimizer steps"),
+    "crop":             (int, 200, "training crop length in frames"),
+    "weight_decay":     (float, 2e-5, "decoupled weight decay"),
+    "base_lr":          (float, 1e-8, "cyclical LR floor"),
+    "max_lr":           (float, 1e-3, "cyclical LR peak"),
+    "step_size":        (int, 500, "iterations per LR half-cycle"),
+    "scale":            (float, 30.0, "margin-softmax scale s"),
+    "margin":           (float, 0.2, "margin-softmax additive angle m"),
+    "seed":             (int, 0, "global seed"),
+    "checkpoint_every": (int, 500, "steps between checkpoints"),
+    "time_mask_max":    (int, 10, "max feature time-mask width (frames)"),
+    "freq_mask_max":    (int, 8, "max feature freq-mask width (bins)"),
+    "n_time_masks":     (int, 1, "time masks per crop"),
+    "n_freq_masks":     (int, 1, "freq masks per crop"),
 }
 
 

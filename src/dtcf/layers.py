@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
-from .tensor import Tensor, _node, conv2d, matmul, transpose
+from .errors import ConfigError
+from .tensor import Tensor, _node, conv2d, matmul, transpose, unbatched
 
-__all__ = ["Conv2dLayer", "BatchNorm2d", "LinearLayer", "batchnorm_forward",
-           "he_uniform", "xavier_uniform"]
+__all__ = ["Conv2dLayer", "BatchNorm2d", "LinearLayer", "he_uniform", "xavier_uniform"]
 
 
 def he_uniform(rng: np.random.Generator, shape, fan_in: int, dtype=np.float32) -> Tensor:
@@ -43,11 +42,11 @@ class Conv2dLayer:
                                   fan_in=in_channels * kh * kw, dtype=dtype)
         self.bias = Tensor(np.zeros(out_channels, dtype=dtype), requires_grad=True) if bias else None
 
+    @unbatched(3)
     def forward(self, x: Tensor) -> Tensor:
         out = conv2d(x, self.kernels, self.stride, self.padding)
         if self.bias is not None:
-            bshape = (1, -1, 1, 1) if out.ndim == 4 else (-1, 1, 1)
-            out = out + self.bias.reshape(bshape)
+            out = out + self.bias.reshape(1, -1, 1, 1)
         return out
 
     def params(self):
@@ -60,9 +59,9 @@ class Conv2dLayer:
 class BatchNorm2d:
     """Per-channel batch normalisation over (batch, time, freq).
 
-    Train mode requires a rank-4 input with at least two batch elements and
-    updates the running statistics with momentum (unbiased variance). Eval
-    mode is a pure function of the input and the running statistics.
+    Train mode requires at least two batch elements and updates the running
+    statistics with momentum (unbiased variance). Eval mode is a pure
+    function of the input and the running statistics.
     """
 
     def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5,
@@ -76,10 +75,9 @@ class BatchNorm2d:
         self.momentum = momentum
         self.eps = eps
 
+    @unbatched(3)
     def forward(self, x: Tensor, training: bool = False) -> Tensor:
         if training:
-            if x.ndim != 4:
-                raise ShapeError("train-mode batchnorm expects a (B,C,T,F) batch")
             if x.shape[0] < 2:
                 raise ConfigError("train-mode batchnorm needs a batch of >= 2 samples")
             axes = (0, 2, 3)
@@ -88,7 +86,7 @@ class BatchNorm2d:
             out = _bn_train(x, self.gamma, self.beta, self.eps, mu, var)
             self._update_running(mu, var, x.shape[0] * x.shape[2] * x.shape[3])
             return out
-        shp = (1, -1, 1, 1) if x.ndim == 4 else (-1, 1, 1)
+        shp = (1, -1, 1, 1)
         mean = Tensor(self.running_mean.reshape(shp))
         istd = Tensor((1.0 / np.sqrt(self.running_var + self.eps)).reshape(shp).astype(x.dtype))
         return (x - mean) * istd * self.gamma.reshape(shp) + self.beta.reshape(shp)
@@ -129,30 +127,6 @@ def _bn_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float,
     return _node(out, (x, gamma, beta), bwd)
 
 
-def batchnorm_forward(bn: BatchNorm2d, x: Tensor, batch: list[Tensor]) -> Tensor:
-    """Normalise ``x`` with statistics of ``batch`` (which must contain x).
-
-    Convenience surface over the rank-4 fast path: the batch is stacked,
-    normalised jointly (updating running stats once), and x's slice returned.
-    """
-    idx = next((i for i, t in enumerate(batch) if t is x), None)
-    if idx is None:
-        raise ShapeError("x must be a member of the batch")
-    from .tensor import concat
-    stacked = batch[0].reshape((1,) + batch[0].shape)
-    for t in batch[1:]:
-        stacked = concat(stacked, t.reshape((1,) + t.shape), axis=0)
-    out = bn.forward(stacked, training=True)
-    from .tensor import split
-    if idx == 0:
-        picked = split(out, 0, 1)[0]
-    elif idx == len(batch) - 1:
-        picked = split(out, 0, idx)[1]
-    else:
-        picked = split(split(out, 0, idx)[1], 0, 1)[0]
-    return picked.reshape(x.shape)
-
-
 class LinearLayer:
     """Fully connected layer: weight (out, in) plus optional bias."""
 
@@ -163,12 +137,8 @@ class LinearLayer:
                                      fan_in=in_features, fan_out=out_features, dtype=dtype)
         self.bias = Tensor(np.zeros(out_features, dtype=dtype), requires_grad=True) if bias else None
 
+    @unbatched(1)
     def forward(self, x: Tensor) -> Tensor:
-        if x.ndim == 1:
-            if x.shape[0] != self.weight.shape[1]:
-                raise ShapeError(f"expected length {self.weight.shape[1]}, got {x.shape[0]}")
-            out = matmul(self.weight, x.reshape(-1, 1)).reshape(-1)
-            return out + self.bias if self.bias is not None else out
         out = matmul(x, transpose(self.weight, (1, 0)))
         if self.bias is not None:
             out = out + self.bias.reshape(1, -1)

@@ -177,6 +177,11 @@ def export_embeddings(store: dict[str, tuple[str, np.ndarray]], path) -> None:
 
 
 def read_embeddings(path) -> dict[str, tuple[str, np.ndarray]]:
+    """Parse an export_embeddings CSV; blank lines are skipped.
+
+    A row without a value or with a non-numeric value raises DataError
+    naming the file and line.
+    """
     path = Path(path)
     out: dict[str, tuple[str, np.ndarray]] = {}
     with open(path, encoding="utf-8", newline="") as f:
@@ -185,7 +190,14 @@ def read_embeddings(path) -> dict[str, tuple[str, np.ndarray]]:
         if not header or header[:2] != ["utt_id", "speaker_id"]:
             raise DataError(f"{path}: bad embedding header")
         for row in reader:
-            out[row[0]] = (row[1], np.array([float(v) for v in row[2:]], dtype=np.float64))
+            if not row:
+                continue
+            try:
+                if len(row) < 3:
+                    raise ValueError(f"expected utt_id, speaker_id and values, got {len(row)} fields")
+                out[row[0]] = (row[1], np.array([float(v) for v in row[2:]], dtype=np.float64))
+            except ValueError as e:
+                raise DataError(f"{path}:{reader.line_num}: {e}") from None
     if not out:
         raise DataError(f"{path}: no embeddings")
     return out

@@ -23,7 +23,7 @@ import numpy as np
 from .attention import DTCFBlock, SEBlock
 from .errors import ConfigError, ShapeError
 from .layers import BatchNorm2d, Conv2dLayer, LinearLayer, xavier_uniform
-from .tensor import Tensor, concat, matmul, no_grad, reshape, sum_axis, transpose
+from .tensor import Tensor, concat, matmul, no_grad, reshape, sum_axis, transpose, unbatched
 
 __all__ = ["BackboneConfig", "ResidualBlock", "ASPHead", "SpeakerModel"]
 
@@ -142,8 +142,6 @@ class ASPHead:
         self.v = xavier_uniform(rng, (hidden, 1), hidden, 1, dtype)
 
     def _frames(self, fmap: Tensor) -> Tensor:
-        if fmap.ndim == 3:
-            fmap = reshape(fmap, (1,) + fmap.shape)
         b, c, t, f = fmap.shape
         if c * f != self.in_dim:
             raise ShapeError(f"pooling expects {self.in_dim} dims per frame, got {c * f}")
@@ -159,18 +157,19 @@ class ASPHead:
         ez = (scores - shift).exp()
         return ez / sum_axis(ez, 1, keepdims=True)
 
+    @unbatched(3)
     def forward(self, fmap: Tensor) -> Tensor:
-        batched = fmap.ndim == 4
         h = self._frames(fmap)
         alpha = self._weights(h)
         al = reshape(alpha, alpha.shape + (1,))
         mu = sum_axis(al * h, 1)
         msq = sum_axis(al * (h * h), 1)
         std = ((msq - mu * mu).relu() + self.eps).sqrt()
-        out = concat(mu, std, axis=1)
-        return out if batched else reshape(out, (-1,))
+        return concat(mu, std, axis=1)
 
+    @unbatched(3)
     def frame_weights(self, fmap: Tensor) -> np.ndarray:
+        """Softmax weight of every frame, (B, T); one (C, T, F) map gives (1, T)."""
         with no_grad():
             return self._weights(self._frames(fmap)).data
 
@@ -227,21 +226,15 @@ class SpeakerModel:
                 trace.append(v.shape[-3:])
         return v
 
+    @unbatched(2)
     def forward(self, feats: Tensor, training: bool = False) -> Tensor:
-        """(T, 80) -> (512,) embedding, or (B, T, 80) -> (B, 512)."""
-        batched = feats.ndim == 3
-        if not batched and feats.ndim != 2:
-            raise ShapeError(f"expected (T,{self.config.n_mels}) features, got {feats.shape}")
+        """(B, T, 80) features -> (B, 512) embeddings."""
         if feats.shape[-1] != self.config.n_mels:
             raise ShapeError(f"expected {self.config.n_mels} mel bins, got {feats.shape[-1]}")
         if feats.shape[-2] < self.MIN_FRAMES:
             raise ShapeError(f"need at least {self.MIN_FRAMES} frames, got {feats.shape[-2]}")
-        shape = feats.shape
-        x = reshape(feats, (shape[0] if batched else 1, 1, shape[-2], shape[-1]))
-        fmap = self.forward_map(x, training)
-        pooled = self.asp.forward(fmap)
-        out = self.emb.forward(pooled)
-        return out if batched else reshape(out, (-1,))
+        fmap = self.forward_map(reshape(feats, (feats.shape[0], 1) + feats.shape[1:]), training)
+        return self.emb.forward(self.asp.forward(fmap))
 
     def embed(self, feats: np.ndarray) -> np.ndarray:
         """Eval-mode utterance embedding; deterministic, no graph recorded."""

@@ -9,16 +9,23 @@ float64 (pass ``dtype`` to the factories).
 Broadcasting is deliberately narrow: both operands must have the same rank
 and every dimension must either match or be 1 on one side. Anything fancier
 is rejected so the backward rules stay simple.
+
+Batch axis: every op over samples (convolution, the layers, the attention
+stages, pooling, the model) is written once, for a leading batch axis.
+Decorated with ``unbatched(rank)``, it also takes a single sample of rank
+``rank``: the sample gets a batch axis of size 1 on the way in, and the
+results lose it on the way out. Any other rank raises ShapeError.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, GradCheckError, ShapeError
+from .errors import ConfigError, DomainError, GradCheckError, ShapeError
 
 __all__ = [
     "Tensor",
@@ -34,9 +41,7 @@ __all__ = [
     "split",
     "reshape",
     "transpose",
-    "relu",
-    "sigmoid",
-    "tanh",
+    "unbatched",
     "topo_order",
     "backward",
     "zero_grads",
@@ -174,12 +179,6 @@ class Tensor:
         return _unary(self, np.asarray(self.data.sum(), dtype=dtype),
                       lambda g: np.broadcast_to(g, shape))
 
-    def mean_axis(self, axis: int) -> "Tensor":
-        return mean_axis(self, axis)
-
-    def sum_axis(self, axis: int, keepdims: bool = False) -> "Tensor":
-        return sum_axis(self, axis, keepdims)
-
     def reshape(self, *shape) -> "Tensor":
         return reshape(self, shape if len(shape) > 1 else shape[0])
 
@@ -188,9 +187,6 @@ class Tensor:
 
     def backward(self) -> None:
         backward(self)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
 
 # -- factories ---------------------------------------------------------------
@@ -263,6 +259,37 @@ def _binary(a: Tensor, b: Tensor, fwd, da: Callable, db: Callable) -> Tensor:
     return _node(data, (a, b), bwd)
 
 
+# -- batch axis ----------------------------------------------------------------
+
+def unbatched(rank: int):
+    """Let an op written for a leading batch axis also take a single sample.
+
+    The first positional Tensor argument decides. With ``rank + 1`` dims the
+    op runs as written. With ``rank`` dims every Tensor argument of that rank
+    gains a leading axis of size 1, and every Tensor result, alone or in a
+    tuple, loses it again. Any other rank raises ShapeError.
+    """
+    def lift(a):
+        return reshape(a, (1,) + a.shape) if isinstance(a, Tensor) and a.ndim == rank else a
+
+    def drop(out):
+        return reshape(out, out.shape[1:]) if isinstance(out, Tensor) else out
+
+    def decorate(op):
+        @functools.wraps(op)
+        def wrapper(*args, **kwargs):
+            first = next((a for a in args if isinstance(a, Tensor)), None)
+            if first is None or first.ndim == rank + 1:
+                return op(*args, **kwargs)
+            if first.ndim != rank:
+                raise ShapeError(f"{op.__qualname__} expects rank {rank} or {rank + 1}, "
+                                 f"got shape {first.shape}")
+            out = op(*map(lift, args), **kwargs)
+            return tuple(map(drop, out)) if isinstance(out, tuple) else drop(out)
+        return wrapper
+    return decorate
+
+
 # -- linear algebra -----------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -281,35 +308,29 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(data, (a, b), bwd)
 
 
+@unbatched(3)
 def conv2d(x: Tensor, kernels: Tensor, stride=(1, 1), padding=(0, 0)) -> Tensor:
     """2-D cross-correlation (no kernel flip) over the trailing two axes.
 
-    ``x`` is (Cin, T, F) or batched (B, Cin, T, F); ``kernels`` is
-    (Cout, Cin, kh, kw). Output extents follow the usual floor rule
-    T' = (T + 2p - kh) // s + 1: windows that would run past the padded
-    input are dropped.
+    ``x`` is (B, Cin, T, F); ``kernels`` is (Cout, Cin, kh, kw). Output
+    extents follow the usual floor rule T' = (T + 2p - kh) // s + 1: windows
+    that would run past the padded input are dropped.
     """
-    from .errors import ConfigError
-
     if kernels.ndim != 4:
         raise ShapeError(f"kernels must be rank 4, got {kernels.shape}")
-    batched = x.ndim == 4
-    if not batched and x.ndim != 3:
-        raise ShapeError(f"input must be rank 3 or 4, got {x.shape}")
     cout, cin, kh, kw = kernels.shape
     sh, sw = stride
     ph, pw = padding
     if kh < 1 or kw < 1 or sh < 1 or sw < 1 or ph < 0 or pw < 0:
         raise ConfigError("kernel and stride must be >= 1, padding >= 0")
-    xin = x.data if batched else x.data[None]
-    b, c, t, f = xin.shape
+    b, c, t, f = x.shape
     if c != cin:
         raise ShapeError(f"input has {c} channels, kernels expect {cin}")
     to, fo = (t + 2 * ph - kh) // sh + 1, (f + 2 * pw - kw) // sw + 1
     if to < 1 or fo < 1:
         raise ConfigError(f"kernel {kh}x{kw} does not fit padded input {t + 2 * ph}x{f + 2 * pw}")
 
-    xp = np.pad(xin, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else xin
+    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x.data
     span_t, span_f = (to - 1) * sh + 1, (fo - 1) * sw + 1
     m = b * to * fo
     k = cin * kh * kw
@@ -324,8 +345,7 @@ def conv2d(x: Tensor, kernels: Tensor, stride=(1, 1), padding=(0, 0)) -> Tensor:
     out = np.ascontiguousarray((w2 @ cols2).reshape(cout, b, to, fo).transpose(1, 0, 2, 3))
 
     def bwd(g):
-        g4 = g if batched else g[None]
-        g2 = np.ascontiguousarray(g4.transpose(1, 0, 2, 3)).reshape(cout, m)
+        g2 = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(cout, m)
         if kernels.requires_grad:
             kernels._accum((g2 @ cols2.T).reshape(kernels.shape))
         if x.requires_grad:
@@ -335,10 +355,9 @@ def conv2d(x: Tensor, kernels: Tensor, stride=(1, 1), padding=(0, 0)) -> Tensor:
                 for dj in range(kw):
                     dxp[:, :, di:di + span_t:sh, dj:dj + span_f:sw] += \
                         dcols[:, di, dj].transpose(1, 0, 2, 3)
-            dx = dxp[:, :, ph:ph + t, pw:pw + f]
-            x._accum(dx if batched else dx[0])
+            x._accum(dxp[:, :, ph:ph + t, pw:pw + f])
 
-    return _node(out if batched else out[0], (x, kernels), bwd)
+    return _node(out, (x, kernels), bwd)
 
 
 # -- reductions ----------------------------------------------------------------
@@ -430,20 +449,6 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
     def bwd(g):
         x._accum(g.transpose(inv))
     return _node(data, (x,), bwd)
-
-
-# -- functional aliases ------------------------------------------------------
-
-def relu(x: Tensor) -> Tensor:
-    return x.relu()
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    return x.sigmoid()
-
-
-def tanh(x: Tensor) -> Tensor:
-    return x.tanh()
 
 
 # -- backward pass -----------------------------------------------------------

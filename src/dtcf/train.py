@@ -97,8 +97,6 @@ class TrainConfig:
     weight_decay: float = 2e-5
     seed: int = 0
     checkpoint_every: int = 500
-    scale: float = 30.0
-    margin: float = 0.2
     augment: AugmentConfig = field(default_factory=AugmentConfig)
 
     def __post_init__(self):
@@ -192,38 +190,34 @@ def load_training_state(path):
     """Rebuild (model, head, opt, extra) from a checkpoint file."""
     config, tensors, extra = load_checkpoint(path)
     model, head = build_model_and_head(config)
-    _restore_params(model, head, tensors, path)
     opt = AdamState(_named_params(model, head))
-    opt.step = int(extra.get("step", 0))
-    for name, _ in _named_params(model, head):
-        for kind in ("m", "v"):
-            key = f"adam.{kind}.{name}"
-            if key not in tensors:
-                raise CheckpointError(f"{path}: missing tensor '{key}'")
-        opt.m[name] = tensors[f"adam.m.{name}"].copy()
-        opt.v[name] = tensors[f"adam.v.{name}"].copy()
+    _restore_state(model, head, opt, tensors, extra, path)
     return model, head, opt, extra
 
 
-def _restore_params(model: SpeakerModel, head: AAMHead, tensors: dict, path) -> None:
-    for name, p in model.named_params():
-        _assign(p, tensors, f"model.{name}", path)
-    buffers = {f"model.{n}": None for n, _ in model.named_buffers()}
-    missing = [n for n in buffers if n not in tensors]
-    if missing:
-        raise CheckpointError(f"{path}: missing tensor '{missing[0]}'")
+def _restore_state(model: SpeakerModel, head: AAMHead, opt: AdamState,
+                   tensors: dict, extra: dict, path) -> None:
+    """Copy parameters, batchnorm buffers, Adam moments and step out of a checkpoint.
+
+    Every tensor is found and shape-checked before any is copied, so a
+    checkpoint that does not fit leaves model, head and optimizer untouched.
+    """
+    named = _named_params(model, head)
+    wanted = [(n, p.shape) for n, p in named]
+    wanted += [(f"adam.{k}.{n}", p.shape) for n, p in named for k in ("m", "v")]
+    wanted += [(f"model.{n}", buf.shape) for n, buf in model.named_buffers()]
+    for name, shape in wanted:
+        if name not in tensors:
+            raise CheckpointError(f"{path}: missing tensor '{name}'")
+        if tuple(tensors[name].shape) != tuple(shape):
+            raise CheckpointError(f"{path}: tensor '{name}' has shape "
+                                  f"{tuple(tensors[name].shape)}, expected {tuple(shape)}")
+    for name, p in named:
+        p.data = tensors[name].astype(p.data.dtype, copy=True)
+        opt.m[name] = tensors[f"adam.m.{name}"].copy()
+        opt.v[name] = tensors[f"adam.v.{name}"].copy()
     model.load_buffers({n: tensors[f"model.{n}"] for n, _ in model.named_buffers()})
-    _assign(head.weights, tensors, "head.weights", path)
-
-
-def _assign(p: Tensor, tensors: dict, name: str, path) -> None:
-    if name not in tensors:
-        raise CheckpointError(f"{path}: missing tensor '{name}'")
-    arr = tensors[name]
-    if tuple(arr.shape) != tuple(p.shape):
-        raise CheckpointError(f"{path}: tensor '{name}' has shape {tuple(arr.shape)}, "
-                              f"expected {tuple(p.shape)}")
-    p.data = arr.astype(p.data.dtype, copy=True)
+    opt.step = int(extra.get("step", 0))
 
 
 def _named_params(model: SpeakerModel, head: AAMHead):
@@ -270,14 +264,15 @@ def train(model: SpeakerModel, head: AAMHead, corpus: Corpus, cfg: TrainConfig,
     opt = AdamState(named)
 
     if resume_from is not None:
-        rmodel, rhead, ropt, extra = load_training_state(resume_from)
-        if rmodel.config != model.config or rhead.n_classes != head.n_classes:
+        config, tensors, extra = load_checkpoint(resume_from)
+        if (BackboneConfig.from_dict(config["backbone"]) != model.config
+                or config["head"]["n_classes"] != head.n_classes):
             raise CheckpointError(f"{resume_from}: checkpoint config does not match")
-        _restore_params(model, head, _state_tensors(rmodel, rhead, ropt), resume_from)
-        opt = AdamState(named)
-        opt.step = ropt.step
-        opt.m = {n: ropt.m[n] for n in ropt.m}
-        opt.v = {n: ropt.v[n] for n in ropt.v}
+        for key in ("rng_state", "order", "cursor"):
+            if key not in extra:
+                raise CheckpointError(f"{resume_from}: no training-loop state "
+                                      f"(missing '{key}'); cannot resume from it")
+        _restore_state(model, head, opt, tensors, extra, resume_from)
         rng.bit_generator.state = extra["rng_state"]
         order = np.array(extra["order"])
         cursor = int(extra["cursor"])

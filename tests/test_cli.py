@@ -7,8 +7,11 @@ import pytest
 
 from dtcf.attention import DTCFBlock, SEBlock, param_count
 from dtcf.cli import main
+from dtcf.loss import AAMHead
 from dtcf.metrics import compute_eer, compute_min_dcf, read_embeddings
+from dtcf.model import BackboneConfig, SpeakerModel
 from dtcf.synth import read_manifest, read_trials
+from dtcf.train import AdamState, _named_params, save_training_state
 
 
 def sha(path):
@@ -109,6 +112,17 @@ class TestTrain:
     def test_missing_manifest_exit_2(self, tmp_path):
         assert main(["train", "--out", str(tmp_path / "o2")]) == 2
 
+    def test_resume_without_loop_state_exit_3(self, tiny_config, tmp_path, capsys):
+        # a model checkpoint written outside train() carries no rng/order/cursor
+        model = SpeakerModel(BackboneConfig(widths=(2, 4, 8, 16), blocks=(1, 1, 1, 1),
+                                            attention="dtcf", emb_dim=32, asp_hidden=8), seed=1)
+        head = AAMHead(3, 32, rng=np.random.default_rng(2))
+        ckpt = tmp_path / "model_only.bin"
+        save_training_state(ckpt, model, head, AdamState(_named_params(model, head)))
+        assert main(["train", "--config", str(tiny_config), "--resume", str(ckpt),
+                     "--out", str(tmp_path / "o3")]) == 3
+        assert "rng_state" in capsys.readouterr().err
+
 
 class TestExtract:
     def test_row_count_and_determinism(self, trained, corpus_dir, tmp_path):
@@ -178,6 +192,16 @@ class TestEval:
         mdcf, thd = compute_min_dcf([t.score for t in scored], [t.label for t in scored])
         assert float(kv["eer"]) == eer and float(kv["minDcf"]) == mdcf
         assert float(kv["threshold_eer"]) == th and float(kv["threshold_dcf"]) == thd
+
+    def test_malformed_embedding_row_exit_5(self, separable, tmp_path, capsys):
+        emb, trials = separable
+        lines = emb.read_text().splitlines()
+        lines[3] = "a1,sa,1.0,oops,0.0,0.0"
+        bad = tmp_path / "bad_emb.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["eval", "--emb", str(bad), "--trials", str(trials)]) == 5
+        err = capsys.readouterr().err
+        assert "bad_emb.csv:4" in err and "oops" in err
 
     def test_unresolvable_trial_id_exit_5(self, separable, tmp_path, capsys):
         emb, _ = separable

@@ -5,7 +5,7 @@ import pytest
 
 import dtcf.tensor as dt
 from dtcf.errors import ConfigError, ShapeError
-from dtcf.layers import BatchNorm2d, Conv2dLayer, LinearLayer, batchnorm_forward
+from dtcf.layers import BatchNorm2d, Conv2dLayer, LinearLayer
 from dtcf.tensor import grad_check
 
 from test_tensor import conv2d_oracle
@@ -117,24 +117,6 @@ class TestBatchNorm:
         bn.running_var[:] = [1.5, 0.7]
         x = t64(rng(17).normal(size=(2, 4, 4)))
         assert grad_check(lambda v: bn.forward(v, training=False).sigmoid().sum(), x) < 1e-6
-
-    def test_contract_wrapper_matches_stack(self):
-        bn = BatchNorm2d(2, dtype=np.float64)
-        batch = [t64(rng(18 + i).normal(size=(2, 3, 3))) for i in range(3)]
-        out1 = batchnorm_forward(bn, batch[1], batch)
-        assert out1.shape == batch[1].shape
-        # same stats as normalising the stacked batch directly
-        bn2 = BatchNorm2d(2, dtype=np.float64)
-        stacked = t64(np.stack([b.data for b in batch]))
-        ref = bn2.forward(stacked, training=True).data[1]
-        np.testing.assert_allclose(out1.data, ref, atol=1e-12)
-        np.testing.assert_allclose(bn.running_mean, bn2.running_mean, atol=1e-12)
-
-    def test_contract_wrapper_requires_membership(self):
-        bn = BatchNorm2d(2)
-        batch = [dt.tensor(np.zeros((2, 3, 3))) for _ in range(2)]
-        with pytest.raises(ShapeError):
-            batchnorm_forward(bn, dt.tensor(np.zeros((2, 3, 3))), batch)
 
 
 class TestLinear:

@@ -345,3 +345,17 @@ class TestExport:
         export_embeddings(store, path)
         ids = [l.split(",")[0] for l in path.read_text().strip().splitlines()[1:]]
         assert ids == sorted(ids)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "e.csv"
+        path.write_text("utt_id,speaker_id,e0,e1\n\nu0,s0,1.0,2.0\n\nu1,s1,3.0,4.0\n\n")
+        back = read_embeddings(path)
+        assert sorted(back) == ["u0", "u1"]
+        np.testing.assert_array_equal(back["u1"][1], [3.0, 4.0])
+
+    @pytest.mark.parametrize("row", ["u1,s1,3.0,x", "u1,s1,", "u1,s1", "u1"])
+    def test_malformed_row_names_file_and_line(self, tmp_path, row):
+        path = tmp_path / "e.csv"
+        path.write_text(f"utt_id,speaker_id,e0,e1\nu0,s0,1.0,2.0\n\n{row}\n")
+        with pytest.raises(DataError, match=r"e\.csv:4"):
+            read_embeddings(path)

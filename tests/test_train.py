@@ -223,6 +223,32 @@ class TestTrainLoop:
                         resume_from=tmp_path / "part" / "checkpoint.bin")
         assert [r for r in resumed.log_rows] == full.log_rows[3:]
 
+    @pytest.mark.parametrize("change", ["backbone", "speakers"])
+    def test_resume_rejects_other_config(self, small_corpus, tmp_path, change):
+        model, head = tiny_setup(small_corpus)
+        train(model, head, small_corpus, tiny_cfg(steps=1), SCHED, out_dir=tmp_path / "part")
+        if change == "backbone":
+            model, head = tiny_setup(small_corpus, attention="se")
+        else:
+            head = AAMHead(small_corpus.n_speakers + 1, 32, rng=rng(1))
+        with pytest.raises(CheckpointError, match="does not match"):
+            train(model, head, small_corpus, tiny_cfg(steps=2), SCHED,
+                  resume_from=tmp_path / "part" / "checkpoint.bin")
+
+    def test_failed_resume_leaves_model_untouched(self, small_corpus, tmp_path):
+        model, head = tiny_setup(small_corpus)
+        train(model, head, small_corpus, tiny_cfg(steps=1), SCHED, out_dir=tmp_path / "part")
+        config, tensors, extra = load_checkpoint(tmp_path / "part" / "checkpoint.bin")
+        del tensors["model.stage4.block0.bn2.running_var"]
+        bad = tmp_path / "bad.bin"
+        save_checkpoint(bad, config, tensors, extra)
+        model, head = tiny_setup(small_corpus)
+        before = [p.data.copy() for _, p in model.named_params()]
+        with pytest.raises(CheckpointError, match="stage4.block0.bn2.running_var"):
+            train(model, head, small_corpus, tiny_cfg(steps=2), SCHED, resume_from=bad)
+        for b, (_, p) in zip(before, model.named_params()):
+            np.testing.assert_array_equal(p.data, b)
+
     def test_divergence_guard(self, small_corpus):
         model, _ = tiny_setup(small_corpus)
         # an absurd scale pushes the first-step loss beyond the 1e4 cap
