@@ -9,6 +9,8 @@ which the round-trip tests rely on.
 from __future__ import annotations
 
 import json
+import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -44,28 +46,44 @@ def save_checkpoint(path, config: dict, tensors: dict[str, np.ndarray],
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray], dict]:
+    """Read a checkpoint; each tensor is read straight into its own writable array."""
     path = Path(path)
     try:
-        blob = path.read_bytes()
+        with open(path, "rb") as f:
+            return _read(f, path, os.fstat(f.fileno()).st_size)
     except OSError as e:
         raise CheckpointError(f"cannot read checkpoint {path}: {e}") from e
-    if blob[:8] != MAGIC:
+
+
+def _read(f, path: Path, size: int) -> tuple[dict, dict[str, np.ndarray], dict]:
+    head = f.read(16)
+    if head[:8] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-    hlen = int.from_bytes(blob[8:16], "little")
-    if len(blob) < 16 + hlen:
+    hlen = int.from_bytes(head[8:16], "little")
+    if len(head) < 16 or size < 16 + hlen:
         raise CheckpointError(f"{path}: truncated header")
     try:
-        header = json.loads(blob[16:16 + hlen].decode("utf-8"))
+        header = json.loads(f.read(hlen).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: corrupt header: {e}") from e
     if header.get("version") != FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported format version {header.get('version')}")
-    payload = blob[16 + hlen:]
+    for key in ("config", "extra", "tensors"):
+        if key not in header:
+            raise CheckpointError(f"{path}: corrupt header: no '{key}' entry")
+    base = 16 + hlen
     tensors = {}
     for spec in header["tensors"]:
         name, off, nbytes = spec["name"], spec["offset"], spec["nbytes"]
-        if off + nbytes > len(payload):
+        shape, dtype = tuple(spec["shape"]), np.dtype(spec["dtype"])
+        if base + off + nbytes > size:
             raise CheckpointError(f"{path}: truncated payload at tensor '{name}'")
-        arr = np.frombuffer(payload[off:off + nbytes], dtype=np.dtype(spec["dtype"]))
-        tensors[name] = arr.reshape(spec["shape"]).copy()
+        if math.prod(shape) * dtype.itemsize != nbytes:
+            raise CheckpointError(f"{path}: corrupt header: tensor '{name}' has "
+                                  f"{nbytes} bytes for shape {shape}")
+        arr = np.empty(shape, dtype=dtype)
+        f.seek(base + off)
+        if f.readinto(arr.reshape(-1).view(np.uint8)) != nbytes:
+            raise CheckpointError(f"{path}: truncated payload at tensor '{name}'")
+        tensors[name] = arr
     return header["config"], tensors, header["extra"]

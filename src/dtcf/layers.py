@@ -80,11 +80,8 @@ class BatchNorm2d:
         if training:
             if x.shape[0] < 2:
                 raise ConfigError("train-mode batchnorm needs a batch of >= 2 samples")
-            axes = (0, 2, 3)
-            mu = x.data.mean(axis=axes, keepdims=True)
-            var = x.data.var(axis=axes, keepdims=True)
-            out = _bn_train(x, self.gamma, self.beta, self.eps, mu, var)
-            self._update_running(mu, var, x.shape[0] * x.shape[2] * x.shape[3])
+            out, mu, var = _bn_train(x, self.gamma, self.beta, self.eps)
+            self._update_running(mu, var, x.data.size // x.shape[1])
             return out
         shp = (1, -1, 1, 1)
         mean = Tensor(self.running_mean.reshape(shp))
@@ -104,27 +101,39 @@ class BatchNorm2d:
         return [("running_mean", self.running_mean), ("running_var", self.running_var)]
 
 
-def _bn_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float,
-              mu: np.ndarray, var: np.ndarray) -> Tensor:
-    """Fused batch-norm forward with the standard whitening backward."""
+def _bn_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float):
+    """Fused batch-norm forward and whitening backward; also returns the batch mean and variance.
+
+    One pass each for the mean, the centring, the variance and the
+    normalisation. The backward uses dβ = Σg and dγ = Σg·x̂, so that
+    mean(g·γ) = γ·dβ/n and mean(g·γ·x̂) = γ·dγ/n need no pass of their own.
+    """
     axes = (0, 2, 3)
+    shp = (1, -1, 1, 1)
+    n = x.data.size // x.shape[1]
+    mu = x.data.mean(axis=axes, keepdims=True)
+    xhat = x.data - mu
+    var = (np.einsum("bctf,bctf->c", xhat, xhat) / n).reshape(shp)
     istd = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * istd
-    g4 = gamma.data.reshape(1, -1, 1, 1)
-    out = xhat * g4 + beta.data.reshape(1, -1, 1, 1)
+    xhat *= istd
+    out = xhat * gamma.data.reshape(shp)
+    out += beta.data.reshape(shp)
 
     def bwd(g):
+        dbeta = g.sum(axis=axes)
+        dgamma = np.einsum("bctf,bctf->c", g, xhat)
         if beta.requires_grad:
-            beta._accum(g.sum(axis=axes))
+            beta._accum(dbeta)
         if gamma.requires_grad:
-            gamma._accum((g * xhat).sum(axis=axes))
+            gamma._accum(dgamma)
         if x.requires_grad:
-            dxhat = g * g4
-            m1 = dxhat.mean(axis=axes, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=axes, keepdims=True)
-            x._accum(istd * (dxhat - m1 - xhat * m2))
+            dx = xhat * (dgamma / -n).reshape(shp)
+            dx += g
+            dx -= (dbeta / n).reshape(shp)
+            dx *= gamma.data.reshape(shp) * istd
+            x._accum(dx)
 
-    return _node(out, (x, gamma, beta), bwd)
+    return _node(out, (x, gamma, beta), bwd), mu, var
 
 
 class LinearLayer:

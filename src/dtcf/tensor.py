@@ -334,28 +334,26 @@ def conv2d(x: Tensor, kernels: Tensor, stride=(1, 1), padding=(0, 0)) -> Tensor:
     span_t, span_f = (to - 1) * sh + 1, (fo - 1) * sw + 1
     m = b * to * fo
     k = cin * kh * kw
-    # im2col: one gather reused by the forward product and both grad products
-    cols = np.empty((cin, kh, kw, b, to, fo), dtype=xp.dtype)
-    for di in range(kh):
-        for dj in range(kw):
-            np.copyto(cols[:, di, dj],
-                      xp[:, :, di:di + span_t:sh, dj:dj + span_f:sw].transpose(1, 0, 2, 3))
-    cols2 = cols.reshape(k, m)
+    # im2col: one copy of the strided windows, laid out (cin, kh, kw, b, to, fo);
+    # the forward product and the kernel gradient share it
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
+    cols2 = np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3)).reshape(k, m)
     w2 = kernels.data.reshape(cout, k)
     out = np.ascontiguousarray((w2 @ cols2).reshape(cout, b, to, fo).transpose(1, 0, 2, 3))
 
     def bwd(g):
         g2 = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(cout, m)
         if kernels.requires_grad:
-            kernels._accum((g2 @ cols2.T).reshape(kernels.shape))
+            # (K, M) @ (M, Cout) is the orientation BLAS runs fast for a long M
+            kernels._accum((cols2 @ g2.T).T.reshape(kernels.shape))
         if x.requires_grad:
-            dcols = (w2.T @ g2).reshape(cin, kh, kw, b, to, fo)
-            dxp = np.zeros_like(xp)
+            # col2im one tap at a time into a channel-first padded buffer
+            dxp = np.zeros((cin, b) + xp.shape[2:], dtype=xp.dtype)
             for di in range(kh):
                 for dj in range(kw):
                     dxp[:, :, di:di + span_t:sh, dj:dj + span_f:sw] += \
-                        dcols[:, di, dj].transpose(1, 0, 2, 3)
-            x._accum(dxp[:, :, ph:ph + t, pw:pw + f])
+                        (kernels.data[:, :, di, dj].T @ g2).reshape(cin, b, to, fo)
+            x._accum(dxp[:, :, ph:ph + t, pw:pw + f].transpose(1, 0, 2, 3))
 
     return _node(out, (x, kernels), bwd)
 

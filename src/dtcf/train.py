@@ -9,7 +9,7 @@ the original loss trajectory bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -186,9 +186,23 @@ def build_model_and_head(config: dict, seed: int = 0):
     return model, head
 
 
+def _check_config(config, path) -> None:
+    """Raise CheckpointError unless the header config has every model and head field."""
+    wanted = {"backbone": [f.name for f in fields(BackboneConfig)],
+              "head": ["n_classes", "scale", "margin"]}
+    for key, names in wanted.items():
+        entry = config.get(key) if isinstance(config, dict) else None
+        if not isinstance(entry, dict):
+            raise CheckpointError(f"{path}: checkpoint config has no '{key}' entry")
+        for name in names:
+            if name not in entry:
+                raise CheckpointError(f"{path}: checkpoint config '{key}' has no '{name}' field")
+
+
 def load_training_state(path):
     """Rebuild (model, head, opt, extra) from a checkpoint file."""
     config, tensors, extra = load_checkpoint(path)
+    _check_config(config, path)
     model, head = build_model_and_head(config)
     opt = AdamState(_named_params(model, head))
     _restore_state(model, head, opt, tensors, extra, path)
@@ -197,10 +211,13 @@ def load_training_state(path):
 
 def _restore_state(model: SpeakerModel, head: AAMHead, opt: AdamState,
                    tensors: dict, extra: dict, path) -> None:
-    """Copy parameters, batchnorm buffers, Adam moments and step out of a checkpoint.
+    """Restore parameters, batchnorm buffers, Adam moments and step from a checkpoint.
 
-    Every tensor is found and shape-checked before any is copied, so a
+    Every tensor is found and shape-checked before any is restored, so a
     checkpoint that does not fit leaves model, head and optimizer untouched.
+    Parameters and Adam moments take ownership of the arrays in ``tensors``
+    (fresh from ``load_checkpoint``) instead of copying them; the caller must
+    not use those arrays afterwards.
     """
     named = _named_params(model, head)
     wanted = [(n, p.shape) for n, p in named]
@@ -213,9 +230,9 @@ def _restore_state(model: SpeakerModel, head: AAMHead, opt: AdamState,
             raise CheckpointError(f"{path}: tensor '{name}' has shape "
                                   f"{tuple(tensors[name].shape)}, expected {tuple(shape)}")
     for name, p in named:
-        p.data = tensors[name].astype(p.data.dtype, copy=True)
-        opt.m[name] = tensors[f"adam.m.{name}"].copy()
-        opt.v[name] = tensors[f"adam.v.{name}"].copy()
+        p.data = tensors[name].astype(p.data.dtype, copy=False)
+        opt.m[name] = tensors[f"adam.m.{name}"]
+        opt.v[name] = tensors[f"adam.v.{name}"]
     model.load_buffers({n: tensors[f"model.{n}"] for n, _ in model.named_buffers()})
     opt.step = int(extra.get("step", 0))
 
@@ -265,6 +282,7 @@ def train(model: SpeakerModel, head: AAMHead, corpus: Corpus, cfg: TrainConfig,
 
     if resume_from is not None:
         config, tensors, extra = load_checkpoint(resume_from)
+        _check_config(config, resume_from)
         if (BackboneConfig.from_dict(config["backbone"]) != model.config
                 or config["head"]["n_classes"] != head.n_classes):
             raise CheckpointError(f"{resume_from}: checkpoint config does not match")

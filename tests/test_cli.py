@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dtcf.attention import DTCFBlock, SEBlock, param_count
+from dtcf.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from dtcf.cli import main
 from dtcf.loss import AAMHead
 from dtcf.metrics import compute_eer, compute_min_dcf, read_embeddings
@@ -123,8 +124,52 @@ class TestTrain:
                      "--out", str(tmp_path / "o3")]) == 3
         assert "rng_state" in capsys.readouterr().err
 
+    def test_resume_header_config_without_model_exit_3(self, tiny_config, trained,
+                                                       tmp_path, capsys):
+        for missing, path in incomplete_checkpoints(trained, tmp_path):
+            assert main(["train", "--config", str(tiny_config), "--resume", str(path),
+                         "--out", str(tmp_path / "o4")]) == 3
+            assert f"'{missing}'" in capsys.readouterr().err
+
+
+def incomplete_checkpoints(trained, tmp_path):
+    """Copies of a trained checkpoint whose header config lacks one entry or field."""
+    config, tensors, extra = load_checkpoint(trained / "checkpoint.bin")
+    cases = {"backbone": {"head": config["head"]},
+             "head": {"backbone": config["backbone"]},
+             "strides": {"backbone": {k: v for k, v in config["backbone"].items()
+                                      if k != "strides"}, "head": config["head"]},
+             "n_classes": {"backbone": config["backbone"],
+                           "head": {k: v for k, v in config["head"].items()
+                                    if k != "n_classes"}}}
+    for missing, cfg in cases.items():
+        path = tmp_path / f"no_{missing}.bin"
+        save_checkpoint(path, cfg, tensors, extra)
+        yield missing, path
+
 
 class TestExtract:
+    def test_header_config_without_model_exit_3(self, trained, corpus_dir, tmp_path,
+                                                capsys):
+        bare = tmp_path / "other.bin"
+        save_checkpoint(bare, {"other": 1}, {"a": np.zeros(3, dtype=np.float32)}, {})
+        cases = [("backbone", bare)] + list(incomplete_checkpoints(trained, tmp_path))
+        for missing, path in cases:
+            assert main(["extract", "--ckpt", str(path),
+                         "--manifest", str(corpus_dir / "manifest.csv"),
+                         "--out", str(tmp_path / "e.csv")]) == 3
+            assert f"'{missing}'" in capsys.readouterr().err
+        assert not (tmp_path / "e.csv").exists()
+
+    def test_header_without_tensors_exit_3(self, corpus_dir, tmp_path, capsys):
+        header = b'{"config":{},"extra":{},"version":1}'
+        path = tmp_path / "no_tensors.bin"
+        path.write_bytes(MAGIC + len(header).to_bytes(8, "little") + header)
+        assert main(["extract", "--ckpt", str(path),
+                     "--manifest", str(corpus_dir / "manifest.csv"),
+                     "--out", str(tmp_path / "e.csv")]) == 3
+        assert "'tensors'" in capsys.readouterr().err
+
     def test_row_count_and_determinism(self, trained, corpus_dir, tmp_path):
         out1, out2 = tmp_path / "e1.csv", tmp_path / "e2.csv"
         for out in (out1, out2):

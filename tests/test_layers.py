@@ -111,6 +111,34 @@ class TestBatchNorm:
         assert grad_check(lambda _: bn.forward(x, training=True).tanh().sum(), bn.gamma) < 1e-6
         assert grad_check(lambda _: bn.forward(x, training=True).tanh().sum(), bn.beta) < 1e-6
 
+    def test_train_mode_matches_two_pass_reference(self):
+        # reference: the textbook forward and whitening backward, at float32
+        x = (rng(18).normal(loc=3.0, scale=2.0, size=(8, 4, 30, 20))).astype(np.float32)
+        g = rng(19).normal(size=x.shape).astype(np.float32)
+        bn = BatchNorm2d(4)
+        bn.gamma.data[:] = rng(20).uniform(0.5, 1.5, 4)
+        bn.beta.data[:] = rng(21).normal(size=4)
+        axes, shp = (0, 2, 3), (1, -1, 1, 1)
+        mu = x.mean(axis=axes, keepdims=True)
+        istd = 1.0 / np.sqrt(x.var(axis=axes, keepdims=True) + bn.eps)
+        xhat = (x - mu) * istd
+        g4 = bn.gamma.data.reshape(shp)
+        ref_out = xhat * g4 + bn.beta.data.reshape(shp)
+        dxhat = g * g4
+        m1 = dxhat.mean(axis=axes, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=axes, keepdims=True)
+        ref = {"out": ref_out, "x": istd * (dxhat - m1 - xhat * m2),
+               "gamma": (g * xhat).sum(axis=axes), "beta": g.sum(axis=axes)}
+
+        xt = dt.tensor(x, requires_grad=True)
+        out = bn.forward(xt, training=True)
+        out._backward(g)
+        got = {"out": out.data, "x": xt.grad, "gamma": bn.gamma.grad, "beta": bn.beta.grad}
+        for name, want in ref.items():
+            assert got[name].dtype == np.float32
+            err = np.linalg.norm(got[name] - want) / np.linalg.norm(want)
+            assert err < 1e-5, name
+
     def test_gradcheck_eval_mode(self):
         bn = BatchNorm2d(2, dtype=np.float64)
         bn.running_mean[:] = [0.1, -0.4]

@@ -48,6 +48,20 @@ class TestResidualBlock:
         out = blk.forward(t64(x), training=False).data
         np.testing.assert_allclose(out, expect, atol=1e-5)
 
+    def test_batched_train_mode_gradcheck(self):
+        # a downsampling DTCF block: both convs, the 1x1 skip conv and three
+        # train-mode batchnorms, over a batch of 3 with a random upstream weight
+        blk = ResidualBlock(4, 6, stride=(1, 2), attention="dtcf", reduction=2,
+                            rng=rng(107), dtype=np.float64)
+        x = t64(rng(207).normal(size=(3, 4, 6, 8)))
+        r = t64(rng(307).normal(size=(3, 6, 6, 4)))
+        loss = lambda v: (blk.forward(v, training=True) * r).sum()
+        assert grad_check(loss, x) < 1e-6
+        x.requires_grad = False
+        for _, mod in blk.modules():
+            for _, p in mod.params():
+                assert grad_check(lambda _: loss(x), p) < 1e-6
+
 
 class TestASP:
     def make(self, dim, hidden=6, seed=10):

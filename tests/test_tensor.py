@@ -142,6 +142,18 @@ class TestConv2d:
         assert grad_check(lambda v: conv2d(v, w, (2, 2), (1, 1)).sum(), x) < 1e-6
         assert grad_check(lambda v: conv2d(x, v, (2, 2), (1, 1)).sum(), w) < 1e-6
 
+    @pytest.mark.parametrize("stride", [(1, 1), (1, 2), (2, 2)])
+    @pytest.mark.parametrize("kernel,padding", [(3, (1, 1)), (1, (0, 0))])
+    def test_batched_gradients_weighted_upstream(self, stride, kernel, padding):
+        # B=3 and cin != cout, with a random upstream weight instead of .sum(),
+        # so that a batch/channel mix-up in either gradient cannot cancel out.
+        # The loss is linear in each argument, so a wider step only cuts roundoff.
+        x = t64(rng(16).normal(size=(3, 2, 5, 6)))
+        w = t64(rng(17).normal(size=(4, 2, kernel, kernel)))
+        r = t64(rng(18).normal(size=conv2d(x, w, stride, padding).shape))
+        assert grad_check(lambda v: (conv2d(v, w, stride, padding) * r).sum(), x, eps=1e-4) < 1e-6
+        assert grad_check(lambda v: (conv2d(x, v, stride, padding) * r).sum(), w, eps=1e-4) < 1e-6
+
 
 # ---------------------------------------------------------------- reductions
 

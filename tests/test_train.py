@@ -1,13 +1,15 @@
 """Scheduler, optimizer, checkpointing, and deterministic-loop tests."""
 
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import dtcf.tensor as dt
 from dtcf.audio import AugmentConfig
-from dtcf.checkpoint import load_checkpoint, save_checkpoint
+from dtcf.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from dtcf.config import default_config, parse_config_text
 from dtcf.errors import CheckpointError, ConfigError, DivergenceError
 from dtcf.loss import AAMHead
@@ -144,6 +146,48 @@ class TestCheckpointContainer:
         p.write_bytes(b"NOTACKPT" + b"\x00" * 64)
         with pytest.raises(CheckpointError, match="magic"):
             load_checkpoint(p)
+
+    def test_load_holds_one_copy_of_the_payload(self, tmp_path):
+        tensors = {f"t{i}": np.full((512, 1024), i, dtype=np.float32) for i in range(4)}
+        payload = sum(a.nbytes for a in tensors.values())      # 8 MiB
+        p = tmp_path / "big.bin"
+        save_checkpoint(p, {}, tensors, {})
+        tracemalloc.start()
+        try:
+            _, loaded, _ = load_checkpoint(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * payload, f"peak {peak / payload:.2f}x the payload"
+        for name, arr in tensors.items():
+            np.testing.assert_array_equal(loaded[name], arr)
+            assert loaded[name].flags.writeable and loaded[name].flags.c_contiguous
+
+    @staticmethod
+    def raw_file(path, header: dict, payload: bytes = b""):
+        blob = json.dumps(header).encode()
+        path.write_bytes(MAGIC + len(blob).to_bytes(8, "little") + blob + payload)
+        return path
+
+    def test_short_header_is_truncated(self, tmp_path):
+        p = tmp_path / "short.bin"
+        for blob in (MAGIC, MAGIC + (10**6).to_bytes(8, "little") + b"{}"):
+            p.write_bytes(blob)
+            with pytest.raises(CheckpointError, match="truncated header"):
+                load_checkpoint(p)
+
+    @pytest.mark.parametrize("key", ["config", "extra", "tensors"])
+    def test_header_without_entry_names_it(self, tmp_path, key):
+        header = {"version": 1, "config": {}, "extra": {}, "tensors": []}
+        del header[key]
+        with pytest.raises(CheckpointError, match=f"'{key}'"):
+            load_checkpoint(self.raw_file(tmp_path / "partial.bin", header))
+
+    def test_tensor_size_disagreeing_with_shape(self, tmp_path):
+        spec = {"name": "w", "dtype": "<f4", "shape": [4, 4], "offset": 0, "nbytes": 32}
+        header = {"version": 1, "config": {}, "extra": {}, "tensors": [spec]}
+        with pytest.raises(CheckpointError, match="'w'"):
+            load_checkpoint(self.raw_file(tmp_path / "mis.bin", header, bytes(64)))
 
     def test_version_mismatch(self, tmp_path):
         import json
