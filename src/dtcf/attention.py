@@ -27,6 +27,8 @@ __all__ = ["SEBlock", "DTCFBlock", "reduced_channels", "param_count"]
 
 def reduced_channels(channels: int, reduction: int) -> int:
     """Bottleneck width C' = C / r, clamped to 1 when C < r."""
+    if reduction < 1:
+        raise ConfigError(f"reduction must be >= 1, got {reduction}")
     if channels < reduction:
         return 1
     if channels % reduction:

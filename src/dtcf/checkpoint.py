@@ -66,16 +66,20 @@ def _read(f, path: Path, size: int) -> tuple[dict, dict[str, np.ndarray], dict]:
         header = json.loads(f.read(hlen).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: corrupt header: {e}") from e
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: corrupt header: not a JSON object")
     if header.get("version") != FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported format version {header.get('version')}")
-    for key in ("config", "extra", "tensors"):
-        if key not in header:
-            raise CheckpointError(f"{path}: corrupt header: no '{key}' entry")
+    for key, kind in (("config", dict), ("extra", dict), ("tensors", list)):
+        if not isinstance(header.get(key), kind):
+            raise CheckpointError(f"{path}: corrupt header: no '{key}' {kind.__name__} entry")
     base = 16 + hlen
     tensors = {}
     for spec in header["tensors"]:
-        name, off, nbytes = spec["name"], spec["offset"], spec["nbytes"]
-        shape, dtype = tuple(spec["shape"]), np.dtype(spec["dtype"])
+        entry = _entry(spec)
+        if entry is None:
+            raise CheckpointError(f"{path}: corrupt header: bad tensor entry {spec!r}")
+        name, off, nbytes, shape, dtype = entry
         if base + off + nbytes > size:
             raise CheckpointError(f"{path}: truncated payload at tensor '{name}'")
         if math.prod(shape) * dtype.itemsize != nbytes:
@@ -87,3 +91,16 @@ def _read(f, path: Path, size: int) -> tuple[dict, dict[str, np.ndarray], dict]:
             raise CheckpointError(f"{path}: truncated payload at tensor '{name}'")
         tensors[name] = arr
     return header["config"], tensors, header["extra"]
+
+
+def _entry(spec):
+    """(name, offset, nbytes, shape, dtype) of a well-formed header tensor entry, else None."""
+    try:
+        name, off, nbytes = spec["name"], spec["offset"], spec["nbytes"]
+        shape, dtype = tuple(spec["shape"]), np.dtype(spec["dtype"])
+    except (KeyError, TypeError, ValueError):
+        return None
+    if (not isinstance(name, str) or dtype.hasobject
+            or not all(type(v) is int and v >= 0 for v in (off, nbytes, *shape))):
+        return None
+    return name, off, nbytes, shape, dtype

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -26,20 +27,23 @@ from .audio import AugmentConfig, fbank, read_wav
 from .config import default_config, load_config
 from .errors import (CheckpointError, ConfigError, DataError, DivergenceError,
                      DomainError, GradCheckError, ShapeError)
-from .loss import AAMHead
 from .metrics import (DCFParams, compute_eer, compute_min_dcf, export_embeddings,
                       read_embeddings, score_trials, write_scores)
-from .model import BackboneConfig, SpeakerModel
+from .model import BackboneConfig
 from .synth import read_manifest, read_trials, synth_corpus
 from .tensor import Tensor, grad_check, inject_backward_fault
-from .train import (Corpus, TrainConfig, Triangular2Schedule,
+from .train import (Corpus, TrainConfig, Triangular2Schedule, build_model_and_head,
                     load_training_state, train)
 
 
 def _seed_default(value):
     if value is not None:
         return int(value)
-    return int(os.environ.get("DTCF_SEED", "0"))
+    text = os.environ.get("DTCF_SEED", "0")
+    try:
+        return int(text)
+    except ValueError as e:
+        raise ConfigError(f"DTCF_SEED must be an integer, got {text!r}") from e
 
 
 def cmd_synth_data(args) -> int:
@@ -49,11 +53,9 @@ def cmd_synth_data(args) -> int:
     return 0
 
 
-def _backbone_from_config(cfg: dict) -> BackboneConfig:
-    return BackboneConfig(
-        widths=tuple(cfg["widths"]), blocks=tuple(cfg["blocks"]),
-        attention=cfg["attention"], reduction=cfg["reduction"],
-        emb_dim=cfg["emb_dim"], asp_hidden=cfg["asp_hidden"], n_mels=cfg["n_mels"])
+def _from_config(cls, cfg: dict, **given):
+    """A ``cls`` whose fields come from the flat config keys of the same name."""
+    return cls(**{f.name: cfg[f.name] for f in fields(cls) if f.name in cfg}, **given)
 
 
 def cmd_train(args) -> int:
@@ -69,19 +71,13 @@ def cmd_train(args) -> int:
                           "or flag --manifest)")
 
     corpus = Corpus.load(cfg["manifest"])
-    model = SpeakerModel(_backbone_from_config(cfg), seed=cfg["seed"])
-    head = AAMHead(corpus.n_speakers, cfg["emb_dim"], scale=cfg["scale"],
-                   margin=cfg["margin"], rng=np.random.default_rng(cfg["seed"] + 1))
+    model, head = build_model_and_head(_from_config(BackboneConfig, cfg), corpus.n_speakers,
+                                       cfg["scale"], cfg["margin"], cfg["seed"])
     print(f"params={model.param_count()} attention={cfg['attention']} "
           f"speakers={corpus.n_speakers}")
 
-    train_cfg = TrainConfig(
-        batch_size=cfg["batch_size"], steps=cfg["steps"], crop=cfg["crop"],
-        weight_decay=cfg["weight_decay"], seed=cfg["seed"],
-        checkpoint_every=cfg["checkpoint_every"],
-        augment=AugmentConfig(cfg["time_mask_max"], cfg["freq_mask_max"],
-                              cfg["n_time_masks"], cfg["n_freq_masks"]))
-    sched = Triangular2Schedule(cfg["base_lr"], cfg["max_lr"], cfg["step_size"])
+    train_cfg = _from_config(TrainConfig, cfg, augment=_from_config(AugmentConfig, cfg))
+    sched = _from_config(Triangular2Schedule, cfg)
     report = train(model, head, corpus, train_cfg, sched, out_dir=args.out,
                    resume_from=args.resume)
     print(f"steps={report.steps} final_accuracy={report.final_accuracy!r} "

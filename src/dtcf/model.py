@@ -16,7 +16,7 @@ before the skip addition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -53,21 +53,19 @@ class BackboneConfig:
             raise ConfigError("block counts and reduction must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "widths": list(self.widths), "blocks": list(self.blocks),
-            "strides": [list(s) for s in self.strides], "attention": self.attention,
-            "reduction": self.reduction, "emb_dim": self.emb_dim,
-            "asp_hidden": self.asp_hidden, "n_mels": self.n_mels,
-        }
+        """Every field by name; JSON writes the tuples as lists."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    @staticmethod
-    def from_dict(d: dict) -> "BackboneConfig":
-        return BackboneConfig(
-            widths=tuple(d["widths"]), blocks=tuple(d["blocks"]),
-            strides=tuple(tuple(s) for s in d["strides"]), attention=d["attention"],
-            reduction=d["reduction"], emb_dim=d["emb_dim"],
-            asp_hidden=d["asp_hidden"], n_mels=d["n_mels"],
-        )
+    @classmethod
+    def from_dict(cls, d: dict) -> "BackboneConfig":
+        return cls(**{f.name: _tuples(d[f.name]) for f in fields(cls)})
+
+
+def _tuples(value):
+    """JSON lists back to (nested) tuples; anything else as is."""
+    if isinstance(value, (list, tuple)):
+        return tuple(_tuples(v) for v in value)
+    return value
 
 
 def _make_attention(kind: str, channels: int, reduction: int, rng, dtype):

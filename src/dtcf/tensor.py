@@ -505,6 +505,8 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> f
     Returns max over coordinates of
     |analytic - numeric| / max(|analytic|, |numeric|, 1e-12).
     """
+    if not eps > 0:
+        raise ConfigError(f"finite-difference step eps must be > 0, got {eps}")
     x.requires_grad = True
     x.grad = np.zeros_like(x.data)
     out = f(x)

@@ -150,60 +150,54 @@ def _crop_features(feats: np.ndarray, crop: int, rng: np.random.Generator) -> np
 
 # -- checkpoint plumbing ---------------------------------------------------------
 
+# the AAMHead attributes a checkpoint header records, named as build_model_and_head takes them
+_HEAD_FIELDS = ("n_classes", "scale", "margin")
+
+
 def _state_tensors(model: SpeakerModel, head: AAMHead, opt: AdamState) -> dict:
-    tensors = {}
-    for name, p in model.named_params():
-        tensors[f"model.{name}"] = p.data
-    for name, buf in model.named_buffers():
-        tensors[f"model.{name}"] = buf
-    tensors["head.weights"] = head.weights.data
-    for name, arr in opt.m.items():
-        tensors[f"adam.m.{name}"] = arr
-    for name, arr in opt.v.items():
-        tensors[f"adam.v.{name}"] = arr
+    """Every array a checkpoint holds, by name: what save writes and restore fills."""
+    tensors = {name: p.data for name, p in _named_params(model, head)}
+    tensors.update((f"model.{n}", buf) for n, buf in model.named_buffers())
+    for kind, moments in (("m", opt.m), ("v", opt.v)):
+        tensors.update((f"adam.{kind}.{n}", arr) for n, arr in moments.items())
     return tensors
 
 
 def save_training_state(path, model: SpeakerModel, head: AAMHead, opt: AdamState,
                         extra: dict | None = None) -> None:
-    config = {
-        "backbone": model.config.to_dict(),
-        "head": {"n_classes": head.n_classes, "scale": head.scale,
-                 "margin": head.margin},
-    }
-    base_extra = {"step": opt.step}
-    if extra:
-        base_extra.update(extra)
-    save_checkpoint(path, config, _state_tensors(model, head, opt), base_extra)
+    config = {"backbone": model.config.to_dict(),
+              "head": {name: getattr(head, name) for name in _HEAD_FIELDS}}
+    save_checkpoint(path, config, _state_tensors(model, head, opt),
+                    {"step": opt.step, **(extra or {})})
 
 
-def build_model_and_head(config: dict, seed: int = 0):
-    backbone = BackboneConfig.from_dict(config["backbone"])
+def build_model_and_head(backbone: BackboneConfig, n_classes: int, scale: float = 30.0,
+                         margin: float = 0.2, seed: int = 0):
     model = SpeakerModel(backbone, seed=seed)
-    h = config["head"]
-    head = AAMHead(h["n_classes"], backbone.emb_dim, scale=h["scale"],
-                   margin=h["margin"], rng=np.random.default_rng(seed + 1))
+    head = AAMHead(n_classes, backbone.emb_dim, scale=scale, margin=margin,
+                   rng=np.random.default_rng(seed + 1))
     return model, head
 
 
-def _check_config(config, path) -> None:
-    """Raise CheckpointError unless the header config has every model and head field."""
-    wanted = {"backbone": [f.name for f in fields(BackboneConfig)],
-              "head": ["n_classes", "scale", "margin"]}
+def _read_state(path):
+    """(backbone config, head fields, tensors, extra) of a checkpoint with a full header."""
+    config, tensors, extra = load_checkpoint(path)
+    wanted = {"backbone": [f.name for f in fields(BackboneConfig)], "head": _HEAD_FIELDS}
     for key, names in wanted.items():
-        entry = config.get(key) if isinstance(config, dict) else None
+        entry = config.get(key)
         if not isinstance(entry, dict):
             raise CheckpointError(f"{path}: checkpoint config has no '{key}' entry")
         for name in names:
             if name not in entry:
                 raise CheckpointError(f"{path}: checkpoint config '{key}' has no '{name}' field")
+    return (BackboneConfig.from_dict(config["backbone"]),
+            {name: config["head"][name] for name in _HEAD_FIELDS}, tensors, extra)
 
 
 def load_training_state(path):
     """Rebuild (model, head, opt, extra) from a checkpoint file."""
-    config, tensors, extra = load_checkpoint(path)
-    _check_config(config, path)
-    model, head = build_model_and_head(config)
+    backbone, head_fields, tensors, extra = _read_state(path)
+    model, head = build_model_and_head(backbone, **head_fields)
     opt = AdamState(_named_params(model, head))
     _restore_state(model, head, opt, tensors, extra, path)
     return model, head, opt, extra
@@ -211,29 +205,22 @@ def load_training_state(path):
 
 def _restore_state(model: SpeakerModel, head: AAMHead, opt: AdamState,
                    tensors: dict, extra: dict, path) -> None:
-    """Restore parameters, batchnorm buffers, Adam moments and step from a checkpoint.
+    """Copy every entry of ``_state_tensors`` and the Adam step from a checkpoint.
 
-    Every tensor is found and shape-checked before any is restored, so a
-    checkpoint that does not fit leaves model, head and optimizer untouched.
-    Parameters and Adam moments take ownership of the arrays in ``tensors``
-    (fresh from ``load_checkpoint``) instead of copying them; the caller must
-    not use those arrays afterwards.
+    Every entry is found and checked for shape and a castable dtype before any
+    is copied, so a checkpoint that does not fit leaves model, head and
+    optimizer untouched.
     """
-    named = _named_params(model, head)
-    wanted = [(n, p.shape) for n, p in named]
-    wanted += [(f"adam.{k}.{n}", p.shape) for n, p in named for k in ("m", "v")]
-    wanted += [(f"model.{n}", buf.shape) for n, buf in model.named_buffers()]
-    for name, shape in wanted:
+    targets = _state_tensors(model, head, opt)
+    for name, target in targets.items():
         if name not in tensors:
             raise CheckpointError(f"{path}: missing tensor '{name}'")
-        if tuple(tensors[name].shape) != tuple(shape):
-            raise CheckpointError(f"{path}: tensor '{name}' has shape "
-                                  f"{tuple(tensors[name].shape)}, expected {tuple(shape)}")
-    for name, p in named:
-        p.data = tensors[name].astype(p.data.dtype, copy=False)
-        opt.m[name] = tensors[f"adam.m.{name}"]
-        opt.v[name] = tensors[f"adam.v.{name}"]
-    model.load_buffers({n: tensors[f"model.{n}"] for n, _ in model.named_buffers()})
+        got = tensors[name]
+        if got.shape != target.shape or not np.can_cast(got.dtype, target.dtype, "same_kind"):
+            raise CheckpointError(f"{path}: tensor '{name}' is {got.dtype} {got.shape}, "
+                                  f"expected {target.dtype} {target.shape}")
+    for name, target in targets.items():
+        np.copyto(target, tensors[name])
     opt.step = int(extra.get("step", 0))
 
 
@@ -281,10 +268,8 @@ def train(model: SpeakerModel, head: AAMHead, corpus: Corpus, cfg: TrainConfig,
     opt = AdamState(named)
 
     if resume_from is not None:
-        config, tensors, extra = load_checkpoint(resume_from)
-        _check_config(config, resume_from)
-        if (BackboneConfig.from_dict(config["backbone"]) != model.config
-                or config["head"]["n_classes"] != head.n_classes):
+        backbone, head_fields, tensors, extra = _read_state(resume_from)
+        if backbone != model.config or head_fields["n_classes"] != head.n_classes:
             raise CheckpointError(f"{resume_from}: checkpoint config does not match")
         for key in ("rng_state", "order", "cursor"):
             if key not in extra:

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: subcommands, artifacts, exit codes."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -79,6 +80,12 @@ class TestSynthData:
                      "--out", str(tmp_path / "env")]) == 0
         assert sha(tmp_path / "env" / "manifest.csv") == sha(corpus_dir / "manifest.csv")
 
+    def test_env_seed_not_an_integer_exit_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("DTCF_SEED", "abc")
+        assert main(["synth-data", "--speakers", "3", "--utts", "4",
+                     "--out", str(tmp_path / "env")]) == 2
+        assert "DTCF_SEED" in capsys.readouterr().err
+
     def test_one_speaker_exit_2(self, tmp_path):
         assert main(["synth-data", "--speakers", "1", "--utts", "4",
                      "--out", str(tmp_path / "bad")]) == 2
@@ -103,6 +110,22 @@ class TestTrain:
         expect = sum(param_count(DTCFBlock(c, 8, rng=rng)) - param_count(SEBlock(c, 8, rng=rng))
                      for c in (2, 4, 8, 16))
         assert logged["dtcf"] - logged["se"] == expect
+
+    def test_config_values_reach_checkpoint_and_log(self, tiny_config, tmp_path):
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(tiny_config.read_text() + "widths = 4,8,16,32\nreduction = 2\n"
+                       "emb_dim = 12\nasp_hidden = 6\nscale = 12.5\nmargin = 0.15\n"
+                       "base_lr = 1e-6\nsteps = 1\n")
+        assert main(["train", "--config", str(cfg), "--attention", "se",
+                     "--out", str(tmp_path / "o")]) == 0
+        config, _, _ = load_checkpoint(tmp_path / "o" / "checkpoint.bin")
+        backbone = config["backbone"]
+        assert backbone["widths"] == [4, 8, 16, 32] and backbone["reduction"] == 2
+        assert backbone["emb_dim"] == 12 and backbone["asp_hidden"] == 6
+        assert backbone["attention"] == "se"
+        assert config["head"] == {"n_classes": 3, "scale": 12.5, "margin": 0.15}
+        log = (tmp_path / "o" / "train_log.csv").read_text().splitlines()
+        assert log[1].split(",")[1] == repr(1e-6)
 
     def test_malformed_config_key_exit_2(self, corpus_dir, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -169,6 +192,29 @@ class TestExtract:
                      "--manifest", str(corpus_dir / "manifest.csv"),
                      "--out", str(tmp_path / "e.csv")]) == 3
         assert "'tensors'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header", [
+        [1, {"version": 1}],
+        {"version": 1, "config": {}, "extra": {},
+         "tensors": [{"name": "w", "dtype": "<f4", "shape": [2], "nbytes": 8}]},
+        {"version": 1, "config": {}, "extra": {}, "tensors": 5},
+        {"version": 1, "config": {}, "extra": {}, "tensors": ["w"]},
+        {"version": 1, "config": {}, "extra": {},
+         "tensors": [{"name": "w", "dtype": "<f4", "shape": [2], "offset": "0", "nbytes": 8}]},
+        {"version": 1, "config": {}, "extra": {},
+         "tensors": [{"name": "w", "dtype": "|O", "shape": [1], "offset": 0, "nbytes": 8}]},
+        {"version": 1, "config": [], "extra": {}, "tensors": []},
+        {"version": 1, "config": {}, "extra": "step", "tensors": []},
+    ], ids=["list", "no-offset", "tensors-int", "entry-str", "offset-str", "object-dtype",
+            "config-list", "extra-str"])
+    def test_wrongly_shaped_header_exit_3(self, corpus_dir, tmp_path, capsys, header):
+        blob = json.dumps(header).encode()
+        path = tmp_path / "odd.bin"
+        path.write_bytes(MAGIC + len(blob).to_bytes(8, "little") + blob + bytes(8))
+        assert main(["extract", "--ckpt", str(path),
+                     "--manifest", str(corpus_dir / "manifest.csv"),
+                     "--out", str(tmp_path / "e.csv")]) == 3
+        assert "corrupt header" in capsys.readouterr().err
 
     def test_row_count_and_determinism(self, trained, corpus_dir, tmp_path):
         out1, out2 = tmp_path / "e1.csv", tmp_path / "e2.csv"
@@ -273,6 +319,16 @@ class TestGradcheckCmd:
 
     def test_bad_shape_exit_2(self):
         assert main(["gradcheck", "--attention", "se", "--shape", "16x20"]) == 2
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--reduction", "0"], "reduction"),
+        (["--reduction", "-2"], "reduction"),
+        (["--eps", "0"], "eps"),
+    ], ids=["reduction-0", "reduction-neg", "eps-0"])
+    def test_bad_reduction_or_eps_exit_2(self, capsys, flags, named):
+        assert main(["gradcheck", "--attention", "dtcf", "--shape", "4x6x5",
+                     "--seed", "0"] + flags) == 2
+        assert named in capsys.readouterr().err
 
 
 class TestUsage:

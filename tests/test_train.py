@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,13 +11,13 @@ import pytest
 import dtcf.tensor as dt
 from dtcf.audio import AugmentConfig
 from dtcf.checkpoint import MAGIC, load_checkpoint, save_checkpoint
-from dtcf.config import default_config, parse_config_text
+from dtcf.config import SCHEMA, default_config, parse_config_text
 from dtcf.errors import CheckpointError, ConfigError, DivergenceError
 from dtcf.loss import AAMHead
 from dtcf.model import BackboneConfig, SpeakerModel
 from dtcf.synth import synth_corpus
 from dtcf.train import (AdamState, Corpus, TrainConfig, Triangular2Schedule,
-                        adam_step, load_training_state, lr_at,
+                        _state_tensors, adam_step, load_training_state, lr_at,
                         save_training_state, train)
 
 TINY = dict(widths=(2, 4, 8, 16), blocks=(1, 1, 1, 1))
@@ -226,6 +227,39 @@ class TestTrainingStateRoundTrip:
             load_training_state(bad)
 
 
+    def test_every_state_entry_round_trips(self, small_corpus, tmp_path):
+        model, head = tiny_setup(small_corpus)
+        train(model, head, small_corpus, tiny_cfg(steps=2), SCHED, out_dir=tmp_path)
+        config, saved, extra = load_checkpoint(tmp_path / "checkpoint.bin")
+        model2, head2, opt2, extra2 = load_training_state(tmp_path / "checkpoint.bin")
+        restored = _state_tensors(model2, head2, opt2)
+        assert sorted(restored) == sorted(saved)
+        for name, arr in saved.items():
+            np.testing.assert_array_equal(restored[name], arr, err_msg=name)
+            assert restored[name].dtype == arr.dtype, name
+        assert opt2.step == 2 and extra2 == extra
+
+    def test_header_config_bytes_pinned(self, tmp_path):
+        backbone = BackboneConfig(widths=(3, 6, 12, 24), blocks=(1, 2, 1, 1),
+                                  strides=((1, 1), (2, 1), (1, 2), (2, 2)), attention="se",
+                                  reduction=3, emb_dim=16, asp_hidden=5, n_mels=40)
+        head = AAMHead(7, 16, scale=16.0, margin=0.25)
+        path = tmp_path / "state.bin"
+        save_training_state(path, SpeakerModel(backbone), head, AdamState([]))
+        config, _, _ = load_checkpoint(path)
+        text = json.dumps(config, sort_keys=True, separators=(",", ":"))
+        assert text == GOLDEN_HEADER_CONFIG
+        assert GOLDEN_HEADER_CONFIG.encode() in path.read_bytes()
+        assert BackboneConfig.from_dict(json.loads(text)["backbone"]) == backbone
+
+
+# the header config written for the model above; a change here changes the file format
+GOLDEN_HEADER_CONFIG = (
+    '{"backbone":{"asp_hidden":5,"attention":"se","blocks":[1,2,1,1],"emb_dim":16,'
+    '"n_mels":40,"reduction":3,"strides":[[1,1],[2,1],[1,2],[2,2]],"widths":[3,6,12,24]},'
+    '"head":{"margin":0.25,"n_classes":7,"scale":16.0}}')
+
+
 class TestTrainLoop:
     def test_runs_and_reports(self, small_corpus, tmp_path):
         model, head = tiny_setup(small_corpus)
@@ -293,6 +327,21 @@ class TestTrainLoop:
         for b, (_, p) in zip(before, model.named_params()):
             np.testing.assert_array_equal(p.data, b)
 
+    def test_resume_rejects_uncastable_dtype_before_restoring(self, small_corpus, tmp_path):
+        model, head = tiny_setup(small_corpus)
+        train(model, head, small_corpus, tiny_cfg(steps=1), SCHED, out_dir=tmp_path / "part")
+        config, tensors, extra = load_checkpoint(tmp_path / "part" / "checkpoint.bin")
+        name = "model.stage4.block0.bn2.running_var"
+        tensors[name] = tensors[name].astype(np.complex64)
+        bad = tmp_path / "bad.bin"
+        save_checkpoint(bad, config, tensors, extra)
+        model, head = tiny_setup(small_corpus)
+        before = [a.copy() for a in _state_tensors(model, head, AdamState([])).values()]
+        with pytest.raises(CheckpointError, match=f"'{name}' is complex64"):
+            train(model, head, small_corpus, tiny_cfg(steps=2), SCHED, resume_from=bad)
+        for b, a in zip(before, _state_tensors(model, head, AdamState([])).values()):
+            np.testing.assert_array_equal(a, b)
+
     def test_divergence_guard(self, small_corpus):
         model, _ = tiny_setup(small_corpus)
         # an absurd scale pushes the first-step loss beyond the 1e4 cap
@@ -323,3 +372,12 @@ class TestConfigFile:
     def test_bad_choice(self):
         with pytest.raises(ConfigError, match="attention"):
             parse_config_text("attention = cbam\n")
+
+    def test_every_object_field_is_a_config_key(self):
+        # cmd_train fills these objects by field name; a field without a key
+        # would silently keep its default
+        unfilled = {BackboneConfig: {"strides"}, TrainConfig: {"augment"}}
+        for cls in (BackboneConfig, TrainConfig, AugmentConfig, Triangular2Schedule):
+            for f in fields(cls):
+                if f.name not in unfilled.get(cls, ()):
+                    assert f.name in SCHEMA, f"{cls.__name__}.{f.name}"
