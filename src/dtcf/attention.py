@@ -36,29 +36,23 @@ def reduced_channels(channels: int, reduction: int) -> int:
     return channels // reduction
 
 
-def _per_column(w: Tensor, u: Tensor, bias: Tensor | None = None) -> Tensor:
+def _per_column(w: Tensor, u: Tensor) -> Tensor:
     """Apply a (C2, C1) channel map independently to every column of (B, C1, P)."""
     b, c1, p = u.shape
     flat = reshape(transpose(u, (1, 0, 2)), (c1, b * p))
     out = matmul(w, flat)
-    if bias is not None:
-        out = out + bias.reshape(-1, 1)
     return transpose(reshape(out, (w.shape[0], b, p)), (1, 0, 2))
 
 
 class SEBlock:
-    """Squeeze-and-excitation: global-average squeeze, two FC layers, sigmoid gate."""
+    """Squeeze-and-excitation: global-average squeeze, two bias-free FC layers, sigmoid gate."""
 
-    def __init__(self, channels: int, reduction: int = 8, bias: bool = False,
-                 rng: np.random.Generator | None = None, dtype=np.float32):
-        rng = rng or np.random.default_rng(0)
+    def __init__(self, channels: int, reduction: int = 8, *, rng: np.random.Generator,
+                 dtype=np.float32):
         c_red = reduced_channels(channels, reduction)
         self.channels = channels
-        self.reduction = reduction
         self.w1 = xavier_uniform(rng, (c_red, channels), channels, c_red, dtype)
         self.w2 = xavier_uniform(rng, (channels, c_red), c_red, channels, dtype)
-        self.b1 = Tensor(np.zeros(c_red, dtype=dtype), requires_grad=True) if bias else None
-        self.b2 = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True) if bias else None
 
     @unbatched(3)
     def squeeze(self, x: Tensor) -> Tensor:
@@ -72,13 +66,8 @@ class SEBlock:
         """Gate per channel: sigmoid(W2 relu(W1 xc)), values strictly in (0,1)."""
         if xc.shape[-1] != self.channels:
             raise ShapeError(f"expected {self.channels} channels, got {xc.shape[-1]}")
-        hidden = matmul(xc, transpose(self.w1, (1, 0)))
-        if self.b1 is not None:
-            hidden = hidden + self.b1.reshape(1, -1)
-        out = matmul(hidden.relu(), transpose(self.w2, (1, 0)))
-        if self.b2 is not None:
-            out = out + self.b2.reshape(1, -1)
-        return out.sigmoid()
+        hidden = matmul(xc, transpose(self.w1, (1, 0))).relu()
+        return matmul(hidden, transpose(self.w2, (1, 0))).sigmoid()
 
     @unbatched(3)
     def apply(self, x: Tensor) -> Tensor:
@@ -87,37 +76,26 @@ class SEBlock:
         return x * reshape(m, m.shape + (1, 1))
 
     def params(self):
-        named = [("w1", self.w1), ("w2", self.w2)]
-        if self.b1 is not None:
-            named += [("b1", self.b1), ("b2", self.b2)]
-        return named
+        return [("w1", self.w1), ("w2", self.w2)]
 
 
 class DTCFBlock:
     """Duality temporal-channel-frequency attention.
 
-    W1 is the shared bottleneck encoder; W2 produces the time-conditioned
+    W1 is the shared bias-free bottleneck encoder; W2 produces the time-conditioned
     channel mask and W3 the frequency-conditioned one. The encoder input is
     the concatenation [freq profile (C,F), time profile (C,T)] and the split
     after encoding uses the same order, so W3 reads the first F columns and
     W2 the remaining T.
     """
 
-    def __init__(self, channels: int, reduction: int = 8, bias: bool = False,
-                 rng: np.random.Generator | None = None, dtype=np.float32):
-        rng = rng or np.random.default_rng(0)
+    def __init__(self, channels: int, reduction: int = 8, *, rng: np.random.Generator,
+                 dtype=np.float32):
         c_red = reduced_channels(channels, reduction)
         self.channels = channels
-        self.reduction = reduction
         self.w1 = xavier_uniform(rng, (c_red, channels), channels, c_red, dtype)
         self.w2 = xavier_uniform(rng, (channels, c_red), c_red, channels, dtype)
         self.w3 = xavier_uniform(rng, (channels, c_red), c_red, channels, dtype)
-        if bias:
-            self.b1 = Tensor(np.zeros(c_red, dtype=dtype), requires_grad=True)
-            self.b2 = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
-            self.b3 = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
-        else:
-            self.b1 = self.b2 = self.b3 = None
 
     @unbatched(3)
     def pool(self, x: Tensor) -> tuple[Tensor, Tensor]:
@@ -131,7 +109,7 @@ class DTCFBlock:
         """relu(W1 [xcf, xct]): a (C', F+T) joint context, column-independent."""
         if xcf.shape[1] != self.channels or xct.shape[1] != self.channels:
             raise ShapeError(f"profile channel dim must be {self.channels}")
-        return _per_column(self.w1, concat(xcf, xct, axis=2), self.b1).relu()
+        return _per_column(self.w1, concat(xcf, xct, axis=2)).relu()
 
     @unbatched(2)
     def masks(self, x1: Tensor, f_len: int) -> tuple[Tensor, Tensor]:
@@ -143,8 +121,8 @@ class DTCFBlock:
         if not 0 < f_len < x1.shape[2]:
             raise ShapeError(f"split point {f_len} out of range for {x1.shape[2]} positions")
         part_f, part_t = split(x1, axis=2, at=f_len)
-        return (_per_column(self.w2, part_t, self.b2).sigmoid(),
-                _per_column(self.w3, part_f, self.b3).sigmoid())
+        return (_per_column(self.w2, part_t).sigmoid(),
+                _per_column(self.w3, part_f).sigmoid())
 
     @unbatched(3)
     def apply(self, x: Tensor) -> Tensor:
@@ -154,10 +132,7 @@ class DTCFBlock:
         return x * reshape(mct, (b, c, t, 1)) * reshape(mcf, (b, c, 1, f))
 
     def params(self):
-        named = [("w1", self.w1), ("w2", self.w2), ("w3", self.w3)]
-        if self.b1 is not None:
-            named += [("b1", self.b1), ("b2", self.b2), ("b3", self.b3)]
-        return named
+        return [("w1", self.w1), ("w2", self.w2), ("w3", self.w3)]
 
 
 def param_count(block: SEBlock | DTCFBlock) -> int:

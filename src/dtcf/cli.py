@@ -8,7 +8,8 @@ Exit codes (stable contract):
     5  data mismatch (e.g. unresolvable trial id)
     6  gradient verification failure
 
-``--seed`` falls back to the DTCF_SEED environment variable, then 0.
+``--seed`` (for ``train``: then the config file's ``seed``) falls back to the
+DTCF_SEED environment variable, then 0.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .attention import DTCFBlock, SEBlock
-from .audio import AugmentConfig, fbank, read_wav
+from .audio import AugmentConfig, FbankConfig, fbank, read_wav
 from .config import default_config, load_config
 from .errors import (CheckpointError, ConfigError, DataError, DivergenceError,
                      DomainError, GradCheckError, ShapeError)
@@ -60,17 +61,17 @@ def _from_config(cls, cfg: dict, **given):
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config) if args.config else default_config()
-    # flags win over the config file
+    # flags win over the config file; a seed neither gives falls back to DTCF_SEED
     for key in ("attention", "manifest", "steps", "seed", "batch_size", "crop"):
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
-    cfg["seed"] = _seed_default(cfg.get("seed"))
+    cfg["seed"] = _seed_default(cfg["seed"])
     if not cfg["manifest"]:
         raise ConfigError("a training manifest is required (config key 'manifest' "
                           "or flag --manifest)")
 
-    corpus = Corpus.load(cfg["manifest"])
+    corpus = Corpus.load(cfg["manifest"], cfg["n_mels"])
     model, head = build_model_and_head(_from_config(BackboneConfig, cfg), corpus.n_speakers,
                                        cfg["scale"], cfg["margin"], cfg["seed"])
     print(f"params={model.param_count()} attention={cfg['attention']} "
@@ -88,11 +89,12 @@ def cmd_train(args) -> int:
 def cmd_extract(args) -> int:
     model, _, _, _ = load_training_state(args.ckpt)
     rows = read_manifest(args.manifest)
+    fbank_cfg = FbankConfig(n_mels=model.config.n_mels)
     store = {}
     for utt, spk, path in rows:
         if not Path(path).exists():
             raise DataError(f"missing audio file for {utt}: {path}")
-        store[utt] = (spk, model.embed(fbank(read_wav(path))))
+        store[utt] = (spk, model.embed(fbank(read_wav(path), fbank_cfg)))
     export_embeddings(store, args.out)
     print(f"embeddings={len(store)} out={args.out}")
     return 0

@@ -44,7 +44,7 @@ SCHEMA: dict[str, tuple] = {
     "step_size":        (int, 500, "iterations per LR half-cycle"),
     "scale":            (float, 30.0, "margin-softmax scale s"),
     "margin":           (float, 0.2, "margin-softmax additive angle m"),
-    "seed":             (int, 0, "global seed"),
+    "seed":             (int, None, "global seed (unset: DTCF_SEED, then 0)"),
     "checkpoint_every": (int, 500, "steps between checkpoints"),
     "time_mask_max":    (int, 10, "max feature time-mask width (frames)"),
     "freq_mask_max":    (int, 8, "max feature freq-mask width (bins)"),

@@ -27,53 +27,42 @@ def xavier_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int,
 
 
 class Conv2dLayer:
-    """2-D convolution with optional per-channel bias."""
+    """2-D convolution without bias (a batchnorm always follows), padded by kernel // 2."""
 
-    def __init__(self, in_channels: int, out_channels: int, kernel=(3, 3),
-                 stride=(1, 1), padding=(1, 1), bias: bool = True,
-                 rng: np.random.Generator | None = None, dtype=np.float32):
+    def __init__(self, in_channels: int, out_channels: int, kernel=(3, 3), stride=(1, 1), *,
+                 rng: np.random.Generator, dtype=np.float32):
         kh, kw = kernel
         if kh < 1 or kw < 1 or in_channels < 1 or out_channels < 1:
             raise ConfigError("kernel dims and channel counts must be positive")
-        rng = rng or np.random.default_rng(0)
         self.stride = tuple(stride)
-        self.padding = tuple(padding)
+        self.padding = (kh // 2, kw // 2)
         self.kernels = he_uniform(rng, (out_channels, in_channels, kh, kw),
                                   fan_in=in_channels * kh * kw, dtype=dtype)
-        self.bias = Tensor(np.zeros(out_channels, dtype=dtype), requires_grad=True) if bias else None
 
     @unbatched(3)
     def forward(self, x: Tensor) -> Tensor:
-        out = conv2d(x, self.kernels, self.stride, self.padding)
-        if self.bias is not None:
-            out = out + self.bias.reshape(1, -1, 1, 1)
-        return out
+        return conv2d(x, self.kernels, self.stride, self.padding)
 
     def params(self):
-        out = [("kernels", self.kernels)]
-        if self.bias is not None:
-            out.append(("bias", self.bias))
-        return out
+        return [("kernels", self.kernels)]
 
 
 class BatchNorm2d:
     """Per-channel batch normalisation over (batch, time, freq).
 
     Train mode requires at least two batch elements and updates the running
-    statistics with momentum (unbiased variance). Eval mode is a pure
+    statistics with ``momentum`` (unbiased variance). Eval mode is a pure
     function of the input and the running statistics.
     """
 
-    def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5,
-                 dtype=np.float32):
-        if eps <= 0:
-            raise ConfigError("epsilon must be positive")
+    momentum = 0.1
+    eps = 1e-5
+
+    def __init__(self, channels: int, dtype=np.float32):
         self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
-        self.momentum = momentum
-        self.eps = eps
 
     @unbatched(3)
     def forward(self, x: Tensor, training: bool = False) -> Tensor:
@@ -137,24 +126,17 @@ def _bn_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float):
 
 
 class LinearLayer:
-    """Fully connected layer: weight (out, in) plus optional bias."""
+    """Fully connected layer: weight (out, in) plus bias."""
 
-    def __init__(self, in_features: int, out_features: int, bias: bool = True,
-                 rng: np.random.Generator | None = None, dtype=np.float32):
-        rng = rng or np.random.default_rng(0)
+    def __init__(self, in_features: int, out_features: int, *, rng: np.random.Generator,
+                 dtype=np.float32):
         self.weight = xavier_uniform(rng, (out_features, in_features),
                                      fan_in=in_features, fan_out=out_features, dtype=dtype)
-        self.bias = Tensor(np.zeros(out_features, dtype=dtype), requires_grad=True) if bias else None
+        self.bias = Tensor(np.zeros(out_features, dtype=dtype), requires_grad=True)
 
     @unbatched(1)
     def forward(self, x: Tensor) -> Tensor:
-        out = matmul(x, transpose(self.weight, (1, 0)))
-        if self.bias is not None:
-            out = out + self.bias.reshape(1, -1)
-        return out
+        return matmul(x, transpose(self.weight, (1, 0))) + self.bias.reshape(1, -1)
 
     def params(self):
-        out = [("weight", self.weight)]
-        if self.bias is not None:
-            out.append(("bias", self.bias))
-        return out
+        return [("weight", self.weight), ("bias", self.bias)]

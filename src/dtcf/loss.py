@@ -16,9 +16,9 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError
 from .layers import xavier_uniform
-from .tensor import Tensor, matmul, reshape, sum_axis, transpose
+from .tensor import Tensor, matmul, sum_axis, transpose
 
-__all__ = ["AAMHead", "LossValue", "ce_loss", "ce_loss_batch"]
+__all__ = ["AAMHead", "LossValue", "ce_loss_batch"]
 
 _SIN_EPS = 1e-12  # keeps d/dcos sqrt(1-cos^2) finite at exact parallelism
 
@@ -26,7 +26,7 @@ _SIN_EPS = 1e-12  # keeps d/dcos sqrt(1-cos^2) finite at exact parallelism
 @dataclass
 class LossValue:
     loss: Tensor            # scalar
-    logits: Tensor          # (K,) or (B, K), for accuracy bookkeeping
+    logits: Tensor          # (B, K), for accuracy bookkeeping
 
     def __post_init__(self):
         if not np.isfinite(self.loss.data):
@@ -37,13 +37,11 @@ class AAMHead:
     """Speaker classification head with scaled-cosine margin logits."""
 
     def __init__(self, n_classes: int, emb_dim: int = 512, scale: float = 30.0,
-                 margin: float = 0.2, rng: np.random.Generator | None = None,
-                 dtype=np.float32):
+                 margin: float = 0.2, *, rng: np.random.Generator, dtype=np.float32):
         if n_classes < 2:
             raise ConfigError("need at least two classes")
         if scale <= 0 or not 0 <= margin < math.pi / 2:
             raise ConfigError("require scale > 0 and margin in [0, pi/2)")
-        rng = rng or np.random.default_rng(0)
         self.scale = scale
         self.margin = margin
         self.n_classes = n_classes
@@ -75,13 +73,6 @@ class AAMHead:
         target = phi * feasible + (feasible - 1.0)
         return (cos + hot * (target - cos_t)) * self.scale
 
-    def logits(self, emb: Tensor, label: int) -> Tensor:
-        """Single-utterance form of logits_batch."""
-        if emb.ndim != 1:
-            raise ShapeError(f"expected a flat embedding, got {emb.shape}")
-        out = self.logits_batch(reshape(emb, (1, -1)), np.array([label]))
-        return reshape(out, (-1,))
-
     def params(self):
         return [("weights", self.weights)]
 
@@ -96,14 +87,6 @@ def _ce(logits: Tensor, labels: np.ndarray) -> Tensor:
     lse = sum_axis(z.exp(), 1).log()                               # (B,)
     zt = sum_axis(z * Tensor(onehot), 1)
     return (lse - zt).sum() / b
-
-
-def ce_loss(logits: Tensor, label: int) -> LossValue:
-    """Softmax cross-entropy of one utterance: -log softmax(logits)[label]."""
-    if logits.ndim != 1:
-        raise ShapeError(f"expected flat logits, got {logits.shape}")
-    loss = _ce(reshape(logits, (1, -1)), np.array([label]))
-    return LossValue(loss=loss, logits=logits)
 
 
 def ce_loss_batch(logits: Tensor, labels: np.ndarray) -> LossValue:

@@ -79,18 +79,15 @@ class ResidualBlock:
     """conv-bn-relu-conv-bn, attention gate, then skip addition and relu."""
 
     def __init__(self, in_channels: int, out_channels: int, stride=(1, 1),
-                 attention: str = "none", reduction: int = 8,
-                 rng: np.random.Generator | None = None, dtype=np.float32):
-        rng = rng or np.random.default_rng(0)
-        self.conv1 = Conv2dLayer(in_channels, out_channels, stride=stride,
-                                 bias=False, rng=rng, dtype=dtype)
+                 attention: str = "none", reduction: int = 8, *,
+                 rng: np.random.Generator, dtype=np.float32):
+        self.conv1 = Conv2dLayer(in_channels, out_channels, stride=stride, rng=rng, dtype=dtype)
         self.bn1 = BatchNorm2d(out_channels, dtype=dtype)
-        self.conv2 = Conv2dLayer(out_channels, out_channels, bias=False, rng=rng, dtype=dtype)
+        self.conv2 = Conv2dLayer(out_channels, out_channels, rng=rng, dtype=dtype)
         self.bn2 = BatchNorm2d(out_channels, dtype=dtype)
         if stride != (1, 1) or in_channels != out_channels:
             self.down_conv = Conv2dLayer(in_channels, out_channels, kernel=(1, 1),
-                                         stride=stride, padding=(0, 0),
-                                         bias=False, rng=rng, dtype=dtype)
+                                         stride=stride, rng=rng, dtype=dtype)
             self.down_bn = BatchNorm2d(out_channels, dtype=dtype)
         else:
             self.down_conv = None
@@ -130,11 +127,11 @@ class ASPHead:
     mean with the weighted standard deviation, giving 2 * C * F dims.
     """
 
-    def __init__(self, in_dim: int, hidden: int = 128, eps: float = 1e-9,
-                 rng: np.random.Generator | None = None, dtype=np.float32):
-        rng = rng or np.random.default_rng(0)
+    eps = 1e-9   # keeps the standard deviation's gradient finite at zero spread
+
+    def __init__(self, in_dim: int, hidden: int = 128, *, rng: np.random.Generator,
+                 dtype=np.float32):
         self.in_dim = in_dim
-        self.eps = eps
         self.w = xavier_uniform(rng, (hidden, in_dim), in_dim, hidden, dtype)
         self.b = Tensor(np.zeros(hidden, dtype=dtype), requires_grad=True)
         self.v = xavier_uniform(rng, (hidden, 1), hidden, 1, dtype)
@@ -187,7 +184,7 @@ class SpeakerModel:
         self.config = cfg
         self.dtype = dtype
         w = cfg.widths
-        self.stem_conv = Conv2dLayer(1, w[0], bias=False, rng=rng, dtype=dtype)
+        self.stem_conv = Conv2dLayer(1, w[0], rng=rng, dtype=dtype)
         self.stem_bn = BatchNorm2d(w[0], dtype=dtype)
         self.stages: list[list[ResidualBlock]] = []
         in_ch = w[0]
@@ -203,7 +200,7 @@ class SpeakerModel:
         self._final_freq = self._trace_freq(cfg)
         stats_dim = w[-1] * self._final_freq
         self.asp = ASPHead(stats_dim, cfg.asp_hidden, rng=rng, dtype=dtype)
-        self.emb = LinearLayer(2 * stats_dim, cfg.emb_dim, bias=True, rng=rng, dtype=dtype)
+        self.emb = LinearLayer(2 * stats_dim, cfg.emb_dim, rng=rng, dtype=dtype)
 
     @staticmethod
     def _trace_freq(cfg: BackboneConfig) -> int:

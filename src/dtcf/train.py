@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import AugmentConfig, fbank, read_wav, spec_augment
+from .audio import AugmentConfig, FbankConfig, fbank, read_wav, spec_augment
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import CheckpointError, ConfigError, DataError, DivergenceError
 from .loss import AAMHead, ce_loss_batch
@@ -56,9 +56,9 @@ def lr_at(sched: Triangular2Schedule, iteration: int) -> float:
 class AdamState:
     """First/second moment buffers per named parameter plus the step count."""
 
-    def __init__(self, named_params, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, named_params):
         self.step = 0
         self.m = {name: np.zeros_like(p.data) for name, p in named_params}
         self.v = {name: np.zeros_like(p.data) for name, p in named_params}
@@ -107,9 +107,9 @@ class TrainConfig:
 
 
 class Corpus:
-    """Manifest-backed training corpus with cached fbank features."""
+    """Manifest-backed training corpus with cached ``n_mels``-bin fbank features."""
 
-    def __init__(self, rows: list[tuple[str, str, Path]]):
+    def __init__(self, rows: list[tuple[str, str, Path]], n_mels: int = 80):
         self.rows = rows
         self.speakers = sorted({spk for _, spk, _ in rows})
         counts = {s: 0 for s in self.speakers}
@@ -120,11 +120,12 @@ class Corpus:
             raise DataError(f"speakers with fewer than 2 utterances: {thin}")
         self._label = {s: i for i, s in enumerate(self.speakers)}
         self.labels = np.array([self._label[spk] for _, spk, _ in rows])
+        self._fbank = FbankConfig(n_mels=n_mels)
         self._cache: dict[int, np.ndarray] = {}
 
     @classmethod
-    def load(cls, manifest_path) -> "Corpus":
-        return cls(read_manifest(manifest_path))
+    def load(cls, manifest_path, n_mels: int = 80) -> "Corpus":
+        return cls(read_manifest(manifest_path), n_mels)
 
     def __len__(self):
         return len(self.rows)
@@ -135,7 +136,7 @@ class Corpus:
 
     def features(self, index: int) -> np.ndarray:
         if index not in self._cache:
-            self._cache[index] = fbank(read_wav(self.rows[index][2]))
+            self._cache[index] = fbank(read_wav(self.rows[index][2]), self._fbank)
         return self._cache[index]
 
 
@@ -269,8 +270,12 @@ def train(model: SpeakerModel, head: AAMHead, corpus: Corpus, cfg: TrainConfig,
 
     if resume_from is not None:
         backbone, head_fields, tensors, extra = _read_state(resume_from)
-        if backbone != model.config or head_fields["n_classes"] != head.n_classes:
+        if backbone != model.config:
             raise CheckpointError(f"{resume_from}: checkpoint config does not match")
+        for name, saved in head_fields.items():
+            if saved != getattr(head, name):
+                raise CheckpointError(f"{resume_from}: checkpoint head {name} {saved!r} "
+                                      f"does not match {getattr(head, name)!r}")
         for key in ("rng_state", "order", "cursor"):
             if key not in extra:
                 raise CheckpointError(f"{resume_from}: no training-loop state "

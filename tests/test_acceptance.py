@@ -15,7 +15,7 @@ import pytest
 import dtcf.tensor as dt
 from dtcf.attention import DTCFBlock, SEBlock, param_count
 from dtcf.audio import AugmentConfig, fbank, read_wav
-from dtcf.loss import AAMHead, ce_loss
+from dtcf.loss import AAMHead, ce_loss_batch
 from dtcf.metrics import compute_eer, compute_min_dcf, score_trials
 from dtcf.model import BackboneConfig, SpeakerModel
 from dtcf.synth import read_manifest, read_trials, synth_corpus
@@ -134,7 +134,7 @@ def test_criterion_6_aam_reductions():
     with criterion(6, "margin-free reduction, margin monotonicity, ln K at uniform"):
         h0 = AAMHead(6, 16, scale=30.0, margin=0.0, rng=rng(30), dtype=np.float64)
         emb = rng(31).normal(size=16)
-        logits = h0.logits(dt.tensor(emb, dtype=np.float64), 2).data
+        logits = h0.logits_batch(dt.tensor(emb[None], dtype=np.float64), np.array([2])).data[0]
         wn = h0.weights.data / np.linalg.norm(h0.weights.data, axis=1, keepdims=True)
         cos = wn @ (emb / np.linalg.norm(emb))
         np.testing.assert_allclose(logits, 30.0 * cos, atol=1e-6)
@@ -145,12 +145,13 @@ def test_criterion_6_aam_reductions():
             label = int(r.integers(0, 6))
             ha = AAMHead(6, 16, margin=0.0, rng=rng(500 + i), dtype=np.float64)
             hb = AAMHead(6, 16, margin=0.2, rng=rng(500 + i), dtype=np.float64)
-            la = float(ce_loss(ha.logits(dt.tensor(e, dtype=np.float64), label), label).loss.data)
-            lb = float(ce_loss(hb.logits(dt.tensor(e, dtype=np.float64), label), label).loss.data)
+            e1, lab = dt.tensor(e[None], dtype=np.float64), np.array([label])
+            la = float(ce_loss_batch(ha.logits_batch(e1, lab), lab).loss.data)
+            lb = float(ce_loss_batch(hb.logits_batch(e1, lab), lab).loss.data)
             assert lb >= la - 1e-12
 
         for k in (2, 7, 31):
-            lv = ce_loss(dt.zeros((k,), dtype=np.float64), k - 1)
+            lv = ce_loss_batch(dt.zeros((1, k), dtype=np.float64), np.array([k - 1]))
             assert float(lv.loss.data) == pytest.approx(math.log(k), abs=1e-9)
 
 

@@ -17,12 +17,12 @@ def t64(arr):
     return dt.tensor(arr, dtype=np.float64)
 
 
-def se_block(C, r=8, seed=0, bias=False):
-    return SEBlock(C, r, bias=bias, rng=rng(seed), dtype=np.float64)
+def se_block(C, r=8, seed=0):
+    return SEBlock(C, r, rng=rng(seed), dtype=np.float64)
 
 
-def dtcf_block(C, r=8, seed=0, bias=False):
-    return DTCFBlock(C, r, bias=bias, rng=rng(seed), dtype=np.float64)
+def dtcf_block(C, r=8, seed=0):
+    return DTCFBlock(C, r, rng=rng(seed), dtype=np.float64)
 
 
 def sigmoid(v):
@@ -320,12 +320,6 @@ class TestParamCount:
         cr = C // 8
         assert param_count(se_block(C)) == 2 * C * cr
         assert param_count(dtcf_block(C)) == 3 * C * cr
-
-    def test_with_bias(self):
-        C, r = 64, 8
-        cr = C // r
-        assert param_count(se_block(C, bias=True)) == 2 * C * cr + cr + C
-        assert param_count(dtcf_block(C, bias=True)) == 3 * C * cr + cr + 2 * C
 
     def test_indivisible_rejected(self):
         with pytest.raises(ConfigError):

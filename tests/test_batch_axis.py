@@ -39,18 +39,18 @@ ENTRY_POINTS = {
                             [(5,)]),
     "SEBlock.squeeze": (lambda: SEBlock(8, 4, rng=rng(7), dtype=np.float64).squeeze,
                         [(8, 6, 5)]),
-    "SEBlock.mask": (lambda: SEBlock(8, 4, bias=True, rng=rng(8), dtype=np.float64).mask,
+    "SEBlock.mask": (lambda: SEBlock(8, 4, rng=rng(8), dtype=np.float64).mask,
                      [(8,)]),
-    "SEBlock.apply": (lambda: SEBlock(8, 4, bias=True, rng=rng(9), dtype=np.float64).apply,
+    "SEBlock.apply": (lambda: SEBlock(8, 4, rng=rng(9), dtype=np.float64).apply,
                       [(8, 6, 5)]),
     "DTCFBlock.pool": (lambda: DTCFBlock(8, 4, rng=rng(10), dtype=np.float64).pool,
                        [(8, 6, 5)]),
-    "DTCFBlock.encode": (lambda: DTCFBlock(8, 4, bias=True, rng=rng(11),
-                                           dtype=np.float64).encode, [(8, 5), (8, 6)]),
-    "DTCFBlock.masks": (lambda: (lambda x1: DTCFBlock(8, 4, bias=True, rng=rng(12),
+    "DTCFBlock.encode": (lambda: DTCFBlock(8, 4, rng=rng(11), dtype=np.float64).encode,
+                         [(8, 5), (8, 6)]),
+    "DTCFBlock.masks": (lambda: (lambda x1: DTCFBlock(8, 4, rng=rng(12),
                                                       dtype=np.float64).masks(x1, 5)),
                         [(2, 11)]),
-    "DTCFBlock.apply": (lambda: DTCFBlock(8, 4, bias=True, rng=rng(13), dtype=np.float64).apply,
+    "DTCFBlock.apply": (lambda: DTCFBlock(8, 4, rng=rng(13), dtype=np.float64).apply,
                         [(8, 6, 5)]),
     "ASPHead.forward": (lambda: ASPHead(8 * 5, 6, rng=rng(14), dtype=np.float64).forward,
                         [(8, 6, 5)]),

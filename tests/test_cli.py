@@ -154,6 +154,64 @@ class TestTrain:
                          "--out", str(tmp_path / "o4")]) == 3
             assert f"'{missing}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [("scale", "5.0"), ("margin", "0.3")])
+    def test_resume_with_other_head_exit_3(self, tiny_config, trained, tmp_path, capsys,
+                                           key, value):
+        source = trained / "checkpoint.bin"
+        before = sha(source)
+        cfg = tmp_path / "head.cfg"
+        cfg.write_text(tiny_config.read_text() + f"{key} = {value}\nsteps = 5\n")
+        assert main(["train", "--config", str(cfg), "--resume", str(source),
+                     "--out", str(tmp_path / "o5")]) == 3
+        assert f"head {key}" in capsys.readouterr().err
+        assert sha(source) == before
+        assert not (tmp_path / "o5" / "checkpoint.bin").exists()
+
+    def test_other_mel_count_trains_and_extracts(self, tiny_config, corpus_dir, tmp_path):
+        cfg = tmp_path / "mels.cfg"
+        cfg.write_text(tiny_config.read_text() + "n_mels = 40\nsteps = 2\n")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        ckpt = tmp_path / "o" / "checkpoint.bin"
+        assert load_checkpoint(ckpt)[0]["backbone"]["n_mels"] == 40
+        assert main(["extract", "--ckpt", str(ckpt), "--manifest",
+                     str(corpus_dir / "manifest.csv"), "--out", str(tmp_path / "emb.csv")]) == 0
+        assert len(read_embeddings(tmp_path / "emb.csv")) == 12
+
+
+# checkpoint of the tiny config trained with seed 0, the seed a run gets when neither
+# --seed, the config file nor DTCF_SEED gives one
+SEED_0_CHECKPOINT = "c0a38367d69bbcf680f7d0f87ab561605f8b9875b4ac0e326070e2dc1865832a"
+
+
+class TestTrainSeed:
+    """The training seed comes from --seed, else the config file, else DTCF_SEED, else 0."""
+
+    @staticmethod
+    def run(tiny_config, out, seed_line="", flags=()):
+        kept = [line for line in tiny_config.read_text().splitlines()
+                if not line.startswith("seed")]
+        cfg = out.with_suffix(".cfg")
+        cfg.write_text("\n".join(kept + [seed_line]) + "\n")
+        assert main(["train", "--config", str(cfg), *flags, "--out", str(out)]) == 0
+        return sha(out / "checkpoint.bin")
+
+    def test_unset_seed_is_zero(self, tiny_config, tmp_path, monkeypatch):
+        monkeypatch.delenv("DTCF_SEED", raising=False)
+        assert self.run(tiny_config, tmp_path / "unset") == SEED_0_CHECKPOINT
+
+    def test_env_seed_equals_flag(self, tiny_config, tmp_path, monkeypatch):
+        monkeypatch.delenv("DTCF_SEED", raising=False)
+        by_flag = self.run(tiny_config, tmp_path / "flag", flags=("--seed", "5"))
+        assert by_flag != SEED_0_CHECKPOINT
+        monkeypatch.setenv("DTCF_SEED", "5")
+        assert self.run(tiny_config, tmp_path / "env") == by_flag
+        monkeypatch.setenv("DTCF_SEED", "9")
+        assert self.run(tiny_config, tmp_path / "flag_over_env", flags=("--seed", "5")) == by_flag
+
+    def test_file_seed_wins_over_env(self, tiny_config, tmp_path, monkeypatch):
+        monkeypatch.setenv("DTCF_SEED", "5")
+        assert self.run(tiny_config, tmp_path / "file", "seed = 0") == SEED_0_CHECKPOINT
+
 
 def incomplete_checkpoints(trained, tmp_path):
     """Copies of a trained checkpoint whose header config lacks one entry or field."""

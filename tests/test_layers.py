@@ -21,25 +21,15 @@ def t64(arr, requires_grad=False):
 
 class TestConvLayer:
     def test_identity_one_by_one(self):
-        layer = Conv2dLayer(1, 1, kernel=(1, 1), padding=(0, 0), rng=rng(1), dtype=np.float64)
+        layer = Conv2dLayer(1, 1, kernel=(1, 1), rng=rng(1), dtype=np.float64)
         layer.kernels.data[:] = 1.0
-        layer.bias.data[:] = 0.0
         x = t64(rng(2).normal(size=(1, 4, 5)))
         np.testing.assert_allclose(layer.forward(x).data, x.data, atol=1e-12)
 
-    def test_bias_only(self):
-        layer = Conv2dLayer(2, 3, rng=rng(3), dtype=np.float64)
-        layer.kernels.data[:] = 0.0
-        layer.bias.data[:] = [1.0, -2.0, 0.5]
-        out = layer.forward(t64(rng(4).normal(size=(2, 4, 4)))).data
-        for c, b in enumerate([1.0, -2.0, 0.5]):
-            np.testing.assert_allclose(out[c], np.full((4, 4), b), atol=1e-12)
-
-    def test_matches_oracle_plus_bias(self):
-        layer = Conv2dLayer(2, 3, stride=(2, 1), padding=(1, 1), rng=rng(5), dtype=np.float64)
-        layer.bias.data[:] = rng(6).normal(size=3)
+    def test_matches_oracle(self):
+        layer = Conv2dLayer(2, 3, stride=(2, 1), rng=rng(5), dtype=np.float64)
         x = rng(7).normal(size=(2, 6, 5))
-        expect = conv2d_oracle(x, layer.kernels.data, (2, 1), (1, 1)) + layer.bias.data[:, None, None]
+        expect = conv2d_oracle(x, layer.kernels.data, (2, 1), (1, 1))
         np.testing.assert_allclose(layer.forward(t64(x)).data, expect, atol=1e-6)
 
     def test_channel_mismatch(self):
@@ -51,18 +41,17 @@ class TestConvLayer:
         for t, f, s, p, k in [(200, 80, (1, 1), (1, 1), (3, 3)),
                               (200, 80, (2, 2), (1, 1), (3, 3)),
                               (101, 40, (2, 2), (1, 1), (3, 3))]:
-            layer = Conv2dLayer(1, 4, kernel=k, stride=s, padding=p, rng=rng(9))
+            layer = Conv2dLayer(1, 4, kernel=k, stride=s, rng=rng(9))
             out = layer.forward(dt.tensor(np.zeros((1, t, f))))
             expect_t = (t + 2 * p[0] - k[0]) // s[0] + 1
             expect_f = (f + 2 * p[1] - k[1]) // s[1] + 1
             assert out.shape == (4, expect_t, expect_f)
 
     def test_gradcheck_params_and_input(self):
-        layer = Conv2dLayer(2, 2, stride=(1, 1), padding=(1, 1), rng=rng(10), dtype=np.float64)
+        layer = Conv2dLayer(2, 2, stride=(1, 1), rng=rng(10), dtype=np.float64)
         x = t64(rng(11).normal(size=(2, 4, 4)))
         assert grad_check(lambda v: layer.forward(v).sum(), x) < 1e-6
         assert grad_check(lambda _: layer.forward(x).sum(), layer.kernels) < 1e-6
-        assert grad_check(lambda _: layer.forward(x).sum(), layer.bias) < 1e-6
 
 
 class TestBatchNorm:
@@ -80,7 +69,7 @@ class TestBatchNorm:
         np.testing.assert_allclose(out.var(axis=(0, 2, 3)), 1.0, atol=1e-4)
 
     def test_running_stat_momentum_blend(self):
-        bn = BatchNorm2d(2, momentum=0.1, dtype=np.float64)
+        bn = BatchNorm2d(2, dtype=np.float64)
         data = rng(14).normal(size=(3, 2, 4, 4))
         bn.forward(t64(data), training=True)
         n = 3 * 4 * 4

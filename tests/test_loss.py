@@ -7,7 +7,7 @@ import pytest
 
 import dtcf.tensor as dt
 from dtcf.errors import ConfigError, DomainError
-from dtcf.loss import AAMHead, ce_loss, ce_loss_batch
+from dtcf.loss import AAMHead, ce_loss_batch
 from dtcf.tensor import grad_check
 
 
@@ -23,6 +23,16 @@ def head(K=5, dim=8, s=30.0, m=0.2, seed=0):
     return AAMHead(K, dim, scale=s, margin=m, rng=rng(seed), dtype=np.float64)
 
 
+def logits_one(h, emb, label):
+    """Margin logits of one embedding: row 0 of a batch of one."""
+    return h.logits_batch(t64(np.asarray(emb)[None]), np.array([label])).data[0]
+
+
+def ce_one(logits, label):
+    """Cross-entropy of one row of logits, as a batch of one."""
+    return ce_loss_batch(t64(np.asarray(logits, dtype=np.float64)[None]), np.array([label]))
+
+
 def ce_oracle(logits, label):
     # independent 64-bit reference via mpmath-free long-double style approach
     logits = np.asarray(logits, dtype=np.float64)
@@ -35,7 +45,7 @@ class TestAAMLogits:
     def test_margin_zero_is_scaled_cosine(self):
         h = head(m=0.0)
         emb = rng(1).normal(size=8)
-        out = h.logits(t64(emb), 2).data
+        out = logits_one(h, emb, 2)
         wn = h.weights.data / np.linalg.norm(h.weights.data, axis=1, keepdims=True)
         cos = wn @ (emb / np.linalg.norm(emb))
         np.testing.assert_allclose(out, 30.0 * cos, atol=1e-6)
@@ -43,29 +53,29 @@ class TestAAMLogits:
     def test_parallel_embedding_closed_form(self):
         h = head()
         emb = 3.0 * h.weights.data[1]          # parallel to class 1 weight
-        out = h.logits(t64(emb), 1).data
+        out = logits_one(h, emb, 1)
         assert out[1] == pytest.approx(30.0 * math.cos(0.2), abs=1e-4)
 
     def test_logits_bounded_by_scale(self):
         h = head(seed=2)
         for i in range(5):
-            out = h.logits(t64(rng(3 + i).normal(size=8) * 10), i).data
+            out = logits_one(h, rng(3 + i).normal(size=8) * 10, i)
             assert np.all(out <= 30.0 + 1e-9) and np.all(out >= -30.0 - 1e-9)
 
     def test_scale_invariance_of_angle(self):
         h = head(seed=4)
         emb = rng(5).normal(size=8)
-        a = h.logits(t64(emb), 3).data
-        b = h.logits(t64(emb * 7.3), 3).data
+        a = logits_one(h, emb, 3)
+        b = logits_one(h, emb * 7.3, 3)
         np.testing.assert_allclose(a, b, atol=1e-9)
 
     def test_zero_norm_embedding_rejected(self):
         with pytest.raises(DomainError):
-            head().logits(t64(np.zeros(8)), 0)
+            logits_one(head(), np.zeros(8), 0)
 
     def test_bad_label_rejected(self):
         with pytest.raises(ConfigError):
-            head(K=3).logits(t64(rng(6).normal(size=8)), 3)
+            logits_one(head(K=3), rng(6).normal(size=8), 3)
 
     def test_batch_matches_single(self):
         h = head(seed=7)
@@ -73,13 +83,12 @@ class TestAAMLogits:
         labels = np.array([0, 1, 4, 2])
         batched = h.logits_batch(t64(embs), labels).data
         for i in range(4):
-            np.testing.assert_allclose(batched[i], h.logits(t64(embs[i]), labels[i]).data,
-                                       atol=1e-12)
+            np.testing.assert_allclose(batched[i], logits_one(h, embs[i], labels[i]), atol=1e-12)
 
     def test_theta_clamp_saturates_at_minus_one(self):
         h = head(m=0.3, seed=9)
         emb = -h.weights.data[0]               # anti-parallel: theta = pi
-        out = h.logits(t64(emb), 0).data
+        out = logits_one(h, emb, 0)
         assert out[0] == pytest.approx(-30.0, abs=1e-6)
 
     def test_gradcheck_full_path(self):
@@ -108,27 +117,27 @@ class TestAAMLogits:
 class TestCELoss:
     def test_uniform_logits_ln_k(self):
         for k in (2, 5, 17):
-            lv = ce_loss(dt.zeros((k,), dtype=np.float64), 0)
+            lv = ce_one(np.zeros(k), 0)
             assert float(lv.loss.data) == pytest.approx(math.log(k), abs=1e-9)
 
     def test_monotone_in_target_logit(self):
         base = np.zeros(4)
         lo = base.copy(); lo[2] = 10.0
         hi = base.copy(); hi[2] = 50.0
-        l_lo = float(ce_loss(t64(lo), 2).loss.data)
-        l_hi = float(ce_loss(t64(hi), 2).loss.data)
+        l_lo = float(ce_one(lo, 2).loss.data)
+        l_hi = float(ce_one(hi, 2).loss.data)
         assert l_hi < l_lo < 1.0
         assert l_hi == pytest.approx(0.0, abs=1e-10)
 
     def test_matches_high_precision_oracle(self):
         logits = rng(12).normal(size=5) * 3
-        lv = ce_loss(t64(logits), 3)
+        lv = ce_one(logits, 3)
         assert float(lv.loss.data) == pytest.approx(ce_oracle(logits, 3), abs=1e-8)
 
     def test_loss_nonnegative_finite(self):
         for i in range(10):
             logits = rng(13 + i).normal(size=6) * 20
-            lv = ce_loss(t64(logits), i % 6)
+            lv = ce_one(logits, i % 6)
             assert 0 <= float(lv.loss.data) < np.inf
 
     def test_batch_mean(self):
@@ -139,7 +148,7 @@ class TestCELoss:
         assert float(lv.loss.data) == pytest.approx(expect, abs=1e-10)
 
     def test_stability_under_huge_logits(self):
-        lv = ce_loss(t64([1e4, 0.0, -1e4]), 0)
+        lv = ce_one([1e4, 0.0, -1e4], 0)
         assert float(lv.loss.data) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -151,13 +160,13 @@ class TestMarginProperties:
             h0 = head(m=0.0, seed=i)
             h2 = head(m=0.2, seed=i)           # same weights, different margin
             label = int(r.integers(0, 5))
-            l0 = float(ce_loss(h0.logits(t64(emb), label), label).loss.data)
-            l2 = float(ce_loss(h2.logits(t64(emb), label), label).loss.data)
+            l0 = float(ce_one(logits_one(h0, emb, label), label).loss.data)
+            l2 = float(ce_one(logits_one(h2, emb, label), label).loss.data)
             assert l2 >= l0 - 1e-12
 
     def test_margin_never_raises_target_logit(self):
         h0, h2 = head(m=0.0, seed=200), head(m=0.2, seed=200)
         emb = rng(15).normal(size=8)
-        a = h0.logits(t64(emb), 1).data[1]
-        b = h2.logits(t64(emb), 1).data[1]
+        a = logits_one(h0, emb, 1)[1]
+        b = logits_one(h2, emb, 1)[1]
         assert b <= a + 1e-12

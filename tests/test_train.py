@@ -243,7 +243,7 @@ class TestTrainingStateRoundTrip:
         backbone = BackboneConfig(widths=(3, 6, 12, 24), blocks=(1, 2, 1, 1),
                                   strides=((1, 1), (2, 1), (1, 2), (2, 2)), attention="se",
                                   reduction=3, emb_dim=16, asp_hidden=5, n_mels=40)
-        head = AAMHead(7, 16, scale=16.0, margin=0.25)
+        head = AAMHead(7, 16, scale=16.0, margin=0.25, rng=np.random.default_rng(0))
         path = tmp_path / "state.bin"
         save_training_state(path, SpeakerModel(backbone), head, AdamState([]))
         config, _, _ = load_checkpoint(path)
@@ -301,14 +301,16 @@ class TestTrainLoop:
                         resume_from=tmp_path / "part" / "checkpoint.bin")
         assert [r for r in resumed.log_rows] == full.log_rows[3:]
 
-    @pytest.mark.parametrize("change", ["backbone", "speakers"])
+    @pytest.mark.parametrize("change", ["backbone", "speakers", "scale", "margin"])
     def test_resume_rejects_other_config(self, small_corpus, tmp_path, change):
         model, head = tiny_setup(small_corpus)
         train(model, head, small_corpus, tiny_cfg(steps=1), SCHED, out_dir=tmp_path / "part")
         if change == "backbone":
             model, head = tiny_setup(small_corpus, attention="se")
-        else:
+        elif change == "speakers":
             head = AAMHead(small_corpus.n_speakers + 1, 32, rng=rng(1))
+        else:
+            head = AAMHead(small_corpus.n_speakers, 32, **{change: 0.1}, rng=rng(1))
         with pytest.raises(CheckpointError, match="does not match"):
             train(model, head, small_corpus, tiny_cfg(steps=2), SCHED,
                   resume_from=tmp_path / "part" / "checkpoint.bin")
