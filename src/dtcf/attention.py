@@ -118,8 +118,6 @@ class DTCFBlock:
         Returns (mct, mcf): the time mask sigmoid(W2 . time half) of shape
         (C, T) and the frequency mask sigmoid(W3 . freq half) of shape (C, F).
         """
-        if not 0 < f_len < x1.shape[2]:
-            raise ShapeError(f"split point {f_len} out of range for {x1.shape[2]} positions")
         part_f, part_t = split(x1, axis=2, at=f_len)
         return (_per_column(self.w2, part_t).sigmoid(),
                 _per_column(self.w3, part_f).sigmoid())

@@ -1,9 +1,10 @@
 """Acoustic frontend: waveforms, log-mel filterbank features, feature masking.
 
-Feature recipe (fixed for reproducibility): Hamming window, power spectrum
-on the next-pow2 FFT, triangular mel filters between 20 Hz and Nyquist on
-the scale 2595*log10(1 + f/700), then log(energy + 1e-10). No dithering and
-no per-utterance mean/variance normalisation: raw log-mel is the contract.
+Feature recipe (fixed for reproducibility; only the mel count varies): 25 ms
+Hamming window every 10 ms, power spectrum on the next-pow2 FFT, triangular
+mel filters between 20 Hz and Nyquist on the scale 2595*log10(1 + f/700),
+then log(energy + 1e-10). No dithering and no per-utterance mean/variance
+normalisation: raw log-mel is the contract.
 """
 
 from __future__ import annotations
@@ -15,14 +16,17 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 
-__all__ = ["Waveform", "FbankConfig", "AugmentConfig", "fbank", "spec_augment",
+__all__ = ["Waveform", "AugmentConfig", "fbank", "spec_augment",
            "mel_filterbank", "read_wav", "write_wav"]
+
+SAMPLE_RATE = 16000  # Hz: the Waveform default and the synthetic corpus rate
+_WINDOW_MS, _HOP_MS, _FMIN, _LOG_FLOOR = 25.0, 10.0, 20.0, 1e-10  # the recipe above
 
 
 @dataclass
 class Waveform:
     samples: np.ndarray          # mono, float in [-1, 1]
-    sample_rate: int = 16000
+    sample_rate: int = SAMPLE_RATE
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -37,24 +41,16 @@ class Waveform:
 
 
 @dataclass(frozen=True)
-class FbankConfig:
-    n_mels: int = 80
-    window_ms: float = 25.0
-    hop_ms: float = 10.0
-    fmin: float = 20.0
-    log_floor: float = 1e-10
-
-    def __post_init__(self):
-        if self.n_mels < 1 or self.hop_ms <= 0 or self.window_ms <= self.hop_ms:
-            raise ConfigError("require window > hop > 0 and n_mels >= 1")
-
-
-@dataclass(frozen=True)
 class AugmentConfig:
     time_mask_max: int = 10      # frames
     freq_mask_max: int = 8       # mel bins
     n_time_masks: int = 1
     n_freq_masks: int = 1
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if value < 0:
+                raise ConfigError(f"{name} must be >= 0, got {value}")
 
 
 def _hz_to_mel(f):
@@ -65,10 +61,10 @@ def _mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m) / 2595.0) - 1.0)
 
 
-def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int, fmin: float) -> np.ndarray:
+def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
     """(n_mels, n_fft//2 + 1) triangular filters, peak weight 1."""
     fmax = sample_rate / 2.0
-    mels = np.linspace(_hz_to_mel(fmin), _hz_to_mel(fmax), n_mels + 2)
+    mels = np.linspace(_hz_to_mel(_FMIN), _hz_to_mel(fmax), n_mels + 2)
     edges = _mel_to_hz(mels)
     freqs = np.arange(n_fft // 2 + 1) * sample_rate / n_fft
     weights = np.zeros((n_mels, freqs.size))
@@ -80,11 +76,13 @@ def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int, fmin: float) -> np
     return weights
 
 
-def fbank(wav: Waveform, cfg: FbankConfig = FbankConfig()) -> np.ndarray:
+def fbank(wav: Waveform, n_mels: int = 80) -> np.ndarray:
     """Log-mel features, one row per frame: (1 + (N - win) // hop, n_mels)."""
+    if n_mels < 1:
+        raise ConfigError(f"n_mels must be >= 1, got {n_mels}")
     sr = wav.sample_rate
-    win = int(round(sr * cfg.window_ms / 1000.0))
-    hop = int(round(sr * cfg.hop_ms / 1000.0))
+    win = int(round(sr * _WINDOW_MS / 1000.0))
+    hop = int(round(sr * _HOP_MS / 1000.0))
     x = wav.samples
     if x.size < win:
         raise DataError(f"waveform of {x.size} samples is shorter than one "
@@ -94,8 +92,8 @@ def fbank(wav: Waveform, cfg: FbankConfig = FbankConfig()) -> np.ndarray:
     frames = x[idx] * np.hamming(win)
     n_fft = 1 << int(np.ceil(np.log2(win)))
     power = np.abs(np.fft.rfft(frames, n_fft, axis=1)) ** 2
-    mel = mel_filterbank(cfg.n_mels, n_fft, sr, cfg.fmin)
-    return np.log(power @ mel.T + cfg.log_floor).astype(np.float32)
+    mel = mel_filterbank(n_mels, n_fft, sr)
+    return np.log(power @ mel.T + _LOG_FLOOR).astype(np.float32)
 
 
 def spec_augment(feats: np.ndarray, cfg: AugmentConfig,

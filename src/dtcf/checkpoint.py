@@ -25,11 +25,10 @@ FORMAT_VERSION = 1
 
 def save_checkpoint(path, config: dict, tensors: dict[str, np.ndarray],
                     extra: dict | None = None) -> None:
-    names = sorted(tensors)
+    arrays = {name: np.ascontiguousarray(tensors[name]) for name in sorted(tensors)}
     manifest = []
     offset = 0
-    for name in names:
-        arr = np.ascontiguousarray(tensors[name])
+    for name, arr in arrays.items():
         manifest.append({"name": name, "dtype": arr.dtype.str,
                          "shape": list(arr.shape), "offset": offset,
                          "nbytes": arr.nbytes})
@@ -41,8 +40,8 @@ def save_checkpoint(path, config: dict, tensors: dict[str, np.ndarray],
         f.write(MAGIC)
         f.write(len(header).to_bytes(8, "little"))
         f.write(header)
-        for name in names:
-            f.write(np.ascontiguousarray(tensors[name]).tobytes())
+        for arr in arrays.values():
+            f.write(arr.tobytes())
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray], dict]:

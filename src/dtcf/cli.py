@@ -9,7 +9,7 @@ Exit codes (stable contract):
     6  gradient verification failure
 
 ``--seed`` (for ``train``: then the config file's ``seed``) falls back to the
-DTCF_SEED environment variable, then 0.
+DTCF_SEED environment variable, then 0. A negative seed is a usage error.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .attention import DTCFBlock, SEBlock
-from .audio import AugmentConfig, FbankConfig, fbank, read_wav
+from .audio import AugmentConfig, fbank, read_wav
 from .config import default_config, load_config
 from .errors import (CheckpointError, ConfigError, DataError, DivergenceError,
                      DomainError, GradCheckError, ShapeError)
@@ -36,15 +36,21 @@ from .tensor import Tensor, grad_check, inject_backward_fault
 from .train import (Corpus, TrainConfig, Triangular2Schedule, build_model_and_head,
                     load_training_state, train)
 
+# the exit codes of the module docstring, by the exception that ends a command
+_EXIT_CODES = {ConfigError: 2, ShapeError: 2, DomainError: 2, OSError: 3, CheckpointError: 3,
+               DivergenceError: 4, DataError: 5, GradCheckError: 6}
+
 
 def _seed_default(value):
-    if value is not None:
-        return int(value)
-    text = os.environ.get("DTCF_SEED", "0")
-    try:
-        return int(text)
-    except ValueError as e:
-        raise ConfigError(f"DTCF_SEED must be an integer, got {text!r}") from e
+    if value is None:
+        text = os.environ.get("DTCF_SEED", "0")
+        try:
+            value = int(text)
+        except ValueError as e:
+            raise ConfigError(f"DTCF_SEED must be an integer, got {text!r}") from e
+    if value < 0:
+        raise ConfigError(f"seed must be >= 0, got {value}")
+    return int(value)
 
 
 def cmd_synth_data(args) -> int:
@@ -89,12 +95,11 @@ def cmd_train(args) -> int:
 def cmd_extract(args) -> int:
     model, _, _, _ = load_training_state(args.ckpt)
     rows = read_manifest(args.manifest)
-    fbank_cfg = FbankConfig(n_mels=model.config.n_mels)
     store = {}
     for utt, spk, path in rows:
         if not Path(path).exists():
             raise DataError(f"missing audio file for {utt}: {path}")
-        store[utt] = (spk, model.embed(fbank(read_wav(path), fbank_cfg)))
+        store[utt] = (spk, model.embed(fbank(read_wav(path), model.config.n_mels)))
     export_embeddings(store, args.out)
     print(f"embeddings={len(store)} out={args.out}")
     return 0
@@ -218,21 +223,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ShapeError, DomainError) as e:
+    except tuple(_EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (OSError, CheckpointError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except DivergenceError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
-    except DataError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 5
-    except GradCheckError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 6
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(e, cls))
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ target logit saturates at -1 (the angle is clamped to [0, pi]).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,19 +17,9 @@ from .errors import ConfigError, DomainError, ShapeError
 from .layers import xavier_uniform
 from .tensor import Tensor, matmul, sum_axis, transpose
 
-__all__ = ["AAMHead", "LossValue", "ce_loss_batch"]
+__all__ = ["AAMHead", "ce_loss_batch"]
 
 _SIN_EPS = 1e-12  # keeps d/dcos sqrt(1-cos^2) finite at exact parallelism
-
-
-@dataclass
-class LossValue:
-    loss: Tensor            # scalar
-    logits: Tensor          # (B, K), for accuracy bookkeeping
-
-    def __post_init__(self):
-        if not np.isfinite(self.loss.data):
-            raise DomainError("loss is not finite")
 
 
 class AAMHead:
@@ -77,20 +66,16 @@ class AAMHead:
         return [("weights", self.weights)]
 
 
-def _ce(logits: Tensor, labels: np.ndarray) -> Tensor:
+def ce_loss_batch(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Mean softmax cross-entropy over a batch of (B, K) logits, as a scalar Tensor."""
+    if logits.ndim != 2:
+        raise ShapeError(f"expected (B,K) logits, got {logits.shape}")
     b, k = logits.shape
     onehot = np.zeros((b, k), dtype=logits.data.dtype)
-    onehot[np.arange(b), labels] = 1.0
+    onehot[np.arange(b), np.asarray(labels)] = 1.0
     # max-shifted for stability; the shift is constant w.r.t. the graph
     shift = Tensor(logits.data.max(axis=1, keepdims=True))
     z = logits - shift
     lse = sum_axis(z.exp(), 1).log()                               # (B,)
     zt = sum_axis(z * Tensor(onehot), 1)
     return (lse - zt).sum() / b
-
-
-def ce_loss_batch(logits: Tensor, labels: np.ndarray) -> LossValue:
-    """Mean softmax cross-entropy over a batch of (B, K) logits."""
-    if logits.ndim != 2:
-        raise ShapeError(f"expected (B,K) logits, got {logits.shape}")
-    return LossValue(loss=_ce(logits, np.asarray(labels)), logits=logits)

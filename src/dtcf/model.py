@@ -68,13 +68,6 @@ def _tuples(value):
     return value
 
 
-def _make_attention(kind: str, channels: int, reduction: int, rng, dtype):
-    if kind == "none":
-        return None
-    cls = SEBlock if kind == "se" else DTCFBlock
-    return cls(channels, reduction, rng=rng, dtype=dtype)
-
-
 class ResidualBlock:
     """conv-bn-relu-conv-bn, attention gate, then skip addition and relu."""
 
@@ -92,7 +85,10 @@ class ResidualBlock:
         else:
             self.down_conv = None
             self.down_bn = None
-        self.attn = _make_attention(attention, out_channels, reduction, rng, dtype)
+        self.attn = None
+        if attention != "none":
+            self.attn = (SEBlock if attention == "se" else DTCFBlock)(
+                out_channels, reduction, rng=rng, dtype=dtype)
 
     def forward(self, x: Tensor, training: bool = False) -> Tensor:
         main = self.bn1.forward(self.conv1.forward(x), training).relu()

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import Waveform, write_wav
+from .audio import SAMPLE_RATE, Waveform, write_wav
 from .errors import ConfigError, DataError
 
 __all__ = ["SyntheticSpeakerSpec", "CorpusSummary", "synth_utterance",
@@ -65,22 +65,21 @@ def _formant_gain(freqs: np.ndarray, formants, tilt_db: float) -> np.ndarray:
     return gain * 10.0 ** (tilt_db * octaves / 20.0)
 
 
-def synth_utterance(spec: SyntheticSpeakerSpec, duration: float, utt_seed: int,
-                    sample_rate: int = 16000) -> Waveform:
+def synth_utterance(spec: SyntheticSpeakerSpec, duration: float, utt_seed: int) -> Waveform:
     """Render one utterance; bit-identical for identical (spec, utt_seed)."""
     if not 1.0 <= duration <= 10.0:
         raise ConfigError(f"duration {duration}s outside [1, 10]s")
     rng = np.random.default_rng((spec.seed, utt_seed))
-    n = int(round(duration * sample_rate))
-    t = np.arange(n) / sample_rate
+    n = int(round(duration * SAMPLE_RATE))
+    t = np.arange(n) / SAMPLE_RATE
 
     f_lo, f_hi = spec.f0_range
     wobble_rate = rng.uniform(0.4, 1.6)
     wobble_phase = rng.uniform(0, 2 * np.pi)
     f0 = f_lo + (f_hi - f_lo) * (0.5 + 0.45 * np.sin(2 * np.pi * wobble_rate * t + wobble_phase))
 
-    n_harm = max(3, int((0.45 * sample_rate) / f_hi))
-    phase = 2.0 * np.pi * np.cumsum(f0) / sample_rate
+    n_harm = max(3, int((0.45 * SAMPLE_RATE) / f_hi))
+    phase = 2.0 * np.pi * np.cumsum(f0) / SAMPLE_RATE
     ks = np.arange(1, n_harm + 1)[:, None]
 
     # amplitudes vary slowly: evaluate on a coarse grid, then repeat
@@ -91,7 +90,7 @@ def synth_utterance(spec: SyntheticSpeakerSpec, duration: float, utt_seed: int,
 
     sig = sig + rng.normal(size=n) * (10.0 ** (_NOISE_DB / 20.0)) * max(np.abs(sig).max(), 1e-9)
     sig = 0.95 * sig / np.abs(sig).max()
-    return Waveform(sig, sample_rate)
+    return Waveform(sig, SAMPLE_RATE)
 
 
 def _speaker_specs(n_speakers: int, rng: np.random.Generator) -> list[SyntheticSpeakerSpec]:
@@ -118,8 +117,7 @@ def _speaker_specs(n_speakers: int, rng: np.random.Generator) -> list[SyntheticS
     return specs
 
 
-def synth_corpus(n_speakers: int, utts_per_speaker: int, seed: int, out_dir,
-                 sample_rate: int = 16000) -> CorpusSummary:
+def synth_corpus(n_speakers: int, utts_per_speaker: int, seed: int, out_dir) -> CorpusSummary:
     """Generate wavs plus manifest, training split, and held-out trial list."""
     if n_speakers < 2:
         raise ConfigError("need at least 2 speakers")
@@ -137,7 +135,7 @@ def synth_corpus(n_speakers: int, utts_per_speaker: int, seed: int, out_dir,
         for j in range(utts_per_speaker):
             utt_id = f"{spec.speaker_id}_u{j:03d}"
             duration = float(rng.uniform(2.0, 3.5))
-            wav = synth_utterance(spec, duration, utt_seed=j, sample_rate=sample_rate)
+            wav = synth_utterance(spec, duration, utt_seed=j)
             rel = f"wav/{utt_id}.wav"
             write_wav(out_dir / rel, wav)
             rows.append((utt_id, spec.speaker_id, rel, j >= utts_per_speaker - held_per_spk))

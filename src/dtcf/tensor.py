@@ -414,21 +414,17 @@ def split(x: Tensor, axis: int, at: int) -> tuple[Tensor, Tensor]:
     axis = _axis_check(x, axis)
     if not 0 < at < x.shape[axis]:
         raise ShapeError(f"split point {at} out of range for axis extent {x.shape[axis]}")
-    sl_a = tuple(slice(None) if i != axis else slice(0, at) for i in range(x.ndim))
-    sl_b = tuple(slice(None) if i != axis else slice(at, None) for i in range(x.ndim))
 
-    def bwd_a(g):
-        full_g = np.zeros_like(x.data)
-        full_g[sl_a] = g
-        x._accum(full_g)
+    def part(span: slice) -> Tensor:
+        sl = tuple(slice(None) if i != axis else span for i in range(x.ndim))
 
-    def bwd_b(g):
-        full_g = np.zeros_like(x.data)
-        full_g[sl_b] = g
-        x._accum(full_g)
+        def bwd(g):
+            full_g = np.zeros_like(x.data)
+            full_g[sl] = g
+            x._accum(full_g)
+        return _node(x.data[sl].copy(), (x,), bwd)
 
-    return (_node(x.data[sl_a].copy(), (x,), bwd_a),
-            _node(x.data[sl_b].copy(), (x,), bwd_b))
+    return part(slice(0, at)), part(slice(at, None))
 
 
 def reshape(x: Tensor, shape) -> Tensor:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import AugmentConfig, FbankConfig, fbank, read_wav, spec_augment
+from .audio import AugmentConfig, fbank, read_wav, spec_augment
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import CheckpointError, ConfigError, DataError, DivergenceError
 from .loss import AAMHead, ce_loss_batch
@@ -120,7 +120,7 @@ class Corpus:
             raise DataError(f"speakers with fewer than 2 utterances: {thin}")
         self._label = {s: i for i, s in enumerate(self.speakers)}
         self.labels = np.array([self._label[spk] for _, spk, _ in rows])
-        self._fbank = FbankConfig(n_mels=n_mels)
+        self._n_mels = n_mels
         self._cache: dict[int, np.ndarray] = {}
 
     @classmethod
@@ -136,7 +136,7 @@ class Corpus:
 
     def features(self, index: int) -> np.ndarray:
         if index not in self._cache:
-            self._cache[index] = fbank(read_wav(self.rows[index][2]), self._fbank)
+            self._cache[index] = fbank(read_wav(self.rows[index][2]), self._n_mels)
         return self._cache[index]
 
 
@@ -236,14 +236,9 @@ def _named_params(model: SpeakerModel, head: AAMHead):
 class TrainReport:
     steps: int
     final_accuracy: float
-    param_count: int
     log_rows: list[tuple[int, float, float, float]]
     log_path: Path | None
     checkpoint_path: Path | None
-
-
-def _log_line(step: int, lr: float, loss: float, acc: float) -> str:
-    return f"{step},{lr!r},{loss!r},{acc!r}"
 
 
 def train(model: SpeakerModel, head: AAMHead, corpus: Corpus, cfg: TrainConfig,
@@ -294,7 +289,6 @@ def train(model: SpeakerModel, head: AAMHead, corpus: Corpus, cfg: TrainConfig,
         })
 
     log_rows: list[tuple[int, float, float, float]] = []
-    log_lines: list[str] = []
     start_step = opt.step
     for step in range(start_step + 1, cfg.steps + 1):
         if cursor + cfg.batch_size > len(order):
@@ -313,17 +307,16 @@ def train(model: SpeakerModel, head: AAMHead, corpus: Corpus, cfg: TrainConfig,
         zero_grads(params)
         emb = model.forward(batch, training=True)
         logits = head.logits_batch(emb, labels)
-        lv = ce_loss_batch(logits, labels)
-        loss = float(lv.loss.data)
+        loss_t = ce_loss_batch(logits, labels)
+        loss = float(loss_t.data)
         if not np.isfinite(loss) or loss > _DIVERGENCE_CAP:
             raise DivergenceError(f"loss {loss} at step {step} tripped the divergence guard")
-        lv.loss.backward()
+        loss_t.backward()
 
         lr = lr_at(sched, step - 1)
         adam_step(named, opt, lr, cfg.weight_decay)
         acc = float((np.argmax(logits.data, axis=1) == labels).mean())
         log_rows.append((step, lr, loss, acc))
-        log_lines.append(_log_line(step, lr, loss, acc))
 
         if ckpt_path is not None and step % cfg.checkpoint_every == 0:
             snapshot(ckpt_path)
@@ -333,11 +326,10 @@ def train(model: SpeakerModel, head: AAMHead, corpus: Corpus, cfg: TrainConfig,
     if log_path is not None:
         with open(log_path, "w", encoding="utf-8") as f:
             f.write("step,lr,loss,acc\n")
-            for line in log_lines:
-                f.write(line + "\n")
+            for row in log_rows:
+                f.write(",".join(map(repr, row)) + "\n")
 
     tail = log_rows[-min(100, len(log_rows)):]
     final_acc = float(np.mean([r[3] for r in tail])) if tail else 0.0
-    return TrainReport(steps=len(log_rows), final_accuracy=final_acc,
-                       param_count=model.param_count(), log_rows=log_rows,
+    return TrainReport(steps=len(log_rows), final_accuracy=final_acc, log_rows=log_rows,
                        log_path=log_path, checkpoint_path=ckpt_path)

@@ -146,13 +146,13 @@ def test_criterion_6_aam_reductions():
             ha = AAMHead(6, 16, margin=0.0, rng=rng(500 + i), dtype=np.float64)
             hb = AAMHead(6, 16, margin=0.2, rng=rng(500 + i), dtype=np.float64)
             e1, lab = dt.tensor(e[None], dtype=np.float64), np.array([label])
-            la = float(ce_loss_batch(ha.logits_batch(e1, lab), lab).loss.data)
-            lb = float(ce_loss_batch(hb.logits_batch(e1, lab), lab).loss.data)
+            la = float(ce_loss_batch(ha.logits_batch(e1, lab), lab).data)
+            lb = float(ce_loss_batch(hb.logits_batch(e1, lab), lab).data)
             assert lb >= la - 1e-12
 
         for k in (2, 7, 31):
             lv = ce_loss_batch(dt.zeros((1, k), dtype=np.float64), np.array([k - 1]))
-            assert float(lv.loss.data) == pytest.approx(math.log(k), abs=1e-9)
+            assert float(lv.data) == pytest.approx(math.log(k), abs=1e-9)
 
 
 def test_criterion_7_scheduler_closed_form():

@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from dtcf.audio import (AugmentConfig, FbankConfig, Waveform, fbank,
+from dtcf.audio import (AugmentConfig, Waveform, fbank,
                         mel_filterbank, read_wav, spec_augment, write_wav)
 from dtcf.errors import ConfigError, DataError
 from dtcf.synth import (SyntheticSpeakerSpec, read_manifest, read_trials,
@@ -33,7 +33,7 @@ class TestFbank:
     def test_pure_tone_energy_at_expected_bin(self):
         out = fbank(sine(1000.0))
         # oracle from the filterbank geometry: project a 1 kHz line spectrum
-        fb = mel_filterbank(80, 512, 16000, 20.0)
+        fb = mel_filterbank(80, 512, 16000)
         k = round(1000.0 / (16000 / 512))
         expect_bin = int(np.argmax(fb[:, k]))
         got = np.argmax(out, axis=1)
@@ -63,10 +63,16 @@ class TestFbank:
 
     def test_bad_config(self):
         with pytest.raises(ConfigError):
-            FbankConfig(window_ms=10.0, hop_ms=10.0)
+            fbank(sine(440.0, dur=1.0), n_mels=0)
 
 
 class TestSpecAugment:
+    @pytest.mark.parametrize("name", ["time_mask_max", "freq_mask_max",
+                                      "n_time_masks", "n_freq_masks"])
+    def test_negative_setting_rejected(self, name):
+        with pytest.raises(ConfigError, match=name):
+            AugmentConfig(**{name: -1})
+
     def test_zero_masks_identity(self):
         feats = rng(2).normal(size=(50, 80)).astype(np.float32)
         cfg = AugmentConfig(n_time_masks=0, n_freq_masks=0)

@@ -6,9 +6,12 @@ import json
 import numpy as np
 import pytest
 
+from dtcf import cli
 from dtcf.attention import DTCFBlock, SEBlock, param_count
 from dtcf.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from dtcf.cli import main
+from dtcf.errors import (CheckpointError, ConfigError, DataError, DivergenceError,
+                         DomainError, GradCheckError, ShapeError)
 from dtcf.loss import AAMHead
 from dtcf.metrics import compute_eer, compute_min_dcf, read_embeddings
 from dtcf.model import BackboneConfig, SpeakerModel
@@ -177,6 +180,27 @@ class TestTrain:
                      str(corpus_dir / "manifest.csv"), "--out", str(tmp_path / "emb.csv")]) == 0
         assert len(read_embeddings(tmp_path / "emb.csv")) == 12
 
+    def test_resume_with_nan_parameter_exit_4(self, tiny_config, trained, tmp_path, capsys):
+        config, tensors, extra = load_checkpoint(trained / "checkpoint.bin")
+        tensors["model.emb.bias"][0] = np.nan
+        source = tmp_path / "nan.bin"
+        save_checkpoint(source, config, tensors, extra)
+        cfg = tmp_path / "longer.cfg"
+        cfg.write_text(tiny_config.read_text() + "steps = 5\n")
+        assert main(["train", "--config", str(cfg), "--resume", str(source),
+                     "--out", str(tmp_path / "o6")]) == 4
+        assert "divergence guard" in capsys.readouterr().err
+        assert not (tmp_path / "o6" / "checkpoint.bin").exists()
+
+    @pytest.mark.parametrize("key", ["time_mask_max", "freq_mask_max",
+                                     "n_time_masks", "n_freq_masks"])
+    def test_negative_augment_value_exit_2(self, tiny_config, tmp_path, capsys, key):
+        cfg = tmp_path / "mask.cfg"
+        cfg.write_text(tiny_config.read_text() + f"{key} = -1\n")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o7")]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "o7" / "checkpoint.bin").exists()
+
 
 # checkpoint of the tiny config trained with seed 0, the seed a run gets when neither
 # --seed, the config file nor DTCF_SEED gives one
@@ -187,12 +211,15 @@ class TestTrainSeed:
     """The training seed comes from --seed, else the config file, else DTCF_SEED, else 0."""
 
     @staticmethod
-    def run(tiny_config, out, seed_line="", flags=()):
+    def train(tiny_config, out, seed_line="", flags=()):
         kept = [line for line in tiny_config.read_text().splitlines()
                 if not line.startswith("seed")]
         cfg = out.with_suffix(".cfg")
         cfg.write_text("\n".join(kept + [seed_line]) + "\n")
-        assert main(["train", "--config", str(cfg), *flags, "--out", str(out)]) == 0
+        return main(["train", "--config", str(cfg), *flags, "--out", str(out)])
+
+    def run(self, tiny_config, out, seed_line="", flags=()):
+        assert self.train(tiny_config, out, seed_line, flags) == 0
         return sha(out / "checkpoint.bin")
 
     def test_unset_seed_is_zero(self, tiny_config, tmp_path, monkeypatch):
@@ -211,6 +238,38 @@ class TestTrainSeed:
     def test_file_seed_wins_over_env(self, tiny_config, tmp_path, monkeypatch):
         monkeypatch.setenv("DTCF_SEED", "5")
         assert self.run(tiny_config, tmp_path / "file", "seed = 0") == SEED_0_CHECKPOINT
+
+    @pytest.mark.parametrize("seed_line, flags, env", [
+        ("", ("--seed", "-1"), None),
+        ("", (), "-1"),
+        ("seed = -1", (), None),
+    ], ids=["flag", "env", "file"])
+    def test_negative_seed_exit_2(self, tiny_config, tmp_path, monkeypatch, capsys,
+                                  seed_line, flags, env):
+        monkeypatch.delenv("DTCF_SEED", raising=False)
+        if env is not None:
+            monkeypatch.setenv("DTCF_SEED", env)
+        assert self.train(tiny_config, tmp_path / "neg", seed_line, flags) == 2
+        assert "-1" in capsys.readouterr().err
+        assert not (tmp_path / "neg" / "checkpoint.bin").exists()
+
+
+@pytest.mark.parametrize("by_env", [False, True], ids=["flag", "env"])
+@pytest.mark.parametrize("argv", [
+    ["synth-data", "--speakers", "2", "--utts", "4"],
+    ["gradcheck", "--attention", "se", "--shape", "4x6x5"],
+], ids=["synth-data", "gradcheck"])
+def test_negative_seed_exit_2(tmp_path, monkeypatch, capsys, argv, by_env):
+    if by_env:
+        monkeypatch.setenv("DTCF_SEED", "-3")
+    else:
+        monkeypatch.delenv("DTCF_SEED", raising=False)
+        argv = argv + ["--seed", "-3"]
+    if argv[0] == "synth-data":
+        argv = argv + ["--out", str(tmp_path / "corpus")]
+    assert main(argv) == 2
+    assert "-3" in capsys.readouterr().err
+    assert not (tmp_path / "corpus").exists()
 
 
 def incomplete_checkpoints(trained, tmp_path):
@@ -387,6 +446,40 @@ class TestGradcheckCmd:
         assert main(["gradcheck", "--attention", "dtcf", "--shape", "4x6x5",
                      "--seed", "0"] + flags) == 2
         assert named in capsys.readouterr().err
+
+
+# the exit codes of the dtcf.cli docstring, by the exception a command raises
+DOCUMENTED_EXIT_CODES = [
+    (ConfigError, 2), (ShapeError, 2), (DomainError, 2),
+    (OSError, 3), (FileNotFoundError, 3), (CheckpointError, 3),
+    (DivergenceError, 4),
+    (DataError, 5),
+    (GradCheckError, 6),
+]
+
+
+class TestExitCodes:
+    @staticmethod
+    def raising(monkeypatch, exc):
+        def stub(args):
+            raise exc("stub failure")
+        monkeypatch.setattr(cli, "cmd_eval", stub)
+        return main(["eval", "--emb", "e.csv", "--trials", "t.txt"])
+
+    @pytest.mark.parametrize("exc, code", DOCUMENTED_EXIT_CODES,
+                             ids=[e.__name__ for e, _ in DOCUMENTED_EXIT_CODES])
+    def test_each_error_maps_to_its_code(self, monkeypatch, capsys, exc, code):
+        assert self.raising(monkeypatch, exc) == code
+        assert capsys.readouterr().err == "error: stub failure\n"
+
+    def test_table_matches_docstring(self):
+        documented = {int(line.split()[0]) for line in cli.__doc__.splitlines()
+                      if line.strip()[:1].isdigit()}
+        assert set(cli._EXIT_CODES.values()) == documented - {0}
+
+    def test_other_exception_propagates(self, monkeypatch):
+        with pytest.raises(KeyError):
+            self.raising(monkeypatch, KeyError)
 
 
 class TestUsage:

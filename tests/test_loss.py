@@ -98,7 +98,7 @@ class TestAAMLogits:
         emb = t64(rng(11).normal(size=8))      # generic: off the sin=0 singularity
 
         def f(v):
-            return ce_loss_batch(h.logits_batch(v, np.array([1])), np.array([1])).loss
+            return ce_loss_batch(h.logits_batch(v, np.array([1])), np.array([1]))
 
         assert grad_check(lambda v: f(dt.reshape(v, (1, -1))), emb) < 1e-6
         assert grad_check(lambda _: f(dt.reshape(emb, (1, -1))), h.weights) < 1e-6
@@ -109,7 +109,7 @@ class TestAAMLogits:
 
         def f(v):
             return ce_loss_batch(h.logits_batch(dt.reshape(v, (1, -1)), np.array([2])),
-                                 np.array([2])).loss
+                                 np.array([2]))
 
         assert grad_check(f, emb) < 1e-6
 
@@ -118,38 +118,38 @@ class TestCELoss:
     def test_uniform_logits_ln_k(self):
         for k in (2, 5, 17):
             lv = ce_one(np.zeros(k), 0)
-            assert float(lv.loss.data) == pytest.approx(math.log(k), abs=1e-9)
+            assert float(lv.data) == pytest.approx(math.log(k), abs=1e-9)
 
     def test_monotone_in_target_logit(self):
         base = np.zeros(4)
         lo = base.copy(); lo[2] = 10.0
         hi = base.copy(); hi[2] = 50.0
-        l_lo = float(ce_one(lo, 2).loss.data)
-        l_hi = float(ce_one(hi, 2).loss.data)
+        l_lo = float(ce_one(lo, 2).data)
+        l_hi = float(ce_one(hi, 2).data)
         assert l_hi < l_lo < 1.0
         assert l_hi == pytest.approx(0.0, abs=1e-10)
 
     def test_matches_high_precision_oracle(self):
         logits = rng(12).normal(size=5) * 3
         lv = ce_one(logits, 3)
-        assert float(lv.loss.data) == pytest.approx(ce_oracle(logits, 3), abs=1e-8)
+        assert float(lv.data) == pytest.approx(ce_oracle(logits, 3), abs=1e-8)
 
     def test_loss_nonnegative_finite(self):
         for i in range(10):
             logits = rng(13 + i).normal(size=6) * 20
             lv = ce_one(logits, i % 6)
-            assert 0 <= float(lv.loss.data) < np.inf
+            assert 0 <= float(lv.data) < np.inf
 
     def test_batch_mean(self):
         logits = rng(14).normal(size=(3, 5))
         labels = np.array([1, 0, 4])
         lv = ce_loss_batch(t64(logits), labels)
         expect = np.mean([ce_oracle(logits[i], labels[i]) for i in range(3)])
-        assert float(lv.loss.data) == pytest.approx(expect, abs=1e-10)
+        assert float(lv.data) == pytest.approx(expect, abs=1e-10)
 
     def test_stability_under_huge_logits(self):
         lv = ce_one([1e4, 0.0, -1e4], 0)
-        assert float(lv.loss.data) == pytest.approx(0.0, abs=1e-12)
+        assert float(lv.data) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestMarginProperties:
@@ -160,8 +160,8 @@ class TestMarginProperties:
             h0 = head(m=0.0, seed=i)
             h2 = head(m=0.2, seed=i)           # same weights, different margin
             label = int(r.integers(0, 5))
-            l0 = float(ce_one(logits_one(h0, emb, label), label).loss.data)
-            l2 = float(ce_one(logits_one(h2, emb, label), label).loss.data)
+            l0 = float(ce_one(logits_one(h0, emb, label), label).data)
+            l2 = float(ce_one(logits_one(h2, emb, label), label).data)
             assert l2 >= l0 - 1e-12
 
     def test_margin_never_raises_target_logit(self):
