@@ -50,7 +50,6 @@ class SEBlock:
     def __init__(self, channels: int, reduction: int = 8, *, rng: np.random.Generator,
                  dtype=np.float32):
         c_red = reduced_channels(channels, reduction)
-        self.channels = channels
         self.w1 = xavier_uniform(rng, (c_red, channels), channels, c_red, dtype)
         self.w2 = xavier_uniform(rng, (channels, c_red), c_red, channels, dtype)
 
@@ -64,8 +63,6 @@ class SEBlock:
     @unbatched(1)
     def mask(self, xc: Tensor) -> Tensor:
         """Gate per channel: sigmoid(W2 relu(W1 xc)), values strictly in (0,1)."""
-        if xc.shape[-1] != self.channels:
-            raise ShapeError(f"expected {self.channels} channels, got {xc.shape[-1]}")
         hidden = matmul(xc, transpose(self.w1, (1, 0))).relu()
         return matmul(hidden, transpose(self.w2, (1, 0))).sigmoid()
 
@@ -92,7 +89,6 @@ class DTCFBlock:
     def __init__(self, channels: int, reduction: int = 8, *, rng: np.random.Generator,
                  dtype=np.float32):
         c_red = reduced_channels(channels, reduction)
-        self.channels = channels
         self.w1 = xavier_uniform(rng, (c_red, channels), channels, c_red, dtype)
         self.w2 = xavier_uniform(rng, (channels, c_red), c_red, channels, dtype)
         self.w3 = xavier_uniform(rng, (channels, c_red), c_red, channels, dtype)
@@ -107,8 +103,6 @@ class DTCFBlock:
     @unbatched(2)
     def encode(self, xcf: Tensor, xct: Tensor) -> Tensor:
         """relu(W1 [xcf, xct]): a (C', F+T) joint context, column-independent."""
-        if xcf.shape[1] != self.channels or xct.shape[1] != self.channels:
-            raise ShapeError(f"profile channel dim must be {self.channels}")
         return _per_column(self.w1, concat(xcf, xct, axis=2)).relu()
 
     @unbatched(2)

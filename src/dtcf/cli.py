@@ -25,12 +25,12 @@ import numpy as np
 from . import __version__
 from .attention import DTCFBlock, SEBlock
 from .audio import AugmentConfig, fbank, read_wav
-from .config import default_config, load_config
+from .config import SCHEMA, load_config
 from .errors import (CheckpointError, ConfigError, DataError, DivergenceError,
                      DomainError, GradCheckError, ShapeError)
 from .metrics import (DCFParams, compute_eer, compute_min_dcf, export_embeddings,
                       read_embeddings, score_trials, write_scores)
-from .model import BackboneConfig
+from .model import ATTENTION_KINDS, BackboneConfig
 from .synth import read_manifest, read_trials, synth_corpus
 from .tensor import Tensor, grad_check, inject_backward_fault
 from .train import (Corpus, TrainConfig, Triangular2Schedule, build_model_and_head,
@@ -61,25 +61,25 @@ def cmd_synth_data(args) -> int:
 
 
 def _from_config(cls, cfg: dict, **given):
-    """A ``cls`` whose fields come from the flat config keys of the same name."""
+    """A ``cls`` filled from the config keys named for its fields; an absent key keeps its default."""
     return cls(**{f.name: cfg[f.name] for f in fields(cls) if f.name in cfg}, **given)
 
 
 def cmd_train(args) -> int:
-    cfg = load_config(args.config) if args.config else default_config()
-    # flags win over the config file; a seed neither gives falls back to DTCF_SEED
-    for key in ("attention", "manifest", "steps", "seed", "batch_size", "crop"):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    cfg["seed"] = _seed_default(cfg["seed"])
-    if not cfg["manifest"]:
+    cfg = load_config(args.config) if args.config else {}
+    # a flag wins over the key it is named for; a seed neither gives falls back to DTCF_SEED
+    cfg.update((key, val) for key, val in vars(args).items() if key in SCHEMA and val is not None)
+    # the library's BackboneConfig builds a plain ResNet; the command trains the paper's model
+    cfg.setdefault("attention", "dtcf")
+    cfg["seed"] = _seed_default(cfg.get("seed"))
+    if not cfg.get("manifest"):
         raise ConfigError("a training manifest is required (config key 'manifest' "
                           "or flag --manifest)")
 
-    corpus = Corpus.load(cfg["manifest"], cfg["n_mels"])
-    model, head = build_model_and_head(_from_config(BackboneConfig, cfg), corpus.n_speakers,
-                                       cfg["scale"], cfg["margin"], cfg["seed"])
+    backbone = _from_config(BackboneConfig, cfg)
+    corpus = Corpus.load(cfg["manifest"], backbone.n_mels)
+    model, head = build_model_and_head(backbone, corpus.n_speakers, cfg["seed"],
+                                       **{k: cfg[k] for k in ("scale", "margin") if k in cfg})
     print(f"params={model.param_count()} attention={cfg['attention']} "
           f"speakers={corpus.n_speakers}")
 
@@ -181,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("train", help="train a speaker embedding model")
     s.add_argument("--config", default=None, help="key = value config file")
-    s.add_argument("--attention", choices=["none", "se", "dtcf"], default=None,
+    s.add_argument("--attention", choices=ATTENTION_KINDS, default=None,
                    help="per-block attention kind (overrides config)")
     s.add_argument("--manifest", default=None, help="training manifest CSV (overrides config)")
     s.add_argument("--steps", type=int, default=None, help="optimizer steps (overrides config)")
@@ -207,9 +207,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=cmd_eval)
 
     s = sub.add_parser("gradcheck", help="verify attention-block gradients at 64-bit")
-    s.add_argument("--attention", choices=["se", "dtcf"], required=True)
+    s.add_argument("--attention", choices=[k for k in ATTENTION_KINDS if k != "none"], required=True)
     s.add_argument("--shape", required=True, help="feature map shape CxTxF, e.g. 8x12x10")
-    s.add_argument("--reduction", type=int, default=8, help="bottleneck reduction r")
+    s.add_argument("--reduction", type=int, default=BackboneConfig.reduction,
+                   help="bottleneck reduction r")
     s.add_argument("--seed", type=int, default=None)
     # 1e-4 balances truncation against roundoff for block-sized sums
     s.add_argument("--eps", type=float, default=1e-4, help="finite-difference step")

@@ -1,64 +1,46 @@
-"""Flat ``key = value`` config files with exhaustive schema validation.
+"""Flat ``key = value`` config files whose keys are the fields of the objects they fill.
 
-Every training and model knob is addressable; unknown keys are rejected by
-name. Lines starting with ``#`` and blank lines are ignored.
+A config holds only the keys its file gives, so an omitted key keeps its
+object's default; unknown keys are rejected by name. Lines starting with ``#``
+and blank lines are ignored.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
 from pathlib import Path
 
+from .audio import AugmentConfig
 from .errors import ConfigError
+from .model import ATTENTION_KINDS, BackboneConfig
+from .train import TrainConfig, Triangular2Schedule
 
-__all__ = ["SCHEMA", "default_config", "load_config", "parse_config_text"]
+__all__ = ["SCHEMA", "load_config", "parse_config_text"]
 
 
 def _parse_int_tuple(v: str) -> tuple[int, ...]:
     return tuple(int(p) for p in v.replace(" ", "").split(",") if p)
 
 
-def _parse_choice(*options):
-    def parse(v: str) -> str:
-        if v not in options:
-            raise ValueError(f"must be one of {options}")
-        return v
-    return parse
+def _parse_attention(v: str) -> str:
+    if v not in ATTENTION_KINDS:
+        raise ValueError(f"must be one of {ATTENTION_KINDS}")
+    return v
 
 
-# key -> (parser, default, help)
-SCHEMA: dict[str, tuple] = {
-    "manifest":         (str, "", "training manifest CSV path"),
-    "attention":        (_parse_choice("none", "se", "dtcf"), "dtcf", "per-block attention kind"),
-    "reduction":        (int, 8, "attention bottleneck reduction factor r"),
-    "widths":           (_parse_int_tuple, (32, 64, 128, 256), "stage channel widths"),
-    "blocks":           (_parse_int_tuple, (3, 4, 6, 3), "residual blocks per stage"),
-    "emb_dim":          (int, 512, "embedding dimensionality"),
-    "asp_hidden":       (int, 128, "pooling attention hidden width"),
-    "n_mels":           (int, 80, "mel filterbank size"),
-    "batch_size":       (int, 32, "utterance crops per step"),
-    "steps":            (int, 2000, "optimizer steps"),
-    "crop":             (int, 200, "training crop length in frames"),
-    "weight_decay":     (float, 2e-5, "decoupled weight decay"),
-    "base_lr":          (float, 1e-8, "cyclical LR floor"),
-    "max_lr":           (float, 1e-3, "cyclical LR peak"),
-    "step_size":        (int, 500, "iterations per LR half-cycle"),
-    "scale":            (float, 30.0, "margin-softmax scale s"),
-    "margin":           (float, 0.2, "margin-softmax additive angle m"),
-    "seed":             (int, None, "global seed (unset: DTCF_SEED, then 0)"),
-    "checkpoint_every": (int, 500, "steps between checkpoints"),
-    "time_mask_max":    (int, 10, "max feature time-mask width (frames)"),
-    "freq_mask_max":    (int, 8, "max feature freq-mask width (bins)"),
-    "n_time_masks":     (int, 1, "time masks per crop"),
-    "n_freq_masks":     (int, 1, "freq masks per crop"),
-}
+# the objects a config fills, each with the fields no config key sets
+_FILLED = {BackboneConfig: ("strides",), TrainConfig: ("augment",), AugmentConfig: (),
+           Triangular2Schedule: ()}
 
-
-def default_config() -> dict:
-    return {key: default for key, (_, default, _) in SCHEMA.items()}
+# key -> parser: a field parses as the type of its default; the other keys are the
+# manifest path and the AAMHead's scale and margin
+SCHEMA: dict = {f.name: _parse_int_tuple if isinstance(f.default, tuple) else type(f.default)
+                for cls, skip in _FILLED.items() for f in fields(cls) if f.name not in skip}
+SCHEMA.update(manifest=str, scale=float, margin=float, attention=_parse_attention)
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
-    cfg = default_config()
+    cfg = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -68,9 +50,8 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
         key, _, value = (p.strip() for p in line.partition("="))
         if key not in SCHEMA:
             raise ConfigError(f"{source}:{lineno}: unknown config key '{key}'")
-        parser = SCHEMA[key][0]
         try:
-            cfg[key] = parser(value)
+            cfg[key] = SCHEMA[key](value)
         except ValueError as e:
             raise ConfigError(f"{source}:{lineno}: bad value for '{key}': {e}") from e
     return cfg

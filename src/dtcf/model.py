@@ -99,8 +99,6 @@ class ResidualBlock:
             skip = self.down_bn.forward(self.down_conv.forward(x), training)
         else:
             skip = x
-        if main.shape != skip.shape:
-            raise ShapeError(f"main path {main.shape} does not match skip {skip.shape}")
         return (main + skip).relu()
 
     def modules(self):
@@ -127,15 +125,12 @@ class ASPHead:
 
     def __init__(self, in_dim: int, hidden: int = 128, *, rng: np.random.Generator,
                  dtype=np.float32):
-        self.in_dim = in_dim
         self.w = xavier_uniform(rng, (hidden, in_dim), in_dim, hidden, dtype)
         self.b = Tensor(np.zeros(hidden, dtype=dtype), requires_grad=True)
         self.v = xavier_uniform(rng, (hidden, 1), hidden, 1, dtype)
 
     def _frames(self, fmap: Tensor) -> Tensor:
         b, c, t, f = fmap.shape
-        if c * f != self.in_dim:
-            raise ShapeError(f"pooling expects {self.in_dim} dims per frame, got {c * f}")
         return reshape(transpose(fmap, (0, 2, 1, 3)), (b, t, c * f))
 
     def _weights(self, h: Tensor) -> Tensor:

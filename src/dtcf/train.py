@@ -172,11 +172,10 @@ def save_training_state(path, model: SpeakerModel, head: AAMHead, opt: AdamState
                     {"step": opt.step, **(extra or {})})
 
 
-def build_model_and_head(backbone: BackboneConfig, n_classes: int, scale: float = 30.0,
-                         margin: float = 0.2, seed: int = 0):
+def build_model_and_head(backbone: BackboneConfig, n_classes: int, seed: int = 0, **head):
+    """The model, seeded by ``seed``, and its AAMHead, seeded by ``seed + 1`` and given ``head``."""
     model = SpeakerModel(backbone, seed=seed)
-    head = AAMHead(n_classes, backbone.emb_dim, scale=scale, margin=margin,
-                   rng=np.random.default_rng(seed + 1))
+    head = AAMHead(n_classes, backbone.emb_dim, **head, rng=np.random.default_rng(seed + 1))
     return model, head
 
 
@@ -248,14 +247,9 @@ def train(model: SpeakerModel, head: AAMHead, corpus: Corpus, cfg: TrainConfig,
 
     With ``resume_from`` the model/head/optimizer/rng are restored and the
     loop continues from the saved step to ``cfg.steps``, reproducing the
-    un-resumed trajectory exactly.
+    un-resumed trajectory exactly. A checkpoint at or past ``cfg.steps`` is
+    refused before anything is written.
     """
-    out_dir = Path(out_dir) if out_dir is not None else None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    ckpt_path = out_dir / "checkpoint.bin" if out_dir is not None else None
-    log_path = out_dir / "train_log.csv" if out_dir is not None else None
-
     named = _named_params(model, head)
     params = [p for _, p in named]
     rng = np.random.default_rng(cfg.seed)
@@ -275,10 +269,20 @@ def train(model: SpeakerModel, head: AAMHead, corpus: Corpus, cfg: TrainConfig,
             if key not in extra:
                 raise CheckpointError(f"{resume_from}: no training-loop state "
                                       f"(missing '{key}'); cannot resume from it")
+        saved_step = int(extra.get("step", 0))
+        if cfg.steps <= saved_step:
+            raise ConfigError(f"{resume_from}: checkpoint is at step {saved_step}, "
+                              f"so steps {cfg.steps} leaves none to run")
         _restore_state(model, head, opt, tensors, extra, resume_from)
         rng.bit_generator.state = extra["rng_state"]
         order = np.array(extra["order"])
         cursor = int(extra["cursor"])
+
+    out_dir = Path(out_dir) if out_dir is not None else None
+    if out_dir is not None:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    ckpt_path = out_dir / "checkpoint.bin" if out_dir is not None else None
+    log_path = out_dir / "train_log.csv" if out_dir is not None else None
 
     def snapshot(path):
         save_training_state(path, model, head, opt, extra={

@@ -16,7 +16,8 @@ from dtcf.loss import AAMHead
 from dtcf.metrics import compute_eer, compute_min_dcf, read_embeddings
 from dtcf.model import BackboneConfig, SpeakerModel
 from dtcf.synth import read_manifest, read_trials
-from dtcf.train import AdamState, _named_params, save_training_state
+from dtcf.train import (AdamState, TrainConfig, TrainReport, Triangular2Schedule,
+                        _named_params, save_training_state)
 
 
 def sha(path):
@@ -192,6 +193,37 @@ class TestTrain:
         assert "divergence guard" in capsys.readouterr().err
         assert not (tmp_path / "o6" / "checkpoint.bin").exists()
 
+    def test_resume_with_no_steps_left_exit_2(self, trained, tmp_path, capsys, tiny_config):
+        run = tmp_path / "run"
+        run.mkdir()
+        for name in ("checkpoint.bin", "train_log.csv"):
+            (run / name).write_bytes((trained / name).read_bytes())
+        before = {name: sha(run / name) for name in ("checkpoint.bin", "train_log.csv")}
+        assert main(["train", "--config", str(tiny_config), "--attention", "dtcf",
+                     "--steps", "3", "--resume", str(run / "checkpoint.bin"),
+                     "--out", str(run)]) == 2
+        err = capsys.readouterr().err
+        assert "step 3" in err and "steps 3" in err
+        assert {name: sha(run / name) for name in before} == before
+
+    def test_omitted_keys_take_object_defaults(self, corpus_dir, tmp_path, monkeypatch):
+        built = {}
+
+        def fake_train(model, head, corpus, cfg, sched, **_):
+            built.update(model=model, head=head, cfg=cfg, sched=sched)
+            return TrainReport(0, 0.0, [], None, None)
+
+        monkeypatch.setattr(cli, "train", fake_train)
+        monkeypatch.delenv("DTCF_SEED", raising=False)
+        cfg = tmp_path / "manifest_only.cfg"
+        cfg.write_text(f"manifest = {corpus_dir / 'train.csv'}\n")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        # dtcf train sets only the attention kind and the seed itself
+        assert built["model"].config == BackboneConfig(attention="dtcf")
+        assert built["cfg"] == TrainConfig(seed=0)
+        assert built["sched"] == Triangular2Schedule()
+        assert (built["head"].scale, built["head"].margin) == (30.0, 0.2)
+
     @pytest.mark.parametrize("key", ["time_mask_max", "freq_mask_max",
                                      "n_time_masks", "n_freq_masks"])
     def test_negative_augment_value_exit_2(self, tiny_config, tmp_path, capsys, key):
@@ -205,6 +237,20 @@ class TestTrain:
 # checkpoint of the tiny config trained with seed 0, the seed a run gets when neither
 # --seed, the config file nor DTCF_SEED gives one
 SEED_0_CHECKPOINT = "c0a38367d69bbcf680f7d0f87ab561605f8b9875b4ac0e326070e2dc1865832a"
+# the trained fixture's embeddings of the full manifest, and its eval line on the trial list
+TRAINED_EXTRACT = "62e98db6dfa705b80d62ed31cdb72422f8848639c1a41cb056b02ccd719aaf09"
+TRAINED_EVAL_LINE = "6323335c3c2f3be6bd55b087fdd74cb046a6d61a7fc8184d25d7b04e5bd3694c"
+
+
+def test_trained_extract_and_eval_are_pinned(trained, corpus_dir, tmp_path, capsys):
+    emb = tmp_path / "emb.csv"
+    assert main(["extract", "--ckpt", str(trained / "checkpoint.bin"),
+                 "--manifest", str(corpus_dir / "manifest.csv"), "--out", str(emb)]) == 0
+    assert sha(emb) == TRAINED_EXTRACT
+    capsys.readouterr()
+    assert main(["eval", "--emb", str(emb), "--trials", str(corpus_dir / "trials.txt")]) == 0
+    line = capsys.readouterr().out.strip().splitlines()[-1]
+    assert hashlib.sha256(line.encode()).hexdigest() == TRAINED_EVAL_LINE
 
 
 class TestTrainSeed:

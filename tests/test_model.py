@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import dtcf.tensor as dt
-from dtcf.attention import param_count
+from dtcf.attention import DTCFBlock, SEBlock, param_count
 from dtcf.errors import ConfigError, ShapeError
 from dtcf.model import ASPHead, BackboneConfig, ResidualBlock, SpeakerModel
 from dtcf.tensor import Tensor, grad_check
@@ -196,3 +196,15 @@ class TestSpeakerModel:
         feats = t64(rng(27).normal(size=(10, 80)))
         err = grad_check(lambda v: m.forward(v, training=False).sum(), feats)
         assert err < 1e-4
+
+
+@pytest.mark.parametrize("call", [
+    lambda: SEBlock(8, 2, rng=rng(0)).mask(Tensor(np.ones((2, 6)))),
+    lambda: DTCFBlock(8, 2, rng=rng(0)).encode(Tensor(np.ones((2, 6, 5))),
+                                               Tensor(np.ones((2, 6, 7)))),
+    lambda: ASPHead(8 * 5, 4, rng=rng(0)).forward(Tensor(np.ones((2, 8, 7, 4)))),
+], ids=["se_mask", "dtcf_encode", "asp_forward"])
+def test_wrong_channel_count_raises(call):
+    # each block leaves this check to its first matmul over channels
+    with pytest.raises(ShapeError):
+        call()

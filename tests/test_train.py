@@ -11,7 +11,8 @@ import pytest
 import dtcf.tensor as dt
 from dtcf.audio import AugmentConfig
 from dtcf.checkpoint import MAGIC, load_checkpoint, save_checkpoint
-from dtcf.config import SCHEMA, default_config, parse_config_text
+from dtcf.cli import _from_config
+from dtcf.config import SCHEMA, parse_config_text
 from dtcf.errors import CheckpointError, ConfigError, DivergenceError
 from dtcf.loss import AAMHead
 from dtcf.model import BackboneConfig, SpeakerModel
@@ -354,9 +355,13 @@ class TestTrainLoop:
 
 class TestConfigFile:
     def test_defaults(self):
-        cfg = default_config()
-        assert cfg["weight_decay"] == 2e-5
-        assert cfg["base_lr"] == 1e-8 and cfg["max_lr"] == 1e-3
+        # a key the file omits is not in the config, so the object keeps its own default
+        cfg = parse_config_text("steps = 7\n")
+        assert cfg == {"steps": 7}
+        train_cfg = _from_config(TrainConfig, cfg, augment=AugmentConfig())
+        sched = _from_config(Triangular2Schedule, cfg)
+        assert train_cfg.steps == 7 and train_cfg.weight_decay == 2e-5
+        assert sched.base_lr == 1e-8 and sched.max_lr == 1e-3
 
     def test_parse_and_override(self):
         cfg = parse_config_text("steps = 7\nattention = se\nwidths = 4,8,16,32\n# c\n")
@@ -383,3 +388,15 @@ class TestConfigFile:
             for f in fields(cls):
                 if f.name not in unfilled.get(cls, ()):
                     assert f.name in SCHEMA, f"{cls.__name__}.{f.name}"
+
+    @pytest.mark.parametrize("cls", [BackboneConfig, TrainConfig, AugmentConfig,
+                                     Triangular2Schedule])
+    def test_each_key_parses_its_default_back(self, cls):
+        # a key parses as the type of its field's default, so the text of that
+        # default must parse back to it; tuples are written a,b,c
+        for f in fields(cls):
+            if f.name in SCHEMA:
+                d = f.default
+                text = ",".join(map(str, d)) if isinstance(d, tuple) else str(d)
+                parsed = SCHEMA[f.name](text)
+                assert parsed == d and type(parsed) is type(d), f"{cls.__name__}.{f.name}"
