@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .layers import xavier_uniform
+from .layers import Module, xavier_uniform
 from .tensor import Tensor, concat, matmul, mean_axis, reshape, split, transpose, unbatched
 
 __all__ = ["SEBlock", "DTCFBlock", "reduced_channels", "param_count"]
@@ -44,14 +44,14 @@ def _per_column(w: Tensor, u: Tensor) -> Tensor:
     return transpose(reshape(out, (w.shape[0], b, p)), (1, 0, 2))
 
 
-class SEBlock:
+class SEBlock(Module):
     """Squeeze-and-excitation: global-average squeeze, two bias-free FC layers, sigmoid gate."""
 
-    def __init__(self, channels: int, reduction: int = 8, *, rng: np.random.Generator,
+    def __init__(self, channels: int, reduction: int, *, rng: np.random.Generator,
                  dtype=np.float32):
         c_red = reduced_channels(channels, reduction)
-        self.w1 = xavier_uniform(rng, (c_red, channels), channels, c_red, dtype)
-        self.w2 = xavier_uniform(rng, (channels, c_red), c_red, channels, dtype)
+        self.w1 = xavier_uniform(rng, (c_red, channels), dtype)
+        self.w2 = xavier_uniform(rng, (channels, c_red), dtype)
 
     @unbatched(3)
     def squeeze(self, x: Tensor) -> Tensor:
@@ -72,11 +72,8 @@ class SEBlock:
         m = self.mask(self.squeeze(x))
         return x * reshape(m, m.shape + (1, 1))
 
-    def params(self):
-        return [("w1", self.w1), ("w2", self.w2)]
 
-
-class DTCFBlock:
+class DTCFBlock(Module):
     """Duality temporal-channel-frequency attention.
 
     W1 is the shared bias-free bottleneck encoder; W2 produces the time-conditioned
@@ -86,12 +83,12 @@ class DTCFBlock:
     W2 the remaining T.
     """
 
-    def __init__(self, channels: int, reduction: int = 8, *, rng: np.random.Generator,
+    def __init__(self, channels: int, reduction: int, *, rng: np.random.Generator,
                  dtype=np.float32):
         c_red = reduced_channels(channels, reduction)
-        self.w1 = xavier_uniform(rng, (c_red, channels), channels, c_red, dtype)
-        self.w2 = xavier_uniform(rng, (channels, c_red), c_red, channels, dtype)
-        self.w3 = xavier_uniform(rng, (channels, c_red), c_red, channels, dtype)
+        self.w1 = xavier_uniform(rng, (c_red, channels), dtype)
+        self.w2 = xavier_uniform(rng, (channels, c_red), dtype)
+        self.w3 = xavier_uniform(rng, (channels, c_red), dtype)
 
     @unbatched(3)
     def pool(self, x: Tensor) -> tuple[Tensor, Tensor]:
@@ -122,9 +119,6 @@ class DTCFBlock:
         b, c, t, f = x.shape
         mct, mcf = self.masks(self.encode(*self.pool(x)), f)
         return x * reshape(mct, (b, c, t, 1)) * reshape(mcf, (b, c, 1, f))
-
-    def params(self):
-        return [("w1", self.w1), ("w2", self.w2), ("w3", self.w3)]
 
 
 def param_count(block: SEBlock | DTCFBlock) -> int:

@@ -23,14 +23,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .attention import DTCFBlock, SEBlock
 from .audio import AugmentConfig, fbank, read_wav
 from .config import SCHEMA, load_config
 from .errors import (CheckpointError, ConfigError, DataError, DivergenceError,
                      DomainError, GradCheckError, ShapeError)
 from .metrics import (DCFParams, compute_eer, compute_min_dcf, export_embeddings,
                       read_embeddings, score_trials, write_scores)
-from .model import ATTENTION_KINDS, BackboneConfig
+from .model import ATTENTION_BLOCKS, ATTENTION_KINDS, BackboneConfig
 from .synth import read_manifest, read_trials, synth_corpus
 from .tensor import Tensor, grad_check, inject_backward_fault
 from .train import (Corpus, TrainConfig, Triangular2Schedule, build_model_and_head,
@@ -138,8 +137,7 @@ def cmd_gradcheck(args) -> int:
     seed = _seed_default(args.seed)
     rng = np.random.default_rng(seed)
     kind = args.attention
-    block = (SEBlock if kind == "se" else DTCFBlock)(
-        c, args.reduction, rng=rng, dtype=np.float64)
+    block = ATTENTION_BLOCKS[kind](c, args.reduction, rng=rng, dtype=np.float64)
     x = Tensor(rng.normal(size=(c, t, f)))
 
     def scalar(_ignored):
@@ -207,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=cmd_eval)
 
     s = sub.add_parser("gradcheck", help="verify attention-block gradients at 64-bit")
-    s.add_argument("--attention", choices=[k for k in ATTENTION_KINDS if k != "none"], required=True)
+    s.add_argument("--attention", choices=list(ATTENTION_BLOCKS), required=True)
     s.add_argument("--shape", required=True, help="feature map shape CxTxF, e.g. 8x12x10")
     s.add_argument("--reduction", type=int, default=BackboneConfig.reduction,
                    help="bottleneck reduction r")

@@ -2,7 +2,8 @@
 
 Initialisation scheme (deterministic given the supplied Generator):
 conv kernels He-uniform, batchnorm gamma=1 beta=0, linear weights
-Xavier-uniform with zero bias.
+Xavier-uniform with zero bias. Fans come from the weight's shape: fan-in is
+the product of every axis after the first, and fan-out the first axis.
 """
 
 from __future__ import annotations
@@ -12,21 +13,43 @@ import numpy as np
 from .errors import ConfigError
 from .tensor import Tensor, _node, conv2d, matmul, transpose, unbatched
 
-__all__ = ["Conv2dLayer", "BatchNorm2d", "LinearLayer", "he_uniform", "xavier_uniform"]
+__all__ = ["Module", "Conv2dLayer", "BatchNorm2d", "LinearLayer", "he_uniform", "xavier_uniform"]
 
 
-def he_uniform(rng: np.random.Generator, shape, fan_in: int, dtype=np.float32) -> Tensor:
-    limit = np.sqrt(6.0 / fan_in)
+def he_uniform(rng: np.random.Generator, shape, dtype=np.float32) -> Tensor:
+    limit = np.sqrt(6.0 / np.prod(shape[1:]))
     return Tensor(rng.uniform(-limit, limit, shape).astype(dtype), requires_grad=True)
 
 
-def xavier_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int,
-                   dtype=np.float32) -> Tensor:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
+def xavier_uniform(rng: np.random.Generator, shape, dtype=np.float32) -> Tensor:
+    limit = np.sqrt(6.0 / (shape[0] + shape[1]))
     return Tensor(rng.uniform(-limit, limit, shape).astype(dtype), requires_grad=True)
 
 
-class Conv2dLayer:
+class Module:
+    """A layer whose parameters, buffers and sublayers are the attributes its constructor assigns.
+
+    ``params()`` lists the ``Tensor`` attributes, ``buffers()`` the
+    ``np.ndarray`` attributes and ``modules()`` the ``Module`` attributes, each
+    as ``(name, value)`` in assignment order. So every Tensor attribute of a
+    layer is trained and checkpointed, and every array attribute is
+    checkpointed: a derived cache must be held as neither.
+    """
+
+    def _attributes(self, kind) -> list:
+        return [(name, value) for name, value in vars(self).items() if isinstance(value, kind)]
+
+    def params(self) -> list[tuple[str, Tensor]]:
+        return self._attributes(Tensor)
+
+    def buffers(self) -> list[tuple[str, np.ndarray]]:
+        return self._attributes(np.ndarray)
+
+    def modules(self) -> list[tuple[str, Module]]:
+        return self._attributes(Module)
+
+
+class Conv2dLayer(Module):
     """2-D convolution without bias (a batchnorm always follows), padded by kernel // 2."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel=(3, 3), stride=(1, 1), *,
@@ -36,18 +59,14 @@ class Conv2dLayer:
             raise ConfigError("kernel dims and channel counts must be positive")
         self.stride = tuple(stride)
         self.padding = (kh // 2, kw // 2)
-        self.kernels = he_uniform(rng, (out_channels, in_channels, kh, kw),
-                                  fan_in=in_channels * kh * kw, dtype=dtype)
+        self.kernels = he_uniform(rng, (out_channels, in_channels, kh, kw), dtype)
 
     @unbatched(3)
     def forward(self, x: Tensor) -> Tensor:
         return conv2d(x, self.kernels, self.stride, self.padding)
 
-    def params(self):
-        return [("kernels", self.kernels)]
 
-
-class BatchNorm2d:
+class BatchNorm2d(Module):
     """Per-channel batch normalisation over (batch, time, freq).
 
     Train mode requires at least two batch elements and updates the running
@@ -82,12 +101,6 @@ class BatchNorm2d:
         m = self.momentum
         self.running_mean = ((1 - m) * self.running_mean + m * mu.reshape(-1)).astype(self.running_mean.dtype)
         self.running_var = ((1 - m) * self.running_var + m * var_u).astype(self.running_var.dtype)
-
-    def params(self):
-        return [("gamma", self.gamma), ("beta", self.beta)]
-
-    def buffers(self):
-        return [("running_mean", self.running_mean), ("running_var", self.running_var)]
 
 
 def _bn_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float):
@@ -125,18 +138,14 @@ def _bn_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float):
     return _node(out, (x, gamma, beta), bwd), mu, var
 
 
-class LinearLayer:
+class LinearLayer(Module):
     """Fully connected layer: weight (out, in) plus bias."""
 
     def __init__(self, in_features: int, out_features: int, *, rng: np.random.Generator,
                  dtype=np.float32):
-        self.weight = xavier_uniform(rng, (out_features, in_features),
-                                     fan_in=in_features, fan_out=out_features, dtype=dtype)
+        self.weight = xavier_uniform(rng, (out_features, in_features), dtype)
         self.bias = Tensor(np.zeros(out_features, dtype=dtype), requires_grad=True)
 
     @unbatched(1)
     def forward(self, x: Tensor) -> Tensor:
         return matmul(x, transpose(self.weight, (1, 0))) + self.bias.reshape(1, -1)
-
-    def params(self):
-        return [("weight", self.weight), ("bias", self.bias)]

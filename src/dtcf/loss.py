@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError
-from .layers import xavier_uniform
+from .layers import Module, xavier_uniform
 from .tensor import Tensor, matmul, sum_axis, transpose
 
 __all__ = ["AAMHead", "ce_loss_batch"]
@@ -22,10 +22,10 @@ __all__ = ["AAMHead", "ce_loss_batch"]
 _SIN_EPS = 1e-12  # keeps d/dcos sqrt(1-cos^2) finite at exact parallelism
 
 
-class AAMHead:
+class AAMHead(Module):
     """Speaker classification head with scaled-cosine margin logits."""
 
-    def __init__(self, n_classes: int, emb_dim: int = 512, scale: float = 30.0,
+    def __init__(self, n_classes: int, emb_dim: int, scale: float = 30.0,
                  margin: float = 0.2, *, rng: np.random.Generator, dtype=np.float32):
         if n_classes < 2:
             raise ConfigError("need at least two classes")
@@ -34,7 +34,7 @@ class AAMHead:
         self.scale = scale
         self.margin = margin
         self.n_classes = n_classes
-        self.weights = xavier_uniform(rng, (n_classes, emb_dim), emb_dim, n_classes, dtype)
+        self.weights = xavier_uniform(rng, (n_classes, emb_dim), dtype)
 
     def logits_batch(self, emb: Tensor, labels: np.ndarray) -> Tensor:
         """(B, D) embeddings + integer labels -> (B, K) margin logits."""
@@ -61,9 +61,6 @@ class AAMHead:
         feasible = Tensor((cos_t.data >= -math.cos(self.margin)).astype(emb.data.dtype))
         target = phi * feasible + (feasible - 1.0)
         return (cos + hot * (target - cos_t)) * self.scale
-
-    def params(self):
-        return [("weights", self.weights)]
 
 
 def ce_loss_batch(logits: Tensor, labels: np.ndarray) -> Tensor:

@@ -22,12 +22,13 @@ import numpy as np
 
 from .attention import DTCFBlock, SEBlock
 from .errors import ConfigError, ShapeError
-from .layers import BatchNorm2d, Conv2dLayer, LinearLayer, xavier_uniform
+from .layers import BatchNorm2d, Conv2dLayer, LinearLayer, Module, xavier_uniform
 from .tensor import Tensor, concat, matmul, no_grad, reshape, sum_axis, transpose, unbatched
 
 __all__ = ["BackboneConfig", "ResidualBlock", "ASPHead", "SpeakerModel"]
 
-ATTENTION_KINDS = ("none", "se", "dtcf")
+ATTENTION_BLOCKS = {"se": SEBlock, "dtcf": DTCFBlock}
+ATTENTION_KINDS = ("none", *ATTENTION_BLOCKS)
 
 
 @dataclass(frozen=True)
@@ -68,12 +69,11 @@ def _tuples(value):
     return value
 
 
-class ResidualBlock:
+class ResidualBlock(Module):
     """conv-bn-relu-conv-bn, attention gate, then skip addition and relu."""
 
-    def __init__(self, in_channels: int, out_channels: int, stride=(1, 1),
-                 attention: str = "none", reduction: int = 8, *,
-                 rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, in_channels: int, out_channels: int, stride=(1, 1), *,
+                 attention: str, reduction: int, rng: np.random.Generator, dtype=np.float32):
         self.conv1 = Conv2dLayer(in_channels, out_channels, stride=stride, rng=rng, dtype=dtype)
         self.bn1 = BatchNorm2d(out_channels, dtype=dtype)
         self.conv2 = Conv2dLayer(out_channels, out_channels, rng=rng, dtype=dtype)
@@ -87,8 +87,7 @@ class ResidualBlock:
             self.down_bn = None
         self.attn = None
         if attention != "none":
-            self.attn = (SEBlock if attention == "se" else DTCFBlock)(
-                out_channels, reduction, rng=rng, dtype=dtype)
+            self.attn = ATTENTION_BLOCKS[attention](out_channels, reduction, rng=rng, dtype=dtype)
 
     def forward(self, x: Tensor, training: bool = False) -> Tensor:
         main = self.bn1.forward(self.conv1.forward(x), training).relu()
@@ -101,19 +100,8 @@ class ResidualBlock:
             skip = x
         return (main + skip).relu()
 
-    def modules(self):
-        yield "conv1", self.conv1
-        yield "bn1", self.bn1
-        yield "conv2", self.conv2
-        yield "bn2", self.bn2
-        if self.down_conv is not None:
-            yield "down_conv", self.down_conv
-            yield "down_bn", self.down_bn
-        if self.attn is not None:
-            yield "attn", self.attn
 
-
-class ASPHead:
+class ASPHead(Module):
     """Attentive statistics pooling over frames.
 
     Each frame is the flattened channel x frequency vector h_t. Frame weights
@@ -123,11 +111,11 @@ class ASPHead:
 
     eps = 1e-9   # keeps the standard deviation's gradient finite at zero spread
 
-    def __init__(self, in_dim: int, hidden: int = 128, *, rng: np.random.Generator,
+    def __init__(self, in_dim: int, hidden: int, *, rng: np.random.Generator,
                  dtype=np.float32):
-        self.w = xavier_uniform(rng, (hidden, in_dim), in_dim, hidden, dtype)
+        self.w = xavier_uniform(rng, (hidden, in_dim), dtype)
         self.b = Tensor(np.zeros(hidden, dtype=dtype), requires_grad=True)
-        self.v = xavier_uniform(rng, (hidden, 1), hidden, 1, dtype)
+        self.v = xavier_uniform(rng, (hidden, 1), dtype)
 
     def _frames(self, fmap: Tensor) -> Tensor:
         b, c, t, f = fmap.shape
@@ -158,9 +146,6 @@ class ASPHead:
         """Softmax weight of every frame, (B, T); one (C, T, F) map gives (1, T)."""
         with no_grad():
             return self._weights(self._frames(fmap)).data
-
-    def params(self):
-        return [("w", self.w), ("b", self.b), ("v", self.v)]
 
 
 class SpeakerModel:
@@ -241,25 +226,17 @@ class SpeakerModel:
         yield "emb", self.emb
 
     def named_params(self) -> list[tuple[str, Tensor]]:
-        out = []
-        for prefix, mod in self._modules():
-            for name, t in mod.params():
-                out.append((f"{prefix}.{name}", t))
-        return out
+        return [(f"{prefix}.{name}", t) for prefix, mod in self._modules()
+                for name, t in mod.params()]
 
     def named_buffers(self) -> list[tuple[str, np.ndarray]]:
-        out = []
-        for prefix, mod in self._modules():
-            if isinstance(mod, BatchNorm2d):
-                for name, arr in mod.buffers():
-                    out.append((f"{prefix}.{name}", arr))
-        return out
+        return [(f"{prefix}.{name}", arr) for prefix, mod in self._modules()
+                for name, arr in mod.buffers()]
 
     def load_buffers(self, values: dict[str, np.ndarray]) -> None:
         for prefix, mod in self._modules():
-            if isinstance(mod, BatchNorm2d):
-                mod.running_mean = values[f"{prefix}.running_mean"].copy()
-                mod.running_var = values[f"{prefix}.running_var"].copy()
+            for name, _ in mod.buffers():
+                setattr(mod, name, values[f"{prefix}.{name}"].copy())
 
     def param_count(self) -> int:
         return sum(int(np.prod(t.shape)) for _, t in self.named_params())

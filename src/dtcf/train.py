@@ -109,7 +109,7 @@ class TrainConfig:
 class Corpus:
     """Manifest-backed training corpus with cached ``n_mels``-bin fbank features."""
 
-    def __init__(self, rows: list[tuple[str, str, Path]], n_mels: int = 80):
+    def __init__(self, rows: list[tuple[str, str, Path]], n_mels: int):
         self.rows = rows
         self.speakers = sorted({spk for _, spk, _ in rows})
         counts = {s: 0 for s in self.speakers}
@@ -247,8 +247,9 @@ def train(model: SpeakerModel, head: AAMHead, corpus: Corpus, cfg: TrainConfig,
 
     With ``resume_from`` the model/head/optimizer/rng are restored and the
     loop continues from the saved step to ``cfg.steps``, reproducing the
-    un-resumed trajectory exactly. A checkpoint at or past ``cfg.steps`` is
-    refused before anything is written.
+    un-resumed trajectory exactly. A checkpoint at or past ``cfg.steps``, or
+    from a corpus with other speakers or another utterance count, is refused
+    before anything is written.
     """
     named = _named_params(model, head)
     params = [p for _, p in named]
@@ -265,10 +266,15 @@ def train(model: SpeakerModel, head: AAMHead, corpus: Corpus, cfg: TrainConfig,
             if saved != getattr(head, name):
                 raise CheckpointError(f"{resume_from}: checkpoint head {name} {saved!r} "
                                       f"does not match {getattr(head, name)!r}")
-        for key in ("rng_state", "order", "cursor"):
+        for key in ("rng_state", "order", "cursor", "speakers"):
             if key not in extra:
                 raise CheckpointError(f"{resume_from}: no training-loop state "
                                       f"(missing '{key}'); cannot resume from it")
+        if extra["speakers"] != corpus.speakers or len(extra["order"]) != len(corpus):
+            raise CheckpointError(
+                f"{resume_from}: checkpoint corpus ({len(extra['speakers'])} speakers, "
+                f"{len(extra['order'])} utterances) does not match this corpus "
+                f"({corpus.n_speakers} speakers, {len(corpus)} utterances)")
         saved_step = int(extra.get("step", 0))
         if cfg.steps <= saved_step:
             raise ConfigError(f"{resume_from}: checkpoint is at step {saved_step}, "

@@ -194,6 +194,7 @@ def overfit_run(overfit_corpus, tmp_path_factory):
                 out_dir=out_dir, train_seconds=elapsed, train_cfg=cfg, sched=sched)
 
 
+@pytest.mark.slow
 def test_criterion_8_end_to_end_overfit(overfit_run, overfit_corpus):
     with criterion(8, "DTCF overfit: acc >= 99%, held-out EER <= 5%, < 15 min; "
                       "SE also converges"):
@@ -227,6 +228,7 @@ def test_criterion_8_end_to_end_overfit(overfit_run, overfit_corpus):
               f"times={overfit_run['train_seconds']:.0f}s/{se_seconds:.0f}s]")
 
 
+@pytest.mark.slow
 def test_criterion_9_determinism_and_persistence(overfit_run, overfit_corpus,
                                                  tmp_path_factory):
     with criterion(9, "bit-exact checkpoint round trip and identical seeded logs"):

@@ -151,6 +151,17 @@ class TestTrain:
                      "--out", str(tmp_path / "o3")]) == 3
         assert "rng_state" in capsys.readouterr().err
 
+    def test_resume_from_smaller_corpus_exit_3(self, tiny_config, corpus_dir, tmp_path,
+                                               capsys):
+        # the checkpoint saw all 12 utterances; train.csv holds 6 of them, of the same speakers
+        assert main(["train", "--config", str(tiny_config), "--steps", "1", "--manifest",
+                     str(corpus_dir / "manifest.csv"), "--out", str(tmp_path / "all")]) == 0
+        assert main(["train", "--config", str(tiny_config), "--resume",
+                     str(tmp_path / "all" / "checkpoint.bin"), "--out", str(tmp_path / "o5")]) == 3
+        err = capsys.readouterr().err
+        assert "(3 speakers, 12 utterances)" in err and "(3 speakers, 6 utterances)" in err
+        assert not (tmp_path / "o5").exists()
+
     def test_resume_header_config_without_model_exit_3(self, tiny_config, trained,
                                                        tmp_path, capsys):
         for missing, path in incomplete_checkpoints(trained, tmp_path):

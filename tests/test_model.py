@@ -22,7 +22,7 @@ def t64(arr):
 
 class TestResidualBlock:
     def test_zero_convs_identity_skip_gives_relu(self):
-        blk = ResidualBlock(4, 4, rng=rng(1), dtype=np.float64)
+        blk = ResidualBlock(4, 4, attention="none", reduction=8, rng=rng(1), dtype=np.float64)
         blk.conv1.kernels.data[:] = 0.0
         blk.conv2.kernels.data[:] = 0.0
         x = rng(2).normal(size=(4, 6, 5))
@@ -30,10 +30,10 @@ class TestResidualBlock:
         np.testing.assert_allclose(out, np.maximum(x, 0), atol=1e-12)
 
     def test_strided_shapes(self):
-        blk = ResidualBlock(4, 8, stride=(2, 2), rng=rng(3))
+        blk = ResidualBlock(4, 8, stride=(2, 2), attention="none", reduction=8, rng=rng(3))
         out = blk.forward(dt.tensor(rng(4).normal(size=(4, 10, 8))), training=False)
         assert out.shape == (8, 5, 4)
-        blk2 = ResidualBlock(4, 8, stride=(1, 2), rng=rng(5))
+        blk2 = ResidualBlock(4, 8, stride=(1, 2), attention="none", reduction=8, rng=rng(5))
         out2 = blk2.forward(dt.tensor(rng(6).normal(size=(4, 10, 8))), training=False)
         assert out2.shape == (8, 10, 4)
 

@@ -1,5 +1,6 @@
 """Scheduler, optimizer, checkpointing, and deterministic-loop tests."""
 
+import hashlib
 import json
 import math
 import tracemalloc
@@ -15,11 +16,11 @@ from dtcf.cli import _from_config
 from dtcf.config import SCHEMA, parse_config_text
 from dtcf.errors import CheckpointError, ConfigError, DivergenceError
 from dtcf.loss import AAMHead
-from dtcf.model import BackboneConfig, SpeakerModel
+from dtcf.model import ATTENTION_KINDS, BackboneConfig, SpeakerModel
 from dtcf.synth import synth_corpus
 from dtcf.train import (AdamState, Corpus, TrainConfig, Triangular2Schedule,
-                        _state_tensors, adam_step, load_training_state, lr_at,
-                        save_training_state, train)
+                        _named_params, _state_tensors, adam_step, build_model_and_head,
+                        load_training_state, lr_at, save_training_state, train)
 
 TINY = dict(widths=(2, 4, 8, 16), blocks=(1, 1, 1, 1))
 
@@ -205,7 +206,6 @@ class TestCheckpointContainer:
 class TestTrainingStateRoundTrip:
     def test_embeddings_identical_after_reload(self, small_corpus, tmp_path):
         model, head = tiny_setup(small_corpus)
-        from dtcf.train import _named_params
         opt = AdamState(_named_params(model, head))
         path = tmp_path / "state.bin"
         feats = rng(4).normal(size=(40, 80)).astype(np.float32)
@@ -254,11 +254,27 @@ class TestTrainingStateRoundTrip:
         assert BackboneConfig.from_dict(json.loads(text)["backbone"]) == backbone
 
 
+    @pytest.mark.parametrize("kind", ATTENTION_KINDS)
+    def test_state_layout_pinned(self, kind):
+        model, head = build_model_and_head(BackboneConfig(widths=(4, 8, 16, 32),
+                                                          attention=kind), 3)
+        state = _state_tensors(model, head, AdamState(_named_params(model, head)))
+        layout = [(name, str(arr.dtype), list(arr.shape)) for name, arr in state.items()]
+        assert hashlib.sha256(json.dumps(layout).encode()).hexdigest() == STATE_LAYOUT[kind]
+
+
 # the header config written for the model above; a change here changes the file format
 GOLDEN_HEADER_CONFIG = (
     '{"backbone":{"asp_hidden":5,"attention":"se","blocks":[1,2,1,1],"emb_dim":16,'
     '"n_mels":40,"reduction":3,"strides":[[1,1],[2,1],[1,2],[2,2]],"widths":[3,6,12,24]},'
     '"head":{"margin":0.25,"n_classes":7,"scale":16.0}}')
+# sha256 of the JSON list of (name, dtype, shape) in _state_tensors, for widths 4,8,16,32 at
+# the default depth and 3 speakers; a change here renames or reorders checkpoint entries
+STATE_LAYOUT = {
+    "none": "fb3199e0b4144647dcd15d3c7898bf93086827c2e8b5b8e0a420f2a3ad788b74",
+    "se": "3dd5b38d0b24e8000547f7594edb5e7368eae915ca80b8f62bec040b6cbb1070",
+    "dtcf": "da5f21a3290c873a10af314aed971ee4a5df48a5a232072cef7061dd899c3b4b",
+}
 
 
 class TestTrainLoop:
@@ -302,19 +318,28 @@ class TestTrainLoop:
                         resume_from=tmp_path / "part" / "checkpoint.bin")
         assert [r for r in resumed.log_rows] == full.log_rows[3:]
 
-    @pytest.mark.parametrize("change", ["backbone", "speakers", "scale", "margin"])
+    @pytest.mark.parametrize("change", ["backbone", "speakers", "scale", "margin",
+                                        "corpus", "corpus_speakers"])
     def test_resume_rejects_other_config(self, small_corpus, tmp_path, change):
         model, head = tiny_setup(small_corpus)
         train(model, head, small_corpus, tiny_cfg(steps=1), SCHED, out_dir=tmp_path / "part")
+        corpus = small_corpus
         if change == "backbone":
             model, head = tiny_setup(small_corpus, attention="se")
         elif change == "speakers":
             head = AAMHead(small_corpus.n_speakers + 1, 32, rng=rng(1))
+        elif change == "corpus":
+            # the same speakers, twice the utterances
+            corpus = Corpus(small_corpus.rows * 2, 80)
+        elif change == "corpus_speakers":
+            # as many speakers and utterances, under other names
+            corpus = Corpus([(u, "x" + s, p) for u, s, p in small_corpus.rows], 80)
         else:
             head = AAMHead(small_corpus.n_speakers, 32, **{change: 0.1}, rng=rng(1))
         with pytest.raises(CheckpointError, match="does not match"):
-            train(model, head, small_corpus, tiny_cfg(steps=2), SCHED,
-                  resume_from=tmp_path / "part" / "checkpoint.bin")
+            train(model, head, corpus, tiny_cfg(steps=2), SCHED,
+                  out_dir=tmp_path / "resumed", resume_from=tmp_path / "part" / "checkpoint.bin")
+        assert not (tmp_path / "resumed").exists()
 
     def test_failed_resume_leaves_model_untouched(self, small_corpus, tmp_path):
         model, head = tiny_setup(small_corpus)
