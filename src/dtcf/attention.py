@@ -22,7 +22,7 @@ from .errors import ConfigError, ShapeError
 from .layers import Module, xavier_uniform
 from .tensor import Tensor, concat, matmul, mean_axis, reshape, split, transpose, unbatched
 
-__all__ = ["SEBlock", "DTCFBlock", "reduced_channels", "param_count"]
+__all__ = ["SEBlock", "DTCFBlock", "reduced_channels"]
 
 
 def reduced_channels(channels: int, reduction: int) -> int:
@@ -120,7 +120,3 @@ class DTCFBlock(Module):
         mct, mcf = self.masks(self.encode(*self.pool(x)), f)
         return x * reshape(mct, (b, c, t, 1)) * reshape(mcf, (b, c, 1, f))
 
-
-def param_count(block: SEBlock | DTCFBlock) -> int:
-    """Number of trainable scalars in an attention block."""
-    return sum(int(np.prod(t.shape)) for _, t in block.params())

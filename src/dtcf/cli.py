@@ -146,7 +146,7 @@ def cmd_gradcheck(args) -> int:
             out = inject_backward_fault(out)
         return out.sum()
 
-    targets = [("input", x)] + [(name, p) for name, p in block.params()]
+    targets = [("input", x)] + block.named_params()
     worst_name, worst_err = "", 0.0
     for name, tensor_ in targets:
         err = grad_check(scalar, tensor_, eps=args.eps)

@@ -29,24 +29,28 @@ def xavier_uniform(rng: np.random.Generator, shape, dtype=np.float32) -> Tensor:
 class Module:
     """A layer whose parameters, buffers and sublayers are the attributes its constructor assigns.
 
-    ``params()`` lists the ``Tensor`` attributes, ``buffers()`` the
-    ``np.ndarray`` attributes and ``modules()`` the ``Module`` attributes, each
-    as ``(name, value)`` in assignment order. So every Tensor attribute of a
-    layer is trained and checkpointed, and every array attribute is
-    checkpointed: a derived cache must be held as neither.
+    ``modules()`` lists the ``Module`` attributes as ``(name, module)``, and ``named_params()``
+    and ``named_buffers()`` the ``Tensor`` and ``np.ndarray`` ones, then each submodule's under
+    ``"<name>."``; all in assignment order. So every Tensor attribute is trained and checkpointed,
+    and every array attribute is checkpointed: a derived cache must be held as neither.
     """
 
-    def _attributes(self, kind) -> list:
-        return [(name, value) for name, value in vars(self).items() if isinstance(value, kind)]
+    def _walk(self, kind) -> list:
+        own = [(name, value) for name, value in vars(self).items() if isinstance(value, kind)]
+        return own + [(f"{prefix}.{name}", value) for prefix, mod in self.modules()
+                      for name, value in mod._walk(kind)]
 
-    def params(self) -> list[tuple[str, Tensor]]:
-        return self._attributes(Tensor)
+    def modules(self):
+        return [(name, value) for name, value in vars(self).items() if isinstance(value, Module)]
 
-    def buffers(self) -> list[tuple[str, np.ndarray]]:
-        return self._attributes(np.ndarray)
+    def named_params(self) -> list[tuple[str, Tensor]]:
+        return self._walk(Tensor)
 
-    def modules(self) -> list[tuple[str, Module]]:
-        return self._attributes(Module)
+    def named_buffers(self) -> list[tuple[str, np.ndarray]]:
+        return self._walk(np.ndarray)
+
+    def param_count(self) -> int:
+        return sum(p.data.size for _, p in self.named_params())
 
 
 class Conv2dLayer(Module):

@@ -148,7 +148,7 @@ class ASPHead(Module):
             return self._weights(self._frames(fmap)).data
 
 
-class SpeakerModel:
+class SpeakerModel(Module):
     """Backbone + pooling + embedding layer. Construction is rng-seeded."""
 
     MIN_FRAMES = 8
@@ -215,28 +215,16 @@ class SpeakerModel:
 
     # -- parameter access ---------------------------------------------------
 
-    def _modules(self):
+    def modules(self):
+        """Each top-level layer and block under its checkpoint name; the walk reaches their layers."""
         yield "stem.conv", self.stem_conv
         yield "stem.bn", self.stem_bn
         for i, stage in enumerate(self.stages):
             for j, block in enumerate(stage):
-                for name, mod in block.modules():
-                    yield f"stage{i + 1}.block{j}.{name}", mod
+                yield f"stage{i + 1}.block{j}", block
         yield "asp", self.asp
         yield "emb", self.emb
 
-    def named_params(self) -> list[tuple[str, Tensor]]:
-        return [(f"{prefix}.{name}", t) for prefix, mod in self._modules()
-                for name, t in mod.params()]
-
-    def named_buffers(self) -> list[tuple[str, np.ndarray]]:
-        return [(f"{prefix}.{name}", arr) for prefix, mod in self._modules()
-                for name, arr in mod.buffers()]
-
     def load_buffers(self, values: dict[str, np.ndarray]) -> None:
-        for prefix, mod in self._modules():
-            for name, _ in mod.buffers():
-                setattr(mod, name, values[f"{prefix}.{name}"].copy())
-
-    def param_count(self) -> int:
-        return sum(int(np.prod(t.shape)) for _, t in self.named_params())
+        for name, buf in self.named_buffers():
+            np.copyto(buf, values[name])

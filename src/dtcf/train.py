@@ -8,6 +8,7 @@ the original loss trajectory bit for bit.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -180,7 +181,11 @@ def build_model_and_head(backbone: BackboneConfig, n_classes: int, seed: int = 0
 
 
 def _read_state(path):
-    """(backbone config, head fields, tensors, extra) of a checkpoint with a full header."""
+    """(backbone config, head fields, step, tensors, extra) of a checkpoint with a full header.
+
+    A missing entry or field, a backbone that is no ``BackboneConfig`` and a step that is no
+    count raise CheckpointError naming the key; the head fields are checked where they are used.
+    """
     config, tensors, extra = load_checkpoint(path)
     wanted = {"backbone": [f.name for f in fields(BackboneConfig)], "head": _HEAD_FIELDS}
     for key, names in wanted.items():
@@ -190,21 +195,36 @@ def _read_state(path):
         for name in names:
             if name not in entry:
                 raise CheckpointError(f"{path}: checkpoint config '{key}' has no '{name}' field")
-    return (BackboneConfig.from_dict(config["backbone"]),
-            {name: config["head"][name] for name in _HEAD_FIELDS}, tensors, extra)
+    with _malformed(path, "config 'backbone'", config["backbone"]):
+        backbone = BackboneConfig.from_dict(config["backbone"])
+    step = extra.get("step", 0)
+    if type(step) is not int or step < 0:
+        raise CheckpointError(f"{path}: checkpoint 'step' {step!r} is not a step count")
+    head_fields = {name: config["head"][name] for name in _HEAD_FIELDS}
+    return backbone, head_fields, step, tensors, extra
+
+
+@contextlib.contextmanager
+def _malformed(path, key: str, value):
+    """Re-raise an error met while using ``value``, the header's ``key``, as a CheckpointError."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise CheckpointError(f"{path}: malformed checkpoint {key}: {e} in {value!r}") from e
 
 
 def load_training_state(path):
     """Rebuild (model, head, opt, extra) from a checkpoint file."""
-    backbone, head_fields, tensors, extra = _read_state(path)
-    model, head = build_model_and_head(backbone, **head_fields)
+    backbone, head_fields, step, tensors, extra = _read_state(path)
+    with _malformed(path, "config 'backbone' and 'head'", (backbone, head_fields)):
+        model, head = build_model_and_head(backbone, **head_fields)
     opt = AdamState(_named_params(model, head))
-    _restore_state(model, head, opt, tensors, extra, path)
+    _restore_state(model, head, opt, tensors, step, path)
     return model, head, opt, extra
 
 
 def _restore_state(model: SpeakerModel, head: AAMHead, opt: AdamState,
-                   tensors: dict, extra: dict, path) -> None:
+                   tensors: dict, step: int, path) -> None:
     """Copy every entry of ``_state_tensors`` and the Adam step from a checkpoint.
 
     Every entry is found and checked for shape and a castable dtype before any
@@ -221,12 +241,12 @@ def _restore_state(model: SpeakerModel, head: AAMHead, opt: AdamState,
                                   f"expected {target.dtype} {target.shape}")
     for name, target in targets.items():
         np.copyto(target, tensors[name])
-    opt.step = int(extra.get("step", 0))
+    opt.step = step
 
 
 def _named_params(model: SpeakerModel, head: AAMHead):
     return ([(f"model.{n}", p) for n, p in model.named_params()]
-            + [(f"head.{n}", p) for n, p in head.params()])
+            + [(f"head.{n}", p) for n, p in head.named_params()])
 
 
 # -- the loop --------------------------------------------------------------------
@@ -236,20 +256,19 @@ class TrainReport:
     steps: int
     final_accuracy: float
     log_rows: list[tuple[int, float, float, float]]
-    log_path: Path | None
-    checkpoint_path: Path | None
+    log_path: Path
+    checkpoint_path: Path
 
 
 def train(model: SpeakerModel, head: AAMHead, corpus: Corpus, cfg: TrainConfig,
-          sched: Triangular2Schedule, out_dir=None,
-          resume_from=None) -> TrainReport:
-    """Run the optimization loop; emits log rows `step,lr,loss,acc`.
+          sched: Triangular2Schedule, out_dir, resume_from=None) -> TrainReport:
+    """Run the optimization loop; writes a checkpoint and the log `step,lr,loss,acc` to ``out_dir``.
 
     With ``resume_from`` the model/head/optimizer/rng are restored and the
     loop continues from the saved step to ``cfg.steps``, reproducing the
-    un-resumed trajectory exactly. A checkpoint at or past ``cfg.steps``, or
-    from a corpus with other speakers or another utterance count, is refused
-    before anything is written.
+    un-resumed trajectory exactly. A checkpoint at or past ``cfg.steps``, from
+    a corpus with other speakers or another utterance count, or whose loop
+    state is malformed, is refused before anything is restored or written.
     """
     named = _named_params(model, head)
     params = [p for _, p in named]
@@ -259,7 +278,7 @@ def train(model: SpeakerModel, head: AAMHead, corpus: Corpus, cfg: TrainConfig,
     opt = AdamState(named)
 
     if resume_from is not None:
-        backbone, head_fields, tensors, extra = _read_state(resume_from)
+        backbone, head_fields, saved_step, tensors, extra = _read_state(resume_from)
         if backbone != model.config:
             raise CheckpointError(f"{resume_from}: checkpoint config does not match")
         for name, saved in head_fields.items():
@@ -270,25 +289,33 @@ def train(model: SpeakerModel, head: AAMHead, corpus: Corpus, cfg: TrainConfig,
             if key not in extra:
                 raise CheckpointError(f"{resume_from}: no training-loop state "
                                       f"(missing '{key}'); cannot resume from it")
-        if extra["speakers"] != corpus.speakers or len(extra["order"]) != len(corpus):
+        for key in ("speakers", "order"):
+            if not isinstance(extra[key], list):
+                raise CheckpointError(f"{resume_from}: checkpoint '{key}' is not a list")
+        speakers, order, cursor = extra["speakers"], extra["order"], extra["cursor"]
+        if speakers != corpus.speakers or len(order) != len(corpus):
             raise CheckpointError(
-                f"{resume_from}: checkpoint corpus ({len(extra['speakers'])} speakers, "
-                f"{len(extra['order'])} utterances) does not match this corpus "
+                f"{resume_from}: checkpoint corpus ({len(speakers)} speakers, "
+                f"{len(order)} utterances) does not match this corpus "
                 f"({corpus.n_speakers} speakers, {len(corpus)} utterances)")
-        saved_step = int(extra.get("step", 0))
+        if not all(type(i) is int for i in order) or sorted(order) != list(range(len(corpus))):
+            raise CheckpointError(f"{resume_from}: checkpoint 'order' is not a permutation "
+                                  f"of the corpus's {len(corpus)} utterances")
+        if type(cursor) is not int or not 0 <= cursor <= len(corpus):
+            raise CheckpointError(f"{resume_from}: checkpoint 'cursor' {cursor!r} "
+                                  f"is not in [0, {len(corpus)}]")
+        with _malformed(resume_from, "'rng_state'", extra["rng_state"]):
+            rng.bit_generator.state = extra["rng_state"]
         if cfg.steps <= saved_step:
             raise ConfigError(f"{resume_from}: checkpoint is at step {saved_step}, "
                               f"so steps {cfg.steps} leaves none to run")
-        _restore_state(model, head, opt, tensors, extra, resume_from)
-        rng.bit_generator.state = extra["rng_state"]
-        order = np.array(extra["order"])
-        cursor = int(extra["cursor"])
+        _restore_state(model, head, opt, tensors, saved_step, resume_from)
+        order = np.array(order)
 
-    out_dir = Path(out_dir) if out_dir is not None else None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    ckpt_path = out_dir / "checkpoint.bin" if out_dir is not None else None
-    log_path = out_dir / "train_log.csv" if out_dir is not None else None
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    ckpt_path = out_dir / "checkpoint.bin"
+    log_path = out_dir / "train_log.csv"
 
     def snapshot(path):
         save_training_state(path, model, head, opt, extra={
@@ -328,16 +355,14 @@ def train(model: SpeakerModel, head: AAMHead, corpus: Corpus, cfg: TrainConfig,
         acc = float((np.argmax(logits.data, axis=1) == labels).mean())
         log_rows.append((step, lr, loss, acc))
 
-        if ckpt_path is not None and step % cfg.checkpoint_every == 0:
+        if step % cfg.checkpoint_every == 0:
             snapshot(ckpt_path)
 
-    if ckpt_path is not None:
-        snapshot(ckpt_path)
-    if log_path is not None:
-        with open(log_path, "w", encoding="utf-8") as f:
-            f.write("step,lr,loss,acc\n")
-            for row in log_rows:
-                f.write(",".join(map(repr, row)) + "\n")
+    snapshot(ckpt_path)
+    with open(log_path, "w", encoding="utf-8") as f:
+        f.write("step,lr,loss,acc\n")
+        for row in log_rows:
+            f.write(",".join(map(repr, row)) + "\n")
 
     tail = log_rows[-min(100, len(log_rows)):]
     final_acc = float(np.mean([r[3] for r in tail])) if tail else 0.0

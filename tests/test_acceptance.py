@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import dtcf.tensor as dt
-from dtcf.attention import DTCFBlock, SEBlock, param_count
+from dtcf.attention import DTCFBlock, SEBlock
 from dtcf.audio import AugmentConfig, fbank, read_wav
 from dtcf.loss import AAMHead, ce_loss_batch
 from dtcf.metrics import compute_eer, compute_min_dcf, score_trials
@@ -94,8 +94,8 @@ def test_criterion_3_parameter_accounting():
     with criterion(3, "attention param formulas and ~9M full-model total"):
         for c in (32, 64, 128, 256):
             cr = c // 8
-            assert param_count(SEBlock(c, 8, rng=rng(0))) == 2 * c * cr
-            assert param_count(DTCFBlock(c, 8, rng=rng(0))) == 3 * c * cr
+            assert SEBlock(c, 8, rng=rng(0)).param_count() == 2 * c * cr
+            assert DTCFBlock(c, 8, rng=rng(0)).param_count() == 3 * c * cr
         total = SpeakerModel(BackboneConfig(attention="dtcf"), seed=0).param_count()
         assert abs(total - 9_000_000) <= 0.10 * 9_000_000, f"total {total}"
 
@@ -195,7 +195,7 @@ def overfit_run(overfit_corpus, tmp_path_factory):
 
 
 @pytest.mark.slow
-def test_criterion_8_end_to_end_overfit(overfit_run, overfit_corpus):
+def test_criterion_8_end_to_end_overfit(overfit_run, overfit_corpus, tmp_path):
     with criterion(8, "DTCF overfit: acc >= 99%, held-out EER <= 5%, < 15 min; "
                       "SE also converges"):
         assert len(read_manifest(overfit_corpus.manifest_path)) == 200
@@ -218,7 +218,7 @@ def test_criterion_8_end_to_end_overfit(overfit_run, overfit_corpus):
         se_model = SpeakerModel(BackboneConfig(**TOY_BACKBONE, attention="se"), seed=0)
         se_head = AAMHead(10, 512, rng=rng(1))
         se_report = train(se_model, se_head, Corpus.load(overfit_corpus.train_path),
-                          overfit_run["train_cfg"], overfit_run["sched"])
+                          overfit_run["train_cfg"], overfit_run["sched"], out_dir=tmp_path)
         se_seconds = time.monotonic() - t0
         assert se_report.final_accuracy >= 0.99, f"SE accuracy {se_report.final_accuracy}"
         total = overfit_run["train_seconds"] + se_seconds

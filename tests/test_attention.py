@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import dtcf.tensor as dt
-from dtcf.attention import DTCFBlock, SEBlock, param_count, reduced_channels
+from dtcf.attention import DTCFBlock, SEBlock, reduced_channels
 from dtcf.errors import ConfigError, ShapeError
 from dtcf.tensor import grad_check
 
@@ -292,14 +292,14 @@ class TestDTCF:
         block = dtcf_block(4, r=2, seed=47)
         x = t64(rng(48).normal(size=(4, 5, 6)))
         assert grad_check(lambda v: block.apply(v).sum(), x) < 1e-6
-        for _, w in block.params():
+        for _, w in block.named_params():
             assert grad_check(lambda _: block.apply(x).sum(), w) < 1e-6
 
     def test_se_block_gradcheck(self):
         block = se_block(4, r=2, seed=49)
         x = t64(rng(50).normal(size=(4, 5, 6)))
         assert grad_check(lambda v: block.apply(v).sum(), x) < 1e-6
-        for _, w in block.params():
+        for _, w in block.named_params():
             assert grad_check(lambda _: block.apply(x).sum(), w) < 1e-6
 
 
@@ -307,19 +307,19 @@ class TestDTCF:
 
 class TestParamCount:
     def test_se_64(self):
-        assert param_count(se_block(64)) == 2 * 64 * 8 == 1024
+        assert se_block(64).param_count() == 2 * 64 * 8 == 1024
 
     def test_dtcf_64(self):
-        assert param_count(dtcf_block(64)) == 3 * 64 * 8 == 1536
+        assert dtcf_block(64).param_count() == 3 * 64 * 8 == 1536
 
     def test_dtcf_8_clamped(self):
-        assert param_count(dtcf_block(8, r=8)) == 3 * 8 * 1 == 24
+        assert dtcf_block(8, r=8).param_count() == 3 * 8 * 1 == 24
 
     @pytest.mark.parametrize("C", [32, 64, 128, 256])
     def test_formula_family(self, C):
         cr = C // 8
-        assert param_count(se_block(C)) == 2 * C * cr
-        assert param_count(dtcf_block(C)) == 3 * C * cr
+        assert se_block(C).param_count() == 2 * C * cr
+        assert dtcf_block(C).param_count() == 3 * C * cr
 
     def test_indivisible_rejected(self):
         with pytest.raises(ConfigError):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dtcf import cli
-from dtcf.attention import DTCFBlock, SEBlock, param_count
+from dtcf.attention import DTCFBlock, SEBlock
 from dtcf.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from dtcf.cli import main
 from dtcf.errors import (CheckpointError, ConfigError, DataError, DivergenceError,
@@ -111,7 +111,7 @@ class TestTrain:
             line = next(l for l in out.splitlines() if l.startswith("params="))
             logged[kind] = int(line.split()[0].split("=")[1])
         rng = np.random.default_rng(0)
-        expect = sum(param_count(DTCFBlock(c, 8, rng=rng)) - param_count(SEBlock(c, 8, rng=rng))
+        expect = sum(DTCFBlock(c, 8, rng=rng).param_count() - SEBlock(c, 8, rng=rng).param_count()
                      for c in (2, 4, 8, 16))
         assert logged["dtcf"] - logged["se"] == expect
 
@@ -327,6 +327,40 @@ def test_negative_seed_exit_2(tmp_path, monkeypatch, capsys, argv, by_env):
     assert main(argv) == 2
     assert "-3" in capsys.readouterr().err
     assert not (tmp_path / "corpus").exists()
+
+
+# header values a checkpoint can hold but no run can use: (command, header entry, changes); the
+# first changed key is the one the error must name
+MALFORMED_HEADERS = {
+    "order-int": ("train", "extra", {"order": 5}),
+    "cursor-str": ("train", "extra", {"cursor": "x"}),
+    "rng-state-dict": ("train", "extra", {"rng_state": {"a": 1}}),
+    "order-past-corpus": ("train", "extra", {"order": [0, 1, 2, 3, 4, 6], "cursor": 4}),
+    "step-str": ("extract", "extra", {"step": "x"}),
+    "widths-int": ("extract", "backbone", {"widths": 5}),
+    "scale-str": ("extract", "head", {"scale": "x"}),
+    "widths-not-doubling": ("train", "backbone", {"widths": [2, 4, 8, 17]}),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_HEADERS)
+def test_malformed_header_value_exit_3(trained, tiny_config, corpus_dir, tmp_path, capsys, case):
+    command, entry, changes = MALFORMED_HEADERS[case]
+    config, tensors, extra = load_checkpoint(trained / "checkpoint.bin")
+    (extra if entry == "extra" else config[entry]).update(changes)
+    ckpt = tmp_path / "odd.bin"
+    save_checkpoint(ckpt, config, tensors, extra)
+    out = tmp_path / "out"
+    if command == "train":
+        argv = ["train", "--config", str(tiny_config), "--steps", "5", "--resume", str(ckpt)]
+    else:
+        argv = ["extract", "--ckpt", str(ckpt), "--manifest", str(corpus_dir / "manifest.csv")]
+    assert main(argv + ["--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ckpt}: ") and err.count("\n") == 1
+    assert f"'{next(iter(changes))}'" in err
+    assert entry == "extra" or f"'{entry}'" in err
+    assert not out.exists()
 
 
 def incomplete_checkpoints(trained, tmp_path):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import dtcf.tensor as dt
-from dtcf.attention import DTCFBlock, SEBlock, param_count
+from dtcf.attention import DTCFBlock, SEBlock
 from dtcf.errors import ConfigError, ShapeError
-from dtcf.model import ASPHead, BackboneConfig, ResidualBlock, SpeakerModel
+from dtcf.model import ATTENTION_KINDS, ASPHead, BackboneConfig, ResidualBlock, SpeakerModel
 from dtcf.tensor import Tensor, grad_check
 
 TOY = dict(widths=(4, 8, 16, 32), blocks=(1, 1, 1, 1))
@@ -59,7 +59,7 @@ class TestResidualBlock:
         assert grad_check(loss, x) < 1e-6
         x.requires_grad = False
         for _, mod in blk.modules():
-            for _, p in mod.params():
+            for _, p in mod.named_params():
                 assert grad_check(lambda _: loss(x), p) < 1e-6
 
 
@@ -106,8 +106,39 @@ class TestASP:
         asp = self.make(6, seed=17)
         x = t64(rng(18).normal(size=(2, 4, 3)))
         assert grad_check(lambda v: asp.forward(v).sum(), x) < 1e-6
-        for _, p in asp.params():
+        for _, p in asp.named_params():
             assert grad_check(lambda _: asp.forward(x).sum(), p) < 1e-6
+
+
+class TestModuleWalk:
+    def test_block_names_its_layers_entries_in_order(self):
+        blk = ResidualBlock(4, 8, stride=(1, 2), attention="dtcf", reduction=2, rng=rng(0))
+        assert [name for name, _ in blk.named_params()] == [
+            "conv1.kernels", "bn1.gamma", "bn1.beta", "conv2.kernels", "bn2.gamma", "bn2.beta",
+            "down_conv.kernels", "down_bn.gamma", "down_bn.beta", "attn.w1", "attn.w2", "attn.w3"]
+        assert [name for name, _ in blk.named_buffers()] == [
+            f"{bn}.{stat}" for bn in ("bn1", "bn2", "down_bn")
+            for stat in ("running_mean", "running_var")]
+        assert dict(blk.named_params())["attn.w3"] is blk.attn.w3
+
+    def test_load_buffers_writes_in_place(self):
+        m = SpeakerModel(BackboneConfig(**TOY, attention="dtcf"), seed=0)
+        feats = rng(30).normal(size=(40, 80)).astype(np.float32)
+        before = m.embed(feats)
+        held = m.named_buffers()
+        values = {name: rng(i).uniform(0.5, 2.0, buf.shape).astype(buf.dtype)
+                  for i, (name, buf) in enumerate(held)}
+        m.load_buffers(values)
+        for (name, buf), (_, old) in zip(m.named_buffers(), held):
+            assert buf is old
+            np.testing.assert_array_equal(buf, values[name])
+        assert not np.allclose(m.embed(feats), before)
+
+    @pytest.mark.parametrize("kind", ATTENTION_KINDS)
+    def test_param_count_is_the_sum_over_blocks_and_heads(self, kind):
+        m = SpeakerModel(BackboneConfig(**TOY, attention=kind), seed=0)
+        parts = [m.stem_conv, m.stem_bn, *(b for stage in m.stages for b in stage), m.asp, m.emb]
+        assert m.param_count() == sum(part.param_count() for part in parts)
 
 
 class TestBackboneConfig:
@@ -180,7 +211,7 @@ class TestSpeakerModel:
         base = SpeakerModel(BackboneConfig(**TOY, attention="none"), seed=0).param_count()
         for kind in ("se", "dtcf"):
             m = SpeakerModel(BackboneConfig(**TOY, attention=kind), seed=0)
-            delta = sum(param_count(b.attn) for st in m.stages for b in st)
+            delta = sum(b.attn.param_count() for st in m.stages for b in st)
             assert m.param_count() == base + delta
 
     def test_batched_forward_matches_single_eval(self):

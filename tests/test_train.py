@@ -288,11 +288,11 @@ class TestTrainLoop:
         assert lines[0] == "step,lr,loss,acc"
         assert len(lines) == 5
 
-    def test_first_step_loss_near_ln_k_with_unit_scale(self, small_corpus):
+    def test_first_step_loss_near_ln_k_with_unit_scale(self, small_corpus, tmp_path):
         # with scale 1 and margin 0 the initial logits are nearly uniform
         model, head0 = tiny_setup(small_corpus)
         head = AAMHead(small_corpus.n_speakers, 32, scale=1.0, margin=0.0, rng=rng(9))
-        report = train(model, head, small_corpus, tiny_cfg(steps=1), SCHED)
+        report = train(model, head, small_corpus, tiny_cfg(steps=1), SCHED, out_dir=tmp_path)
         assert report.log_rows[0][2] == pytest.approx(math.log(small_corpus.n_speakers), abs=0.5)
 
     def test_identical_seeds_identical_logs(self, small_corpus, tmp_path):
@@ -351,7 +351,8 @@ class TestTrainLoop:
         model, head = tiny_setup(small_corpus)
         before = [p.data.copy() for _, p in model.named_params()]
         with pytest.raises(CheckpointError, match="stage4.block0.bn2.running_var"):
-            train(model, head, small_corpus, tiny_cfg(steps=2), SCHED, resume_from=bad)
+            train(model, head, small_corpus, tiny_cfg(steps=2), SCHED, out_dir=tmp_path / "resumed",
+                  resume_from=bad)
         for b, (_, p) in zip(before, model.named_params()):
             np.testing.assert_array_equal(p.data, b)
 
@@ -366,16 +367,17 @@ class TestTrainLoop:
         model, head = tiny_setup(small_corpus)
         before = [a.copy() for a in _state_tensors(model, head, AdamState([])).values()]
         with pytest.raises(CheckpointError, match=f"'{name}' is complex64"):
-            train(model, head, small_corpus, tiny_cfg(steps=2), SCHED, resume_from=bad)
+            train(model, head, small_corpus, tiny_cfg(steps=2), SCHED, out_dir=tmp_path / "resumed",
+                  resume_from=bad)
         for b, a in zip(before, _state_tensors(model, head, AdamState([])).values()):
             np.testing.assert_array_equal(a, b)
 
-    def test_divergence_guard(self, small_corpus):
+    def test_divergence_guard(self, small_corpus, tmp_path):
         model, _ = tiny_setup(small_corpus)
         # an absurd scale pushes the first-step loss beyond the 1e4 cap
         head = AAMHead(small_corpus.n_speakers, 32, scale=1e6, margin=0.0, rng=rng(8))
         with pytest.raises(DivergenceError, match="divergence guard"):
-            train(model, head, small_corpus, tiny_cfg(steps=2), SCHED)
+            train(model, head, small_corpus, tiny_cfg(steps=2), SCHED, out_dir=tmp_path)
 
 
 class TestConfigFile:
