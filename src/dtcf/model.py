@@ -50,8 +50,11 @@ class BackboneConfig:
                 raise ConfigError(f"stage widths must double: {self.widths}")
         if self.attention not in ATTENTION_KINDS:
             raise ConfigError(f"attention must be one of {ATTENTION_KINDS}")
-        if min(self.blocks) < 1 or self.reduction < 1:
-            raise ConfigError("block counts and reduction must be >= 1")
+        if min(self.blocks) < 1:
+            raise ConfigError(f"block counts must be >= 1: {self.blocks}")
+        for name in ("reduction", "emb_dim", "asp_hidden", "n_mels"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     def to_dict(self) -> dict:
         """Every field by name; JSON writes the tuples as lists."""

@@ -3,8 +3,11 @@
 Every network operation in the toolkit is expressed through the ops in this
 module. A Tensor wraps a numpy array; each op records its parents and a
 backward closure on the output node, and ``backward()`` replays the closures
-in reverse topological order. Training runs at float32, gradient checks at
-float64 (pass ``dtype`` to the factories).
+in reverse topological order. A graph is walked once: each interior node's
+closure, parents and gradient are dropped as soon as its closure has run, so
+the memory of the graph is freed during the walk, and a second walk over it
+raises DomainError. Training runs at float32, gradient checks at float64
+(pass ``dtype`` to the factories).
 
 Broadcasting is deliberately narrow: both operands must have the same rank
 and every dimension must either match or be 1 on one side. Anything fancier
@@ -467,8 +470,20 @@ def topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
+def _freed(g: np.ndarray) -> None:
+    """The closure of a node that ``backward`` has already run."""
+    raise DomainError("backward through a graph that was already backpropagated: "
+                      "its closures were freed")
+
+
 def backward(root: Tensor) -> None:
-    """Populate ``grad`` of every requires_grad leaf under a scalar root."""
+    """Populate ``grad`` of every requires_grad leaf under a scalar root.
+
+    The graph is walked once: as each interior node's closure runs, its
+    closure, parents and gradient are dropped, so the arrays the closure saved
+    are freed during the walk. The node's ``data`` stays. A later backward
+    that reaches a freed node with a gradient raises DomainError.
+    """
     if root.shape != ():
         raise ShapeError(f"backward root must be a scalar, got shape {root.shape}")
     order = topo_order(root)
@@ -476,6 +491,7 @@ def backward(root: Tensor) -> None:
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+            node._backward, node._parents, node.grad = _freed, (), None
 
 
 def zero_grads(params: Iterable[Tensor]) -> None:

@@ -9,6 +9,7 @@ the original loss trajectory bit for bit.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -251,6 +252,28 @@ def _named_params(model: SpeakerModel, head: AAMHead):
 
 # -- the loop --------------------------------------------------------------------
 
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3      # glibc's mallopt parameters
+
+
+def _keep_freed_heap() -> None:
+    """Let each step reuse the heap the previous step freed, where libc has ``mallopt``.
+
+    ``backward`` frees the graph as it walks it, and the next step allocates
+    the same arrays again. Under glibc's defaults large arrays are mmapped and
+    the heap top is trimmed, so each step would fault its pages back in. Here
+    arrays up to 32 MiB (glibc's upper limit) come from the heap, and the heap
+    keeps up to 1 GiB free at its top. Both are set because setting either
+    one switches off glibc's dynamic mmap threshold.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
 @dataclass
 class TrainReport:
     steps: int
@@ -270,6 +293,7 @@ def train(model: SpeakerModel, head: AAMHead, corpus: Corpus, cfg: TrainConfig,
     a corpus with other speakers or another utterance count, or whose loop
     state is malformed, is refused before anything is restored or written.
     """
+    _keep_freed_heap()
     named = _named_params(model, head)
     params = [p for _, p in named]
     rng = np.random.default_rng(cfg.seed)

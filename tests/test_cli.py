@@ -244,6 +244,14 @@ class TestTrain:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "o7" / "checkpoint.bin").exists()
 
+    @pytest.mark.parametrize("key,value", [("emb_dim", -1), ("emb_dim", 0), ("asp_hidden", 0)])
+    def test_non_positive_size_exit_2(self, tiny_config, tmp_path, capsys, key, value):
+        cfg = tmp_path / "size.cfg"
+        cfg.write_text(tiny_config.read_text() + f"{key} = {value}\n")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o8")]) == 2
+        assert f"{key} must be >= 1, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "o8" / "checkpoint.bin").exists()
+
 
 # checkpoint of the tiny config trained with seed 0, the seed a run gets when neither
 # --seed, the config file nor DTCF_SEED gives one

@@ -315,6 +315,25 @@ class TestBackward:
         y.sum().backward()
         np.testing.assert_allclose(x.grad, [7.0])
 
+    def test_second_backward_raises(self):
+        x = t64(rng(34).normal(size=(2, 2)), requires_grad=True)
+        y = (x * 3.0).sigmoid()
+        loss = y.sum()
+        loss.backward()
+        # leaves keep their gradient and every node its data; interior gradients are dropped
+        assert y.grad is None and loss.grad is None and float(loss.data) == y.data.sum()
+        with pytest.raises(DomainError, match="already backpropagated"):
+            loss.backward()
+        np.testing.assert_allclose(x.grad, 3.0 * y.data * (1 - y.data), atol=1e-12)
+
+    def test_second_loss_over_a_backpropagated_graph_raises(self):
+        x = t64(rng(35).normal(size=(2, 2)), requires_grad=True)
+        h = (x * 3.0).sigmoid()
+        first, second = h.sum(), (h * h).sum()
+        first.backward()
+        with pytest.raises(DomainError, match="already backpropagated"):
+            second.backward()
+
     def test_composite_matches_finite_differences(self):
         w = t64(rng(29).normal(size=(4, 3)))
         x = t64(rng(30).normal(size=(3, 2)))

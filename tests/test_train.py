@@ -3,8 +3,12 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +19,7 @@ from dtcf.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from dtcf.cli import _from_config
 from dtcf.config import SCHEMA, parse_config_text
 from dtcf.errors import CheckpointError, ConfigError, DivergenceError
-from dtcf.loss import AAMHead
+from dtcf.loss import AAMHead, ce_loss_batch
 from dtcf.model import ATTENTION_KINDS, BackboneConfig, SpeakerModel
 from dtcf.synth import synth_corpus
 from dtcf.train import (AdamState, Corpus, TrainConfig, Triangular2Schedule,
@@ -378,6 +382,66 @@ class TestTrainLoop:
         head = AAMHead(small_corpus.n_speakers, 32, scale=1e6, margin=0.0, rng=rng(8))
         with pytest.raises(DivergenceError, match="divergence guard"):
             train(model, head, small_corpus, tiny_cfg(steps=2), SCHED, out_dir=tmp_path)
+
+
+# toy_step_digest() with one BLAS thread, as computed before backward freed the graph
+TOY_STEP_GRADS = "d6212a9bc54031c4fcbdd6e9f9b3fa4a8bd774f9bfd34d9f649fc25f75764bc1"
+
+
+def toy_step():
+    """The seeded float32 toy DTCF model (widths 4-8-16-32), its zeroed gradients and a
+    B=4 batch: what one step of train() starts from."""
+    backbone = BackboneConfig(widths=(4, 8, 16, 32), blocks=(1, 1, 1, 1), attention="dtcf")
+    model, head = build_model_and_head(backbone, n_classes=10, seed=0)
+    named = _named_params(model, head)
+    dt.zero_grads(p for _, p in named)
+    feats = dt.tensor(rng(0).standard_normal((4, 120, 80)))
+    return model, head, named, feats, np.array([0, 3, 5, 9])
+
+
+def toy_step_digest() -> str:
+    """sha256 over every parameter's name and float32 gradient after one toy_step backward."""
+    model, head, named, feats, labels = toy_step()
+    emb = model.forward(feats, training=True)
+    ce_loss_batch(head.logits_batch(emb, labels), labels).backward()
+    digest = hashlib.sha256()
+    for name, p in named:
+        assert p.grad.dtype == np.float32
+        digest.update(name.encode() + p.grad.tobytes())
+    return digest.hexdigest()
+
+
+class TestTrainStep:
+    def test_gradients_pinned(self):
+        # with more than one thread OpenBLAS splits the long conv reductions by the
+        # CPU count, so the bits are pinned for one thread, in a fresh process
+        paths = [str(Path(__file__).parent), str(Path(dt.__file__).parents[1])]
+        child = subprocess.run(
+            [sys.executable, "-c", "from test_train import toy_step_digest as d; print(d())"],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1",
+                 "PYTHONPATH": os.pathsep.join(paths)},
+            capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.strip() == TOY_STEP_GRADS
+
+    def test_backward_frees_the_graph(self):
+        # parameters and gradients exist before tracing starts, and backward accumulates
+        # into the gradients in place, so what stays traced is the graph's memory
+        model, head, named, feats, labels = toy_step()
+        tracemalloc.start()
+        try:
+            emb = model.forward(feats, training=True)
+            logits = head.logits_batch(emb, labels)
+            loss = ce_loss_batch(logits, labels)
+            after_forward, _ = tracemalloc.get_traced_memory()
+            loss.backward()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # emb, logits and loss are still referenced, as train() holds them until the next step
+        assert held <= 1 << 20, (f"{held / 2**20:.1f} MiB held after backward, "
+                                 f"{after_forward / 2**20:.1f} MiB after the forward")
+        assert np.isfinite(float(loss.data)) and logits.data.shape == (4, 10)
 
 
 class TestConfigFile:
