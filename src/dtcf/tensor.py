@@ -311,6 +311,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(data, (a, b), bwd)
 
 
+def _phase_cut(u: int, stride: int, pad: int, size: int) -> tuple[slice, slice]:
+    """Where the stride phase of padded rows u::stride meets the unpadded input:
+    the phase positions that hold input rows, and those rows."""
+    first = max(0, -(-(pad - u) // stride))
+    start = u + stride * first - pad
+    return slice(first, first + len(range(start, size, stride))), slice(start, size, stride)
+
+
 @unbatched(3)
 def conv2d(x: Tensor, kernels: Tensor, stride=(1, 1), padding=(0, 0)) -> Tensor:
     """2-D cross-correlation (no kernel flip) over the trailing two axes.
@@ -318,6 +326,12 @@ def conv2d(x: Tensor, kernels: Tensor, stride=(1, 1), padding=(0, 0)) -> Tensor:
     ``x`` is (B, Cin, T, F); ``kernels`` is (Cout, Cin, kh, kw). Output
     extents follow the usual floor rule T' = (T + 2p - kh) // s + 1: windows
     that would run past the padded input are dropped.
+
+    The forward is one GEMM over im2col columns, which are dropped when it
+    returns. The backward keeps nothing but ``x``, which the graph holds
+    anyway: it rebuilds the padded input, channel-first and split into the
+    sh x sw stride phases its taps read, and takes both gradients tap by tap
+    as GEMMs over shifted views of that flat grid.
     """
     if kernels.ndim != 4:
         raise ShapeError(f"kernels must be rank 4, got {kernels.shape}")
@@ -334,29 +348,51 @@ def conv2d(x: Tensor, kernels: Tensor, stride=(1, 1), padding=(0, 0)) -> Tensor:
         raise ConfigError(f"kernel {kh}x{kw} does not fit padded input {t + 2 * ph}x{f + 2 * pw}")
 
     xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x.data
-    span_t, span_f = (to - 1) * sh + 1, (fo - 1) * sw + 1
     m = b * to * fo
     k = cin * kh * kw
-    # im2col: one copy of the strided windows, laid out (cin, kh, kw, b, to, fo);
-    # the forward product and the kernel gradient share it
+    # im2col: one copy of the strided windows, laid out (cin, kh, kw, b, to, fo)
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
     cols2 = np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3)).reshape(k, m)
     w2 = kernels.data.reshape(cout, k)
     out = np.ascontiguousarray((w2 @ cols2).reshape(cout, b, to, fo).transpose(1, 0, 2, 3))
 
     def bwd(g):
-        g2 = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(cout, m)
+        # Stride phase (u, v) holds the padded rows u::sh and columns v::sw on a grid of
+        # tq x fq positions per sample, flattened channel-first to (C, n). Output (i, j)
+        # sits at grid position (i, j), and tap (di, dj) reads phase (di % sh, dj % sw)
+        # at the fixed shift s: one GEMM over a shifted view per tap. Grid positions
+        # past (to, fo) carry a zero gradient, so reads that run past a row or a sample
+        # add nothing.
+        tq, fq = -(-(t + 2 * ph) // sh), -(-(f + 2 * pw) // sw)
+        n = b * tq * fq
+        taps: dict = {}
+        for di in range(kh):
+            for dj in range(kw):
+                taps.setdefault((di % sh, dj % sw), []).append((di, dj, di // sh * fq + dj // sw))
+        gf = np.zeros((cout, b, tq, fq), dtype=g.dtype)
+        gf[:, :, :to, :fo] = g.transpose(1, 0, 2, 3)
+        gf = gf.reshape(cout, n)
+        wt = np.ascontiguousarray(kernels.data.transpose(2, 3, 1, 0))
+        dw = np.empty((kh, kw, cin, cout), dtype=kernels.dtype)
+        dx = np.zeros(x.shape, dtype=x.dtype)
+        for (u, v), phase_taps in taps.items():
+            (qu, ru), (qv, rv) = _phase_cut(u, sh, ph, t), _phase_cut(v, sw, pw, f)
+            if kernels.requires_grad:
+                xq = np.zeros((cin, b, tq, fq), dtype=x.dtype)
+                xq[:, :, qu, qv] = x.data[:, :, ru, rv].transpose(1, 0, 2, 3)
+                xq = xq.reshape(cin, n)
+                for di, dj, s in phase_taps:
+                    dw[di, dj] = xq[:, s:] @ gf[:, :n - s].T
+                del xq
+            if x.requires_grad:
+                dq = np.zeros((cin, n), dtype=x.dtype)
+                for di, dj, s in phase_taps:
+                    dq[:, s:] += wt[di, dj] @ gf[:, :n - s]
+                dx[:, :, ru, rv] = dq.reshape(cin, b, tq, fq)[:, :, qu, qv].transpose(1, 0, 2, 3)
         if kernels.requires_grad:
-            # (K, M) @ (M, Cout) is the orientation BLAS runs fast for a long M
-            kernels._accum((cols2 @ g2.T).T.reshape(kernels.shape))
+            kernels._accum(dw.transpose(3, 2, 0, 1))
         if x.requires_grad:
-            # col2im one tap at a time into a channel-first padded buffer
-            dxp = np.zeros((cin, b) + xp.shape[2:], dtype=xp.dtype)
-            for di in range(kh):
-                for dj in range(kw):
-                    dxp[:, :, di:di + span_t:sh, dj:dj + span_f:sw] += \
-                        (kernels.data[:, :, di, dj].T @ g2).reshape(cin, b, to, fo)
-            x._accum(dxp[:, :, ph:ph + t, pw:pw + f].transpose(1, 0, 2, 3))
+            x._accum(dx)
 
     return _node(out, (x, kernels), bwd)
 

@@ -255,10 +255,10 @@ class TestTrain:
 
 # checkpoint of the tiny config trained with seed 0, the seed a run gets when neither
 # --seed, the config file nor DTCF_SEED gives one
-SEED_0_CHECKPOINT = "c0a38367d69bbcf680f7d0f87ab561605f8b9875b4ac0e326070e2dc1865832a"
+SEED_0_CHECKPOINT = "99a46590d19e136201517494f48b97883da564c6bf051b388e04161e737051d9"
 # the trained fixture's embeddings of the full manifest, and its eval line on the trial list
-TRAINED_EXTRACT = "62e98db6dfa705b80d62ed31cdb72422f8848639c1a41cb056b02ccd719aaf09"
-TRAINED_EVAL_LINE = "6323335c3c2f3be6bd55b087fdd74cb046a6d61a7fc8184d25d7b04e5bd3694c"
+TRAINED_EXTRACT = "284fce571e6e8ca201d8a149f11223e3d6bb801cf31aa54168272a046e004650"
+TRAINED_EVAL_LINE = "6930634fe915db793e042fe69176db57e80ce0d4b31e7420b50ea96eddc1412f"
 
 
 def test_trained_extract_and_eval_are_pinned(trained, corpus_dir, tmp_path, capsys):

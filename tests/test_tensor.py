@@ -1,5 +1,7 @@
 """Tensor engine tests: forward oracles and gradient verification."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -52,6 +54,27 @@ def conv2d_oracle(x, w, stride, padding):
                             acc += xp[c, i * sh + di, j * sw + dj] * w[o, c, di, dj]
                 out[o, i, j] = acc
     return out
+
+
+def im2col_conv2d(x, w, stride, padding, g):
+    """The im2col conv of earlier releases: its output, and its data and kernel
+    gradients for the upstream gradient ``g``."""
+    cout, cin, kh, kw = w.shape
+    b, _, t, f = x.shape
+    (sh, sw), (ph, pw) = stride, padding
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    to, fo = (t + 2 * ph - kh) // sh + 1, (f + 2 * pw - kw) // sw + 1
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
+    cols = np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3)).reshape(cin * kh * kw, -1)
+    out = (w.reshape(cout, -1) @ cols).reshape(cout, b, to, fo).transpose(1, 0, 2, 3)
+    g2 = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(cout, -1)
+    dxp = np.zeros((cin, b) + xp.shape[2:], dtype=x.dtype)
+    for di in range(kh):
+        for dj in range(kw):
+            dxp[:, :, di:di + (to - 1) * sh + 1:sh, dj:dj + (fo - 1) * sw + 1:sw] += \
+                (w[:, :, di, dj].T @ g2).reshape(cin, b, to, fo)
+    dx = dxp[:, :, ph:ph + t, pw:pw + f].transpose(1, 0, 2, 3)
+    return out, dx, (cols @ g2.T).T.reshape(w.shape)
 
 
 def mean_axis_oracle(x, axis):
@@ -153,6 +176,43 @@ class TestConv2d:
         r = t64(rng(18).normal(size=conv2d(x, w, stride, padding).shape))
         assert grad_check(lambda v: (conv2d(v, w, stride, padding) * r).sum(), x, eps=1e-4) < 1e-6
         assert grad_check(lambda v: (conv2d(x, v, stride, padding) * r).sum(), w, eps=1e-4) < 1e-6
+
+    # every conv of the toy model (widths 4-8-16-32, 120 x 80 input) at B=4: the cin=1
+    # stem, then each stage's 3x3 conv1, its 1x1 skip where it strides, and its conv2
+    @pytest.mark.parametrize("cin,cout,kernel,stride,t,f", [
+        (1, 4, 3, (1, 1), 120, 80), (4, 4, 3, (1, 1), 120, 80),
+        (4, 8, 3, (1, 2), 120, 80), (4, 8, 1, (1, 2), 120, 80), (8, 8, 3, (1, 1), 120, 40),
+        (8, 16, 3, (2, 2), 120, 40), (8, 16, 1, (2, 2), 120, 40), (16, 16, 3, (1, 1), 60, 20),
+        (16, 32, 3, (2, 2), 60, 20), (16, 32, 1, (2, 2), 60, 20), (32, 32, 3, (1, 1), 30, 10)])
+    def test_float32_against_im2col(self, cin, cout, kernel, stride, t, f):
+        # the forward is the same im2col product, so bit for bit; the gradients are
+        # summed in another order, so within float32 roundoff
+        padding = (kernel // 2, kernel // 2)
+        x = dt.tensor(rng(36).standard_normal((4, cin, t, f)), requires_grad=True)
+        w = dt.tensor(rng(37).standard_normal((cout, cin, kernel, kernel)), requires_grad=True)
+        out = conv2d(x, w, stride, padding)
+        g = rng(38).standard_normal(out.shape).astype(np.float32)
+        ref_out, ref_dx, ref_dw = im2col_conv2d(x.data, w.data, stride, padding, g)
+        (out * dt.tensor(g)).sum().backward()
+        np.testing.assert_array_equal(out.data, ref_out)
+        for got, ref in ((x.grad, ref_dx), (w.grad, ref_dw)):
+            assert got.dtype == np.float32
+            assert np.linalg.norm(got - ref) <= 1e-5 * np.linalg.norm(ref)
+
+    def test_forward_keeps_only_its_output(self):
+        # the backward rebuilds what it needs from x, which the graph holds anyway
+        x = dt.tensor(rng(39).standard_normal((4, 8, 120, 40)), requires_grad=True)
+        w = dt.tensor(rng(40).standard_normal((16, 8, 3, 3)), requires_grad=True)
+        padded = x.data.itemsize * 4 * 8 * 122 * 42
+        tracemalloc.start()
+        try:
+            out = conv2d(x, w, (1, 1), (1, 1))
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held - out.data.nbytes < 2 * padded, f"{(held - out.data.nbytes) / padded:.1f}x"
+        out.sum().backward()
+        assert w.grad.any() and x.grad.any()
 
 
 # ---------------------------------------------------------------- reductions

@@ -384,19 +384,21 @@ class TestTrainLoop:
             train(model, head, small_corpus, tiny_cfg(steps=2), SCHED, out_dir=tmp_path)
 
 
-# toy_step_digest() with one BLAS thread, as computed before backward freed the graph
-TOY_STEP_GRADS = "d6212a9bc54031c4fcbdd6e9f9b3fa4a8bd774f9bfd34d9f649fc25f75764bc1"
+# toy_step_digest() with one BLAS thread; conv2d's kernel gradient, summed tap by tap,
+# sets its bits
+TOY_STEP_GRADS = "42c86179c67a0abf563e28029f65c094593364cd17fd1ebf4394ff5a7b7e7d55"
 
 
-def toy_step():
-    """The seeded float32 toy DTCF model (widths 4-8-16-32), its zeroed gradients and a
-    B=4 batch: what one step of train() starts from."""
-    backbone = BackboneConfig(widths=(4, 8, 16, 32), blocks=(1, 1, 1, 1), attention="dtcf")
+def toy_step(backbone=BackboneConfig(widths=(4, 8, 16, 32), blocks=(1, 1, 1, 1),
+                                     attention="dtcf"), batch=4, frames=120):
+    """The seeded float32 model (by default the toy DTCF model, widths 4-8-16-32), its
+    zeroed gradients and a batch of ``batch`` x ``frames`` x 80: what one step of train()
+    starts from."""
     model, head = build_model_and_head(backbone, n_classes=10, seed=0)
     named = _named_params(model, head)
     dt.zero_grads(p for _, p in named)
-    feats = dt.tensor(rng(0).standard_normal((4, 120, 80)))
-    return model, head, named, feats, np.array([0, 3, 5, 9])
+    feats = dt.tensor(rng(0).standard_normal((batch, frames, 80)))
+    return model, head, named, feats, np.array([0, 3, 5, 9])[:batch]
 
 
 def toy_step_digest() -> str:
@@ -441,7 +443,24 @@ class TestTrainStep:
         # emb, logits and loss are still referenced, as train() holds them until the next step
         assert held <= 1 << 20, (f"{held / 2**20:.1f} MiB held after backward, "
                                  f"{after_forward / 2**20:.1f} MiB after the forward")
+        # what the forward holds is node outputs: no conv keeps its im2col columns
+        assert after_forward <= 36 << 20, f"{after_forward / 2**20:.1f} MiB after the forward"
         assert np.isfinite(float(loss.data)) and logits.data.shape == (4, 10)
+
+    @pytest.mark.slow
+    def test_full_width_forward_memory(self):
+        # the full-width DTCF model (8.4M parameters) at B=2, crop 200: a training
+        # step peaks at what its forward holds
+        model, head, _, feats, labels = toy_step(BackboneConfig(attention="dtcf"), 2, 200)
+        tracemalloc.start()
+        try:
+            loss = ce_loss_batch(head.logits_batch(model.forward(feats, training=True), labels),
+                                 labels)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held <= 800 << 20, f"{held / 2**20:.0f} MiB held after the forward"
+        assert np.isfinite(float(loss.data))
 
 
 class TestConfigFile:
