@@ -108,13 +108,12 @@ def cmd_eval(args) -> int:
     emb = read_embeddings(args.emb)
     trials = read_trials(args.trials)
     store = {utt: vec for utt, (_, vec) in emb.items()}
-    scored = score_trials(store, trials)
-    scores = [t.score for t in scored]
-    labels = [t.label for t in scored]
-    eer, th_eer = compute_eer(scores, labels)
-    mdcf, th_dcf = compute_min_dcf(scores, labels, DCFParams())
+    scores = score_trials(store, trials)
+    target = np.array([label == "target" for _, _, label in trials])
+    eer, th_eer = compute_eer(scores, target)
+    mdcf, th_dcf = compute_min_dcf(scores, target, DCFParams())
     scores_path = args.scores or (Path(args.emb).parent / "scores.csv")
-    write_scores(scores_path, scored)
+    write_scores(scores_path, trials, scores)
     print(f"eer={eer!r} minDcf={mdcf!r} threshold_eer={th_eer!r} threshold_dcf={th_dcf!r}")
     return 0
 

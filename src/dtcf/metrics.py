@@ -12,22 +12,29 @@ increasing transform of all scores leaves them unchanged.
 The sweep takes O(N log N) time and O(N) memory for N trials: each class is
 sorted once and its rates are exact counts over the sorted scores, found by
 binary search at every threshold. Trial scoring normalises each stored
-embedding once and scores a block of trials at a time, so its working memory
-is the store plus one block, however long the trial list.
+embedding once and scores a block of trials at a time into one float64
+array, so its working memory is the store plus one block, however long the
+trial list.
+
+The eval pass works in bulk, with no Python object per value or per score:
+`read_embeddings` streams the file, splits each row once into its ids and
+its value text, and converts a block of rows at a time with one
+`np.loadtxt` call; `write_scores` writes every row with one `writerows`.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DataError, DomainError
 
-__all__ = ["DCFParams", "TrialScore", "cosine_score", "compute_eer",
+__all__ = ["DCFParams", "cosine_score", "compute_eer",
            "compute_min_dcf", "score_trials", "export_embeddings",
            "read_embeddings", "write_scores"]
 
@@ -43,13 +50,6 @@ class DCFParams:
             raise DataError("require 0 < p_target < 1 and positive costs")
 
 
-class TrialScore(NamedTuple):
-    enroll: str
-    test: str
-    label: str
-    score: float
-
-
 def cosine_score(a: np.ndarray, b: np.ndarray) -> float:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -61,7 +61,11 @@ def cosine_score(a: np.ndarray, b: np.ndarray) -> float:
 
 def _split_scores(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     scores = np.asarray(scores, dtype=np.float64)
-    lab = np.asarray([l == "target" if isinstance(l, str) else bool(l) for l in labels])
+    if isinstance(labels, np.ndarray) and labels.dtype == bool:
+        lab = labels
+    else:
+        lab = np.array([l == "target" if isinstance(l, str) else bool(l) for l in labels],
+                       dtype=bool)
     if scores.shape != lab.shape or scores.ndim != 1:
         raise DataError("scores and labels must be equal-length vectors")
     if np.isnan(scores).any():
@@ -113,12 +117,13 @@ def compute_min_dcf(scores: Sequence[float], labels: Sequence,
     return float(dcf[i]), float(thr[i])
 
 
-_BLOCK = 1024       # trials per gather: two 4 MiB operands at 512 dimensions
+_BLOCK = 256        # trials per gather: two 1 MiB operands at 512 dimensions; the heap
+                    # reuses them, where 4 MiB ones were faulted in afresh for each block
 
 
 def score_trials(store: dict[str, np.ndarray],
-                 trials: Sequence[tuple[str, str, str]]) -> list[TrialScore]:
-    """One cosine score per trial, order preserved.
+                 trials: Sequence[tuple[str, str, str]]) -> np.ndarray:
+    """One cosine score per trial, as a float64 array in trial order.
 
     Raises for the first trial, in order, that names an id missing from the
     store (DataError) or an embedding of zero norm (DomainError). Unit rows
@@ -135,7 +140,7 @@ def score_trials(store: dict[str, np.ndarray],
     norm = np.linalg.norm(mat, axis=1)
     zero = np.append(norm < 1e-300, False)
     mat /= np.where(zero[:-1], 1.0, norm)[:, None]
-    out: list[TrialScore] = []
+    out = np.empty(len(trials))
     for lo in range(0, len(trials), _BLOCK):
         chunk = trials[lo:lo + _BLOCK]
         pair = np.array([(row.get(e, absent), row.get(t, absent)) for e, t, _ in chunk],
@@ -148,18 +153,16 @@ def score_trials(store: dict[str, np.ndarray],
                 utt = chunk[k][int(np.argmax(missing[k]))]
                 raise DataError(f"utterance id not in embedding store: {utt}")
             raise DomainError("zero-norm embedding")
-        scores = np.einsum("ij,ij->i", mat[pair[:, 0]], mat[pair[:, 1]])
-        out.extend(TrialScore(e, t, label, s)
-                   for (e, t, label), s in zip(chunk, scores.tolist()))
+        out[lo:lo + len(chunk)] = np.einsum("ij,ij->i", mat[pair[:, 0]], mat[pair[:, 1]])
     return out
 
 
-def write_scores(path, scored: Sequence[TrialScore]) -> None:
+def write_scores(path, trials: Sequence[tuple[str, str, str]], scores: np.ndarray) -> None:
+    """CSV `enroll,test,label,score`, one row per trial; scores print as repr()."""
     with open(path, "w", encoding="utf-8", newline="") as f:
         w = csv.writer(f)
         w.writerow(["enroll", "test", "label", "score"])
-        for row in scored:
-            w.writerow([row.enroll, row.test, row.label, repr(row.score)])
+        w.writerows((*trial, score) for trial, score in zip(trials, scores.tolist()))
 
 
 def export_embeddings(store: dict[str, tuple[str, np.ndarray]], path) -> None:
@@ -176,28 +179,78 @@ def export_embeddings(store: dict[str, tuple[str, np.ndarray]], path) -> None:
             w.writerow([utt, spk] + [repr(float(v)) for v in emb])
 
 
+_ROWS = 256         # embedding rows per conversion: about 2.5 MB of text at 512 dimensions
+
+
+def _rows(path: Path, f):
+    """(line number, utt_id, speaker_id, value text) for each non-blank row.
+
+    A row is split once at its first two commas; only a row that holds a
+    quote goes through csv, which may read on to close a quoted field.
+    """
+    line_no = 1
+    for line in f:
+        line_no += 1
+        if not line.rstrip("\r\n"):
+            continue
+        if '"' in line:
+            reader = csv.reader(itertools.chain([line], f))
+            fields = next(reader)
+            line_no += reader.line_num - 1
+            if len(fields) > 2:
+                fields[2:] = [",".join(fields[2:])]
+        else:
+            fields = line.split(",", 2)
+        if len(fields) < 3:
+            raise DataError(f"{path}:{line_no}: expected utt_id, speaker_id and values, "
+                            f"got {len(fields)} fields")
+        yield line_no, *fields
+
+
+def _block_values(path: Path, block: list[tuple], dim: int) -> np.ndarray:
+    """The values of a block of rows, one float64 row each, from one C-level
+    parse; if it fails, DataError names the first row, in file order, that is
+    not `dim` comma-separated floats."""
+    try:
+        values = np.loadtxt([text for *_, text in block], delimiter=",", comments=None,
+                            dtype=np.float64, ndmin=2)
+        if values.shape == (len(block), dim):      # loadtxt skips a blank value text
+            return values
+    except ValueError:
+        pass
+    for line_no, _, _, text in block:
+        count = text.count(",") + 1 if text.strip() else 0
+        try:
+            if count != dim:
+                raise ValueError(f"expected {dim} values as in the header, got {count}")
+            np.loadtxt([text], delimiter=",", comments=None, dtype=np.float64)
+        except ValueError as e:
+            raise DataError(f"{path}:{line_no}: {e}") from None
+    raise DataError(f"{path}:{block[0][0]}-{block[-1][0]}: values do not parse")
+
+
 def read_embeddings(path) -> dict[str, tuple[str, np.ndarray]]:
     """Parse an export_embeddings CSV; blank lines are skipped.
 
-    A row without a value or with a non-numeric value raises DataError
-    naming the file and line.
+    Every row carries as many values as the header names and a utt_id of
+    its own. A row without values, with another number of values, with a
+    value that is not a float, or with a repeated utt_id raises DataError
+    naming the file and line. The file is read _ROWS rows at a time, so
+    the working memory beyond the result is one block of text.
     """
     path = Path(path)
     out: dict[str, tuple[str, np.ndarray]] = {}
     with open(path, encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if not header or header[:2] != ["utt_id", "speaker_id"]:
+        header = f.readline().rstrip("\r\n").split(",")
+        if header[:2] != ["utt_id", "speaker_id"] or len(header) < 3:
             raise DataError(f"{path}: bad embedding header")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                if len(row) < 3:
-                    raise ValueError(f"expected utt_id, speaker_id and values, got {len(row)} fields")
-                out[row[0]] = (row[1], np.array([float(v) for v in row[2:]], dtype=np.float64))
-            except ValueError as e:
-                raise DataError(f"{path}:{reader.line_num}: {e}") from None
+        dim = len(header) - 2
+        rows = _rows(path, f)
+        while block := list(itertools.islice(rows, _ROWS)):
+            for (line_no, utt, spk, _), vec in zip(block, _block_values(path, block, dim)):
+                if utt in out:
+                    raise DataError(f"{path}:{line_no}: utt_id {utt!r} repeats an earlier row")
+                out[utt] = (spk, vec)
     if not out:
         raise DataError(f"{path}: no embeddings")
     return out

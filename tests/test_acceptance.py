@@ -210,8 +210,7 @@ def test_criterion_8_end_to_end_overfit(overfit_run, overfit_corpus, tmp_path):
         for utt, spk, path in read_manifest(overfit_corpus.manifest_path):
             store[utt] = model.embed(fbank(read_wav(path)))
         trials = read_trials(overfit_corpus.trials_path)
-        scored = score_trials(store, trials)
-        eer, _ = compute_eer([t.score for t in scored], [t.label for t in scored])
+        eer, _ = compute_eer(score_trials(store, trials), [label for _, _, label in trials])
         assert eer <= 0.05, f"held-out EER {eer}"
 
         t0 = time.monotonic()

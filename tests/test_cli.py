@@ -13,7 +13,7 @@ from dtcf.cli import main
 from dtcf.errors import (CheckpointError, ConfigError, DataError, DivergenceError,
                          DomainError, GradCheckError, ShapeError)
 from dtcf.loss import AAMHead
-from dtcf.metrics import compute_eer, compute_min_dcf, read_embeddings
+from dtcf.metrics import compute_eer, compute_min_dcf, export_embeddings, read_embeddings
 from dtcf.model import BackboneConfig, SpeakerModel
 from dtcf.synth import read_manifest, read_trials
 from dtcf.train import (AdamState, TrainConfig, TrainReport, Triangular2Schedule,
@@ -256,9 +256,11 @@ class TestTrain:
 # checkpoint of the tiny config trained with seed 0, the seed a run gets when neither
 # --seed, the config file nor DTCF_SEED gives one
 SEED_0_CHECKPOINT = "99a46590d19e136201517494f48b97883da564c6bf051b388e04161e737051d9"
-# the trained fixture's embeddings of the full manifest, and its eval line on the trial list
+# the trained fixture's embeddings of the full manifest, and its eval line and score
+# file on the trial list
 TRAINED_EXTRACT = "284fce571e6e8ca201d8a149f11223e3d6bb801cf31aa54168272a046e004650"
 TRAINED_EVAL_LINE = "6930634fe915db793e042fe69176db57e80ce0d4b31e7420b50ea96eddc1412f"
+TRAINED_SCORES = "195b53e90c85f16bb0dac1d2531551859c78d829713e94d8cb1c8b979151f396"
 
 
 def test_trained_extract_and_eval_are_pinned(trained, corpus_dir, tmp_path, capsys):
@@ -270,6 +272,7 @@ def test_trained_extract_and_eval_are_pinned(trained, corpus_dir, tmp_path, caps
     assert main(["eval", "--emb", str(emb), "--trials", str(corpus_dir / "trials.txt")]) == 0
     line = capsys.readouterr().out.strip().splitlines()[-1]
     assert hashlib.sha256(line.encode()).hexdigest() == TRAINED_EVAL_LINE
+    assert sha(tmp_path / "scores.csv") == TRAINED_SCORES
 
 
 class TestTrainSeed:
@@ -494,9 +497,11 @@ class TestEval:
                   capsys.readouterr().out.strip().splitlines()[-1].split())
         from dtcf.metrics import score_trials
         store = {u: v for u, (_, v) in read_embeddings(emb).items()}
-        scored = score_trials(store, read_trials(trials))
-        eer, th = compute_eer([t.score for t in scored], [t.label for t in scored])
-        mdcf, thd = compute_min_dcf([t.score for t in scored], [t.label for t in scored])
+        listed = read_trials(trials)
+        scores = score_trials(store, listed).tolist()
+        labels = [label for _, _, label in listed]
+        eer, th = compute_eer(scores, labels)
+        mdcf, thd = compute_min_dcf(scores, labels)
         assert float(kv["eer"]) == eer and float(kv["minDcf"]) == mdcf
         assert float(kv["threshold_eer"]) == th and float(kv["threshold_dcf"]) == thd
 
@@ -509,6 +514,39 @@ class TestEval:
         assert main(["eval", "--emb", str(bad), "--trials", str(trials)]) == 5
         err = capsys.readouterr().err
         assert "bad_emb.csv:4" in err and "oops" in err
+
+    @pytest.mark.parametrize("row, message", [("a1,sa,1.0,0.0,0.0", "expected 4 values"),
+                                              ("a0,sa,1.0,0.0,0.0,0.0", "'a0' repeats")])
+    def test_inconsistent_embedding_row_exit_5(self, separable, tmp_path, capsys, row, message):
+        emb, trials = separable
+        lines = emb.read_text().splitlines()
+        lines[3] = row
+        bad = tmp_path / "bad_emb.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["eval", "--emb", str(bad), "--trials", str(trials)]) == 5
+        err = capsys.readouterr().err
+        assert "bad_emb.csv:4" in err and message in err
+
+    def test_quoted_ids_round_trip(self, tmp_path):
+        """Ids holding `,` and `"` are quoted on export, read back whole, and
+        quoted in scores.csv as csv.writer quotes them."""
+        ids = ['a,1', 'a"2', 'b",3', "b4"]
+        r = np.random.default_rng(71)
+        store = {utt: (f'spk,{utt[0]}"', r.normal(size=6)) for utt in ids}
+        emb = tmp_path / "emb.csv"
+        export_embeddings(store, emb)
+        back = read_embeddings(emb)
+        assert list(back) == sorted(ids)
+        for utt, (spk, vec) in store.items():
+            assert back[utt][0] == spk
+            np.testing.assert_array_equal(back[utt][1], vec)
+        trials = tmp_path / "trials.txt"
+        trials.write_text('a,1 a"2 target\nb",3 b4 target\na,1 b",3 nontarget\na"2 b4 nontarget\n')
+        assert main(["eval", "--emb", str(emb), "--trials", str(trials)]) == 0
+        lines = (tmp_path / "scores.csv").read_text().splitlines()
+        assert [line.rsplit(",", 1)[0] for line in lines] == [
+            "enroll,test,label", '"a,1","a""2",target', '"b"",3",b4,target',
+            '"a,1","b"",3",nontarget', '"a""2",b4,nontarget']
 
     def test_unresolvable_trial_id_exit_5(self, separable, tmp_path, capsys):
         emb, _ = separable

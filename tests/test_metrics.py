@@ -1,5 +1,6 @@
 """Metric tests against brute-force threshold-sweep oracles."""
 
+import csv
 import tracemalloc
 
 import numpy as np
@@ -129,6 +130,8 @@ class TestEER:
     def test_degenerate_labels_rejected(self):
         with pytest.raises(DataError):
             compute_eer([0.5, 0.4], ["target", "target"])
+        with pytest.raises(DataError):
+            compute_eer([], [])
 
 
 # ------------------------------------------------------------------ minDCF
@@ -230,11 +233,11 @@ class TestScoreTrials:
         store = self.make_store()
         trials = [("u0", "u1", "target"), ("u2", "u3", "nontarget"), ("u0", "u1", "target")]
         scored = score_trials(store, trials)
-        assert len(scored) == 3
-        assert scored[0].score == scored[2].score
+        assert scored.shape == (3,) and scored.dtype == np.float64
+        assert scored[0] == scored[2]
         perm = [trials[2], trials[0], trials[1]]
         rescored = score_trials(store, perm)
-        assert [t.score for t in rescored] == [scored[2].score, scored[0].score, scored[1].score]
+        assert rescored.tolist() == [scored[2], scored[0], scored[1]]
 
     def test_missing_id_named(self):
         store = self.make_store(2)
@@ -246,15 +249,15 @@ class TestScoreTrials:
         store = {f"u{i}": r.normal(size=192).astype(np.float32) for i in range(20)}
         trials = [(f"u{a}", f"u{b}", "target") for a, b in r.integers(0, 20, (300, 2))]
         for (e, t, _), got in zip(trials, score_trials(store, trials)):
-            assert abs(got.score - cosine_score(store[e], store[t])) <= 1e-12
+            assert abs(got - cosine_score(store[e], store[t])) <= 1e-12
 
     def test_duplicate_trials_identical(self, monkeypatch):
         monkeypatch.setattr(metrics, "_BLOCK", 17)
         store = self.make_store(n=10, dim=37, seed=64)
         trials = [(f"u{i % 10}", f"u{(3 * i) % 10}", "target") for i in range(40)]
         scored = score_trials(store, trials * 3)
-        for i, row in enumerate(scored):
-            assert row.score == scored[i % 40].score
+        for i, score in enumerate(scored):
+            assert score == scored[i % 40]
 
     def test_unreferenced_zero_norm_is_fine(self):
         store = self.make_store()
@@ -288,11 +291,11 @@ class TestScoreTrials:
         r = rng(66)
         trials = [(f"u{a}", f"u{b}", "nontarget") for a, b in r.integers(0, 30, (2500, 2))]
         assert len(trials) > 2 * metrics._BLOCK
-        assert score_trials(store, trials) == [score_trials(store, [t])[0] for t in trials]
+        assert score_trials(store, trials).tolist() == [score_trials(store, [t])[0] for t in trials]
 
     def test_memory_is_store_plus_one_block(self):
         """100k trials over a 500 x 512 store: the working memory beyond the
-        returned list is bounded by the store and one block, not the trials
+        returned array is bounded by the store and one block, not the trials
         (gathering every pair at once would take 800 MB)."""
         r = rng(67)
         store = {f"u{i}": r.normal(size=512) for i in range(500)}
@@ -310,9 +313,9 @@ class TestScoreTrials:
 
     def test_write_scores_csv(self, tmp_path):
         store = self.make_store()
-        scored = score_trials(store, [("u0", "u1", "target")])
+        trials = [("u0", "u1", "target")]
         path = tmp_path / "scores.csv"
-        write_scores(path, scored)
+        write_scores(path, trials, score_trials(store, trials))
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "enroll,test,label,score"
         assert lines[1].startswith("u0,u1,target,")
@@ -353,9 +356,46 @@ class TestExport:
         assert sorted(back) == ["u0", "u1"]
         np.testing.assert_array_equal(back["u1"][1], [3.0, 4.0])
 
-    @pytest.mark.parametrize("row", ["u1,s1,3.0,x", "u1,s1,", "u1,s1", "u1"])
+    @pytest.mark.parametrize("row", ["u1,s1,3.0,x", "u1,s1,", "u1,s1", "u1",
+                                     "u1,s1,3.0,4.0,5.0", "u0,s0,3.0,4.0"])
     def test_malformed_row_names_file_and_line(self, tmp_path, row):
         path = tmp_path / "e.csv"
         path.write_text(f"utt_id,speaker_id,e0,e1\nu0,s0,1.0,2.0\n\n{row}\n")
         with pytest.raises(DataError, match=r"e\.csv:4"):
             read_embeddings(path)
+
+    def test_values_equal_float_per_value(self, tmp_path):
+        """Bit for bit what float() gives for each exported value, -0.0 and
+        subnormals included."""
+        r = rng(68)
+        vecs = r.normal(size=(50, 512)) * 10.0 ** r.integers(-300, 300, size=(50, 512))
+        vecs[0, :4] = [-0.0, 0.0, 5e-324, -2.5e-310]
+        path = tmp_path / "e.csv"
+        export_embeddings({f"u{i:02d}": ("s", v) for i, v in enumerate(vecs)}, path)
+        with open(path, newline="") as f:
+            oracle = {row[0]: [float(v) for v in row[2:]] for row in list(csv.reader(f))[1:]}
+        back = read_embeddings(path)
+        assert list(back) == list(oracle)
+        for utt, values in oracle.items():
+            got = back[utt][1]
+            assert got.dtype == np.float64
+            assert got.tobytes() == np.array(values, dtype=np.float64).tobytes()
+        assert back["u00"][1][:4].tobytes() == np.array([-0.0, 0.0, 5e-324, -2.5e-310]).tobytes()
+
+    def test_parse_memory_is_one_block_of_text(self, tmp_path):
+        """4,000 x 512 values, about 38 MB of text: the working memory beyond
+        the parsed result stays a few MiB, well under the file's size."""
+        r = rng(69)
+        path = tmp_path / "e.csv"
+        export_embeddings({f"u{i:04d}": ("s", v) for i, v in enumerate(r.normal(size=(4000, 512)))},
+                          path)
+        assert path.stat().st_size > 35e6
+        tracemalloc.start()
+        try:
+            back = read_embeddings(path)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(back) == 4000
+        work_mb = (peak - current) / 2**20
+        assert work_mb < 6, f"{work_mb:.1f} MiB"
