@@ -3,7 +3,9 @@
 Layout: 8-byte magic, little-endian uint64 header length, UTF-8 JSON header
 (sorted keys), then the raw tensor payload in header order. Writing the same
 state twice produces byte-identical files (no timestamps, no compression),
-which the round-trip tests rely on.
+which the round-trip tests rely on. A checkpoint is replaced atomically: it
+is written and synced beside its path, then renamed over it, so a write that
+fails leaves the previous file as it was.
 """
 
 from __future__ import annotations
@@ -36,12 +38,21 @@ def save_checkpoint(path, config: dict, tensors: dict[str, np.ndarray],
     header = json.dumps({"version": FORMAT_VERSION, "config": config,
                          "extra": extra or {}, "tensors": manifest},
                         sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(len(header).to_bytes(8, "little"))
-        f.write(header)
-        for arr in arrays.values():
-            f.write(arr.tobytes())
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(len(header).to_bytes(8, "little"))
+            f.write(header)
+            for arr in arrays.values():
+                f.write(arr.tobytes())
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray], dict]:

@@ -156,30 +156,28 @@ class SpeakerModel(Module):
 
     MIN_FRAMES = 8
 
-    def __init__(self, config: BackboneConfig | None = None, seed: int = 0,
-                 dtype=np.float32):
-        cfg = config or BackboneConfig()
+    def __init__(self, config: BackboneConfig, seed: int = 0, dtype=np.float32):
         rng = np.random.default_rng(seed)
-        self.config = cfg
+        self.config = config
         self.dtype = dtype
-        w = cfg.widths
+        w = config.widths
         self.stem_conv = Conv2dLayer(1, w[0], rng=rng, dtype=dtype)
         self.stem_bn = BatchNorm2d(w[0], dtype=dtype)
         self.stages: list[list[ResidualBlock]] = []
         in_ch = w[0]
-        for width, count, stride in zip(w, cfg.blocks, cfg.strides):
+        for width, count, stride in zip(w, config.blocks, config.strides):
             stage = []
             for j in range(count):
                 stage.append(ResidualBlock(
                     in_ch, width, stride=stride if j == 0 else (1, 1),
-                    attention=cfg.attention, reduction=cfg.reduction,
+                    attention=config.attention, reduction=config.reduction,
                     rng=rng, dtype=dtype))
                 in_ch = width
             self.stages.append(stage)
-        self._final_freq = self._trace_freq(cfg)
+        self._final_freq = self._trace_freq(config)
         stats_dim = w[-1] * self._final_freq
-        self.asp = ASPHead(stats_dim, cfg.asp_hidden, rng=rng, dtype=dtype)
-        self.emb = LinearLayer(2 * stats_dim, cfg.emb_dim, rng=rng, dtype=dtype)
+        self.asp = ASPHead(stats_dim, config.asp_hidden, rng=rng, dtype=dtype)
+        self.emb = LinearLayer(2 * stats_dim, config.emb_dim, rng=rng, dtype=dtype)
 
     @staticmethod
     def _trace_freq(cfg: BackboneConfig) -> int:

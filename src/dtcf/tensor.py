@@ -6,8 +6,8 @@ backward closure on the output node, and ``backward()`` replays the closures
 in reverse topological order. A graph is walked once: each interior node's
 closure, parents and gradient are dropped as soon as its closure has run, so
 the memory of the graph is freed during the walk, and a second walk over it
-raises DomainError. Training runs at float32, gradient checks at float64
-(pass ``dtype`` to the factories).
+raises DomainError. Training runs at float32, gradient checks at float64: a
+Tensor takes the dtype of the array it wraps.
 
 Broadcasting is deliberately narrow: both operands must have the same rank
 and every dimension must either match or be 1 on one side. Anything fancier
@@ -32,10 +32,6 @@ from .errors import ConfigError, DomainError, GradCheckError, ShapeError
 
 __all__ = [
     "Tensor",
-    "tensor",
-    "zeros",
-    "ones",
-    "full",
     "matmul",
     "conv2d",
     "mean_axis",
@@ -143,9 +139,6 @@ class Tensor:
         c = self.dtype.type(other)
         return _unary(self, self.data / c, lambda g: g / c)
 
-    def __neg__(self):
-        return _unary(self, -self.data, lambda g: -g)
-
     # -- pointwise nonlinearities -------------------------------------------
 
     def relu(self) -> "Tensor":
@@ -192,31 +185,12 @@ class Tensor:
         backward(self)
 
 
-# -- factories ---------------------------------------------------------------
-
-def tensor(data, dtype=np.float32, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.asarray(data, dtype=dtype), requires_grad=requires_grad)
-
-
-def zeros(shape, dtype=np.float32, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad)
-
-
-def ones(shape, dtype=np.float32, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.ones(shape, dtype=dtype), requires_grad=requires_grad)
-
-
-def full(shape, value, dtype=np.float32) -> Tensor:
-    return Tensor(np.full(shape, value, dtype=dtype))
-
-
 # -- graph plumbing -----------------------------------------------------------
 
 def _node(data: np.ndarray, parents: tuple, backward_fn: Callable | None) -> Tensor:
     if _grad_enabled and any(p.requires_grad for p in parents):
         out = Tensor(data, _parents=parents, _backward=backward_fn)
-        out.requires_grad = True
-        out.grad = None  # interior grads are allocated lazily by backward
+        out.requires_grad = True     # its grad stays None until backward reaches it
         return out
     return Tensor(data)
 

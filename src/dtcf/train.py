@@ -11,7 +11,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -104,8 +104,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 2:
             raise ConfigError("batch_size must be >= 2 (batchnorm statistics)")
-        if self.steps < 1 or self.crop < 8 or self.checkpoint_every < 1:
-            raise ConfigError("steps >= 1, crop >= 8, checkpoint_every >= 1")
+        if self.steps < 1 or self.crop < SpeakerModel.MIN_FRAMES or self.checkpoint_every < 1:
+            raise ConfigError(f"steps >= 1, crop >= {SpeakerModel.MIN_FRAMES}, checkpoint_every >= 1")
 
 
 class Corpus:
@@ -184,24 +184,17 @@ def build_model_and_head(backbone: BackboneConfig, n_classes: int, seed: int = 0
 def _read_state(path):
     """(backbone config, head fields, step, tensors, extra) of a checkpoint with a full header.
 
-    A missing entry or field, a backbone that is no ``BackboneConfig`` and a step that is no
-    count raise CheckpointError naming the key; the head fields are checked where they are used.
+    A missing or malformed entry or field and a step that is no count raise CheckpointError
+    naming the key; the values of the head fields are checked where they are used.
     """
     config, tensors, extra = load_checkpoint(path)
-    wanted = {"backbone": [f.name for f in fields(BackboneConfig)], "head": _HEAD_FIELDS}
-    for key, names in wanted.items():
-        entry = config.get(key)
-        if not isinstance(entry, dict):
-            raise CheckpointError(f"{path}: checkpoint config has no '{key}' entry")
-        for name in names:
-            if name not in entry:
-                raise CheckpointError(f"{path}: checkpoint config '{key}' has no '{name}' field")
-    with _malformed(path, "config 'backbone'", config["backbone"]):
+    with _malformed(path, "config 'backbone'", config.get("backbone")):
         backbone = BackboneConfig.from_dict(config["backbone"])
+    with _malformed(path, "config 'head'", config.get("head")):
+        head_fields = {name: config["head"][name] for name in _HEAD_FIELDS}
     step = extra.get("step", 0)
     if type(step) is not int or step < 0:
         raise CheckpointError(f"{path}: checkpoint 'step' {step!r} is not a step count")
-    head_fields = {name: config["head"][name] for name in _HEAD_FIELDS}
     return backbone, head_fields, step, tensors, extra
 
 
@@ -291,8 +284,12 @@ def train(model: SpeakerModel, head: AAMHead, corpus: Corpus, cfg: TrainConfig,
     loop continues from the saved step to ``cfg.steps``, reproducing the
     un-resumed trajectory exactly. A checkpoint at or past ``cfg.steps``, from
     a corpus with other speakers or another utterance count, or whose loop
-    state is malformed, is refused before anything is restored or written.
+    state is malformed, is refused before anything is restored or written, as is a
+    batch larger than the corpus.
     """
+    if cfg.batch_size > len(corpus):
+        raise ConfigError(f"batch_size {cfg.batch_size} is larger than the corpus's "
+                          f"{len(corpus)} utterances")
     _keep_freed_heap()
     named = _named_params(model, head)
     params = [p for _, p in named]

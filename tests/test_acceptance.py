@@ -12,7 +12,6 @@ import time
 import numpy as np
 import pytest
 
-import dtcf.tensor as dt
 from dtcf.attention import DTCFBlock, SEBlock
 from dtcf.audio import AugmentConfig, fbank, read_wav
 from dtcf.loss import AAMHead, ce_loss_batch
@@ -69,24 +68,24 @@ def test_criterion_2_duality_mask_equivariance():
             red = int(r.choice([2, 4]))
             blk = DTCFBlock(c, red, rng=rng(100 + case), dtype=np.float64)
             x = r.normal(size=(c, t, f))
-            xcf, xct = blk.pool(dt.tensor(x, dtype=np.float64))
+            xcf, xct = blk.pool(Tensor(np.asarray(x, dtype=np.float64)))
             mct0, mcf0 = blk.masks(blk.encode(xcf, xct), f_len=f)
 
             pt = r.permutation(t)
-            xcf1, xct1 = blk.pool(dt.tensor(x[:, pt, :], dtype=np.float64))
+            xcf1, xct1 = blk.pool(Tensor(np.asarray(x[:, pt, :], dtype=np.float64)))
             mct1, mcf1 = blk.masks(blk.encode(xcf1, xct1), f_len=f)
             np.testing.assert_allclose(mct1.data, mct0.data[:, pt], atol=1e-12)
             np.testing.assert_allclose(mcf1.data, mcf0.data, atol=1e-12)
 
             pf = r.permutation(f)
-            xcf2, xct2 = blk.pool(dt.tensor(x[:, :, pf], dtype=np.float64))
+            xcf2, xct2 = blk.pool(Tensor(np.asarray(x[:, :, pf], dtype=np.float64)))
             mct2, mcf2 = blk.masks(blk.encode(xcf2, xct2), f_len=f)
             np.testing.assert_allclose(mcf2.data, mcf0.data[:, pf], atol=1e-12)
             np.testing.assert_allclose(mct2.data, mct0.data, atol=1e-12)
 
             se = SEBlock(c, red, rng=rng(200 + case), dtype=np.float64)
-            m0 = se.mask(se.squeeze(dt.tensor(x, dtype=np.float64))).data
-            m1 = se.mask(se.squeeze(dt.tensor(x[:, pt][:, :, pf], dtype=np.float64))).data
+            m0 = se.mask(se.squeeze(Tensor(np.asarray(x, dtype=np.float64)))).data
+            m1 = se.mask(se.squeeze(Tensor(np.asarray(x[:, pt][:, :, pf], dtype=np.float64)))).data
             np.testing.assert_allclose(m1, m0, atol=1e-12)
 
 
@@ -134,7 +133,7 @@ def test_criterion_6_aam_reductions():
     with criterion(6, "margin-free reduction, margin monotonicity, ln K at uniform"):
         h0 = AAMHead(6, 16, scale=30.0, margin=0.0, rng=rng(30), dtype=np.float64)
         emb = rng(31).normal(size=16)
-        logits = h0.logits_batch(dt.tensor(emb[None], dtype=np.float64), np.array([2])).data[0]
+        logits = h0.logits_batch(Tensor(emb[None]), np.array([2])).data[0]
         wn = h0.weights.data / np.linalg.norm(h0.weights.data, axis=1, keepdims=True)
         cos = wn @ (emb / np.linalg.norm(emb))
         np.testing.assert_allclose(logits, 30.0 * cos, atol=1e-6)
@@ -145,13 +144,13 @@ def test_criterion_6_aam_reductions():
             label = int(r.integers(0, 6))
             ha = AAMHead(6, 16, margin=0.0, rng=rng(500 + i), dtype=np.float64)
             hb = AAMHead(6, 16, margin=0.2, rng=rng(500 + i), dtype=np.float64)
-            e1, lab = dt.tensor(e[None], dtype=np.float64), np.array([label])
+            e1, lab = Tensor(np.asarray(e[None], dtype=np.float64)), np.array([label])
             la = float(ce_loss_batch(ha.logits_batch(e1, lab), lab).data)
             lb = float(ce_loss_batch(hb.logits_batch(e1, lab), lab).data)
             assert lb >= la - 1e-12
 
         for k in (2, 7, 31):
-            lv = ce_loss_batch(dt.zeros((1, k), dtype=np.float64), np.array([k - 1]))
+            lv = ce_loss_batch(Tensor(np.zeros((1, k), dtype=np.float64)), np.array([k - 1]))
             assert float(lv.data) == pytest.approx(math.log(k), abs=1e-9)
 
 

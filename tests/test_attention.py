@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-import dtcf.tensor as dt
 from dtcf.attention import DTCFBlock, SEBlock, reduced_channels
 from dtcf.errors import ConfigError, ShapeError
-from dtcf.tensor import grad_check
+from dtcf.tensor import Tensor, grad_check
 
 
 def rng(seed=0):
@@ -14,7 +13,7 @@ def rng(seed=0):
 
 
 def t64(arr):
-    return dt.tensor(arr, dtype=np.float64)
+    return Tensor(np.asarray(arr, dtype=np.float64))
 
 
 def se_block(C, r=8, seed=0):
@@ -71,7 +70,7 @@ def dtcf_apply_oracle(x, w1, w2, w3):
 class TestSE:
     def test_squeeze_constant(self):
         block = se_block(4)
-        out = block.squeeze(dt.full((4, 3, 5), 2.5, dtype=np.float64))
+        out = block.squeeze(Tensor(np.full((4, 3, 5), 2.5, dtype=np.float64)))
         np.testing.assert_allclose(out.data, np.full(4, 2.5), atol=1e-12)
 
     def test_squeeze_hand_mean(self):
@@ -147,7 +146,7 @@ class TestSE:
 
 class TestDTCF:
     def test_pool_constant(self):
-        xcf, xct = dtcf_block(4).pool(dt.full((4, 3, 5), 1.5, dtype=np.float64))
+        xcf, xct = dtcf_block(4).pool(Tensor(np.full((4, 3, 5), 1.5, dtype=np.float64)))
         np.testing.assert_allclose(xcf.data, np.full((4, 5), 1.5), atol=1e-12)
         np.testing.assert_allclose(xct.data, np.full((4, 3), 1.5), atol=1e-12)
 
@@ -325,3 +324,12 @@ class TestParamCount:
         with pytest.raises(ConfigError):
             reduced_channels(12, 8)
         assert reduced_channels(4, 8) == 1
+
+
+@pytest.mark.parametrize("call", [
+    lambda: se_block(4).squeeze(t64(np.ones((4, 0, 5)))),
+    lambda: dtcf_block(4).pool(t64(np.ones((4, 3, 0)))),
+], ids=["se-squeeze-no-frames", "dtcf-pool-no-bins"])
+def test_empty_axis_raises(call):
+    with pytest.raises(ShapeError, match="empty time or frequency axis"):
+        call()

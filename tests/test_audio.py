@@ -1,6 +1,7 @@
 """Frontend tests: fbank geometry, masking, synthetic corpus determinism."""
 
 import hashlib
+import wave
 
 import numpy as np
 import pytest
@@ -205,3 +206,48 @@ class TestWavIO:
         back = read_wav(tmp_path / "x.wav")
         assert back.sample_rate == 16000
         np.testing.assert_allclose(back.samples, wav.samples, atol=1.0 / 32767)
+
+
+def stereo_wav(path):
+    with wave.open(str(path), "wb") as f:
+        f.setnchannels(2)
+        f.setsampwidth(2)
+        f.setframerate(16000)
+        f.writeframes(bytes(400))
+    return path
+
+
+def written(path, text):
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda tmp: Waveform(np.zeros(0)), DataError, "non-empty mono"),
+    (lambda tmp: Waveform(np.zeros((2, 100))), DataError, "non-empty mono"),
+    (lambda tmp: Waveform(np.array([0.1, np.nan, 0.2])), DataError, "non-finite"),
+    (lambda tmp: read_wav(stereo_wav(tmp / "st.wav")), DataError, "16-bit PCM mono"),
+    (lambda tmp: SyntheticSpeakerSpec("x", (500.0, 1500.0, 2500.0), (120.0, 100.0), -6.0, 0),
+     ConfigError, "bad f0 range"),
+    (lambda tmp: SyntheticSpeakerSpec("x", (500.0, 1500.0, 2500.0), (0.0, 100.0), -6.0, 0),
+     ConfigError, "bad f0 range"),
+    (lambda tmp: synth_corpus(3, 3, seed=0, out_dir=tmp / "c"), ConfigError,
+     "at least 4 utterances"),
+    (lambda tmp: read_manifest(written(tmp / "m.csv", "utt,spk,path\nu0,s0,a.wav\n")),
+     DataError, "bad manifest header"),
+    (lambda tmp: read_manifest(written(tmp / "m.csv", "utt_id,speaker_id,path\nu0,s0\n")),
+     DataError, "bad manifest row"),
+    (lambda tmp: read_manifest(written(tmp / "m.csv", "utt_id,speaker_id,path\n")),
+     DataError, "empty manifest"),
+    (lambda tmp: read_trials(written(tmp / "t.txt", "u0 u1 target\nu0 u2\n")),
+     DataError, "bad trial line"),
+    (lambda tmp: read_trials(written(tmp / "t.txt", "u0 u1 maybe\n")),
+     DataError, "bad trial line"),
+    (lambda tmp: read_trials(written(tmp / "t.txt", "\n  \n")), DataError, "empty trial list"),
+], ids=["waveform-empty", "waveform-2d", "waveform-nan", "wav-stereo", "f0-reversed",
+        "f0-zero", "corpus-3-utterances", "manifest-header", "manifest-short-row",
+        "manifest-empty", "trials-short-line", "trials-bad-label", "trials-empty"])
+def test_named_input_errors(tmp_path, call, error, match):
+    with pytest.raises(error, match=match):
+        call(tmp_path)
+    assert not (tmp_path / "c").exists()       # synth_corpus refuses before it writes

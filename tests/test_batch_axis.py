@@ -27,7 +27,7 @@ def _model():
     return SpeakerModel(cfg, seed=5, dtype=np.float64).forward
 
 
-KERNELS = dt.tensor(rng(1).normal(size=(3, 4, 3, 3)), dtype=np.float64)
+KERNELS = dt.Tensor(rng(1).normal(size=(3, 4, 3, 3)))
 
 # entry point -> (builder of the op, shapes of its single-sample Tensor inputs)
 ENTRY_POINTS = {
@@ -60,13 +60,13 @@ ENTRY_POINTS = {
 
 def _run(op, arrays):
     """Outputs and input gradients of op, under a fixed random weighting of each output."""
-    xs = [dt.tensor(a, dtype=np.float64, requires_grad=True) for a in arrays]
+    xs = [dt.Tensor(np.asarray(a, dtype=np.float64), requires_grad=True) for a in arrays]
     out = op(*xs)
     outs = out if isinstance(out, tuple) else (out,)
     loss = None
     for i, o in enumerate(outs):
         # the same draws whether or not o has a leading axis of one
-        term = (o * dt.tensor(rng(100 + i).normal(size=o.shape), dtype=np.float64)).sum()
+        term = (o * dt.Tensor(rng(100 + i).normal(size=o.shape))).sum()
         loss = term if loss is None else loss + term
     loss.backward()
     return [o.data for o in outs], [x.grad for x in xs]
@@ -88,13 +88,13 @@ def test_single_sample_equals_batch_of_one(name):
 def test_frame_weights_keep_batch_axis_of_one_map():
     asp = ASPHead(8 * 5, 6, rng=rng(15), dtype=np.float64)
     x = rng(16).normal(size=(8, 6, 5))
-    single = asp.frame_weights(dt.tensor(x, dtype=np.float64))
+    single = asp.frame_weights(dt.Tensor(x))
     assert single.shape == (1, 6)
-    assert np.array_equal(single, asp.frame_weights(dt.tensor(x[None], dtype=np.float64)))
+    assert np.array_equal(single, asp.frame_weights(dt.Tensor(x[None])))
 
 
 @pytest.mark.parametrize("shape", [(6, 5), (1, 2, 8, 6, 5)])
 def test_other_ranks_rejected(shape):
     asp = ASPHead(8 * 5, 6, rng=rng(17), dtype=np.float64)
     with pytest.raises(ShapeError, match="rank 3 or 4"):
-        asp.forward(dt.tensor(np.zeros(shape)))
+        asp.forward(dt.Tensor(np.zeros(shape, dtype=np.float32)))

@@ -182,6 +182,15 @@ class TestTrain:
         assert sha(source) == before
         assert not (tmp_path / "o5" / "checkpoint.bin").exists()
 
+    def test_batch_larger_than_corpus_exit_2(self, tiny_config, corpus_dir, tmp_path, capsys):
+        rows = len(read_manifest(corpus_dir / "train.csv"))
+        out = tmp_path / "big"
+        assert main(["train", "--config", str(tiny_config), "--batch-size", str(rows + 2),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"batch_size {rows + 2} is larger than the corpus's {rows} utterances" in err
+        assert not out.exists()
+
     def test_other_mel_count_trains_and_extracts(self, tiny_config, corpus_dir, tmp_path):
         cfg = tmp_path / "mels.cfg"
         cfg.write_text(tiny_config.read_text() + "n_mels = 40\nsteps = 2\n")
@@ -391,6 +400,14 @@ def incomplete_checkpoints(trained, tmp_path):
 
 
 class TestExtract:
+    def test_missing_audio_file_exit_5(self, trained, tmp_path, capsys):
+        manifest = tmp_path / "gone.csv"
+        manifest.write_text("utt_id,speaker_id,path\nu0,s0,no_such.wav\n")
+        assert main(["extract", "--ckpt", str(trained / "checkpoint.bin"), "--manifest",
+                     str(manifest), "--out", str(tmp_path / "e.csv")]) == 5
+        assert "missing audio file for u0" in capsys.readouterr().err
+        assert not (tmp_path / "e.csv").exists()
+
     def test_header_config_without_model_exit_3(self, trained, corpus_dir, tmp_path,
                                                 capsys):
         bare = tmp_path / "other.bin"
@@ -573,6 +590,12 @@ class TestGradcheckCmd:
 
     def test_bad_shape_exit_2(self):
         assert main(["gradcheck", "--attention", "se", "--shape", "16x20"]) == 2
+
+    @pytest.mark.parametrize("shape, named", [("4xAx5", "integers"), ("4x0x5", ">= 1")],
+                             ids=["non-integer", "zero"])
+    def test_bad_shape_value_exit_2(self, capsys, shape, named):
+        assert main(["gradcheck", "--attention", "se", "--shape", shape]) == 2
+        assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags, named", [
         (["--reduction", "0"], "reduction"),

@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-import dtcf.tensor as dt
 from dtcf.errors import ConfigError, ShapeError
 from dtcf.layers import BatchNorm2d, Conv2dLayer, LinearLayer
-from dtcf.tensor import grad_check
+from dtcf.tensor import Tensor, grad_check
 
 from test_tensor import conv2d_oracle
 
@@ -16,7 +15,7 @@ def rng(seed=0):
 
 
 def t64(arr, requires_grad=False):
-    return dt.tensor(arr, dtype=np.float64, requires_grad=requires_grad)
+    return Tensor(np.asarray(arr, dtype=np.float64), requires_grad=requires_grad)
 
 
 class TestConvLayer:
@@ -35,14 +34,14 @@ class TestConvLayer:
     def test_channel_mismatch(self):
         layer = Conv2dLayer(2, 3, rng=rng(8))
         with pytest.raises(ShapeError):
-            layer.forward(dt.tensor(np.zeros((3, 4, 4))))
+            layer.forward(Tensor(np.zeros((3, 4, 4), dtype=np.float32)))
 
     def test_output_shape_closed_form(self):
         for t, f, s, p, k in [(200, 80, (1, 1), (1, 1), (3, 3)),
                               (200, 80, (2, 2), (1, 1), (3, 3)),
                               (101, 40, (2, 2), (1, 1), (3, 3))]:
             layer = Conv2dLayer(1, 4, kernel=k, stride=s, rng=rng(9))
-            out = layer.forward(dt.tensor(np.zeros((1, t, f))))
+            out = layer.forward(Tensor(np.zeros((1, t, f), dtype=np.float32)))
             expect_t = (t + 2 * p[0] - k[0]) // s[0] + 1
             expect_f = (f + 2 * p[1] - k[1]) // s[1] + 1
             assert out.shape == (4, expect_t, expect_f)
@@ -81,7 +80,7 @@ class TestBatchNorm:
     def test_batch_of_one_rejected(self):
         bn = BatchNorm2d(2)
         with pytest.raises(ConfigError):
-            bn.forward(dt.tensor(np.zeros((1, 2, 3, 3))), training=True)
+            bn.forward(Tensor(np.zeros((1, 2, 3, 3), dtype=np.float32)), training=True)
 
     def test_eval_deterministic_pure(self):
         bn = BatchNorm2d(2, dtype=np.float64)
@@ -119,7 +118,7 @@ class TestBatchNorm:
         ref = {"out": ref_out, "x": istd * (dxhat - m1 - xhat * m2),
                "gamma": (g * xhat).sum(axis=axes), "beta": g.sum(axis=axes)}
 
-        xt = dt.tensor(x, requires_grad=True)
+        xt = Tensor(np.asarray(x, dtype=np.float32), requires_grad=True)
         out = bn.forward(xt, training=True)
         out._backward(g)
         got = {"out": out.data, "x": xt.grad, "gamma": bn.gamma.grad, "beta": bn.beta.grad}
@@ -164,7 +163,7 @@ class TestLinear:
     def test_length_mismatch(self):
         layer = LinearLayer(5, 3, rng=rng(27))
         with pytest.raises(ShapeError):
-            layer.forward(dt.tensor(np.zeros(4)))
+            layer.forward(Tensor(np.zeros(4, dtype=np.float32)))
 
     def test_batched_matches_single(self):
         layer = LinearLayer(4, 3, rng=rng(28), dtype=np.float64)
@@ -179,3 +178,10 @@ class TestLinear:
         assert grad_check(lambda v: layer.forward(v).sigmoid().sum(), x) < 1e-6
         assert grad_check(lambda _: layer.forward(x).sigmoid().sum(), layer.weight) < 1e-6
         assert grad_check(lambda _: layer.forward(x).sigmoid().sum(), layer.bias) < 1e-6
+
+
+@pytest.mark.parametrize("cin, cout, kernel", [(0, 3, (3, 3)), (2, 0, (3, 3)), (2, 3, (0, 3))],
+                         ids=["no-input-channels", "no-output-channels", "empty-kernel"])
+def test_conv_layer_sizes_must_be_positive(cin, cout, kernel):
+    with pytest.raises(ConfigError, match="must be positive"):
+        Conv2dLayer(cin, cout, kernel=kernel, rng=rng(0))

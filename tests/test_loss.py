@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import dtcf.tensor as dt
-from dtcf.errors import ConfigError, DomainError
+from dtcf.errors import ConfigError, DomainError, ShapeError
 from dtcf.loss import AAMHead, ce_loss_batch
 from dtcf.tensor import grad_check
 
@@ -16,7 +16,7 @@ def rng(seed=0):
 
 
 def t64(arr):
-    return dt.tensor(arr, dtype=np.float64)
+    return dt.Tensor(np.asarray(arr, dtype=np.float64))
 
 
 def head(K=5, dim=8, s=30.0, m=0.2, seed=0):
@@ -170,3 +170,21 @@ class TestMarginProperties:
         a = logits_one(h0, emb, 1)[1]
         b = logits_one(h2, emb, 1)[1]
         assert b <= a + 1e-12
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: AAMHead(1, 8, rng=rng(0)), ConfigError, "two classes"),
+    (lambda: AAMHead(3, 8, scale=0.0, rng=rng(0)), ConfigError, "scale > 0"),
+    (lambda: AAMHead(3, 8, margin=-0.1, rng=rng(0)), ConfigError, "margin"),
+    (lambda: AAMHead(3, 8, margin=math.pi / 2, rng=rng(0)), ConfigError, "margin"),
+    (lambda: head(K=3).logits_batch(t64(np.ones((2, 7))), np.array([0, 1])), ShapeError,
+     r"expected \(B,8\) embeddings"),
+    (lambda: head(K=3).logits_batch(t64(np.ones(8)), np.array([0])), ShapeError,
+     r"expected \(B,8\) embeddings"),
+    (lambda: ce_loss_batch(t64(np.ones(3)), np.array([0])), ShapeError,
+     r"expected \(B,K\) logits"),
+], ids=["one-class", "scale-0", "margin-negative", "margin-right-angle", "emb-width",
+        "emb-rank-1", "logits-rank-1"])
+def test_named_input_errors(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -127,6 +127,9 @@ class TestEER:
         # at the crossing the two step functions straddle the common value
         assert min(far, frr) - 1e-9 <= eer <= max(far, frr) + 1e-9
 
+    def test_all_scores_tied(self):
+        assert compute_eer([0.3] * 4, ["target", "nontarget"] * 2) == (0.5, 0.3)
+
     def test_degenerate_labels_rejected(self):
         with pytest.raises(DataError):
             compute_eer([0.5, 0.4], ["target", "target"])
@@ -399,3 +402,29 @@ class TestExport:
         assert len(back) == 4000
         work_mb = (peak - current) / 2**20
         assert work_mb < 6, f"{work_mb:.1f} MiB"
+
+
+def written(path, text):
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda tmp: DCFParams(p_target=0.0), "0 < p_target < 1"),
+    (lambda tmp: DCFParams(p_target=1.0), "0 < p_target < 1"),
+    (lambda tmp: DCFParams(c_miss=0.0), "positive costs"),
+    (lambda tmp: DCFParams(c_fa=-1.0), "positive costs"),
+    (lambda tmp: compute_eer([0.1, 0.2, 0.3], ["target", "nontarget"]), "equal-length"),
+    (lambda tmp: export_embeddings({}, tmp / "e.csv"), "empty embedding store"),
+    (lambda tmp: read_embeddings(written(tmp / "e.csv", "id,spk,e0\nu0,s0,1.0\n")),
+     "bad embedding header"),
+    (lambda tmp: read_embeddings(written(tmp / "e.csv", "utt_id,speaker_id\nu0,s0\n")),
+     "bad embedding header"),
+    (lambda tmp: read_embeddings(written(tmp / "e.csv", "utt_id,speaker_id,e0,e1\n\n")),
+     "no embeddings"),
+], ids=["p-target-0", "p-target-1", "c-miss-0", "c-fa-negative", "unequal-scores-labels",
+        "export-empty-store", "embedding-header", "embedding-header-short",
+        "embedding-header-only"])
+def test_named_input_errors(tmp_path, call, match):
+    with pytest.raises(DataError, match=match):
+        call(tmp_path)

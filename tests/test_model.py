@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-import dtcf.tensor as dt
 from dtcf.attention import DTCFBlock, SEBlock
 from dtcf.errors import ConfigError, ShapeError
 from dtcf.model import ATTENTION_KINDS, ASPHead, BackboneConfig, ResidualBlock, SpeakerModel
@@ -17,7 +16,7 @@ def rng(seed=0):
 
 
 def t64(arr):
-    return dt.tensor(arr, dtype=np.float64)
+    return Tensor(np.asarray(arr, dtype=np.float64))
 
 
 class TestResidualBlock:
@@ -31,10 +30,12 @@ class TestResidualBlock:
 
     def test_strided_shapes(self):
         blk = ResidualBlock(4, 8, stride=(2, 2), attention="none", reduction=8, rng=rng(3))
-        out = blk.forward(dt.tensor(rng(4).normal(size=(4, 10, 8))), training=False)
+        out = blk.forward(Tensor(rng(4).normal(size=(4, 10, 8)).astype(np.float32)),
+                          training=False)
         assert out.shape == (8, 5, 4)
         blk2 = ResidualBlock(4, 8, stride=(1, 2), attention="none", reduction=8, rng=rng(5))
-        out2 = blk2.forward(dt.tensor(rng(6).normal(size=(4, 10, 8))), training=False)
+        out2 = blk2.forward(Tensor(rng(6).normal(size=(4, 10, 8)).astype(np.float32)),
+                            training=False)
         assert out2.shape == (8, 10, 4)
 
     def test_with_dtcf_matches_composed_oracle(self):
@@ -238,4 +239,16 @@ class TestSpeakerModel:
 def test_wrong_channel_count_raises(call):
     # each block leaves this check to its first matmul over channels
     with pytest.raises(ShapeError):
+        call()
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: BackboneConfig(widths=(4, 8, 16)), ConfigError, "exactly 4 stages"),
+    (lambda: BackboneConfig(blocks=(3, 4, 6)), ConfigError, "exactly 4 stages"),
+    (lambda: BackboneConfig(blocks=(1, 0, 1, 1)), ConfigError, "block counts must be >= 1"),
+    (lambda: SpeakerModel(BackboneConfig(**TOY)).forward(Tensor(np.zeros((10, 40), np.float32))),
+     ShapeError, "expected 80 mel bins, got 40"),
+], ids=["three-widths", "three-block-counts", "zero-blocks", "wrong-mel-count"])
+def test_named_input_errors(call, error, match):
+    with pytest.raises(error, match=match):
         call()

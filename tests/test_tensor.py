@@ -6,16 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import dtcf.tensor as dt
 from dtcf.errors import ConfigError, DomainError, GradCheckError, ShapeError
 from dtcf.tensor import (
-    backward, concat, conv2d, grad_check, matmul, mean_axis, split,
+    Tensor, backward, concat, conv2d, grad_check, matmul, mean_axis, split,
     sum_axis, topo_order,
 )
 
 
 def t64(arr, requires_grad=False):
-    return dt.tensor(arr, dtype=np.float64, requires_grad=requires_grad)
+    return Tensor(np.asarray(arr, dtype=np.float64), requires_grad=requires_grad)
 
 
 def rng(seed=0):
@@ -188,12 +187,13 @@ class TestConv2d:
         # the forward is the same im2col product, so bit for bit; the gradients are
         # summed in another order, so within float32 roundoff
         padding = (kernel // 2, kernel // 2)
-        x = dt.tensor(rng(36).standard_normal((4, cin, t, f)), requires_grad=True)
-        w = dt.tensor(rng(37).standard_normal((cout, cin, kernel, kernel)), requires_grad=True)
+        x = Tensor(rng(36).standard_normal((4, cin, t, f)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng(37).standard_normal((cout, cin, kernel, kernel)).astype(np.float32),
+                   requires_grad=True)
         out = conv2d(x, w, stride, padding)
         g = rng(38).standard_normal(out.shape).astype(np.float32)
         ref_out, ref_dx, ref_dw = im2col_conv2d(x.data, w.data, stride, padding, g)
-        (out * dt.tensor(g)).sum().backward()
+        (out * Tensor(np.asarray(g, dtype=np.float32))).sum().backward()
         np.testing.assert_array_equal(out.data, ref_out)
         for got, ref in ((x.grad, ref_dx), (w.grad, ref_dw)):
             assert got.dtype == np.float32
@@ -201,8 +201,8 @@ class TestConv2d:
 
     def test_forward_keeps_only_its_output(self):
         # the backward rebuilds what it needs from x, which the graph holds anyway
-        x = dt.tensor(rng(39).standard_normal((4, 8, 120, 40)), requires_grad=True)
-        w = dt.tensor(rng(40).standard_normal((16, 8, 3, 3)), requires_grad=True)
+        x = Tensor(rng(39).standard_normal((4, 8, 120, 40)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng(40).standard_normal((16, 8, 3, 3)).astype(np.float32), requires_grad=True)
         padded = x.data.itemsize * 4 * 8 * 122 * 42
         tracemalloc.start()
         try:
@@ -219,7 +219,7 @@ class TestConv2d:
 
 class TestMeanAxis:
     def test_constant(self):
-        out = mean_axis(dt.full((3, 4), 2.5, dtype=np.float64), 1)
+        out = mean_axis(Tensor(np.full((3, 4), 2.5, dtype=np.float64)), 1)
         np.testing.assert_array_equal(out.data, np.full(3, 2.5))
 
     def test_small_case(self):
@@ -260,7 +260,8 @@ class TestConcatSplit:
         np.testing.assert_array_equal(right.data, b)
 
     def test_column_sums(self):
-        joined = concat(dt.ones((2, 3), dtype=np.float64), dt.zeros((2, 2), dtype=np.float64), axis=1)
+        joined = concat(Tensor(np.ones((2, 3), dtype=np.float64)),
+                        Tensor(np.zeros((2, 2), dtype=np.float64)), axis=1)
         assert joined.shape == (2, 5)
         np.testing.assert_array_equal(joined.data.sum(axis=0), [2, 2, 2, 0, 0])
 
@@ -298,7 +299,7 @@ class TestConcatSplit:
 
 class TestElementwise:
     def test_sigmoid_zero(self):
-        assert dt.tensor(0.0).sigmoid().data == pytest.approx(0.5)
+        assert Tensor(np.asarray(0.0, dtype=np.float32)).sigmoid().data == pytest.approx(0.5)
 
     def test_relu_values(self):
         out = t64([-3.0, 0.0, 3.0]).relu()
@@ -328,7 +329,7 @@ class TestElementwise:
             t64([-1.0]).sqrt()
 
     def test_sigmoid_extreme_inputs_stay_finite(self):
-        out = dt.tensor([-1e4, 1e4]).sigmoid().data
+        out = Tensor(np.asarray([-1e4, 1e4], dtype=np.float32)).sigmoid().data
         assert np.all(np.isfinite(out))
         assert out[0] == pytest.approx(0.0, abs=1e-30)
         assert out[1] == pytest.approx(1.0)
@@ -482,3 +483,31 @@ class TestShapeContracts:
         np.testing.assert_array_equal(y.data, x.data)
         y.sum().backward()
         np.testing.assert_array_equal(x.grad, np.ones((2, 3, 4)))
+
+
+def _finite_only_at_first_call():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x.sum() if len(calls) == 1 else x.sum() * np.nan
+    return f
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: matmul(t64(np.ones(3)), t64(np.ones((3, 2)))), ShapeError, "rank-2 operands"),
+    (lambda: conv2d(t64(np.ones((1, 2, 4, 4))), t64(np.ones((3, 2, 3)))), ShapeError,
+     "kernels must be rank 4"),
+    (lambda: conv2d(t64(np.ones((1, 2, 4, 4))), t64(np.ones((3, 2, 3, 3))), stride=(0, 1)),
+     ConfigError, "stride must be >= 1"),
+    (lambda: conv2d(t64(np.ones((1, 2, 4, 4))), t64(np.ones((3, 2, 3, 3))), padding=(-1, 0)),
+     ConfigError, "padding >= 0"),
+    (lambda: concat(t64(np.ones((2, 3))), t64(np.ones((2, 3, 1))), axis=0), ShapeError,
+     "rank mismatch"),
+    (lambda: grad_check(_finite_only_at_first_call(), t64(rng(41).normal(size=(3,)))),
+     GradCheckError, "numeric gradient"),
+], ids=["matmul-rank", "conv2d-kernel-rank", "conv2d-stride", "conv2d-padding", "concat-rank",
+        "grad-check-numeric-nan"])
+def test_named_input_errors(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

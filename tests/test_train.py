@@ -13,17 +13,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dtcf.checkpoint
 import dtcf.tensor as dt
 from dtcf.audio import AugmentConfig
 from dtcf.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from dtcf.cli import _from_config
-from dtcf.config import SCHEMA, parse_config_text
-from dtcf.errors import CheckpointError, ConfigError, DivergenceError
+from dtcf.config import SCHEMA, load_config, parse_config_text
+from dtcf.errors import CheckpointError, ConfigError, DataError, DivergenceError
 from dtcf.loss import AAMHead, ce_loss_batch
 from dtcf.model import ATTENTION_KINDS, BackboneConfig, SpeakerModel
 from dtcf.synth import synth_corpus
 from dtcf.train import (AdamState, Corpus, TrainConfig, Triangular2Schedule,
-                        _named_params, _state_tensors, adam_step, build_model_and_head,
+                        _crop_features, _named_params, _state_tensors, adam_step,
+                        build_model_and_head,
                         load_training_state, lr_at, save_training_state, train)
 
 TINY = dict(widths=(2, 4, 8, 16), blocks=(1, 1, 1, 1))
@@ -85,7 +87,7 @@ class TestTriangular2:
 
 class TestAdam:
     def one_param(self, value=1.0):
-        p = dt.tensor([value], dtype=np.float64, requires_grad=True)
+        p = dt.Tensor(np.asarray([value], dtype=np.float64), requires_grad=True)
         return [("p", p)], p
 
     def test_zero_grad_no_change(self):
@@ -140,6 +142,38 @@ class TestCheckpointContainer:
         save_checkpoint(p2, {"v": 2}, loaded, {})
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_failed_write_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        tensors = {"a": np.arange(6, dtype=np.float32), "b": np.ones((2, 3))}
+        p = tmp_path / "c.bin"
+        save_checkpoint(p, {"v": 1}, tensors, {})
+        before = p.read_bytes()
+        real_open = open
+
+        class DiskFull:
+            """A file whose fifth write, the payload's second tensor, fails."""
+
+            def __init__(self, f):
+                self.f, self.writes = f, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, blob):
+                self.writes += 1
+                if self.writes == 5:        # magic, length, header, "a", then "b"
+                    raise OSError("no space left on device")
+                return self.f.write(blob)
+
+        monkeypatch.setattr(dtcf.checkpoint, "open", lambda path, mode: DiskFull(
+            real_open(path, mode)), raising=False)
+        with pytest.raises(OSError, match="no space left"):
+            save_checkpoint(p, {"v": 2}, {"a": tensors["a"] + 1, "b": tensors["b"]}, {})
+        assert p.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [p]
+
     def test_truncation_names_tensor(self, tmp_path):
         tensors = {"big.weight": np.ones((64, 64), dtype=np.float32)}
         p = tmp_path / "t.bin"
@@ -182,6 +216,13 @@ class TestCheckpointContainer:
             p.write_bytes(blob)
             with pytest.raises(CheckpointError, match="truncated header"):
                 load_checkpoint(p)
+
+    @pytest.mark.parametrize("blob", [b"\xff\xfe{}", b"{not json"], ids=["not-utf8", "not-json"])
+    def test_undecodable_header(self, tmp_path, blob):
+        p = tmp_path / "undecodable.bin"
+        p.write_bytes(MAGIC + len(blob).to_bytes(8, "little") + blob)
+        with pytest.raises(CheckpointError, match="corrupt header"):
+            load_checkpoint(p)
 
     @pytest.mark.parametrize("key", ["config", "extra", "tensors"])
     def test_header_without_entry_names_it(self, tmp_path, key):
@@ -292,6 +333,25 @@ class TestTrainLoop:
         assert lines[0] == "step,lr,loss,acc"
         assert len(lines) == 5
 
+    def test_batch_larger_than_corpus_refused(self, small_corpus, tmp_path):
+        n = len(small_corpus)
+        model, head = tiny_setup(small_corpus)
+        with pytest.raises(ConfigError, match=f"batch_size {n + 2} .* corpus's {n} utterances"):
+            train(model, head, small_corpus, tiny_cfg(batch_size=n + 2), SCHED,
+                  out_dir=tmp_path / "big")
+        assert not (tmp_path / "big").exists()
+        report = train(model, head, small_corpus, tiny_cfg(batch_size=n, steps=1), SCHED,
+                       out_dir=tmp_path / "whole")
+        assert report.steps == 1
+
+    def test_crop_wraps_a_short_utterance_and_draws_nothing(self):
+        feats = np.arange(15, dtype=np.float32).reshape(5, 3)
+        gen = rng(4)
+        state = gen.bit_generator.state
+        out = _crop_features(feats, 12, gen)
+        np.testing.assert_array_equal(out, feats[[0, 1, 2, 3, 4, 0, 1, 2, 3, 4, 0, 1]])
+        assert gen.bit_generator.state == state
+
     def test_first_step_loss_near_ln_k_with_unit_scale(self, small_corpus, tmp_path):
         # with scale 1 and margin 0 the initial logits are nearly uniform
         model, head0 = tiny_setup(small_corpus)
@@ -397,7 +457,7 @@ def toy_step(backbone=BackboneConfig(widths=(4, 8, 16, 32), blocks=(1, 1, 1, 1),
     model, head = build_model_and_head(backbone, n_classes=10, seed=0)
     named = _named_params(model, head)
     dt.zero_grads(p for _, p in named)
-    feats = dt.tensor(rng(0).standard_normal((batch, frames, 80)))
+    feats = dt.Tensor(rng(0).standard_normal((batch, frames, 80)).astype(np.float32))
     return model, head, named, feats, np.array([0, 3, 5, 9])[:batch]
 
 
@@ -510,3 +570,21 @@ class TestConfigFile:
                 text = ",".join(map(str, d)) if isinstance(d, tuple) else str(d)
                 parsed = SCHEMA[f.name](text)
                 assert parsed == d and type(parsed) is type(d), f"{cls.__name__}.{f.name}"
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: lr_at(SCHED, -1), ConfigError, "iteration"),
+    (lambda: TrainConfig(batch_size=1), ConfigError, "batch_size"),
+    (lambda: TrainConfig(steps=0), ConfigError, "steps >= 1"),
+    (lambda: TrainConfig(crop=SpeakerModel.MIN_FRAMES - 1), ConfigError, "crop >= 8"),
+    (lambda: TrainConfig(checkpoint_every=0), ConfigError, "checkpoint_every >= 1"),
+    (lambda: Corpus([("u0", "a", Path("a0.wav")), ("u1", "a", Path("a1.wav")),
+                     ("u2", "b", Path("b0.wav"))], 80), DataError, r"fewer than 2 .*\['b'\]"),
+    (lambda: parse_config_text("steps = 7\nsteps 8\n"), ConfigError, "2: expected 'key = value'"),
+    (lambda: load_config(Path(__file__).parent / "no_such.cfg"), ConfigError,
+     "cannot read config"),
+], ids=["lr-negative-iteration", "batch-1", "steps-0", "crop-short", "checkpoint-every-0",
+        "speaker-one-utterance", "config-line-without-equals", "config-unreadable"])
+def test_named_input_errors(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
