@@ -35,10 +35,6 @@ class Waveform:
         if not np.all(np.isfinite(self.samples)):
             raise DataError("waveform contains non-finite samples")
 
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
-
 
 @dataclass(frozen=True)
 class AugmentConfig:

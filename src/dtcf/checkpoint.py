@@ -46,7 +46,7 @@ def save_checkpoint(path, config: dict, tensors: dict[str, np.ndarray],
             f.write(len(header).to_bytes(8, "little"))
             f.write(header)
             for arr in arrays.values():
-                f.write(arr.tobytes())
+                f.write(arr)
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)

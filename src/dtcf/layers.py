@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .tensor import Tensor, _node, conv2d, matmul, transpose, unbatched
+from .tensor import Tensor, _node, conv2d, matmul, reshape, transpose, unbatched
 
 __all__ = ["Module", "Conv2dLayer", "BatchNorm2d", "LinearLayer", "he_uniform", "xavier_uniform"]
 
@@ -98,7 +98,7 @@ class BatchNorm2d(Module):
         shp = (1, -1, 1, 1)
         mean = Tensor(self.running_mean.reshape(shp))
         istd = Tensor((1.0 / np.sqrt(self.running_var + self.eps)).reshape(shp).astype(x.dtype))
-        return (x - mean) * istd * self.gamma.reshape(shp) + self.beta.reshape(shp)
+        return (x - mean) * istd * reshape(self.gamma, shp) + reshape(self.beta, shp)
 
     def _update_running(self, mu: np.ndarray, var: np.ndarray, n: int) -> None:
         var_u = var.reshape(-1) * n / (n - 1)
@@ -152,4 +152,4 @@ class LinearLayer(Module):
 
     @unbatched(1)
     def forward(self, x: Tensor) -> Tensor:
-        return matmul(x, transpose(self.weight, (1, 0))) + self.bias.reshape(1, -1)
+        return matmul(x, transpose(self.weight, (1, 0))) + reshape(self.bias, (1, -1))

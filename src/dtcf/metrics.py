@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DataError, DomainError
 
-__all__ = ["DCFParams", "cosine_score", "compute_eer",
+__all__ = ["DCFParams", "compute_eer",
            "compute_min_dcf", "score_trials", "export_embeddings",
            "read_embeddings", "write_scores"]
 
@@ -48,15 +48,6 @@ class DCFParams:
     def __post_init__(self):
         if not 0 < self.p_target < 1 or self.c_miss <= 0 or self.c_fa <= 0:
             raise DataError("require 0 < p_target < 1 and positive costs")
-
-
-def cosine_score(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na < 1e-300 or nb < 1e-300:
-        raise DomainError("zero-norm embedding")
-    return float(np.dot(a, b) / (na * nb))
 
 
 def _split_scores(scores, labels) -> tuple[np.ndarray, np.ndarray]:

@@ -127,7 +127,7 @@ class ASPHead(Module):
     def _weights(self, h: Tensor) -> Tensor:
         b, t, d = h.shape
         scores = matmul(reshape(h, (b * t, d)), transpose(self.w, (1, 0)))
-        scores = (scores + self.b.reshape(1, -1)).tanh()
+        scores = (scores + reshape(self.b, (1, -1))).tanh()
         scores = reshape(matmul(scores, self.v), (b, t))
         # shift by the (constant) per-utterance max for a stable softmax
         shift = Tensor(scores.data.max(axis=1, keepdims=True))
@@ -143,12 +143,6 @@ class ASPHead(Module):
         msq = sum_axis(al * (h * h), 1)
         std = ((msq - mu * mu).relu() + self.eps).sqrt()
         return concat(mu, std, axis=1)
-
-    @unbatched(3)
-    def frame_weights(self, fmap: Tensor) -> np.ndarray:
-        """Softmax weight of every frame, (B, T); one (C, T, F) map gives (1, T)."""
-        with no_grad():
-            return self._weights(self._frames(fmap)).data
 
 
 class SpeakerModel(Module):
@@ -188,14 +182,11 @@ class SpeakerModel(Module):
 
     # -- forward paths ------------------------------------------------------
 
-    def forward_map(self, x: Tensor, training: bool = False,
-                    trace: list | None = None) -> Tensor:
+    def forward_map(self, x: Tensor, training: bool = False) -> Tensor:
         v = self.stem_bn.forward(self.stem_conv.forward(x), training).relu()
         for stage in self.stages:
             for block in stage:
                 v = block.forward(v, training)
-            if trace is not None:
-                trace.append(v.shape[-3:])
         return v
 
     @unbatched(2)

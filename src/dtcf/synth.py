@@ -48,7 +48,6 @@ class SyntheticSpeakerSpec:
 
 @dataclass
 class CorpusSummary:
-    out_dir: Path
     manifest_path: Path
     train_path: Path
     trials_path: Path
@@ -152,7 +151,7 @@ def synth_corpus(n_speakers: int, utts_per_speaker: int, seed: int, out_dir) -> 
         for enroll, test, label in trials:
             f.write(f"{enroll} {test} {label}\n")
 
-    return CorpusSummary(out_dir, manifest_path, train_path, trials_path,
+    return CorpusSummary(manifest_path, train_path, trials_path,
                          n_speakers, len(rows), len(trials))
 
 

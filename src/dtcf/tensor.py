@@ -93,10 +93,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def __repr__(self):
-        flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{flag})"
-
     def _accum(self, g: np.ndarray) -> None:
         if self.grad is None:
             self.grad = g.copy()
@@ -174,12 +170,6 @@ class Tensor:
         shape, dtype = self.data.shape, self.data.dtype
         return _unary(self, np.asarray(self.data.sum(), dtype=dtype),
                       lambda g: np.broadcast_to(g, shape))
-
-    def reshape(self, *shape) -> "Tensor":
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def transpose(self, *axes) -> "Tensor":
-        return transpose(self, axes if len(axes) > 1 else axes[0])
 
     def backward(self) -> None:
         backward(self)

@@ -74,8 +74,6 @@ def adam_step(named_params, state: AdamState, lr: float, weight_decay: float) ->
     c2 = 1 - b2 ** state.step
     for name, p in named_params:
         g = p.grad
-        if g is None:
-            continue
         if not np.all(np.isfinite(g)):
             raise DivergenceError(f"non-finite gradient in parameter '{name}'")
         if weight_decay:

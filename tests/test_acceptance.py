@@ -24,6 +24,7 @@ from dtcf.train import (Corpus, TrainConfig, Triangular2Schedule, lr_at,
                         AdamState, _named_params)
 
 from test_metrics import eer_oracle, min_dcf_oracle, random_scoreset
+from test_model import stage_shapes
 
 
 @contextlib.contextmanager
@@ -102,9 +103,8 @@ def test_criterion_3_parameter_accounting():
 def test_criterion_4_shape_trace():
     with criterion(4, "T=200 stage trace matches the published structure"):
         model = SpeakerModel(BackboneConfig(attention="dtcf"), seed=0)
-        trace = []
         x = Tensor(rng(20).normal(size=(1, 1, 200, 80)).astype(np.float32))
-        fmap = model.forward_map(x, training=False, trace=trace)
+        fmap, trace = stage_shapes(model, x)
         assert trace == [(32, 200, 80), (64, 200, 40), (128, 100, 20), (256, 50, 10)], trace
         pooled = model.asp.forward(fmap)
         assert pooled.shape == (1, 5120), pooled.shape

@@ -154,7 +154,7 @@ class TestCorpus:
         rows = read_manifest(corpus.manifest_path)
         wav = read_wav(rows[0][2])
         assert wav.sample_rate == 16000
-        assert 2.0 <= wav.duration <= 3.5
+        assert 2.0 <= wav.samples.size / wav.sample_rate <= 3.5
 
     def test_no_self_pairs_and_balance(self, corpus):
         trials = read_trials(corpus.trials_path)

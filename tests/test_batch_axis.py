@@ -85,14 +85,6 @@ def test_single_sample_equals_batch_of_one(name):
         assert np.array_equal(s, b[0])
 
 
-def test_frame_weights_keep_batch_axis_of_one_map():
-    asp = ASPHead(8 * 5, 6, rng=rng(15), dtype=np.float64)
-    x = rng(16).normal(size=(8, 6, 5))
-    single = asp.frame_weights(dt.Tensor(x))
-    assert single.shape == (1, 6)
-    assert np.array_equal(single, asp.frame_weights(dt.Tensor(x[None])))
-
-
 @pytest.mark.parametrize("shape", [(6, 5), (1, 2, 8, 6, 5)])
 def test_other_ranks_rejected(shape):
     asp = ASPHead(8 * 5, 6, rng=rng(17), dtype=np.float64)

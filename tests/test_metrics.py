@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from dtcf import metrics
 from dtcf.errors import DataError, DomainError
 from dtcf.metrics import (DCFParams, _sweep_rates, compute_eer, compute_min_dcf,
-                          cosine_score, export_embeddings, read_embeddings,
-                          score_trials, write_scores)
+                          export_embeddings, read_embeddings, score_trials,
+                          write_scores)
 
 
 def rng(seed=0):
@@ -62,6 +62,13 @@ def dense_sweep_rates(tar, non):
     return thr, far, frr
 
 
+def cosine_score(a, b):
+    """One pair's float64 cosine, scored on its own."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    return float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
+
+
 def random_scoreset(n, seed):
     r = rng(seed)
     labels = ["target" if v else "nontarget" for v in r.integers(0, 2, n)]
@@ -72,23 +79,28 @@ def random_scoreset(n, seed):
 
 # ------------------------------------------------------------------ cosine
 
+def score_pair(a, b):
+    """The score of one trial through `score_trials`, the program's one scoring path."""
+    return score_trials({"a": a, "b": b}, [("a", "b", "target")])[0]
+
+
 class TestCosine:
     def test_self_similarity(self):
         v = rng(1).normal(size=16)
-        assert cosine_score(v, v) == pytest.approx(1.0, abs=1e-12)
+        assert score_pair(v, v) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal(self):
-        assert cosine_score([1.0, 0.0], [0.0, 2.0]) == pytest.approx(0.0)
+        assert score_pair([1.0, 0.0], [0.0, 2.0]) == pytest.approx(0.0)
 
     def test_matches_float64_oracle(self):
         a, b = rng(2).normal(size=16), rng(3).normal(size=16)
         expect = float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
-        assert cosine_score(a, b) == pytest.approx(expect, abs=1e-7)
-        assert -1.0 <= cosine_score(a, b) <= 1.0
+        assert score_pair(a, b) == pytest.approx(expect, abs=1e-7)
+        assert -1.0 <= score_pair(a, b) <= 1.0
 
     def test_zero_norm_rejected(self):
         with pytest.raises(DomainError):
-            cosine_score(np.zeros(4), np.ones(4))
+            score_pair(np.zeros(4), np.ones(4))
 
 
 # ------------------------------------------------------------------ EER

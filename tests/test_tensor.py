@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from dtcf.errors import ConfigError, DomainError, GradCheckError, ShapeError
 from dtcf.tensor import (
-    Tensor, backward, concat, conv2d, grad_check, matmul, mean_axis, split,
-    sum_axis, topo_order,
+    Tensor, backward, concat, conv2d, grad_check, matmul, mean_axis, reshape, split,
+    sum_axis, topo_order, transpose,
 )
 
 
@@ -473,13 +473,13 @@ class TestShapeContracts:
         # squeeze -> gate -> rescale pipeline must never drift the map shape
         x = t64(rng(39).normal(size=(6, 5, 4)), requires_grad=True)
         pooled = mean_axis(mean_axis(x, 2), 1)      # (C,)
-        gate = pooled.sigmoid().reshape(6, 1, 1)
+        gate = reshape(pooled.sigmoid(), (6, 1, 1))
         out = x * gate
         assert out.shape == x.shape
 
     def test_reshape_transpose_roundtrip(self):
         x = t64(rng(40).normal(size=(2, 3, 4)), requires_grad=True)
-        y = x.transpose(1, 0, 2).reshape(3, 8).reshape(3, 2, 4).transpose(1, 0, 2)
+        y = transpose(reshape(reshape(transpose(x, (1, 0, 2)), (3, 8)), (3, 2, 4)), (1, 0, 2))
         np.testing.assert_array_equal(y.data, x.data)
         y.sum().backward()
         np.testing.assert_array_equal(x.grad, np.ones((2, 3, 4)))

@@ -182,6 +182,24 @@ class TestCheckpointContainer:
         with pytest.raises(CheckpointError, match="big.weight"):
             load_checkpoint(p)
 
+    def test_file_shrinking_after_fstat_names_tensor(self, tmp_path):
+        p = tmp_path / "t.bin"
+        save_checkpoint(p, {}, {"big.weight": np.ones((64, 64), dtype=np.float32)}, {})
+        size = p.stat().st_size
+        p.write_bytes(p.read_bytes()[:-100])
+        with open(p, "rb") as f, pytest.raises(CheckpointError, match="big.weight"):
+            dtcf.checkpoint._read(f, p, size)
+
+    def test_save_holds_no_copy_of_a_tensor(self, tmp_path):
+        weight = np.ones((512, 5120), dtype=np.float32)        # 10 MiB, as full-width emb.weight
+        tracemalloc.start()
+        try:
+            save_checkpoint(tmp_path / "w.bin", {}, {"emb.weight": weight}, {})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < weight.nbytes, f"peak {peak / weight.nbytes:.2f}x the tensor"
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "junk.bin"
         p.write_bytes(b"NOTACKPT" + b"\x00" * 64)
