@@ -148,7 +148,10 @@ def cmd_gradcheck(args) -> int:
     targets = [("input", x)] + block.named_params()
     worst_name, worst_err = "", 0.0
     for name, tensor_ in targets:
-        err = grad_check(scalar, tensor_, eps=args.eps)
+        try:
+            err = grad_check(scalar, tensor_, eps=args.eps)
+        except GradCheckError as e:
+            raise GradCheckError(f"{kind} {c}x{t}x{f} d/d{name}: {e}") from e
         print(f"{kind} {c}x{t}x{f} d/d{name}: max_rel_error={err!r}")
         if err > worst_err:
             worst_name, worst_err = name, err

@@ -275,6 +275,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(data, (a, b), bwd)
 
 
+# Forward tiles span whole output rows of one sample: at least 32 rows, so a
+# full-width stage-1 tile holds 2.9 of the op's 27.6 MB of im2col columns at
+# T=300, and at least 1,024 positions, as each tile's GEMM repacks the whole
+# kernel matrix (2.4 MB at 256 channels). At these sizes OpenBLAS keeps the
+# bits of the one-GEMM product; 16-row tiles do not.
+_TILE_ROWS, _TILE_POSITIONS = 32, 1024
+# Backward positions per tap GEMM: at <= 32 float32 channels a block of gf with
+# its block of xq or dq (1 MiB) stays in a 2 MiB L2 across a phase's taps.
+_BLOCK_COLS = 4096
+
+
 def _phase_cut(u: int, stride: int, pad: int, size: int) -> tuple[slice, slice]:
     """Where the stride phase of padded rows u::stride meets the unpadded input:
     the phase positions that hold input rows, and those rows."""
@@ -291,11 +302,13 @@ def conv2d(x: Tensor, kernels: Tensor, stride=(1, 1), padding=(0, 0)) -> Tensor:
     extents follow the usual floor rule T' = (T + 2p - kh) // s + 1: windows
     that would run past the padded input are dropped.
 
-    The forward is one GEMM over im2col columns, which are dropped when it
-    returns. The backward keeps nothing but ``x``, which the graph holds
+    The forward runs one im2col GEMM per tile of output rows of one sample,
+    writing the tile's slice of the output, so no column matrix of the whole
+    op exists. The backward keeps nothing but ``x``, which the graph holds
     anyway: it rebuilds the padded input, channel-first and split into the
     sh x sw stride phases its taps read, and takes both gradients tap by tap
-    as GEMMs over shifted views of that flat grid.
+    as GEMMs over shifted views of that flat grid, one block of positions at
+    a time, so that all of a phase's taps read each block from cache.
     """
     if kernels.ndim != 4:
         raise ShapeError(f"kernels must be rank 4, got {kernels.shape}")
@@ -312,21 +325,28 @@ def conv2d(x: Tensor, kernels: Tensor, stride=(1, 1), padding=(0, 0)) -> Tensor:
         raise ConfigError(f"kernel {kh}x{kw} does not fit padded input {t + 2 * ph}x{f + 2 * pw}")
 
     xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x.data
-    m = b * to * fo
     k = cin * kh * kw
-    # im2col: one copy of the strided windows, laid out (cin, kh, kw, b, to, fo)
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
-    cols2 = np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3)).reshape(k, m)
     w2 = kernels.data.reshape(cout, k)
-    out = np.ascontiguousarray((w2 @ cols2).reshape(cout, b, to, fo).transpose(1, 0, 2, 3))
+    out = np.empty((b, cout, to, fo), dtype=np.result_type(xp, w2))
+    # im2col windows viewed (b, cin, to, fo, kh, kw); each tile copies its slice to one buffer
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
+    # whole tiles of at least the minimum height: a short last tile would run another GEMM kernel
+    nt = max(1, to // max(_TILE_ROWS, -(-_TILE_POSITIONS // fo)))
+    edges = [to * j // nt for j in range(nt + 1)]
+    buf = np.empty(k * -(-to // nt) * fo, dtype=xp.dtype)
+    for i in range(b):
+        for r, e in zip(edges, edges[1:]):
+            cols = buf[:k * (e - r) * fo].reshape(cin, kh, kw, e - r, fo)
+            cols[...] = win[i, :, r:e].transpose(0, 3, 4, 1, 2)
+            np.matmul(w2, cols.reshape(k, -1), out=out[i, :, r:e].reshape(cout, -1))
 
     def bwd(g):
         # Stride phase (u, v) holds the padded rows u::sh and columns v::sw on a grid of
         # tq x fq positions per sample, flattened channel-first to (C, n). Output (i, j)
         # sits at grid position (i, j), and tap (di, dj) reads phase (di % sh, dj % sw)
-        # at the fixed shift s: one GEMM over a shifted view per tap. Grid positions
-        # past (to, fo) carry a zero gradient, so reads that run past a row or a sample
-        # add nothing.
+        # at the fixed shift s: one GEMM over a shifted view per tap and block. Grid
+        # positions past (to, fo) carry a zero gradient, so reads that run past a row or
+        # a sample add nothing.
         tq, fq = -(-(t + 2 * ph) // sh), -(-(f + 2 * pw) // sw)
         n = b * tq * fq
         taps: dict = {}
@@ -337,7 +357,7 @@ def conv2d(x: Tensor, kernels: Tensor, stride=(1, 1), padding=(0, 0)) -> Tensor:
         gf[:, :, :to, :fo] = g.transpose(1, 0, 2, 3)
         gf = gf.reshape(cout, n)
         wt = np.ascontiguousarray(kernels.data.transpose(2, 3, 1, 0))
-        dw = np.empty((kh, kw, cin, cout), dtype=kernels.dtype)
+        dw = np.zeros((kh, kw, cin, cout), dtype=kernels.dtype)
         dx = np.zeros(x.shape, dtype=x.dtype)
         for (u, v), phase_taps in taps.items():
             (qu, ru), (qv, rv) = _phase_cut(u, sh, ph, t), _phase_cut(v, sw, pw, f)
@@ -345,13 +365,17 @@ def conv2d(x: Tensor, kernels: Tensor, stride=(1, 1), padding=(0, 0)) -> Tensor:
                 xq = np.zeros((cin, b, tq, fq), dtype=x.dtype)
                 xq[:, :, qu, qv] = x.data[:, :, ru, rv].transpose(1, 0, 2, 3)
                 xq = xq.reshape(cin, n)
-                for di, dj, s in phase_taps:
-                    dw[di, dj] = xq[:, s:] @ gf[:, :n - s].T
+                for lo in range(0, n, _BLOCK_COLS):
+                    for di, dj, s in phase_taps:
+                        hi = min(lo + _BLOCK_COLS, n - s)
+                        dw[di, dj] += xq[:, lo + s:hi + s] @ gf[:, lo:hi].T
                 del xq
             if x.requires_grad:
                 dq = np.zeros((cin, n), dtype=x.dtype)
-                for di, dj, s in phase_taps:
-                    dq[:, s:] += wt[di, dj] @ gf[:, :n - s]
+                for lo in range(0, n, _BLOCK_COLS):
+                    for di, dj, s in phase_taps:
+                        hi = min(lo + _BLOCK_COLS, n - s)
+                        dq[:, lo + s:hi + s] += wt[di, dj] @ gf[:, lo:hi]
                 dx[:, :, ru, rv] = dq.reshape(cin, b, tq, fq)[:, :, qu, qv].transpose(1, 0, 2, 3)
         if kernels.requires_grad:
             kernels._accum(dw.transpose(3, 2, 0, 1))
@@ -515,7 +539,8 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> f
 
     ``f`` must be deterministic and scalar-valued; ``x`` should be float64.
     Returns max over coordinates of
-    |analytic - numeric| / max(|analytic|, |numeric|, 1e-12).
+    |analytic - numeric| / max(|analytic|, |numeric|, 1e-12). Raises
+    GradCheckError if either gradient is not finite, or if both are all zero.
     """
     if not eps > 0:
         raise ConfigError(f"finite-difference step eps must be > 0, got {eps}")
@@ -543,6 +568,8 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> f
     if np.any(~np.isfinite(numeric)):
         idx = np.unravel_index(int(np.argmin(np.isfinite(numeric))), numeric.shape)
         raise GradCheckError(f"NaN/Inf in numeric gradient at index {idx}")
+    if not analytic.any() and not numeric.any():
+        raise GradCheckError("analytic and numeric gradients are all exactly zero: nothing checked")
 
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-12)
     return float(np.max(np.abs(analytic - numeric) / denom))

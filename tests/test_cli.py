@@ -264,12 +264,12 @@ class TestTrain:
 
 # checkpoint of the tiny config trained with seed 0, the seed a run gets when neither
 # --seed, the config file nor DTCF_SEED gives one
-SEED_0_CHECKPOINT = "99a46590d19e136201517494f48b97883da564c6bf051b388e04161e737051d9"
+SEED_0_CHECKPOINT = "b784f46bd341c701aa8f0091668d91499b239f87905417cadeb305684343386e"
 # the trained fixture's embeddings of the full manifest, and its eval line and score
 # file on the trial list
-TRAINED_EXTRACT = "284fce571e6e8ca201d8a149f11223e3d6bb801cf31aa54168272a046e004650"
-TRAINED_EVAL_LINE = "6930634fe915db793e042fe69176db57e80ce0d4b31e7420b50ea96eddc1412f"
-TRAINED_SCORES = "195b53e90c85f16bb0dac1d2531551859c78d829713e94d8cb1c8b979151f396"
+TRAINED_EXTRACT = "f75f5c1b6fc6fe3ddcd1cd340ce7090a95d4a9f52bf553326c3ca2a63074cbae"
+TRAINED_EVAL_LINE = "0f41fdb0c7aabacd47de42a47637b71585d18a7b554470bb72658f633733b5b7"
+TRAINED_SCORES = "32bf4cf92512a67d5fb2389ee842856558acca09777bd2d117865f7400f1cdb9"
 
 
 def test_trained_extract_and_eval_are_pinned(trained, corpus_dir, tmp_path, capsys):
@@ -587,6 +587,17 @@ class TestGradcheckCmd:
         assert main(["gradcheck", "--attention", "dtcf", "--shape", "4x6x5",
                      "--reduction", "4", "--seed", "0", "--mutate"]) == 6
         assert "FAIL" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("attention, shape, target", [
+        ("se", "4x6x5", "w1"), ("dtcf", "4x5x4", "w3")], ids=["se", "dtcf"])
+    def test_all_zero_gradient_exit_6(self, capsys, attention, shape, target):
+        # at seed 0 the width-1 bottleneck's relu output is zero, so the target's
+        # analytic and numeric gradients are both exactly zero: it was not checked
+        assert main(["gradcheck", "--attention", attention, "--shape", shape,
+                     "--seed", "0"]) == 6
+        captured = capsys.readouterr()
+        assert f"d/d{target}: analytic and numeric gradients are all exactly zero" in captured.err
+        assert "PASS" not in captured.out
 
     def test_bad_shape_exit_2(self):
         assert main(["gradcheck", "--attention", "se", "--shape", "16x20"]) == 2

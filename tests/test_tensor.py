@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dtcf.tensor as dtt
 from dtcf.errors import ConfigError, DomainError, GradCheckError, ShapeError
 from dtcf.tensor import (
     Tensor, backward, concat, conv2d, grad_check, matmul, mean_axis, reshape, split,
@@ -117,6 +118,22 @@ class TestMatmul:
 
 # ---------------------------------------------------------------- conv2d
 
+# every conv of the toy model (widths 4-8-16-32, 120 x 80 input), run at B=4: the cin=1
+# stem, then each stage's 3x3 conv1, its 1x1 skip where it strides, and its conv2
+TOY_CONVS = [
+    (1, 4, 3, (1, 1), 120, 80), (4, 4, 3, (1, 1), 120, 80),
+    (4, 8, 3, (1, 2), 120, 80), (4, 8, 1, (1, 2), 120, 80), (8, 8, 3, (1, 1), 120, 40),
+    (8, 16, 3, (2, 2), 120, 40), (8, 16, 1, (2, 2), 120, 40), (16, 16, 3, (1, 1), 60, 20),
+    (16, 32, 3, (2, 2), 60, 20), (16, 32, 1, (2, 2), 60, 20), (32, 32, 3, (1, 1), 30, 10)]
+# the same convs of the full-width model (widths 32-64-128-256) on 300 frames, run at
+# B=1 as extract runs them
+FULL_WIDTH_CONVS = [
+    (1, 32, 3, (1, 1), 300, 80), (32, 32, 3, (1, 1), 300, 80),
+    (32, 64, 3, (1, 2), 300, 80), (32, 64, 1, (1, 2), 300, 80), (64, 64, 3, (1, 1), 300, 40),
+    (64, 128, 3, (2, 2), 300, 40), (64, 128, 1, (2, 2), 300, 40), (128, 128, 3, (1, 1), 150, 20),
+    (128, 256, 3, (2, 2), 150, 20), (128, 256, 1, (2, 2), 150, 20), (256, 256, 3, (1, 1), 75, 10)]
+
+
 class TestConv2d:
     def test_one_by_one_identity(self):
         x = rng(7).normal(size=(1, 4, 5))
@@ -176,18 +193,14 @@ class TestConv2d:
         assert grad_check(lambda v: (conv2d(v, w, stride, padding) * r).sum(), x, eps=1e-4) < 1e-6
         assert grad_check(lambda v: (conv2d(x, v, stride, padding) * r).sum(), w, eps=1e-4) < 1e-6
 
-    # every conv of the toy model (widths 4-8-16-32, 120 x 80 input) at B=4: the cin=1
-    # stem, then each stage's 3x3 conv1, its 1x1 skip where it strides, and its conv2
-    @pytest.mark.parametrize("cin,cout,kernel,stride,t,f", [
-        (1, 4, 3, (1, 1), 120, 80), (4, 4, 3, (1, 1), 120, 80),
-        (4, 8, 3, (1, 2), 120, 80), (4, 8, 1, (1, 2), 120, 80), (8, 8, 3, (1, 1), 120, 40),
-        (8, 16, 3, (2, 2), 120, 40), (8, 16, 1, (2, 2), 120, 40), (16, 16, 3, (1, 1), 60, 20),
-        (16, 32, 3, (2, 2), 60, 20), (16, 32, 1, (2, 2), 60, 20), (32, 32, 3, (1, 1), 30, 10)])
+    @pytest.mark.parametrize("cin,cout,kernel,stride,t,f", TOY_CONVS + FULL_WIDTH_CONVS)
     def test_float32_against_im2col(self, cin, cout, kernel, stride, t, f):
-        # the forward is the same im2col product, so bit for bit; the gradients are
+        # each forward tile is a GEMM over a slice of the same im2col columns, at sizes
+        # where OpenBLAS keeps the bits of the one-GEMM product; the gradients are
         # summed in another order, so within float32 roundoff
+        b = 1 if (cin, cout, kernel, stride, t, f) in FULL_WIDTH_CONVS else 4
         padding = (kernel // 2, kernel // 2)
-        x = Tensor(rng(36).standard_normal((4, cin, t, f)).astype(np.float32), requires_grad=True)
+        x = Tensor(rng(36).standard_normal((b, cin, t, f)).astype(np.float32), requires_grad=True)
         w = Tensor(rng(37).standard_normal((cout, cin, kernel, kernel)).astype(np.float32),
                    requires_grad=True)
         out = conv2d(x, w, stride, padding)
@@ -198,6 +211,56 @@ class TestConv2d:
         for got, ref in ((x.grad, ref_dx), (w.grad, ref_dw)):
             assert got.dtype == np.float32
             assert np.linalg.norm(got - ref) <= 1e-5 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("b", [1, 3])
+    @pytest.mark.parametrize("stride", [(1, 1), (1, 2), (2, 2)])
+    @pytest.mark.parametrize("kernel", [3, 1])
+    def test_float64_against_im2col_over_many_blocks(self, b, stride, kernel):
+        # 3 forward tiles per sample, not all of one height, and a phase grid of at
+        # least 3 backward blocks
+        (sh, sw), p = stride, kernel // 2
+        f = sw * max(32, -(-3 * dtt._BLOCK_COLS // (b * (3 * dtt._TILE_ROWS + 2))))
+        fo = (f + 2 * p - kernel) // sw + 1
+        rows = max(dtt._TILE_ROWS, -(-dtt._TILE_POSITIONS // fo))
+        t = sh * (3 * rows + 2)
+        to = (t + 2 * p - kernel) // sh + 1
+        assert to // rows == 3 and to % 3 and b * (t // sh) * (f // sw) >= 3 * dtt._BLOCK_COLS
+        padding = (p, p)
+        x = Tensor(rng(43).standard_normal((b, 3, t, f)), requires_grad=True)
+        w = Tensor(rng(44).standard_normal((5, 3, kernel, kernel)), requires_grad=True)
+        out = conv2d(x, w, stride, padding)
+        g = rng(45).standard_normal(out.shape)
+        (out * Tensor(g)).sum().backward()
+        refs = im2col_conv2d(x.data, w.data, stride, padding, g)
+        for got, ref in zip((out.data, x.grad, w.grad), refs):
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_gradchecks_with_blocks_of_a_few_columns(self, monkeypatch):
+        # the float64 gradchecks above, with tiles of 2 rows and backward blocks of 5
+        # positions, so every tile and block edge lies inside their small grids
+        monkeypatch.setattr(dtt, "_TILE_ROWS", 2)
+        monkeypatch.setattr(dtt, "_TILE_POSITIONS", 1)
+        monkeypatch.setattr(dtt, "_BLOCK_COLS", 5)
+        self.test_gradients_via_finite_differences()
+        for stride in [(1, 1), (1, 2), (2, 2)]:
+            for kernel, padding in [(3, (1, 1)), (1, (0, 0))]:
+                self.test_batched_gradients_weighted_upstream(stride, kernel, padding)
+
+    def test_forward_peak_is_output_padded_input_and_two_tiles(self):
+        # a full-width stage-1 conv on 300 frames: one GEMM over all its im2col columns
+        # would hold 27.6 MB more
+        x = Tensor(rng(46).standard_normal((1, 32, 300, 80)).astype(np.float32))
+        w = Tensor(rng(47).standard_normal((32, 32, 3, 3)).astype(np.float32))
+        padded = x.data.itemsize * 32 * 302 * 82
+        rows = max(dtt._TILE_ROWS, -(-dtt._TILE_POSITIONS // 80))
+        tile = x.data.itemsize * 32 * 9 * (300 // (300 // rows) + 1) * 80
+        tracemalloc.start()
+        try:
+            out = conv2d(x, w, (1, 1), (1, 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.data.nbytes + padded + 2 * tile, f"{peak / 1e6:.1f} MB"
 
     def test_forward_keeps_only_its_output(self):
         # the backward rebuilds what it needs from x, which the graph holds anyway
@@ -460,6 +523,12 @@ class TestGradCheck:
 
         with pytest.raises(GradCheckError):
             grad_check(nan_fn, t64(rng(37).normal(size=(3,))))
+
+    def test_all_zero_gradients_raise(self):
+        # relu is flat below zero, so both gradients are exactly zero and nothing is checked
+        x = t64(-1.0 - np.abs(rng(42).normal(size=(4,))))
+        with pytest.raises(GradCheckError, match="all exactly zero"):
+            grad_check(lambda v: v.relu().sum(), x)
 
     @pytest.mark.parametrize("shape", [(3,), (2, 4), (2, 3, 2)])
     def test_random_shapes_all_ops(self, shape):

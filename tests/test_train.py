@@ -462,9 +462,9 @@ class TestTrainLoop:
             train(model, head, small_corpus, tiny_cfg(steps=2), SCHED, out_dir=tmp_path)
 
 
-# toy_step_digest() with one BLAS thread; conv2d's kernel gradient, summed tap by tap,
-# sets its bits
-TOY_STEP_GRADS = "42c86179c67a0abf563e28029f65c094593364cd17fd1ebf4394ff5a7b7e7d55"
+# toy_step_digest() with one BLAS thread; conv2d's kernel gradient, summed tap by tap
+# and block by block, sets its bits
+TOY_STEP_GRADS = "47b4d5b4283cbf86392e017ce55b8157e87d1d4ed69a3760b938497b2ad0bcaa"
 
 
 def toy_step(backbone=BackboneConfig(widths=(4, 8, 16, 32), blocks=(1, 1, 1, 1),
