@@ -573,15 +573,25 @@ class TestEval:
         assert "ghost" in capsys.readouterr().err
 
 
+# sha256 of the full stdout: every target's error, the worst one and PASS
+GRADCHECK_SE_STDOUT = "25443d5f18d63e6afff194936c2da7c8d30607e8ff4b9c9e42dbdc835c20e172"
+GRADCHECK_DTCF_STDOUT = "0493a4d5554b47b9100d0dc000435213796d568a778afe009d157fe462a9cc7c"
+
+
 class TestGradcheckCmd:
     def test_se_pass(self, capsys):
         assert main(["gradcheck", "--attention", "se", "--shape", "16x20x10",
                      "--seed", "0"]) == 0
-        assert "PASS" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "PASS" in out
+        assert hashlib.sha256(out.encode()).hexdigest() == GRADCHECK_SE_STDOUT
 
-    def test_dtcf_pass(self):
+    def test_dtcf_pass(self, capsys):
         assert main(["gradcheck", "--attention", "dtcf", "--shape", "8x12x10",
                      "--seed", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "PASS" in out
+        assert hashlib.sha256(out.encode()).hexdigest() == GRADCHECK_DTCF_STDOUT
 
     def test_mutated_backward_exit_6(self, capsys):
         assert main(["gradcheck", "--attention", "dtcf", "--shape", "4x6x5",
