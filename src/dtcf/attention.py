@@ -1,7 +1,8 @@
 """Channel attention blocks: SE baseline and the duality (DTCF) variant.
 
-Both blocks gate the channels of a (C, T, F) feature map with sigmoid masks
-learned through a reduction bottleneck C -> C' -> C, where C' = C / r.
+Both blocks gate the channels of a (B, C, T, F) batch of feature maps with
+sigmoid masks learned through a reduction bottleneck C -> C' -> C, where
+C' = C / r.
 
 SE squeezes the whole time-frequency plane to one value per channel, so its
 mask is a single gate per channel. The duality block keeps per-frame and
@@ -10,8 +11,7 @@ concatenated [freq-profile, time-profile] matrix through a shared 1x1
 bottleneck, then derives one mask over (C, T) and one over (C, F) and
 multiplies both into the map.
 
-Shapes below are per sample; every op also takes a leading batch axis
-(see ``dtcf.tensor.unbatched``).
+Every op takes a leading batch axis B and treats each sample on its own.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .layers import Module, xavier_uniform
-from .tensor import Tensor, concat, matmul, mean_axis, reshape, split, transpose, unbatched
+from .tensor import Tensor, concat, matmul, mean_axis, reshape, split, transpose
 
 __all__ = ["SEBlock", "DTCFBlock", "reduced_channels"]
 
@@ -53,20 +53,17 @@ class SEBlock(Module):
         self.w1 = xavier_uniform(rng, (c_red, channels), dtype)
         self.w2 = xavier_uniform(rng, (channels, c_red), dtype)
 
-    @unbatched(3)
     def squeeze(self, x: Tensor) -> Tensor:
-        """Mean over time and frequency: (C,T,F) -> (C,)."""
+        """Mean over time and frequency: (B,C,T,F) -> (B,C)."""
         if x.shape[2] < 1 or x.shape[3] < 1:
             raise ShapeError("empty time or frequency axis")
         return mean_axis(mean_axis(x, 3), 2)
 
-    @unbatched(1)
     def mask(self, xc: Tensor) -> Tensor:
-        """Gate per channel: sigmoid(W2 relu(W1 xc)), values strictly in (0,1)."""
+        """Gate per channel: sigmoid(W2 relu(W1 xc)), (B,C) -> (B,C), strictly in (0,1)."""
         hidden = matmul(xc, transpose(self.w1, (1, 0))).relu()
         return matmul(hidden, transpose(self.w2, (1, 0))).sigmoid()
 
-    @unbatched(3)
     def apply(self, x: Tensor) -> Tensor:
         """Recalibrate: multiply every (t, f) cell of channel c by its gate."""
         m = self.mask(self.squeeze(x))
@@ -78,7 +75,7 @@ class DTCFBlock(Module):
 
     W1 is the shared bias-free bottleneck encoder; W2 produces the time-conditioned
     channel mask and W3 the frequency-conditioned one. The encoder input is
-    the concatenation [freq profile (C,F), time profile (C,T)] and the split
+    the concatenation [freq profile (B,C,F), time profile (B,C,T)] and the split
     after encoding uses the same order, so W3 reads the first F columns and
     W2 the remaining T.
     """
@@ -90,30 +87,26 @@ class DTCFBlock(Module):
         self.w2 = xavier_uniform(rng, (channels, c_red), dtype)
         self.w3 = xavier_uniform(rng, (channels, c_red), dtype)
 
-    @unbatched(3)
     def pool(self, x: Tensor) -> tuple[Tensor, Tensor]:
-        """Parallel means: xcf[c,f] over time, xct[c,t] over frequency."""
+        """Parallel means: xcf (B,C,F) over time, xct (B,C,T) over frequency."""
         if x.shape[2] < 1 or x.shape[3] < 1:
             raise ShapeError("empty time or frequency axis")
         return mean_axis(x, 2), mean_axis(x, 3)
 
-    @unbatched(2)
     def encode(self, xcf: Tensor, xct: Tensor) -> Tensor:
-        """relu(W1 [xcf, xct]): a (C', F+T) joint context, column-independent."""
+        """relu(W1 [xcf, xct]): a (B,C',F+T) joint context, column-independent."""
         return _per_column(self.w1, concat(xcf, xct, axis=2)).relu()
 
-    @unbatched(2)
     def masks(self, x1: Tensor, f_len: int) -> tuple[Tensor, Tensor]:
         """Split the encoding back at f_len and gate each half.
 
-        Returns (mct, mcf): the time mask sigmoid(W2 . time half) of shape
-        (C, T) and the frequency mask sigmoid(W3 . freq half) of shape (C, F).
+        Returns (mct, mcf): the time mask sigmoid(W2 . time half), (B,C,T),
+        and the frequency mask sigmoid(W3 . freq half), (B,C,F).
         """
         part_f, part_t = split(x1, axis=2, at=f_len)
         return (_per_column(self.w2, part_t).sigmoid(),
                 _per_column(self.w3, part_f).sigmoid())
 
-    @unbatched(3)
     def apply(self, x: Tensor) -> Tensor:
         """Full pipeline: pool, encode, mask, and recalibrate the map."""
         b, c, t, f = x.shape

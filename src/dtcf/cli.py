@@ -137,7 +137,7 @@ def cmd_gradcheck(args) -> int:
     rng = np.random.default_rng(seed)
     kind = args.attention
     block = ATTENTION_BLOCKS[kind](c, args.reduction, rng=rng, dtype=np.float64)
-    x = Tensor(rng.normal(size=(c, t, f)))
+    x = Tensor(rng.normal(size=(1, c, t, f)))
 
     def scalar(_ignored):
         out = block.apply(x)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .tensor import Tensor, _node, conv2d, matmul, reshape, transpose, unbatched
+from .tensor import Tensor, _node, conv2d, matmul, reshape, transpose
 
 __all__ = ["Module", "Conv2dLayer", "BatchNorm2d", "LinearLayer", "he_uniform", "xavier_uniform"]
 
@@ -65,7 +65,6 @@ class Conv2dLayer(Module):
         self.padding = (kh // 2, kw // 2)
         self.kernels = he_uniform(rng, (out_channels, in_channels, kh, kw), dtype)
 
-    @unbatched(3)
     def forward(self, x: Tensor) -> Tensor:
         return conv2d(x, self.kernels, self.stride, self.padding)
 
@@ -87,7 +86,6 @@ class BatchNorm2d(Module):
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
 
-    @unbatched(3)
     def forward(self, x: Tensor, training: bool = False) -> Tensor:
         if training:
             if x.shape[0] < 2:
@@ -150,6 +148,5 @@ class LinearLayer(Module):
         self.weight = xavier_uniform(rng, (out_features, in_features), dtype)
         self.bias = Tensor(np.zeros(out_features, dtype=dtype), requires_grad=True)
 
-    @unbatched(1)
     def forward(self, x: Tensor) -> Tensor:
         return matmul(x, transpose(self.weight, (1, 0))) + reshape(self.bias, (1, -1))

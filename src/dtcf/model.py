@@ -1,8 +1,9 @@
 """Quarter-channel ResNet34 speaker embedding model.
 
-The backbone consumes an (T, 80) log-mel feature matrix as a 1-channel map
-and produces a 512-dim utterance embedding via attentive statistics pooling.
-Stage layout (channels, stride as time x freq):
+The backbone consumes a (B, T, 80) batch of log-mel feature matrices, each
+as a 1-channel map, and produces (B, 512) utterance embeddings via attentive
+statistics pooling; ``embed`` takes one (T, 80) matrix. Stage layout per
+sample (channels, stride as time x freq):
 
     stem   3x3/ (1,1) -> 32 x T x 80
     stage1 3 blocks / (1,1) -> 32 x T x 80
@@ -23,7 +24,7 @@ import numpy as np
 from .attention import DTCFBlock, SEBlock
 from .errors import ConfigError, ShapeError
 from .layers import BatchNorm2d, Conv2dLayer, LinearLayer, Module, xavier_uniform
-from .tensor import Tensor, concat, matmul, no_grad, reshape, sum_axis, transpose, unbatched
+from .tensor import Tensor, concat, matmul, no_grad, reshape, sum_axis, transpose
 
 __all__ = ["BackboneConfig", "ResidualBlock", "ASPHead", "SpeakerModel"]
 
@@ -134,7 +135,6 @@ class ASPHead(Module):
         ez = (scores - shift).exp()
         return ez / sum_axis(ez, 1, keepdims=True)
 
-    @unbatched(3)
     def forward(self, fmap: Tensor) -> Tensor:
         h = self._frames(fmap)
         alpha = self._weights(h)
@@ -189,21 +189,24 @@ class SpeakerModel(Module):
                 v = block.forward(v, training)
         return v
 
-    @unbatched(2)
     def forward(self, feats: Tensor, training: bool = False) -> Tensor:
         """(B, T, 80) features -> (B, 512) embeddings."""
-        if feats.shape[-1] != self.config.n_mels:
-            raise ShapeError(f"expected {self.config.n_mels} mel bins, got {feats.shape[-1]}")
-        if feats.shape[-2] < self.MIN_FRAMES:
-            raise ShapeError(f"need at least {self.MIN_FRAMES} frames, got {feats.shape[-2]}")
-        fmap = self.forward_map(reshape(feats, (feats.shape[0], 1) + feats.shape[1:]), training)
+        n_mels = self.config.n_mels
+        if feats.ndim != 3:
+            raise ShapeError(f"expected (B, T, {n_mels}) features, got shape {feats.shape}")
+        b, t, f = feats.shape
+        if f != n_mels:
+            raise ShapeError(f"expected {n_mels} mel bins, got {f}")
+        if t < self.MIN_FRAMES:
+            raise ShapeError(f"need at least {self.MIN_FRAMES} frames, got {t}")
+        fmap = self.forward_map(reshape(feats, (b, 1, t, f)), training)
         return self.emb.forward(self.asp.forward(fmap))
 
     def embed(self, feats: np.ndarray) -> np.ndarray:
-        """Eval-mode utterance embedding; deterministic, no graph recorded."""
+        """Eval-mode embedding of one (T, 80) utterance; deterministic, no graph recorded."""
         with no_grad():
-            out = self.forward(Tensor(np.asarray(feats, dtype=self.dtype)), training=False)
-        return out.data.copy()
+            out = self.forward(Tensor(np.asarray(feats, dtype=self.dtype)[None]), training=False)
+        return out.data[0].copy()
 
     # -- parameter access ---------------------------------------------------
 

@@ -12,18 +12,11 @@ Tensor takes the dtype of the array it wraps.
 Broadcasting is deliberately narrow: both operands must have the same rank
 and every dimension must either match or be 1 on one side. Anything fancier
 is rejected so the backward rules stay simple.
-
-Batch axis: every op over samples (convolution, the layers, the attention
-stages, pooling, the model) is written once, for a leading batch axis.
-Decorated with ``unbatched(rank)``, it also takes a single sample of rank
-``rank``: the sample gets a batch axis of size 1 on the way in, and the
-results lose it on the way out. Any other rank raises ShapeError.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -40,7 +33,6 @@ __all__ = [
     "split",
     "reshape",
     "transpose",
-    "unbatched",
     "topo_order",
     "backward",
     "zero_grads",
@@ -226,37 +218,6 @@ def _binary(a: Tensor, b: Tensor, fwd, da: Callable, db: Callable) -> Tensor:
     return _node(data, (a, b), bwd)
 
 
-# -- batch axis ----------------------------------------------------------------
-
-def unbatched(rank: int):
-    """Let an op written for a leading batch axis also take a single sample.
-
-    The first positional Tensor argument decides. With ``rank + 1`` dims the
-    op runs as written. With ``rank`` dims every Tensor argument of that rank
-    gains a leading axis of size 1, and every Tensor result, alone or in a
-    tuple, loses it again. Any other rank raises ShapeError.
-    """
-    def lift(a):
-        return reshape(a, (1,) + a.shape) if isinstance(a, Tensor) and a.ndim == rank else a
-
-    def drop(out):
-        return reshape(out, out.shape[1:]) if isinstance(out, Tensor) else out
-
-    def decorate(op):
-        @functools.wraps(op)
-        def wrapper(*args, **kwargs):
-            first = next((a for a in args if isinstance(a, Tensor)), None)
-            if first is None or first.ndim == rank + 1:
-                return op(*args, **kwargs)
-            if first.ndim != rank:
-                raise ShapeError(f"{op.__qualname__} expects rank {rank} or {rank + 1}, "
-                                 f"got shape {first.shape}")
-            out = op(*map(lift, args), **kwargs)
-            return tuple(map(drop, out)) if isinstance(out, tuple) else drop(out)
-        return wrapper
-    return decorate
-
-
 # -- linear algebra -----------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -294,7 +255,6 @@ def _phase_cut(u: int, stride: int, pad: int, size: int) -> tuple[slice, slice]:
     return slice(first, first + len(range(start, size, stride))), slice(start, size, stride)
 
 
-@unbatched(3)
 def conv2d(x: Tensor, kernels: Tensor, stride=(1, 1), padding=(0, 0)) -> Tensor:
     """2-D cross-correlation (no kernel flip) over the trailing two axes.
 

@@ -254,7 +254,9 @@ def _keep_freed_heap() -> None:
     the heap top is trimmed, so each step would fault its pages back in. Here
     arrays up to 32 MiB (glibc's upper limit) come from the heap, and the heap
     keeps up to 1 GiB free at its top. Both are set because setting either
-    one switches off glibc's dynamic mmap threshold.
+    one switches off glibc's dynamic mmap threshold. The settings hold for the
+    whole process and outlive ``train()``: whatever runs after it in the same
+    process allocates under them and keeps an untrimmed heap.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

@@ -69,24 +69,25 @@ def test_criterion_2_duality_mask_equivariance():
             red = int(r.choice([2, 4]))
             blk = DTCFBlock(c, red, rng=rng(100 + case), dtype=np.float64)
             x = r.normal(size=(c, t, f))
-            xcf, xct = blk.pool(Tensor(np.asarray(x, dtype=np.float64)))
-            mct0, mcf0 = blk.masks(blk.encode(xcf, xct), f_len=f)
+            xcf, xct = blk.pool(Tensor(np.asarray(x[None], dtype=np.float64)))
+            mct0, mcf0 = (m.data[0] for m in blk.masks(blk.encode(xcf, xct), f_len=f))
 
             pt = r.permutation(t)
-            xcf1, xct1 = blk.pool(Tensor(np.asarray(x[:, pt, :], dtype=np.float64)))
-            mct1, mcf1 = blk.masks(blk.encode(xcf1, xct1), f_len=f)
-            np.testing.assert_allclose(mct1.data, mct0.data[:, pt], atol=1e-12)
-            np.testing.assert_allclose(mcf1.data, mcf0.data, atol=1e-12)
+            xcf1, xct1 = blk.pool(Tensor(np.asarray(x[None, :, pt, :], dtype=np.float64)))
+            mct1, mcf1 = (m.data[0] for m in blk.masks(blk.encode(xcf1, xct1), f_len=f))
+            np.testing.assert_allclose(mct1, mct0[:, pt], atol=1e-12)
+            np.testing.assert_allclose(mcf1, mcf0, atol=1e-12)
 
             pf = r.permutation(f)
-            xcf2, xct2 = blk.pool(Tensor(np.asarray(x[:, :, pf], dtype=np.float64)))
-            mct2, mcf2 = blk.masks(blk.encode(xcf2, xct2), f_len=f)
-            np.testing.assert_allclose(mcf2.data, mcf0.data[:, pf], atol=1e-12)
-            np.testing.assert_allclose(mct2.data, mct0.data, atol=1e-12)
+            xcf2, xct2 = blk.pool(Tensor(np.asarray(x[None, :, :, pf], dtype=np.float64)))
+            mct2, mcf2 = (m.data[0] for m in blk.masks(blk.encode(xcf2, xct2), f_len=f))
+            np.testing.assert_allclose(mcf2, mcf0[:, pf], atol=1e-12)
+            np.testing.assert_allclose(mct2, mct0, atol=1e-12)
 
             se = SEBlock(c, red, rng=rng(200 + case), dtype=np.float64)
-            m0 = se.mask(se.squeeze(Tensor(np.asarray(x, dtype=np.float64)))).data
-            m1 = se.mask(se.squeeze(Tensor(np.asarray(x[:, pt][:, :, pf], dtype=np.float64)))).data
+            xp = x[:, pt][:, :, pf]
+            m0 = se.mask(se.squeeze(Tensor(np.asarray(x[None], dtype=np.float64)))).data[0]
+            m1 = se.mask(se.squeeze(Tensor(np.asarray(xp[None], dtype=np.float64)))).data[0]
             np.testing.assert_allclose(m1, m0, atol=1e-12)
 
 

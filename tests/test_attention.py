@@ -16,6 +16,11 @@ def t64(arr):
     return Tensor(np.asarray(arr, dtype=np.float64))
 
 
+def one(arr):
+    """A batch of one sample at float64."""
+    return t64(np.asarray(arr)[None])
+
+
 def se_block(C, r=8, seed=0):
     return SEBlock(C, r, rng=rng(seed), dtype=np.float64)
 
@@ -70,75 +75,75 @@ def dtcf_apply_oracle(x, w1, w2, w3):
 class TestSE:
     def test_squeeze_constant(self):
         block = se_block(4)
-        out = block.squeeze(Tensor(np.full((4, 3, 5), 2.5, dtype=np.float64)))
-        np.testing.assert_allclose(out.data, np.full(4, 2.5), atol=1e-12)
+        out = block.squeeze(Tensor(np.full((1, 4, 3, 5), 2.5, dtype=np.float64)))
+        np.testing.assert_allclose(out.data[0], np.full(4, 2.5), atol=1e-12)
 
     def test_squeeze_hand_mean(self):
         x = np.zeros((2, 2, 2))
         x[0] = [[1, 3], [5, 7]]
-        out = se_block(2, r=2).squeeze(t64(x))
-        assert out.data[0] == pytest.approx(4.0)
+        out = se_block(2, r=2).squeeze(one(x))
+        assert out.data[0, 0] == pytest.approx(4.0)
 
     def test_squeeze_matches_loop(self):
         x = rng(1).normal(size=(4, 6, 5))
         xc, _, _ = se_apply_oracle(x, np.zeros((1, 4)), np.zeros((4, 1)))
-        out = se_block(4, r=4).squeeze(t64(x))
-        np.testing.assert_allclose(out.data, xc, atol=1e-7)
+        out = se_block(4, r=4).squeeze(one(x))
+        np.testing.assert_allclose(out.data[0], xc, atol=1e-7)
 
     def test_mask_zero_weights_half(self):
         block = se_block(8, r=2)
         block.w1.data[:] = 0.0
         block.w2.data[:] = 0.0
-        m = block.mask(t64(rng(2).normal(size=8)))
-        np.testing.assert_allclose(m.data, np.full(8, 0.5), atol=1e-12)
+        m = block.mask(one(rng(2).normal(size=8)))
+        np.testing.assert_allclose(m.data[0], np.full(8, 0.5), atol=1e-12)
 
     def test_mask_in_unit_interval(self):
         block = se_block(8, r=2, seed=3)
-        m = block.mask(t64(rng(4).normal(size=8) * 10)).data
+        m = block.mask(one(rng(4).normal(size=8) * 10)).data[0]
         assert np.all(m > 0) and np.all(m < 1)
 
     def test_mask_matches_two_matmul_oracle(self):
         block = se_block(8, r=2, seed=5)
         xc = rng(6).normal(size=8)
         expect = sigmoid(block.w2.data @ np.maximum(block.w1.data @ xc, 0.0))
-        np.testing.assert_allclose(block.mask(t64(xc)).data, expect, atol=1e-6)
+        np.testing.assert_allclose(block.mask(one(xc)).data[0], expect, atol=1e-6)
 
     def test_apply_half_and_bound(self):
         block = se_block(4)
         block.w1.data[:] = 0.0
         block.w2.data[:] = 0.0
         x = rng(7).normal(size=(4, 5, 6))
-        out = block.apply(t64(x)).data
+        out = block.apply(one(x)).data[0]
         np.testing.assert_allclose(out, x / 2, atol=1e-12)
         block2 = se_block(4, seed=8)
-        out2 = block2.apply(t64(x)).data
+        out2 = block2.apply(one(x)).data[0]
         assert np.all(np.abs(out2) <= np.abs(x) + 1e-15)
 
     def test_apply_matches_loop_oracle(self):
         block = se_block(4, r=4, seed=9)
         x = rng(10).normal(size=(4, 5, 6))
         _, _, expect = se_apply_oracle(x, block.w1.data, block.w2.data)
-        np.testing.assert_allclose(block.apply(t64(x)).data, expect, atol=1e-6)
+        np.testing.assert_allclose(block.apply(one(x)).data[0], expect, atol=1e-6)
 
     def test_shape_preserved_and_batched(self):
         block = se_block(6, r=2, seed=11)
-        for shape in [(6, 1, 1), (6, 9, 2), (6, 3, 17)]:
+        for shape in [(1, 6, 1, 1), (1, 6, 9, 2), (1, 6, 3, 17)]:
             x = rng(12).normal(size=shape)
             assert block.apply(t64(x)).shape == shape
         xb = rng(13).normal(size=(3, 6, 4, 5))
         out = block.apply(t64(xb))
         assert out.shape == xb.shape
         for i in range(3):
-            np.testing.assert_allclose(out.data[i], block.apply(t64(xb[i])).data, atol=1e-12)
+            np.testing.assert_allclose(out.data[i], block.apply(one(xb[i])).data[0], atol=1e-12)
 
     def test_permutation_invariance(self):
         block = se_block(5, r=5, seed=14)
         x = rng(15).normal(size=(5, 6, 7))
-        m0 = block.mask(block.squeeze(t64(x))).data
+        m0 = block.mask(block.squeeze(one(x))).data
         r = rng(16)
         for _ in range(5):
             pt, pf = r.permutation(6), r.permutation(7)
-            m1 = block.mask(block.squeeze(t64(x[:, pt][:, :, pf]))).data
+            m1 = block.mask(block.squeeze(one(x[:, pt][:, :, pf]))).data
             np.testing.assert_allclose(m1, m0, atol=1e-12)
 
 
@@ -146,39 +151,39 @@ class TestSE:
 
 class TestDTCF:
     def test_pool_constant(self):
-        xcf, xct = dtcf_block(4).pool(Tensor(np.full((4, 3, 5), 1.5, dtype=np.float64)))
-        np.testing.assert_allclose(xcf.data, np.full((4, 5), 1.5), atol=1e-12)
-        np.testing.assert_allclose(xct.data, np.full((4, 3), 1.5), atol=1e-12)
+        xcf, xct = dtcf_block(4).pool(Tensor(np.full((1, 4, 3, 5), 1.5, dtype=np.float64)))
+        np.testing.assert_allclose(xcf.data[0], np.full((4, 5), 1.5), atol=1e-12)
+        np.testing.assert_allclose(xct.data[0], np.full((4, 3), 1.5), atol=1e-12)
 
     def test_pool_hand_means(self):
         x = np.zeros((1, 2, 2))
         x[0] = [[1, 3], [5, 7]]
-        xcf, xct = dtcf_block(1).pool(t64(x))
-        np.testing.assert_allclose(xcf.data[0], [3, 5])
-        np.testing.assert_allclose(xct.data[0], [2, 6])
+        xcf, xct = dtcf_block(1).pool(one(x))
+        np.testing.assert_allclose(xcf.data[0, 0], [3, 5])
+        np.testing.assert_allclose(xct.data[0, 0], [2, 6])
 
     def test_pool_matches_loop(self):
         x = rng(17).normal(size=(3, 4, 5))
-        xcf, xct = dtcf_block(3, r=3).pool(t64(x))
-        np.testing.assert_allclose(xcf.data, x.mean(axis=1), atol=1e-7)
-        np.testing.assert_allclose(xct.data, x.mean(axis=2), atol=1e-7)
+        xcf, xct = dtcf_block(3, r=3).pool(one(x))
+        np.testing.assert_allclose(xcf.data[0], x.mean(axis=1), atol=1e-7)
+        np.testing.assert_allclose(xct.data[0], x.mean(axis=2), atol=1e-7)
 
     def test_encode_zero_weights(self):
         block = dtcf_block(4)
         block.w1.data[:] = 0.0
-        xcf, xct = block.pool(t64(rng(18).normal(size=(4, 3, 5))))
+        xcf, xct = block.pool(one(rng(18).normal(size=(4, 3, 5))))
         enc = block.encode(xcf, xct)
-        np.testing.assert_array_equal(enc.data, np.zeros((1, 5 + 3)))
+        np.testing.assert_array_equal(enc.data[0], np.zeros((1, 5 + 3)))
 
     def test_encode_column_independence(self):
         block = dtcf_block(8, seed=19)
         block.w1.data[:] = np.abs(block.w1.data) + 0.1   # keep the relu pass-through
         xcf = rng(20).normal(size=(8, 4))
         xct = rng(21).normal(size=(8, 3))
-        base = block.encode(t64(xcf), t64(xct)).data
+        base = block.encode(one(xcf), one(xct)).data[0]
         xcf2 = xcf.copy()
         xcf2[:, 2] += 5.0
-        pert = block.encode(t64(xcf2), t64(xct)).data
+        pert = block.encode(one(xcf2), one(xct)).data[0]
         changed = np.any(base != pert, axis=0)
         assert changed[2] and not changed[[0, 1, 3, 4, 5, 6]].any()
 
@@ -188,115 +193,116 @@ class TestDTCF:
         xct = rng(24).normal(size=(8, 3))
         u = np.concatenate([xcf, xct], axis=1)
         expect = np.maximum(block.w1.data @ u, 0.0)
-        np.testing.assert_allclose(block.encode(t64(xcf), t64(xct)).data, expect, atol=1e-6)
+        np.testing.assert_allclose(block.encode(one(xcf), one(xct)).data[0], expect, atol=1e-6)
 
     def test_masks_zero_weights_half(self):
         block = dtcf_block(4, seed=25)
         block.w2.data[:] = 0.0
         block.w3.data[:] = 0.0
-        enc = t64(rng(26).normal(size=(1, 9)))
+        enc = one(rng(26).normal(size=(1, 9)))
         mct, mcf = block.masks(enc, f_len=5)
-        np.testing.assert_allclose(mct.data, np.full((4, 4), 0.5), atol=1e-12)
-        np.testing.assert_allclose(mcf.data, np.full((4, 5), 0.5), atol=1e-12)
+        np.testing.assert_allclose(mct.data[0], np.full((4, 4), 0.5), atol=1e-12)
+        np.testing.assert_allclose(mcf.data[0], np.full((4, 5), 0.5), atol=1e-12)
 
     def test_masks_in_unit_interval_and_oracle(self):
         block = dtcf_block(4, r=4, seed=27)
         enc = rng(28).normal(size=(1, 9))
-        mct, mcf = block.masks(t64(enc), f_len=5)
-        assert np.all((mct.data > 0) & (mct.data < 1))
-        assert np.all((mcf.data > 0) & (mcf.data < 1))
-        np.testing.assert_allclose(mct.data, sigmoid(block.w2.data @ enc[:, 5:]), atol=1e-6)
-        np.testing.assert_allclose(mcf.data, sigmoid(block.w3.data @ enc[:, :5]), atol=1e-6)
+        mct, mcf = block.masks(one(enc), f_len=5)
+        mct, mcf = mct.data[0], mcf.data[0]
+        assert np.all((mct > 0) & (mct < 1))
+        assert np.all((mcf > 0) & (mcf < 1))
+        np.testing.assert_allclose(mct, sigmoid(block.w2.data @ enc[:, 5:]), atol=1e-6)
+        np.testing.assert_allclose(mcf, sigmoid(block.w3.data @ enc[:, :5]), atol=1e-6)
 
     def test_masks_bad_split(self):
         block = dtcf_block(4)
         with pytest.raises(ShapeError):
-            block.masks(t64(np.zeros((1, 6))), f_len=6)
+            block.masks(one(np.zeros((1, 6))), f_len=6)
 
     def test_apply_quarter_with_zero_weights(self):
         block = dtcf_block(4)
         for w in (block.w1, block.w2, block.w3):
             w.data[:] = 0.0
         x = rng(29).normal(size=(4, 5, 6))
-        np.testing.assert_allclose(block.apply(t64(x)).data, x / 4, atol=1e-12)
+        np.testing.assert_allclose(block.apply(one(x)).data[0], x / 4, atol=1e-12)
 
     def test_apply_bound_and_shape(self):
         block = dtcf_block(4, r=4, seed=30)
         x = rng(31).normal(size=(4, 5, 6))
-        out = block.apply(t64(x))
-        assert out.shape == x.shape
-        assert np.all(np.abs(out.data) <= np.abs(x) + 1e-15)
+        out = block.apply(one(x))
+        assert out.shape == (1,) + x.shape
+        assert np.all(np.abs(out.data[0]) <= np.abs(x) + 1e-15)
 
     def test_apply_matches_end_to_end_oracle(self):
         block = dtcf_block(4, r=4, seed=32)
         x = rng(33).normal(size=(4, 5, 6))
         _, _, expect = dtcf_apply_oracle(x, block.w1.data, block.w2.data, block.w3.data)
-        np.testing.assert_allclose(block.apply(t64(x)).data, expect, atol=1e-6)
+        np.testing.assert_allclose(block.apply(one(x)).data[0], expect, atol=1e-6)
 
     def test_apply_batched_matches_single(self):
         block = dtcf_block(4, r=2, seed=34)
         xb = rng(35).normal(size=(3, 4, 5, 6))
         out = block.apply(t64(xb))
         for i in range(3):
-            np.testing.assert_allclose(out.data[i], block.apply(t64(xb[i])).data, atol=1e-12)
+            np.testing.assert_allclose(out.data[i], block.apply(one(xb[i])).data[0], atol=1e-12)
 
     def test_time_permutation_equivariance(self):
         block = dtcf_block(4, r=4, seed=36)
         x = rng(37).normal(size=(4, 6, 5))
-        xcf, xct = block.pool(t64(x))
+        xcf, xct = block.pool(one(x))
         mct0, mcf0 = block.masks(block.encode(xcf, xct), f_len=5)
         pt = rng(38).permutation(6)
-        xcf2, xct2 = block.pool(t64(x[:, pt, :]))
+        xcf2, xct2 = block.pool(one(x[:, pt, :]))
         mct1, mcf1 = block.masks(block.encode(xcf2, xct2), f_len=5)
-        np.testing.assert_allclose(mct1.data, mct0.data[:, pt], atol=1e-12)
-        np.testing.assert_allclose(mcf1.data, mcf0.data, atol=1e-12)
+        np.testing.assert_allclose(mct1.data[0], mct0.data[0][:, pt], atol=1e-12)
+        np.testing.assert_allclose(mcf1.data[0], mcf0.data[0], atol=1e-12)
 
     def test_freq_permutation_equivariance(self):
         block = dtcf_block(4, r=4, seed=39)
         x = rng(40).normal(size=(4, 6, 5))
-        xcf, xct = block.pool(t64(x))
+        xcf, xct = block.pool(one(x))
         mct0, mcf0 = block.masks(block.encode(xcf, xct), f_len=5)
         pf = rng(41).permutation(5)
-        xcf2, xct2 = block.pool(t64(x[:, :, pf]))
+        xcf2, xct2 = block.pool(one(x[:, :, pf]))
         mct1, mcf1 = block.masks(block.encode(xcf2, xct2), f_len=5)
-        np.testing.assert_allclose(mcf1.data, mcf0.data[:, pf], atol=1e-12)
-        np.testing.assert_allclose(mct1.data, mct0.data, atol=1e-12)
+        np.testing.assert_allclose(mcf1.data[0], mcf0.data[0][:, pf], atol=1e-12)
+        np.testing.assert_allclose(mct1.data[0], mct0.data[0], atol=1e-12)
 
     def test_locality_of_time_mask(self):
         # changing frame t cannot move any other column of the time mask
         block = dtcf_block(4, r=2, seed=42)
         x = rng(43).normal(size=(4, 6, 5))
-        xcf, xct = block.pool(t64(x))
-        mct0, _ = block.masks(block.encode(xcf, xct), f_len=5)
+        xcf, xct = block.pool(one(x))
+        mct0 = block.masks(block.encode(xcf, xct), f_len=5)[0].data[0]
         x2 = x.copy()
         x2[:, 3, :] += rng(44).normal(size=(4, 5))
-        xcf2, xct2 = block.pool(t64(x2))
-        mct1, _ = block.masks(block.encode(xcf2, xct2), f_len=5)
+        xcf2, xct2 = block.pool(one(x2))
+        mct1 = block.masks(block.encode(xcf2, xct2), f_len=5)[0].data[0]
         others = [t for t in range(6) if t != 3]
-        np.testing.assert_allclose(mct1.data[:, others], mct0.data[:, others], atol=1e-12)
-        assert np.any(np.abs(mct1.data[:, 3] - mct0.data[:, 3]) > 1e-9)
+        np.testing.assert_allclose(mct1[:, others], mct0[:, others], atol=1e-12)
+        assert np.any(np.abs(mct1[:, 3] - mct0[:, 3]) > 1e-9)
 
     def test_degenerate_t1_f1(self):
         block = dtcf_block(4, r=2, seed=45)
         x = rng(46).normal(size=(4, 1, 1))
-        xcf, xct = block.pool(t64(x))
-        np.testing.assert_allclose(xcf.data, x[:, 0, :], atol=1e-12)
-        np.testing.assert_allclose(xct.data, x[:, :, 0], atol=1e-12)
+        xcf, xct = block.pool(one(x))
+        np.testing.assert_allclose(xcf.data[0], x[:, 0, :], atol=1e-12)
+        np.testing.assert_allclose(xct.data[0], x[:, :, 0], atol=1e-12)
         xv = x[:, 0, 0]
         hidden = np.maximum(block.w1.data @ xv, 0.0)
         expect = xv * sigmoid(block.w2.data @ hidden) * sigmoid(block.w3.data @ hidden)
-        np.testing.assert_allclose(block.apply(t64(x)).data[:, 0, 0], expect, atol=1e-10)
+        np.testing.assert_allclose(block.apply(one(x)).data[0, :, 0, 0], expect, atol=1e-10)
 
     def test_full_block_gradcheck(self):
         block = dtcf_block(4, r=2, seed=47)
-        x = t64(rng(48).normal(size=(4, 5, 6)))
+        x = one(rng(48).normal(size=(4, 5, 6)))
         assert grad_check(lambda v: block.apply(v).sum(), x) < 1e-6
         for _, w in block.named_params():
             assert grad_check(lambda _: block.apply(x).sum(), w) < 1e-6
 
     def test_se_block_gradcheck(self):
         block = se_block(4, r=2, seed=49)
-        x = t64(rng(50).normal(size=(4, 5, 6)))
+        x = one(rng(50).normal(size=(4, 5, 6)))
         assert grad_check(lambda v: block.apply(v).sum(), x) < 1e-6
         for _, w in block.named_params():
             assert grad_check(lambda _: block.apply(x).sum(), w) < 1e-6
@@ -327,8 +333,8 @@ class TestParamCount:
 
 
 @pytest.mark.parametrize("call", [
-    lambda: se_block(4).squeeze(t64(np.ones((4, 0, 5)))),
-    lambda: dtcf_block(4).pool(t64(np.ones((4, 3, 0)))),
+    lambda: se_block(4).squeeze(one(np.ones((4, 0, 5)))),
+    lambda: dtcf_block(4).pool(one(np.ones((4, 3, 0)))),
 ], ids=["se-squeeze-no-frames", "dtcf-pool-no-bins"])
 def test_empty_axis_raises(call):
     with pytest.raises(ShapeError, match="empty time or frequency axis"):

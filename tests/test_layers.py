@@ -7,7 +7,7 @@ from dtcf.errors import ConfigError, ShapeError
 from dtcf.layers import BatchNorm2d, Conv2dLayer, LinearLayer
 from dtcf.tensor import Tensor, grad_check
 
-from test_tensor import conv2d_oracle
+from test_tensor import conv2d_oracle, one
 
 
 def rng(seed=0):
@@ -22,33 +22,33 @@ class TestConvLayer:
     def test_identity_one_by_one(self):
         layer = Conv2dLayer(1, 1, kernel=(1, 1), rng=rng(1), dtype=np.float64)
         layer.kernels.data[:] = 1.0
-        x = t64(rng(2).normal(size=(1, 4, 5)))
-        np.testing.assert_allclose(layer.forward(x).data, x.data, atol=1e-12)
+        x = one(rng(2).normal(size=(1, 4, 5)))
+        np.testing.assert_allclose(layer.forward(x).data[0], x.data[0], atol=1e-12)
 
     def test_matches_oracle(self):
         layer = Conv2dLayer(2, 3, stride=(2, 1), rng=rng(5), dtype=np.float64)
         x = rng(7).normal(size=(2, 6, 5))
         expect = conv2d_oracle(x, layer.kernels.data, (2, 1), (1, 1))
-        np.testing.assert_allclose(layer.forward(t64(x)).data, expect, atol=1e-6)
+        np.testing.assert_allclose(layer.forward(one(x)).data[0], expect, atol=1e-6)
 
     def test_channel_mismatch(self):
         layer = Conv2dLayer(2, 3, rng=rng(8))
         with pytest.raises(ShapeError):
-            layer.forward(Tensor(np.zeros((3, 4, 4), dtype=np.float32)))
+            layer.forward(Tensor(np.zeros((1, 3, 4, 4), dtype=np.float32)))
 
     def test_output_shape_closed_form(self):
         for t, f, s, p, k in [(200, 80, (1, 1), (1, 1), (3, 3)),
                               (200, 80, (2, 2), (1, 1), (3, 3)),
                               (101, 40, (2, 2), (1, 1), (3, 3))]:
             layer = Conv2dLayer(1, 4, kernel=k, stride=s, rng=rng(9))
-            out = layer.forward(Tensor(np.zeros((1, t, f), dtype=np.float32)))
+            out = layer.forward(Tensor(np.zeros((1, 1, t, f), dtype=np.float32)))
             expect_t = (t + 2 * p[0] - k[0]) // s[0] + 1
             expect_f = (f + 2 * p[1] - k[1]) // s[1] + 1
-            assert out.shape == (4, expect_t, expect_f)
+            assert out.shape == (1, 4, expect_t, expect_f)
 
     def test_gradcheck_params_and_input(self):
         layer = Conv2dLayer(2, 2, stride=(1, 1), rng=rng(10), dtype=np.float64)
-        x = t64(rng(11).normal(size=(2, 4, 4)))
+        x = one(rng(11).normal(size=(2, 4, 4)))
         assert grad_check(lambda v: layer.forward(v).sum(), x) < 1e-6
         assert grad_check(lambda _: layer.forward(x).sum(), layer.kernels) < 1e-6
 
@@ -57,7 +57,7 @@ class TestBatchNorm:
     def test_eval_identity_running_stats(self):
         bn = BatchNorm2d(3, dtype=np.float64)
         x = rng(12).normal(size=(3, 4, 5))
-        out = bn.forward(t64(x), training=False).data
+        out = bn.forward(one(x), training=False).data[0]
         np.testing.assert_allclose(out, x / np.sqrt(1 + 1e-5), atol=1e-10)
 
     def test_train_normalizes_batch(self):
@@ -86,7 +86,7 @@ class TestBatchNorm:
         bn = BatchNorm2d(2, dtype=np.float64)
         bn.running_mean[:] = [0.3, -0.2]
         bn.running_var[:] = [2.0, 0.5]
-        x = t64(rng(15).normal(size=(2, 3, 3)))
+        x = one(rng(15).normal(size=(2, 3, 3)))
         a = bn.forward(x, training=False).data
         b = bn.forward(x, training=False).data
         np.testing.assert_array_equal(a, b)
@@ -131,7 +131,7 @@ class TestBatchNorm:
         bn = BatchNorm2d(2, dtype=np.float64)
         bn.running_mean[:] = [0.1, -0.4]
         bn.running_var[:] = [1.5, 0.7]
-        x = t64(rng(17).normal(size=(2, 4, 4)))
+        x = one(rng(17).normal(size=(2, 4, 4)))
         assert grad_check(lambda v: bn.forward(v, training=False).sigmoid().sum(), x) < 1e-6
 
 
@@ -141,13 +141,13 @@ class TestLinear:
         layer.weight.data[:] = np.eye(4)
         layer.bias.data[:] = 0.0
         x = rng(21).normal(size=4)
-        np.testing.assert_allclose(layer.forward(t64(x)).data, x, atol=1e-12)
+        np.testing.assert_allclose(layer.forward(one(x)).data[0], x, atol=1e-12)
 
     def test_zero_weight_bias_only(self):
         layer = LinearLayer(3, 2, rng=rng(22), dtype=np.float64)
         layer.weight.data[:] = 0.0
         layer.bias.data[:] = [5.0, -1.0]
-        np.testing.assert_allclose(layer.forward(t64(rng(23).normal(size=3))).data, [5.0, -1.0])
+        np.testing.assert_allclose(layer.forward(one(rng(23).normal(size=3))).data[0], [5.0, -1.0])
 
     def test_matches_matmul_oracle(self):
         layer = LinearLayer(5, 3, rng=rng(24), dtype=np.float64)
@@ -158,23 +158,23 @@ class TestLinear:
             for i in range(5):
                 expect[o] += layer.weight.data[o, i] * x[i]
         expect += layer.bias.data
-        np.testing.assert_allclose(layer.forward(t64(x)).data, expect, atol=1e-6)
+        np.testing.assert_allclose(layer.forward(one(x)).data[0], expect, atol=1e-6)
 
     def test_length_mismatch(self):
         layer = LinearLayer(5, 3, rng=rng(27))
         with pytest.raises(ShapeError):
-            layer.forward(Tensor(np.zeros(4, dtype=np.float32)))
+            layer.forward(Tensor(np.zeros((1, 4), dtype=np.float32)))
 
     def test_batched_matches_single(self):
         layer = LinearLayer(4, 3, rng=rng(28), dtype=np.float64)
         xs = rng(29).normal(size=(5, 4))
         batched = layer.forward(t64(xs)).data
         for i in range(5):
-            np.testing.assert_allclose(batched[i], layer.forward(t64(xs[i])).data, atol=1e-12)
+            np.testing.assert_allclose(batched[i], layer.forward(one(xs[i])).data[0], atol=1e-12)
 
     def test_gradcheck(self):
         layer = LinearLayer(4, 3, rng=rng(30), dtype=np.float64)
-        x = t64(rng(31).normal(size=4))
+        x = one(rng(31).normal(size=4))
         assert grad_check(lambda v: layer.forward(v).sigmoid().sum(), x) < 1e-6
         assert grad_check(lambda _: layer.forward(x).sigmoid().sum(), layer.weight) < 1e-6
         assert grad_check(lambda _: layer.forward(x).sigmoid().sum(), layer.bias) < 1e-6

@@ -19,6 +19,11 @@ def t64(arr):
     return Tensor(np.asarray(arr, dtype=np.float64))
 
 
+def one(arr):
+    """A batch of one sample at float64."""
+    return t64(np.asarray(arr)[None])
+
+
 def stage_shapes(model, x):
     """The eval-mode backbone map and the (C, T, F) shape after each stage, walked block by block."""
     v = model.stem_bn.forward(model.stem_conv.forward(x)).relu()
@@ -36,28 +41,28 @@ class TestResidualBlock:
         blk.conv1.kernels.data[:] = 0.0
         blk.conv2.kernels.data[:] = 0.0
         x = rng(2).normal(size=(4, 6, 5))
-        out = blk.forward(t64(x), training=False).data
+        out = blk.forward(one(x), training=False).data[0]
         np.testing.assert_allclose(out, np.maximum(x, 0), atol=1e-12)
 
     def test_strided_shapes(self):
         blk = ResidualBlock(4, 8, stride=(2, 2), attention="none", reduction=8, rng=rng(3))
-        out = blk.forward(Tensor(rng(4).normal(size=(4, 10, 8)).astype(np.float32)),
+        out = blk.forward(Tensor(rng(4).normal(size=(1, 4, 10, 8)).astype(np.float32)),
                           training=False)
-        assert out.shape == (8, 5, 4)
+        assert out.shape == (1, 8, 5, 4)
         blk2 = ResidualBlock(4, 8, stride=(1, 2), attention="none", reduction=8, rng=rng(5))
-        out2 = blk2.forward(Tensor(rng(6).normal(size=(4, 10, 8)).astype(np.float32)),
+        out2 = blk2.forward(Tensor(rng(6).normal(size=(1, 4, 10, 8)).astype(np.float32)),
                             training=False)
-        assert out2.shape == (8, 10, 4)
+        assert out2.shape == (1, 8, 10, 4)
 
     def test_with_dtcf_matches_composed_oracle(self):
         blk = ResidualBlock(3, 3, attention="dtcf", reduction=3, rng=rng(7), dtype=np.float64)
         x = rng(8).normal(size=(3, 5, 4))
         # compose the same pipeline from the already-tested pieces
-        h = blk.bn1.forward(blk.conv1.forward(t64(x)), False).relu()
+        h = blk.bn1.forward(blk.conv1.forward(one(x)), False).relu()
         h = blk.bn2.forward(blk.conv2.forward(h), False)
         h = blk.attn.apply(h)
-        expect = np.maximum(h.data + x, 0)
-        out = blk.forward(t64(x), training=False).data
+        expect = np.maximum(h.data[0] + x, 0)
+        out = blk.forward(one(x), training=False).data[0]
         np.testing.assert_allclose(out, expect, atol=1e-5)
 
     def test_batched_train_mode_gradcheck(self):
@@ -82,7 +87,7 @@ class TestASP:
     def test_single_frame_mean_and_sqrt_eps(self):
         asp = self.make(8)
         x = rng(11).normal(size=(2, 1, 4))    # one frame, C*F = 8
-        out = asp.forward(t64(x)).data
+        out = asp.forward(one(x)).data[0]
         frame = x.transpose(1, 0, 2).reshape(8)
         np.testing.assert_allclose(out[:8], frame, atol=1e-12)
         np.testing.assert_allclose(out[8:], np.full(8, np.sqrt(1e-9)), atol=1e-12)
@@ -91,7 +96,7 @@ class TestASP:
         asp = self.make(6)
         frame = rng(12).normal(size=(2, 1, 3))
         x = np.repeat(frame, 5, axis=1)       # 5 identical frames
-        out = asp.forward(t64(x)).data
+        out = asp.forward(one(x)).data[0]
         np.testing.assert_allclose(out[6:], np.full(6, np.sqrt(1e-9)), atol=1e-7)
 
     def test_matches_weighted_stats_oracle(self):
@@ -103,7 +108,7 @@ class TestASP:
         alpha = e / e.sum()
         mu = alpha @ h
         std = np.sqrt(np.maximum(alpha @ (h * h) - mu * mu, 0) + 1e-9)
-        out = asp.forward(t64(x)).data
+        out = asp.forward(one(x)).data[0]
         np.testing.assert_allclose(out, np.concatenate([mu, std]), atol=1e-6)
 
     def test_weights_are_probabilities(self):
@@ -117,7 +122,7 @@ class TestASP:
 
     def test_gradcheck(self):
         asp = self.make(6, seed=17)
-        x = t64(rng(18).normal(size=(2, 4, 3)))
+        x = one(rng(18).normal(size=(2, 4, 3)))
         assert grad_check(lambda v: asp.forward(v).sum(), x) < 1e-6
         for _, p in asp.named_params():
             assert grad_check(lambda _: asp.forward(x).sum(), p) < 1e-6
@@ -236,9 +241,27 @@ class TestSpeakerModel:
     def test_full_model_gradcheck_toy(self):
         cfg = BackboneConfig(**TOY, attention="dtcf")
         m = SpeakerModel(cfg, seed=5, dtype=np.float64)
-        feats = t64(rng(27).normal(size=(10, 80)))
+        feats = one(rng(27).normal(size=(10, 80)))
         err = grad_check(lambda v: m.forward(v, training=False).sum(), feats)
         assert err < 1e-4
+
+    def test_embed_is_row_0_of_a_batch_of_one(self):
+        m = SpeakerModel(BackboneConfig(**TOY, attention="dtcf"), seed=6)
+        feats = rng(28).normal(size=(30, 80)).astype(np.float32)
+        with no_grad():
+            row = m.forward(Tensor(feats[None]), training=False).data[0]
+        assert np.array_equal(m.embed(feats), row)
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: m.forward(Tensor(np.zeros((30, 80), np.float32))),
+    lambda m: m.forward(Tensor(np.zeros((1, 1, 30, 80), np.float32))),
+    lambda m: m.embed(np.zeros((1, 30, 80), np.float32)),
+], ids=["forward-rank-2", "forward-rank-4", "embed-3d"])
+def test_other_ranks_rejected(call):
+    # the model is the one entry point that checks the rank of its input
+    with pytest.raises(ShapeError, match=r"expected \(B, T, 80\) features, got shape"):
+        call(SpeakerModel(BackboneConfig(**TOY), seed=0))
 
 
 @pytest.mark.parametrize("call", [
@@ -257,7 +280,7 @@ def test_wrong_channel_count_raises(call):
     (lambda: BackboneConfig(widths=(4, 8, 16)), ConfigError, "exactly 4 stages"),
     (lambda: BackboneConfig(blocks=(3, 4, 6)), ConfigError, "exactly 4 stages"),
     (lambda: BackboneConfig(blocks=(1, 0, 1, 1)), ConfigError, "block counts must be >= 1"),
-    (lambda: SpeakerModel(BackboneConfig(**TOY)).forward(Tensor(np.zeros((10, 40), np.float32))),
+    (lambda: SpeakerModel(BackboneConfig(**TOY)).forward(Tensor(np.zeros((1, 10, 40), np.float32))),
      ShapeError, "expected 80 mel bins, got 40"),
 ], ids=["three-widths", "three-block-counts", "zero-blocks", "wrong-mel-count"])
 def test_named_input_errors(call, error, match):

@@ -18,6 +18,11 @@ def t64(arr, requires_grad=False):
     return Tensor(np.asarray(arr, dtype=np.float64), requires_grad=requires_grad)
 
 
+def one(arr):
+    """A batch of one sample at float64."""
+    return t64(np.asarray(arr)[None])
+
+
 def rng(seed=0):
     return np.random.default_rng(seed)
 
@@ -138,13 +143,13 @@ class TestConv2d:
     def test_one_by_one_identity(self):
         x = rng(7).normal(size=(1, 4, 5))
         w = np.ones((1, 1, 1, 1))
-        out = conv2d(t64(x), t64(w))
-        np.testing.assert_allclose(out.data, x, atol=1e-12)
+        out = conv2d(one(x), t64(w))
+        np.testing.assert_allclose(out.data[0], x, atol=1e-12)
 
     def test_all_ones_box(self):
         x = np.ones((1, 5, 5))
         w = np.ones((1, 1, 3, 3))
-        out = conv2d(t64(x), t64(w), stride=(1, 1), padding=(1, 1)).data[0]
+        out = conv2d(one(x), t64(w), stride=(1, 1), padding=(1, 1)).data[0, 0]
         assert out[2, 2] == 9
         for corner in [(0, 0), (0, 4), (4, 0), (4, 4)]:
             assert out[corner] == 4
@@ -152,31 +157,31 @@ class TestConv2d:
     def test_against_nested_loop(self):
         x = rng(8).normal(size=(2, 6, 6))
         w = rng(9).normal(size=(3, 2, 3, 3))
-        out = conv2d(t64(x), t64(w), stride=(2, 2))
-        np.testing.assert_allclose(out.data, conv2d_oracle(x, w, (2, 2), (0, 0)), atol=1e-6)
+        out = conv2d(one(x), t64(w), stride=(2, 2))
+        np.testing.assert_allclose(out.data[0], conv2d_oracle(x, w, (2, 2), (0, 0)), atol=1e-6)
 
     @pytest.mark.parametrize("stride,padding", [((1, 1), (0, 0)), ((1, 1), (1, 1)),
                                                 ((2, 1), (1, 0)), ((2, 2), (1, 1))])
     def test_stride_padding_grid(self, stride, padding):
         x = rng(10).normal(size=(3, 7, 6))
         w = rng(11).normal(size=(2, 3, 3, 3))
-        out = conv2d(t64(x), t64(w), stride=stride, padding=padding)
-        np.testing.assert_allclose(out.data, conv2d_oracle(x, w, stride, padding), atol=1e-10)
+        out = conv2d(one(x), t64(w), stride=stride, padding=padding)
+        np.testing.assert_allclose(out.data[0], conv2d_oracle(x, w, stride, padding), atol=1e-10)
 
     def test_batched_matches_per_sample(self):
         xs = rng(12).normal(size=(4, 2, 6, 5))
         w = rng(13).normal(size=(3, 2, 3, 3))
         out = conv2d(t64(xs), t64(w), stride=(1, 1), padding=(1, 1))
         for i in range(4):
-            single = conv2d(t64(xs[i]), t64(w), stride=(1, 1), padding=(1, 1))
-            np.testing.assert_allclose(out.data[i], single.data, atol=1e-12)
+            single = conv2d(one(xs[i]), t64(w), stride=(1, 1), padding=(1, 1))
+            np.testing.assert_allclose(out.data[i], single.data[0], atol=1e-12)
 
     def test_kernel_too_large(self):
         with pytest.raises(ConfigError):
-            conv2d(t64(np.zeros((1, 2, 2))), t64(np.zeros((1, 1, 5, 5))))
+            conv2d(one(np.zeros((1, 2, 2))), t64(np.zeros((1, 1, 5, 5))))
 
     def test_gradients_via_finite_differences(self):
-        x = t64(rng(14).normal(size=(2, 5, 6)))
+        x = one(rng(14).normal(size=(2, 5, 6)))
         w = t64(rng(15).normal(size=(3, 2, 3, 3)))
         assert grad_check(lambda v: conv2d(v, w, (2, 2), (1, 1)).sum(), x) < 1e-6
         assert grad_check(lambda v: conv2d(x, v, (2, 2), (1, 1)).sum(), w) < 1e-6
