@@ -33,7 +33,7 @@ from .model import ATTENTION_BLOCKS, ATTENTION_KINDS, BackboneConfig
 from .synth import read_manifest, read_trials, synth_corpus
 from .tensor import Tensor, grad_check, inject_backward_fault
 from .train import (Corpus, TrainConfig, Triangular2Schedule, build_model_and_head,
-                    load_training_state, train)
+                    load_model, train)
 
 # the exit codes of the module docstring, by the exception that ends a command
 _EXIT_CODES = {ConfigError: 2, ShapeError: 2, DomainError: 2, OSError: 3, CheckpointError: 3,
@@ -92,7 +92,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    model, _, _, _ = load_training_state(args.ckpt)
+    model = load_model(args.ckpt)
     rows = read_manifest(args.manifest)
     store = {}
     for utt, spk, path in rows:

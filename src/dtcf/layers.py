@@ -13,17 +13,29 @@ import numpy as np
 from .errors import ConfigError
 from .tensor import Tensor, _node, conv2d, matmul, reshape, transpose
 
-__all__ = ["Module", "Conv2dLayer", "BatchNorm2d", "LinearLayer", "he_uniform", "xavier_uniform"]
+__all__ = ["Module", "Conv2dLayer", "BatchNorm2d", "LinearLayer", "parameter",
+           "he_uniform", "xavier_uniform"]
+
+
+def parameter(data: np.ndarray) -> Tensor:
+    """A trainable leaf holding ``data`` and no gradient array.
+
+    ``zero_grads`` or ``backward`` gives it one, so a layer that is only
+    built or loaded for inference holds its weights once.
+    """
+    p = Tensor(data)
+    p.requires_grad = True
+    return p
 
 
 def he_uniform(rng: np.random.Generator, shape, dtype=np.float32) -> Tensor:
     limit = np.sqrt(6.0 / np.prod(shape[1:]))
-    return Tensor(rng.uniform(-limit, limit, shape).astype(dtype), requires_grad=True)
+    return parameter(rng.uniform(-limit, limit, shape).astype(dtype))
 
 
 def xavier_uniform(rng: np.random.Generator, shape, dtype=np.float32) -> Tensor:
     limit = np.sqrt(6.0 / (shape[0] + shape[1]))
-    return Tensor(rng.uniform(-limit, limit, shape).astype(dtype), requires_grad=True)
+    return parameter(rng.uniform(-limit, limit, shape).astype(dtype))
 
 
 class Module:
@@ -81,8 +93,8 @@ class BatchNorm2d(Module):
     eps = 1e-5
 
     def __init__(self, channels: int, dtype=np.float32):
-        self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
-        self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
+        self.gamma = parameter(np.ones(channels, dtype=dtype))
+        self.beta = parameter(np.zeros(channels, dtype=dtype))
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
 
@@ -146,7 +158,7 @@ class LinearLayer(Module):
     def __init__(self, in_features: int, out_features: int, *, rng: np.random.Generator,
                  dtype=np.float32):
         self.weight = xavier_uniform(rng, (out_features, in_features), dtype)
-        self.bias = Tensor(np.zeros(out_features, dtype=dtype), requires_grad=True)
+        self.bias = parameter(np.zeros(out_features, dtype=dtype))
 
     def forward(self, x: Tensor) -> Tensor:
         return matmul(x, transpose(self.weight, (1, 0))) + reshape(self.bias, (1, -1))

@@ -27,14 +27,19 @@ class AAMHead(Module):
 
     def __init__(self, n_classes: int, emb_dim: int, scale: float = 30.0,
                  margin: float = 0.2, *, rng: np.random.Generator, dtype=np.float32):
-        if n_classes < 2:
-            raise ConfigError("need at least two classes")
-        if scale <= 0 or not 0 <= margin < math.pi / 2:
-            raise ConfigError("require scale > 0 and margin in [0, pi/2)")
+        self.check(n_classes, scale, margin)
         self.scale = scale
         self.margin = margin
         self.n_classes = n_classes
         self.weights = xavier_uniform(rng, (n_classes, emb_dim), dtype)
+
+    @staticmethod
+    def check(n_classes: int, scale: float, margin: float) -> None:
+        """Raise ConfigError unless a head with these fields can be built."""
+        if n_classes < 2:
+            raise ConfigError("need at least two classes")
+        if scale <= 0 or not 0 <= margin < math.pi / 2:
+            raise ConfigError("require scale > 0 and margin in [0, pi/2)")
 
     def logits_batch(self, emb: Tensor, labels: np.ndarray) -> Tensor:
         """(B, D) embeddings + integer labels -> (B, K) margin logits."""

@@ -23,7 +23,7 @@ import numpy as np
 
 from .attention import DTCFBlock, SEBlock
 from .errors import ConfigError, ShapeError
-from .layers import BatchNorm2d, Conv2dLayer, LinearLayer, Module, xavier_uniform
+from .layers import BatchNorm2d, Conv2dLayer, LinearLayer, Module, parameter, xavier_uniform
 from .tensor import Tensor, concat, matmul, no_grad, reshape, sum_axis, transpose
 
 __all__ = ["BackboneConfig", "ResidualBlock", "ASPHead", "SpeakerModel"]
@@ -118,7 +118,7 @@ class ASPHead(Module):
     def __init__(self, in_dim: int, hidden: int, *, rng: np.random.Generator,
                  dtype=np.float32):
         self.w = xavier_uniform(rng, (hidden, in_dim), dtype)
-        self.b = Tensor(np.zeros(hidden, dtype=dtype), requires_grad=True)
+        self.b = parameter(np.zeros(hidden, dtype=dtype))
         self.v = xavier_uniform(rng, (hidden, 1), dtype)
 
     def _frames(self, fmap: Tensor) -> Tensor:

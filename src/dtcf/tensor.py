@@ -60,7 +60,9 @@ class Tensor:
 
     ``requires_grad`` marks leaves whose gradient should be populated by
     ``backward``; it is initialised to zeros on creation so that leaves left
-    untouched by a backward pass report a zero gradient rather than None.
+    untouched by a backward pass report a zero gradient rather than None. A
+    layer parameter (``layers.parameter``) starts without one instead, until
+    ``zero_grads`` or ``backward`` gives it one.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -270,8 +272,10 @@ def conv2d(x: Tensor, kernels: Tensor, stride=(1, 1), padding=(0, 0)) -> Tensor:
     as GEMMs over shifted views of that flat grid, one block of positions at
     a time, so that all of a phase's taps read each block from cache.
     """
+    if x.ndim != 4:
+        raise ShapeError(f"conv2d input must be rank 4 (B, Cin, T, F), got {x.shape}")
     if kernels.ndim != 4:
-        raise ShapeError(f"kernels must be rank 4, got {kernels.shape}")
+        raise ShapeError(f"conv2d kernels must be rank 4, got {kernels.shape}")
     cout, cin, kh, kw = kernels.shape
     sh, sw = stride
     ph, pw = padding

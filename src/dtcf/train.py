@@ -26,7 +26,7 @@ from .tensor import Tensor, zero_grads
 
 __all__ = ["Triangular2Schedule", "lr_at", "AdamState", "adam_step",
            "TrainConfig", "Corpus", "TrainReport", "train",
-           "save_training_state", "load_training_state", "build_model_and_head"]
+           "save_training_state", "load_training_state", "load_model", "build_model_and_head"]
 
 _DIVERGENCE_CAP = 1e4
 
@@ -155,12 +155,17 @@ def _crop_features(feats: np.ndarray, crop: int, rng: np.random.Generator) -> np
 _HEAD_FIELDS = ("n_classes", "scale", "margin")
 
 
-def _state_tensors(model: SpeakerModel, head: AAMHead, opt: AdamState) -> dict:
-    """Every array a checkpoint holds, by name: what save writes and restore fills."""
+def _state_tensors(model: SpeakerModel, head: AAMHead | None = None,
+                   opt: AdamState | None = None) -> dict:
+    """Every array a checkpoint holds, by name: what save writes and a load fills in place.
+
+    Given the model alone, its ``model.*`` entries: all that ``load_model`` reads.
+    """
     tensors = {name: p.data for name, p in _named_params(model, head)}
     tensors.update((f"model.{n}", buf) for n, buf in model.named_buffers())
-    for kind, moments in (("m", opt.m), ("v", opt.v)):
-        tensors.update((f"adam.{kind}.{n}", arr) for n, arr in moments.items())
+    if opt is not None:
+        for kind, moments in (("m", opt.m), ("v", opt.v)):
+            tensors.update((f"adam.{kind}.{n}", arr) for n, arr in moments.items())
     return tensors
 
 
@@ -179,21 +184,21 @@ def build_model_and_head(backbone: BackboneConfig, n_classes: int, seed: int = 0
     return model, head
 
 
-def _read_state(path):
-    """(backbone config, head fields, step, tensors, extra) of a checkpoint with a full header.
+def _read_state(path, config: dict, extra: dict):
+    """(backbone config, head fields, step) of a checkpoint header's config and extra.
 
-    A missing or malformed entry or field and a step that is no count raise CheckpointError
-    naming the key; the values of the head fields are checked where they are used.
+    A missing or malformed entry or field, head fields no AAMHead takes, and a
+    step that is no count raise CheckpointError naming the key.
     """
-    config, tensors, extra = load_checkpoint(path)
     with _malformed(path, "config 'backbone'", config.get("backbone")):
         backbone = BackboneConfig.from_dict(config["backbone"])
     with _malformed(path, "config 'head'", config.get("head")):
         head_fields = {name: config["head"][name] for name in _HEAD_FIELDS}
+        AAMHead.check(**head_fields)
     step = extra.get("step", 0)
     if type(step) is not int or step < 0:
         raise CheckpointError(f"{path}: checkpoint 'step' {step!r} is not a step count")
-    return backbone, head_fields, step, tensors, extra
+    return backbone, head_fields, step
 
 
 @contextlib.contextmanager
@@ -206,39 +211,45 @@ def _malformed(path, key: str, value):
 
 
 def load_training_state(path):
-    """Rebuild (model, head, opt, extra) from a checkpoint file."""
-    backbone, head_fields, step, tensors, extra = _read_state(path)
-    with _malformed(path, "config 'backbone' and 'head'", (backbone, head_fields)):
-        model, head = build_model_and_head(backbone, **head_fields)
-    opt = AdamState(_named_params(model, head))
-    _restore_state(model, head, opt, tensors, step, path)
-    return model, head, opt, extra
+    """Rebuild (model, head, opt, extra) from a checkpoint file.
 
-
-def _restore_state(model: SpeakerModel, head: AAMHead, opt: AdamState,
-                   tensors: dict, step: int, path) -> None:
-    """Copy every entry of ``_state_tensors`` and the Adam step from a checkpoint.
-
-    Every entry is found and checked for shape and a castable dtype before any
-    is copied, so a checkpoint that does not fit leaves model, head and
-    optimizer untouched.
+    They are built from the header, and each entry is read straight into the
+    array of theirs that keeps it.
     """
-    targets = _state_tensors(model, head, opt)
-    for name, target in targets.items():
-        if name not in tensors:
-            raise CheckpointError(f"{path}: missing tensor '{name}'")
-        got = tensors[name]
-        if got.shape != target.shape or not np.can_cast(got.dtype, target.dtype, "same_kind"):
-            raise CheckpointError(f"{path}: tensor '{name}' is {got.dtype} {got.shape}, "
-                                  f"expected {target.dtype} {target.shape}")
-    for name, target in targets.items():
-        np.copyto(target, tensors[name])
-    opt.step = step
+    state = []
+
+    def into(config, extra):
+        backbone, head_fields, step = _read_state(path, config, extra)
+        with _malformed(path, "config 'backbone' and 'head'", (backbone, head_fields)):
+            model, head = build_model_and_head(backbone, **head_fields)
+        opt = AdamState(_named_params(model, head))
+        opt.step = step
+        state.extend((model, head, opt))
+        return _state_tensors(model, head, opt)
+
+    _, _, extra = load_checkpoint(path, into)
+    return (*state, extra)
 
 
-def _named_params(model: SpeakerModel, head: AAMHead):
-    return ([(f"model.{n}", p) for n, p in model.named_params()]
-            + [(f"head.{n}", p) for n, p in head.named_params()])
+def load_model(path) -> SpeakerModel:
+    """The model of a checkpoint file, built from its header; only ``model.*`` entries are read."""
+    models = []
+
+    def into(config, extra):
+        backbone, _, _ = _read_state(path, config, extra)
+        with _malformed(path, "config 'backbone'", backbone):
+            models.append(SpeakerModel(backbone))
+        return _state_tensors(models[0])
+
+    load_checkpoint(path, into)
+    return models[0]
+
+
+def _named_params(model: SpeakerModel, head: AAMHead | None = None):
+    named = [(f"model.{n}", p) for n, p in model.named_params()]
+    if head is not None:
+        named += [(f"head.{n}", p) for n, p in head.named_params()]
+    return named
 
 
 # -- the loop --------------------------------------------------------------------
@@ -285,7 +296,9 @@ def train(model: SpeakerModel, head: AAMHead, corpus: Corpus, cfg: TrainConfig,
     un-resumed trajectory exactly. A checkpoint at or past ``cfg.steps``, from
     a corpus with other speakers or another utterance count, or whose loop
     state is malformed, is refused before anything is restored or written, as is a
-    batch larger than the corpus.
+    batch larger than the corpus. Each checkpoint entry is read straight into
+    the array of the model, head or optimizer that keeps it; a file that shrinks
+    during that read raises CheckpointError and may leave them partly filled.
     """
     if cfg.batch_size > len(corpus):
         raise ConfigError(f"batch_size {cfg.batch_size} is larger than the corpus's "
@@ -299,38 +312,44 @@ def train(model: SpeakerModel, head: AAMHead, corpus: Corpus, cfg: TrainConfig,
     opt = AdamState(named)
 
     if resume_from is not None:
-        backbone, head_fields, saved_step, tensors, extra = _read_state(resume_from)
-        if backbone != model.config:
-            raise CheckpointError(f"{resume_from}: checkpoint config does not match")
-        for name, saved in head_fields.items():
-            if saved != getattr(head, name):
-                raise CheckpointError(f"{resume_from}: checkpoint head {name} {saved!r} "
-                                      f"does not match {getattr(head, name)!r}")
-        for key in ("rng_state", "order", "cursor", "speakers"):
-            if key not in extra:
-                raise CheckpointError(f"{resume_from}: no training-loop state "
-                                      f"(missing '{key}'); cannot resume from it")
-        for key in ("speakers", "order"):
-            if not isinstance(extra[key], list):
-                raise CheckpointError(f"{resume_from}: checkpoint '{key}' is not a list")
-        speakers, order, cursor = extra["speakers"], extra["order"], extra["cursor"]
-        if speakers != corpus.speakers or len(order) != len(corpus):
-            raise CheckpointError(
-                f"{resume_from}: checkpoint corpus ({len(speakers)} speakers, "
-                f"{len(order)} utterances) does not match this corpus "
-                f"({corpus.n_speakers} speakers, {len(corpus)} utterances)")
-        if not all(type(i) is int for i in order) or sorted(order) != list(range(len(corpus))):
-            raise CheckpointError(f"{resume_from}: checkpoint 'order' is not a permutation "
-                                  f"of the corpus's {len(corpus)} utterances")
-        if type(cursor) is not int or not 0 <= cursor <= len(corpus):
-            raise CheckpointError(f"{resume_from}: checkpoint 'cursor' {cursor!r} "
-                                  f"is not in [0, {len(corpus)}]")
-        with _malformed(resume_from, "'rng_state'", extra["rng_state"]):
-            rng.bit_generator.state = extra["rng_state"]
-        if cfg.steps <= saved_step:
-            raise ConfigError(f"{resume_from}: checkpoint is at step {saved_step}, "
-                              f"so steps {cfg.steps} leaves none to run")
-        _restore_state(model, head, opt, tensors, saved_step, resume_from)
+        def into(config, extra):
+            nonlocal order, cursor
+            backbone, head_fields, saved_step = _read_state(resume_from, config, extra)
+            if backbone != model.config:
+                raise CheckpointError(f"{resume_from}: checkpoint config does not match")
+            for name, saved in head_fields.items():
+                if saved != getattr(head, name):
+                    raise CheckpointError(f"{resume_from}: checkpoint head {name} {saved!r} "
+                                          f"does not match {getattr(head, name)!r}")
+            for key in ("rng_state", "order", "cursor", "speakers"):
+                if key not in extra:
+                    raise CheckpointError(f"{resume_from}: no training-loop state "
+                                          f"(missing '{key}'); cannot resume from it")
+            for key in ("speakers", "order"):
+                if not isinstance(extra[key], list):
+                    raise CheckpointError(f"{resume_from}: checkpoint '{key}' is not a list")
+            speakers, order, cursor = extra["speakers"], extra["order"], extra["cursor"]
+            if speakers != corpus.speakers or len(order) != len(corpus):
+                raise CheckpointError(
+                    f"{resume_from}: checkpoint corpus ({len(speakers)} speakers, "
+                    f"{len(order)} utterances) does not match this corpus "
+                    f"({corpus.n_speakers} speakers, {len(corpus)} utterances)")
+            if (not all(type(i) is int for i in order)
+                    or sorted(order) != list(range(len(corpus)))):
+                raise CheckpointError(f"{resume_from}: checkpoint 'order' is not a permutation "
+                                      f"of the corpus's {len(corpus)} utterances")
+            if type(cursor) is not int or not 0 <= cursor <= len(corpus):
+                raise CheckpointError(f"{resume_from}: checkpoint 'cursor' {cursor!r} "
+                                      f"is not in [0, {len(corpus)}]")
+            with _malformed(resume_from, "'rng_state'", extra["rng_state"]):
+                rng.bit_generator.state = extra["rng_state"]
+            if cfg.steps <= saved_step:
+                raise ConfigError(f"{resume_from}: checkpoint is at step {saved_step}, "
+                                  f"so steps {cfg.steps} leaves none to run")
+            opt.step = saved_step
+            return _state_tensors(model, head, opt)
+
+        load_checkpoint(resume_from, into)
         order = np.array(order)
 
     out_dir = Path(out_dir)

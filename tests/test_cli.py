@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import dtcf.checkpoint
 from dtcf import cli
 from dtcf.attention import DTCFBlock, SEBlock
 from dtcf.checkpoint import MAGIC, load_checkpoint, save_checkpoint
@@ -17,7 +18,7 @@ from dtcf.metrics import compute_eer, compute_min_dcf, export_embeddings, read_e
 from dtcf.model import BackboneConfig, SpeakerModel
 from dtcf.synth import read_manifest, read_trials
 from dtcf.train import (AdamState, TrainConfig, TrainReport, Triangular2Schedule,
-                        _named_params, save_training_state)
+                        _named_params, load_training_state, save_training_state)
 
 
 def sha(path):
@@ -451,6 +452,58 @@ class TestExtract:
                      "--manifest", str(corpus_dir / "manifest.csv"),
                      "--out", str(tmp_path / "e.csv")]) == 3
         assert "corrupt header" in capsys.readouterr().err
+
+    @staticmethod
+    def extract(ckpt, corpus_dir, out) -> bytes:
+        assert main(["extract", "--ckpt", str(ckpt), "--manifest",
+                     str(corpus_dir / "manifest.csv"), "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    def test_optimizer_bytes_are_never_read(self, trained, corpus_dir, tmp_path, monkeypatch):
+        blob = bytearray((trained / "checkpoint.bin").read_bytes())
+        hlen = int.from_bytes(blob[8:16], "little")
+        entries = json.loads(blob[16:16 + hlen])["tensors"]
+        for e in entries:
+            if e["name"].startswith("adam."):
+                start = 16 + hlen + e["offset"]
+                blob[start:start + e["nbytes"]] = b"\xff" * e["nbytes"]
+        garbled = tmp_path / "garbled.bin"
+        garbled.write_bytes(bytes(blob))
+        intact = self.extract(trained / "checkpoint.bin", corpus_dir, tmp_path / "intact.csv")
+
+        read = []
+        real_open = open
+
+        class Counted:
+            """A checkpoint file that records the bytes each readinto returns."""
+
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def __getattr__(self, name):
+                return getattr(self.f, name)
+
+            def readinto(self, buf):
+                read.append(self.f.readinto(buf))
+                return read[-1]
+
+        monkeypatch.setattr(dtcf.checkpoint, "open", lambda path, mode: Counted(
+            real_open(path, mode)), raising=False)
+        assert self.extract(garbled, corpus_dir, tmp_path / "garbled.csv") == intact
+        assert sum(read) == sum(e["nbytes"] for e in entries if e["name"].startswith("model."))
+
+    def test_checkpoint_without_optimizer_state(self, trained, corpus_dir, tmp_path):
+        model, head, _, _ = load_training_state(trained / "checkpoint.bin")
+        bare = tmp_path / "bare.bin"
+        save_training_state(bare, model, head, AdamState([]))
+        assert (self.extract(bare, corpus_dir, tmp_path / "bare.csv")
+                == self.extract(trained / "checkpoint.bin", corpus_dir, tmp_path / "full.csv"))
 
     def test_row_count_and_determinism(self, trained, corpus_dir, tmp_path):
         out1, out2 = tmp_path / "e1.csv", tmp_path / "e2.csv"

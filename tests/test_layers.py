@@ -36,6 +36,11 @@ class TestConvLayer:
         with pytest.raises(ShapeError):
             layer.forward(Tensor(np.zeros((1, 3, 4, 4), dtype=np.float32)))
 
+    def test_input_of_another_rank_named(self):
+        layer = Conv2dLayer(2, 3, rng=rng(8))
+        with pytest.raises(ShapeError, match=r"conv2d input must be rank 4 .*\(2, 4, 4\)"):
+            layer.forward(Tensor(np.zeros((2, 4, 4), dtype=np.float32)))
+
     def test_output_shape_closed_form(self):
         for t, f, s, p, k in [(200, 80, (1, 1), (1, 1), (3, 3)),
                               (200, 80, (2, 2), (1, 1), (3, 3)),

@@ -572,6 +572,8 @@ def _finite_only_at_first_call():
     (lambda: matmul(t64(np.ones(3)), t64(np.ones((3, 2)))), ShapeError, "rank-2 operands"),
     (lambda: conv2d(t64(np.ones((1, 2, 4, 4))), t64(np.ones((3, 2, 3)))), ShapeError,
      "kernels must be rank 4"),
+    (lambda: conv2d(t64(np.ones((2, 4, 4))), t64(np.ones((3, 2, 3, 3)))), ShapeError,
+     r"conv2d input must be rank 4 .*\(2, 4, 4\)"),
     (lambda: conv2d(t64(np.ones((1, 2, 4, 4))), t64(np.ones((3, 2, 3, 3))), stride=(0, 1)),
      ConfigError, "stride must be >= 1"),
     (lambda: conv2d(t64(np.ones((1, 2, 4, 4))), t64(np.ones((3, 2, 3, 3))), padding=(-1, 0)),
@@ -580,8 +582,8 @@ def _finite_only_at_first_call():
      "rank mismatch"),
     (lambda: grad_check(_finite_only_at_first_call(), t64(rng(41).normal(size=(3,)))),
      GradCheckError, "numeric gradient"),
-], ids=["matmul-rank", "conv2d-kernel-rank", "conv2d-stride", "conv2d-padding", "concat-rank",
-        "grad-check-numeric-nan"])
+], ids=["matmul-rank", "conv2d-kernel-rank", "conv2d-input-rank", "conv2d-stride",
+        "conv2d-padding", "concat-rank", "grad-check-numeric-nan"])
 def test_named_input_errors(call, error, match):
     with pytest.raises(error, match=match):
         call()

@@ -25,7 +25,7 @@ from dtcf.model import ATTENTION_KINDS, BackboneConfig, SpeakerModel
 from dtcf.synth import synth_corpus
 from dtcf.train import (AdamState, Corpus, TrainConfig, Triangular2Schedule,
                         _crop_features, _named_params, _state_tensors, adam_step,
-                        build_model_and_head,
+                        build_model_and_head, load_model,
                         load_training_state, lr_at, save_training_state, train)
 
 TINY = dict(widths=(2, 4, 8, 16), blocks=(1, 1, 1, 1))
@@ -255,6 +255,28 @@ class TestCheckpointContainer:
         with pytest.raises(CheckpointError, match="'w'"):
             load_checkpoint(self.raw_file(tmp_path / "mis.bin", header, bytes(64)))
 
+    def test_into_fills_the_arrays_it_names_and_skips_the_rest(self, tmp_path):
+        p = tmp_path / "c.bin"
+        save_checkpoint(p, {}, {"a": np.arange(4.0), "b": np.ones(3, dtype=np.float32),
+                                "c": np.full(2, 7, dtype=np.int16)}, {})
+        # a cast (float64 -> float32, int16 -> int64) and a strided array go through a temporary
+        a, c, strided = np.zeros(4, np.float32), np.zeros(2, np.int64), np.zeros(8)[::2]
+        for want in ({"a": a, "c": c}, {"a": strided}):
+            _, tensors, _ = load_checkpoint(p, lambda config, extra: want)
+            assert tensors.keys() == want.keys()
+            assert all(tensors[name] is arr for name, arr in want.items())
+        np.testing.assert_array_equal(a, np.arange(4.0))
+        np.testing.assert_array_equal(strided, np.arange(4.0))
+        np.testing.assert_array_equal(c, [7, 7])
+
+    def test_repeated_name_refused_before_any_payload(self, tmp_path):
+        spec = {"name": "w", "dtype": "<f4", "shape": [2], "offset": 0, "nbytes": 8}
+        header = {"version": 1, "config": {}, "extra": {},
+                  "tensors": [spec, {**spec, "offset": 8}]}
+        path = self.raw_file(tmp_path / "twice.bin", header, bytes(16))
+        with pytest.raises(CheckpointError, match="corrupt header: tensor 'w' listed twice"):
+            load_checkpoint(path, lambda config, extra: pytest.fail("the header was accepted"))
+
     def test_version_mismatch(self, tmp_path):
         import json
         from dtcf.checkpoint import MAGIC
@@ -277,6 +299,61 @@ class TestTrainingStateRoundTrip:
         model2, head2, opt2, _ = load_training_state(path)
         np.testing.assert_array_equal(model2.embed(feats), before)
         np.testing.assert_array_equal(head2.weights.data, head.weights.data)
+
+    def test_load_holds_one_copy_of_the_state(self, tmp_path):
+        model, head = build_model_and_head(BackboneConfig(widths=(4, 8, 16, 32),
+                                                          blocks=(1, 1, 1, 1),
+                                                          attention="dtcf"), 10)
+        opt = AdamState(_named_params(model, head))
+        path = tmp_path / "state.bin"
+        save_training_state(path, model, head, opt)
+        state = _state_tensors(model, head, opt)
+        payload = sum(a.nbytes for a in state.values())
+        model_bytes = sum(a.nbytes for name, a in state.items() if name.startswith("model."))
+        tracemalloc.start()
+        try:
+            loaded = load_training_state(path)
+            _, state_peak = tracemalloc.get_traced_memory()
+            del loaded
+            tracemalloc.reset_peak()
+            SpeakerModel(model.config)
+            _, build_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            loaded = load_model(path)
+            held, model_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert state_peak <= 1.1 * payload, f"peak {state_peak / payload:.2f}x the payload"
+        # the model-only read holds the weights once, and at its peak no more than the
+        # seeded build that precedes it (whose float64 draws are transient)
+        assert held <= 1.1 * model_bytes, f"{held / model_bytes:.2f}x the model held"
+        assert model_peak <= build_peak + 0.1 * model_bytes, \
+            f"peak {(model_peak - build_peak) / model_bytes:.2f}x the model above the build's"
+
+    def test_load_model_reads_the_model_entries(self, small_corpus, tmp_path):
+        model, head = tiny_setup(small_corpus)
+        train(model, head, small_corpus, tiny_cfg(steps=2), SCHED, out_dir=tmp_path)
+        bare = tmp_path / "bare.bin"
+        save_training_state(bare, model, head, AdamState([]))
+        for path in (tmp_path / "checkpoint.bin", bare):
+            loaded = load_model(path)
+            assert loaded.config == model.config
+            for (name, arr), (_, want) in zip(_state_tensors(loaded).items(),
+                                              _state_tensors(model).items()):
+                np.testing.assert_array_equal(arr, want, err_msg=name)
+
+    def test_parameters_have_no_gradient_until_zero_grads(self, small_corpus, tmp_path):
+        model, head = tiny_setup(small_corpus)
+        path = tmp_path / "state.bin"
+        save_training_state(path, model, head, AdamState(_named_params(model, head)))
+        loaded, loaded_head, _, _ = load_training_state(path)
+        for named in (_named_params(model, head), _named_params(loaded, loaded_head),
+                      _named_params(load_model(path))):
+            assert all(p.grad is None for _, p in named)
+            dt.zero_grads(p for _, p in named)
+            for name, p in named:
+                assert p.grad.shape == p.shape and p.grad.dtype == p.dtype, name
+                assert not p.grad.any(), name
 
     def test_mismatched_config_names_tensor(self, small_corpus, tmp_path):
         model, head = tiny_setup(small_corpus)
