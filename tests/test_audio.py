@@ -251,3 +251,44 @@ def test_named_input_errors(tmp_path, call, error, match):
     with pytest.raises(error, match=match):
         call(tmp_path)
     assert not (tmp_path / "c").exists()       # synth_corpus refuses before it writes
+
+
+class TestReadTrials:
+    """What `read_trials` returns, and the exact error it raises, for lines that
+    a check of the whole token stream alone would misread."""
+
+    @pytest.mark.parametrize("data, line", [
+        # 4 tokens then 2: the token count is still a multiple of 3, and every third
+        # token is a label
+        (b"u0 u1 target u2\nu3 target\n", "'u0 u1 target u2\\n'"),
+        (b"u0 u1 target\nu0 u2 maybe\n", "'u0 u2 maybe\\n'"),
+        (b"target u1 nontarget\ntarget target\n", "'target target\\n'"),
+        (b"u0 u1 target\n\n   \n\t\nu2 u3\nu4 u5 maybe\n", "'u2 u3\\n'"),
+        (b"u0 u1 target\r\nu2 u3 maybe\r\n", "'u2 u3 maybe\\n'"),
+        (b"u0 u1 target\ru2 u3 maybe\r", "'u2 u3 maybe\\n'"),
+        (b"u0 u1 target\nu2 u3 maybe", "'u2 u3 maybe'"),
+        (b"u0 u1 target\n" * 5000 + b"u0 u1 target nontarget\n",
+         "'u0 u1 target nontarget\\n'"),
+    ], ids=["4-then-2-tokens", "bad-label", "id-target-short-line", "after-blank-lines",
+            "crlf", "cr", "no-final-newline", "after-5000-lines"])
+    def test_bad_line_named_as_written(self, tmp_path, data, line):
+        path = tmp_path / "t.txt"
+        path.write_bytes(data)
+        with pytest.raises(DataError) as err:
+            read_trials(path)
+        assert str(err.value) == f"{path}: bad trial line {line}"
+
+    @pytest.mark.parametrize("data", [b"\n", b"\n \n\t\n", b"\r\n  \r\n"])
+    def test_blank_lines_only(self, tmp_path, data):
+        path = tmp_path / "t.txt"
+        path.write_bytes(data)
+        with pytest.raises(DataError) as err:
+            read_trials(path)
+        assert str(err.value) == f"{path}: empty trial list"
+
+    def test_valid_lines(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes("target target nontarget\n\n \t\nu0 u1 target\r\n"
+                         "u2\x85u3\x0bnontarget\ré 中 target".encode("utf-8"))
+        assert read_trials(path) == [("target", "target", "nontarget"), ("u0", "u1", "target"),
+                                     ("u2", "u3", "nontarget"), ("é", "中", "target")]

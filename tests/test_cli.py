@@ -626,6 +626,29 @@ class TestEval:
         assert "ghost" in capsys.readouterr().err
 
 
+
+# sha256 of scores.csv and of the printed line for a seeded eval of 5,000 trials over 120
+# utterances, three of whose ids hold a comma, a quote or both
+SEEDED_EVAL_SCORES = "5ba449fabf06b4976d339112bee72a2fe67671426f3529ae0166420214e9c4be"
+SEEDED_EVAL_LINE = "31cdabcacd45f52763a92eb7f468cf8e9e0e9c3a6fe2ca52d9cc21af51b417e5"
+
+
+def test_seeded_eval_with_quoted_ids_is_pinned(tmp_path, capsys):
+    r = np.random.default_rng(19)
+    ids = ['a,1', 'b"2', 'c,"3'] + [f"spk{k // 6:02d}_u{k % 6}" for k in range(3, 120)]
+    centroids = r.normal(size=(20, 16))
+    store = {utt: (f"spk{k // 6:02d}", centroids[k // 6] + 1.5 * r.normal(size=16))
+             for k, utt in enumerate(ids)}
+    export_embeddings(store, tmp_path / "emb.csv")
+    pairs = r.integers(0, len(ids), size=(5000, 2))
+    (tmp_path / "trials.txt").write_text("".join(
+        f"{ids[a]} {ids[b]} {'target' if a // 6 == b // 6 else 'nontarget'}\n" for a, b in pairs))
+    assert main(["eval", "--emb", str(tmp_path / "emb.csv"),
+                 "--trials", str(tmp_path / "trials.txt")]) == 0
+    line = capsys.readouterr().out.strip().splitlines()[-1]
+    assert hashlib.sha256(line.encode()).hexdigest() == SEEDED_EVAL_LINE
+    assert sha(tmp_path / "scores.csv") == SEEDED_EVAL_SCORES
+
 # sha256 of the full stdout: every target's error, the worst one and PASS
 GRADCHECK_SE_STDOUT = "25443d5f18d63e6afff194936c2da7c8d30607e8ff4b9c9e42dbdc835c20e172"
 GRADCHECK_DTCF_STDOUT = "0493a4d5554b47b9100d0dc000435213796d568a778afe009d157fe462a9cc7c"

@@ -1,11 +1,12 @@
 """Metric tests against brute-force threshold-sweep oracles."""
 
 import csv
+import io
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dtcf import metrics
 from dtcf.errors import DataError, DomainError
@@ -334,6 +335,36 @@ class TestScoreTrials:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "enroll,test,label,score"
         assert lines[1].startswith("u0,u1,target,")
+
+
+
+def csv_writer_scores(trials, scores) -> bytes:
+    """The score file as one csv.writer wrote it: the reference for write_scores."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(["enroll", "test", "label", "score"])
+    w.writerows((*trial, score) for trial, score in zip(trials, scores.tolist()))
+    return buf.getvalue().encode("utf-8")
+
+
+# ids with what csv quotes (`,` `"` CR LF), both, the empty string and non-ASCII text
+field_text = st.text(st.sampled_from(',"\r\n \tab\xe9\u4e2d\x85\u2028\x00')
+                     | st.characters(codec="utf-8"), max_size=6)
+
+
+class TestWriteScores:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.tuples(field_text, field_text,
+                                   st.sampled_from(["target", "nontarget"]) | field_text,
+                                   st.floats()), max_size=40))
+    @example(rows=[('a,1', 'b"2', "target", 0.5), ('c,"3', "", "nontarget", -0.0),
+                   ("é中", 'd\r\n""', "target", 1e-300), ("", "", "", float("nan"))])
+    def test_bytes_equal_csv_writer(self, tmp_path_factory, rows):
+        trials = [row[:3] for row in rows]
+        scores = np.array([row[3] for row in rows], dtype=np.float64)
+        path = tmp_path_factory.mktemp("scores") / "scores.csv"
+        write_scores(path, trials, scores)
+        assert path.read_bytes() == csv_writer_scores(trials, scores)
 
 
 class TestExport:
