@@ -19,7 +19,11 @@ trial list.
 The eval pass works in bulk, with no Python object per value or per score:
 `read_embeddings` streams the file, splits each row once into its ids and
 its value text, and converts a block of rows at a time with one
-`np.loadtxt` call; `write_scores` writes every row with one `writerows`.
+`np.loadtxt` call. `score_trials` looks up a block's trial ids with one
+C-level `np.fromiter` over `dict.get`, with no tuple per trial.
+`write_scores` formats a block of rows as f-strings, quoting each distinct
+id of the block once as `csv.writer` would, and writes the block as one
+joined string; so its working memory is one block, not the trial list.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from __future__ import annotations
 import csv
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -134,26 +139,47 @@ def score_trials(store: dict[str, np.ndarray],
     out = np.empty(len(trials))
     for lo in range(0, len(trials), _BLOCK):
         chunk = trials[lo:lo + _BLOCK]
-        pair = np.array([(row.get(e, absent), row.get(t, absent)) for e, t, _ in chunk],
-                        dtype=np.intp)
+        sides = itertools.chain(map(itemgetter(0), chunk), map(itemgetter(1), chunk))
+        pair = np.fromiter(map(row.get, sides, itertools.repeat(absent)), dtype=np.intp,
+                           count=2 * len(chunk)).reshape(2, -1)    # enroll rows, test rows
         missing = pair == absent
-        bad = (missing | zero[pair]).any(axis=1)
+        bad = (missing | zero[pair]).any(axis=0)
         if bad.any():
             k = int(np.argmax(bad))
-            if missing[k].any():
-                utt = chunk[k][int(np.argmax(missing[k]))]
+            if missing[:, k].any():
+                utt = chunk[k][int(np.argmax(missing[:, k]))]
                 raise DataError(f"utterance id not in embedding store: {utt}")
             raise DomainError("zero-norm embedding")
-        out[lo:lo + len(chunk)] = np.einsum("ij,ij->i", mat[pair[:, 0]], mat[pair[:, 1]])
+        out[lo:lo + len(chunk)] = np.einsum("ij,ij->i", mat[pair[0]], mat[pair[1]])
     return out
 
 
+_WRITE_ROWS = 8192  # score rows per write: about 0.5 MB of text at ids of 12 characters
+
+
+def _csv_field(text: str) -> str:
+    """`text` as `csv.writer`'s default dialect writes a field: quoted, with each
+    quote doubled, when it holds a comma, a quote, CR or LF."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_scores(path, trials: Sequence[tuple[str, str, str]], scores: np.ndarray) -> None:
-    """CSV `enroll,test,label,score`, one row per trial; scores print as repr()."""
+    """CSV `enroll,test,label,score`, one row per trial, byte for byte as
+    `csv.writer` writes it: scores print as repr(), rows end in CRLF.
+
+    Each block of _WRITE_ROWS rows is written as one string; each distinct
+    field of a block is quoted once.
+    """
     with open(path, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["enroll", "test", "label", "score"])
-        w.writerows((*trial, score) for trial, score in zip(trials, scores.tolist()))
+        f.write("enroll,test,label,score\r\n")
+        for lo in range(0, len(trials), _WRITE_ROWS):
+            chunk = trials[lo:lo + _WRITE_ROWS]
+            field = {text: _csv_field(text) for text in set(itertools.chain.from_iterable(chunk))}
+            scored = zip(chunk, scores[lo:lo + _WRITE_ROWS].tolist())
+            f.write("".join([f"{field[e]},{field[t]},{field[label]},{score!r}\r\n"
+                             for (e, t, label), score in scored]))
 
 
 def export_embeddings(store: dict[str, tuple[str, np.ndarray]], path) -> None:
@@ -201,7 +227,12 @@ def _rows(path: Path, f):
 def _block_values(path: Path, block: list[tuple], dim: int) -> np.ndarray:
     """The values of a block of rows, one float64 row each, from one C-level
     parse; if it fails, DataError names the first row, in file order, that is
-    not `dim` comma-separated floats."""
+    not `dim` comma-separated floats.
+
+    `np.loadtxt` reads each text of the block as one line, so when the block
+    parse fails, some row is blank (loadtxt skips it), holds another count
+    of values or fails alone; the loop raises for the first such row.
+    """
     try:
         values = np.loadtxt([text for *_, text in block], delimiter=",", comments=None,
                             dtype=np.float64, ndmin=2)
@@ -217,7 +248,6 @@ def _block_values(path: Path, block: list[tuple], dim: int) -> np.ndarray:
             np.loadtxt([text], delimiter=",", comments=None, dtype=np.float64)
         except ValueError as e:
             raise DataError(f"{path}:{line_no}: {e}") from None
-    raise DataError(f"{path}:{block[0][0]}-{block[-1][0]}: values do not parse")
 
 
 def read_embeddings(path) -> dict[str, tuple[str, np.ndarray]]:

@@ -1,6 +1,7 @@
 """Frontend tests: fbank geometry, masking, synthetic corpus determinism."""
 
 import hashlib
+import tracemalloc
 import wave
 
 import numpy as np
@@ -292,3 +293,19 @@ class TestReadTrials:
                          "u2\x85u3\x0bnontarget\ré 中 target".encode("utf-8"))
         assert read_trials(path) == [("target", "target", "nontarget"), ("u0", "u1", "target"),
                                      ("u2", "u3", "nontarget"), ("é", "中", "target")]
+
+    def test_memory_is_result_plus_a_line(self, tmp_path):
+        """100k lines: the list is built as the file is read, so the working
+        memory beyond it stays under 1 MiB; a whole-file read would hold 3.5 MiB
+        of text."""
+        path = tmp_path / "t.txt"
+        path.write_text("spk000_u000 spk001_u001 nontarget\n" * 100_000)
+        tracemalloc.start()
+        try:
+            trials = read_trials(path)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(trials) == 100_000
+        work_mb = (peak - current) / 2**20
+        assert work_mb < 1, f"{work_mb:.2f} MiB"

@@ -2,7 +2,9 @@
 
 import csv
 import io
+import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -356,15 +358,37 @@ class TestWriteScores:
     @settings(max_examples=300, deadline=None)
     @given(rows=st.lists(st.tuples(field_text, field_text,
                                    st.sampled_from(["target", "nontarget"]) | field_text,
-                                   st.floats()), max_size=40))
+                                   st.floats()), max_size=40),
+           block=st.sampled_from([1, 3, metrics._WRITE_ROWS]))
     @example(rows=[('a,1', 'b"2', "target", 0.5), ('c,"3', "", "nontarget", -0.0),
-                   ("é中", 'd\r\n""', "target", 1e-300), ("", "", "", float("nan"))])
-    def test_bytes_equal_csv_writer(self, tmp_path_factory, rows):
+                   ("é中", 'd\r\n""', "target", 1e-300), ("", "", "", float("nan"))],
+             block=3)
+    def test_bytes_equal_csv_writer(self, tmp_path_factory, rows, block):
         trials = [row[:3] for row in rows]
         scores = np.array([row[3] for row in rows], dtype=np.float64)
         path = tmp_path_factory.mktemp("scores") / "scores.csv"
-        write_scores(path, trials, scores)
+        with mock.patch.object(metrics, "_WRITE_ROWS", block):
+            write_scores(path, trials, scores)
         assert path.read_bytes() == csv_writer_scores(trials, scores)
+
+    def test_memory_is_one_block_of_rows(self, tmp_path):
+        """100k trials, every id distinct: the working memory beyond the inputs
+        is a few blocks' worth of row strings (the rows, their join and its
+        UTF-8 encoding), not the trial list: the scores alone, as Python
+        floats, would take 3 MiB."""
+        trials = [(f"e{i:06d}", f"t{i:06d}", "nontarget") for i in range(100_000)]
+        scores = rng(72).normal(size=100_000)
+        row_bytes = sys.getsizeof(f"e000000,t000000,nontarget,{scores[0]!r}\r\n")
+        block_mb = metrics._WRITE_ROWS * row_bytes / 2**20
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            write_scores(tmp_path / "scores.csv", trials, scores)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        work_mb = (peak - base) / 2**20
+        assert work_mb < 3 * block_mb, f"{work_mb:.2f} MiB against blocks of {block_mb:.2f} MiB"
 
 
 class TestExport:
