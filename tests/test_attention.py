@@ -300,6 +300,24 @@ class TestDTCF:
         for _, w in block.named_params():
             assert grad_check(lambda _: block.apply(x).sum(), w) < 1e-6
 
+    def test_gate_forward_is_the_two_broadcast_multiplies(self):
+        from dtcf.attention import _gate
+        r = rng(51)
+        x = r.normal(size=(2, 6, 9, 7)).astype(np.float32)
+        mct = r.uniform(size=(2, 6, 9)).astype(np.float32)
+        mcf = r.uniform(size=(2, 6, 7)).astype(np.float32)
+        out = _gate(Tensor(x), Tensor(mct), Tensor(mcf))
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out.data, x * mct.reshape(2, 6, 9, 1) * mcf.reshape(2, 6, 1, 7))
+
+    def test_gate_gradcheck(self):
+        from dtcf.attention import _gate
+        r = rng(52)
+        x, mct, mcf = (t64(r.normal(size=shape)) for shape in ((2, 3, 5, 4), (2, 3, 5), (2, 3, 4)))
+        loss = lambda: (_gate(x, mct, mcf) * 0.7).tanh().sum()
+        for target in (x, mct, mcf):
+            assert grad_check(lambda _: loss(), target) < 1e-6
+
     def test_se_block_gradcheck(self):
         block = se_block(4, r=2, seed=49)
         x = one(rng(50).normal(size=(4, 5, 6)))

@@ -139,6 +139,32 @@ class TestBatchNorm:
         x = one(rng(17).normal(size=(2, 4, 4)))
         assert grad_check(lambda v: bn.forward(v, training=False).sigmoid().sum(), x) < 1e-6
 
+    def seeded_eval_bn(self, seed):
+        r = rng(seed)
+        bn = BatchNorm2d(3, dtype=np.float64)
+        bn.running_mean[:] = r.normal(scale=2.0, size=3)
+        bn.running_var[:] = r.uniform(0.2, 3.0, 3)
+        bn.gamma.data[:] = r.uniform(0.5, 1.5, 3)
+        bn.beta.data[:] = r.normal(size=3)
+        return bn
+
+    def test_eval_matches_textbook_formula(self):
+        bn = self.seeded_eval_bn(22)
+        x = rng(23).normal(loc=1.0, scale=2.0, size=(2, 3, 7, 5))
+        shp = (1, -1, 1, 1)
+        want = ((x - bn.running_mean.reshape(shp)) / np.sqrt(bn.running_var.reshape(shp) + bn.eps)
+                * bn.gamma.data.reshape(shp) + bn.beta.data.reshape(shp))
+        out = bn.forward(t64(x), training=False).data
+        np.testing.assert_allclose(out, want, rtol=1e-12, atol=1e-12)
+
+    def test_gradcheck_eval_mode_input_and_affine(self):
+        bn = self.seeded_eval_bn(24)
+        x = t64(rng(25).normal(size=(2, 3, 4, 3)))
+        loss = lambda v: bn.forward(v, training=False).sigmoid().sum()
+        assert grad_check(loss, x) < 1e-6
+        assert grad_check(lambda _: loss(x), bn.gamma) < 1e-6
+        assert grad_check(lambda _: loss(x), bn.beta) < 1e-6
+
 
 class TestLinear:
     def test_identity_weight(self):

@@ -245,6 +245,30 @@ class TestSpeakerModel:
         err = grad_check(lambda v: m.forward(v, training=False).sum(), feats)
         assert err < 1e-4
 
+    @pytest.mark.parametrize("kind", ["dtcf", "se"])
+    def test_float32_embed_within_1e5_of_float64(self, kind):
+        # seeded non-identity batchnorm statistics and affine terms, as in a trained model;
+        # the float64 model runs the same weights
+        cfg = BackboneConfig(**TOY, attention=kind)
+        m32 = SpeakerModel(cfg, seed=7)
+        r = rng(29)
+        for name, p in m32.named_params():
+            if name.endswith(".gamma"):
+                p.data[:] = r.uniform(0.5, 1.5, p.shape)
+            elif name.endswith(".beta"):
+                p.data[:] = r.normal(scale=0.3, size=p.shape)
+        for name, buf in m32.named_buffers():
+            buf[:] = r.uniform(0.5, 2.0, buf.shape) if name.endswith("var") else r.normal(size=buf.shape)
+        m64 = SpeakerModel(cfg, seed=7, dtype=np.float64)
+        for (_, p), (_, q) in zip(m32.named_params(), m64.named_params()):
+            q.data[:] = p.data
+        for (_, a), (_, b) in zip(m32.named_buffers(), m64.named_buffers()):
+            b[:] = a
+        for t in (40, 97):
+            feats = rng(30 + t).normal(size=(t, 80)).astype(np.float32)
+            got, want = m32.embed(feats), m64.embed(feats)
+            assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-5
+
     def test_embed_is_row_0_of_a_batch_of_one(self):
         m = SpeakerModel(BackboneConfig(**TOY, attention="dtcf"), seed=6)
         feats = rng(28).normal(size=(30, 80)).astype(np.float32)

@@ -300,6 +300,23 @@ class TestMeanAxis:
         out = mean_axis(t64(x), axis)
         np.testing.assert_allclose(out.data, mean_axis_oracle(x, axis), atol=1e-7)
 
+    @pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("shape", [(5, 7), (1, 6), (4, 1, 9), (3, 8, 6),
+                                       (2, 5, 1, 7), (2, 6, 9, 4), (1, 4, 15, 20)])
+    def test_matches_np_mean_on_every_axis(self, shape, dtype, rtol):
+        # positive values keep each mean away from 0, so the bound is relative
+        x = rng(19).uniform(0.5, 1.5, size=shape).astype(dtype)
+        for axis in range(len(shape)):
+            out = mean_axis(Tensor(x), axis)
+            assert out.dtype == dtype and out.shape == np.mean(x, axis=axis).shape
+            np.testing.assert_allclose(out.data, np.mean(x, axis=axis), rtol=rtol, atol=0)
+
+    @pytest.mark.parametrize("shape", [(3, 5), (2, 1, 4), (2, 3, 4, 5)])
+    def test_gradcheck_every_axis(self, shape):
+        x = t64(rng(20).normal(size=shape))
+        for axis in range(len(shape)):
+            assert grad_check(lambda v: (mean_axis(v, axis) * 1.5).tanh().sum(), x) < 1e-6
+
     def test_axis_out_of_range(self):
         with pytest.raises(ShapeError):
             mean_axis(t64(np.zeros((2, 2))), 2)
