@@ -9,7 +9,10 @@ mask is a single gate per channel. The duality block keeps per-frame and
 per-bin context: it pools time and frequency in parallel, encodes the
 concatenated [freq-profile, time-profile] matrix through a shared 1x1
 bottleneck, then derives one mask over (C, T) and one over (C, F) and
-multiplies both into the map.
+multiplies both into the map. The pooling means are BLAS products
+(``mean_axis``), and the two multiplies are one graph node (``_gate``)
+whose backward sums each mask's gradient over the other axis with a
+batched matrix product, not a broadcast reduction.
 
 Every op takes a leading batch axis B and treats each sample on its own.
 """
@@ -20,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .layers import Module, xavier_uniform
-from .tensor import Tensor, concat, matmul, mean_axis, reshape, split, transpose
+from .tensor import Tensor, _node, concat, matmul, mean_axis, reshape, split, transpose
 
 __all__ = ["SEBlock", "DTCFBlock", "reduced_channels"]
 
@@ -34,6 +37,31 @@ def reduced_channels(channels: int, reduction: int) -> int:
     if channels % reduction:
         raise ConfigError(f"channels {channels} not divisible by reduction {reduction}")
     return channels // reduction
+
+
+def _gate(x: Tensor, mct: Tensor, mcf: Tensor) -> Tensor:
+    """Multiply a (B,C,T,F) map by a time mask (B,C,T) and a frequency mask (B,C,F).
+
+    One graph node. The forward is the two broadcast multiplies in order; the
+    backward gives each mask its sum over the other axis as a batched
+    product over the (B·C, T, F) view of ``g * x``.
+    """
+    b, c, t, f = x.shape
+    out = x.data * mct.data[..., None]
+    out *= mcf.data[..., None, :]
+
+    def bwd(g):
+        if x.requires_grad:
+            gx = g * mcf.data[..., None, :]
+            gx *= mct.data[..., None]
+            x._accum(gx)
+        if mct.requires_grad or mcf.requires_grad:
+            gm = (g * x.data).reshape(b * c, t, f)
+            if mct.requires_grad:
+                mct._accum(np.matmul(gm, mcf.data.reshape(b * c, f, 1)).reshape(b, c, t))
+            if mcf.requires_grad:
+                mcf._accum(np.matmul(mct.data.reshape(b * c, 1, t), gm).reshape(b, c, f))
+    return _node(out, (x, mct, mcf), bwd)
 
 
 def _per_column(w: Tensor, u: Tensor) -> Tensor:
@@ -109,7 +137,5 @@ class DTCFBlock(Module):
 
     def apply(self, x: Tensor) -> Tensor:
         """Full pipeline: pool, encode, mask, and recalibrate the map."""
-        b, c, t, f = x.shape
-        mct, mcf = self.masks(self.encode(*self.pool(x)), f)
-        return x * reshape(mct, (b, c, t, 1)) * reshape(mcf, (b, c, 1, f))
+        return _gate(x, *self.masks(self.encode(*self.pool(x)), x.shape[3]))
 

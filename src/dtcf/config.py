@@ -61,6 +61,6 @@ def load_config(path) -> dict:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     return parse_config_text(text, source=str(path))

@@ -1,8 +1,19 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the reader guard that raises one.
 
 The CLI maps these onto its stable exit codes, so new error conditions
 should reuse one of the classes below rather than raising bare exceptions.
 """
+
+import contextlib
+
+
+@contextlib.contextmanager
+def utf8_input(path):
+    """Turn a decoding error inside the block into a DataError naming ``path``."""
+    try:
+        yield
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text ({e.reason})") from e
 
 
 class ShapeError(ValueError):

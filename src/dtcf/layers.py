@@ -86,7 +86,9 @@ class BatchNorm2d(Module):
 
     Train mode requires at least two batch elements and updates the running
     statistics with ``momentum`` (unbiased variance). Eval mode is a pure
-    function of the input and the running statistics.
+    function of the input and the running statistics: the per-channel affine
+    map ``x * scale + shift`` with ``scale = gamma / sqrt(var + eps)`` and
+    ``shift = beta - mean * scale``.
     """
 
     momentum = 0.1
@@ -106,9 +108,10 @@ class BatchNorm2d(Module):
             self._update_running(mu, var, x.data.size // x.shape[1])
             return out
         shp = (1, -1, 1, 1)
-        mean = Tensor(self.running_mean.reshape(shp))
         istd = Tensor((1.0 / np.sqrt(self.running_var + self.eps)).reshape(shp).astype(x.dtype))
-        return (x - mean) * istd * reshape(self.gamma, shp) + reshape(self.beta, shp)
+        scale = reshape(self.gamma, shp) * istd
+        shift = reshape(self.beta, shp) - Tensor(self.running_mean.reshape(shp)) * scale
+        return x * scale + shift
 
     def _update_running(self, mu: np.ndarray, var: np.ndarray, n: int) -> None:
         var_u = var.reshape(-1) * n / (n - 1)

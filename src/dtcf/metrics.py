@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, DomainError
+from .errors import DataError, DomainError, utf8_input
 
 __all__ = ["DCFParams", "compute_eer",
            "compute_min_dcf", "score_trials", "export_embeddings",
@@ -261,7 +261,7 @@ def read_embeddings(path) -> dict[str, tuple[str, np.ndarray]]:
     """
     path = Path(path)
     out: dict[str, tuple[str, np.ndarray]] = {}
-    with open(path, encoding="utf-8", newline="") as f:
+    with utf8_input(path), open(path, encoding="utf-8", newline="") as f:
         header = f.readline().rstrip("\r\n").split(",")
         if header[:2] != ["utt_id", "speaker_id"] or len(header) < 3:
             raise DataError(f"{path}: bad embedding header")

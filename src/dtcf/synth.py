@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import SAMPLE_RATE, Waveform, write_wav
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, utf8_input
 
 __all__ = ["SyntheticSpeakerSpec", "CorpusSummary", "synth_utterance",
            "synth_corpus", "read_manifest", "read_trials"]
@@ -189,7 +189,7 @@ def read_manifest(path) -> list[tuple[str, str, Path]]:
     """Rows of (utt_id, speaker_id, absolute path); paths resolve from the manifest."""
     path = Path(path)
     out = []
-    with open(path, encoding="utf-8", newline="") as f:
+    with utf8_input(path), open(path, encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
         if header != ["utt_id", "speaker_id", "path"]:
@@ -206,7 +206,7 @@ def read_manifest(path) -> list[tuple[str, str, Path]]:
 
 def read_trials(path) -> list[tuple[str, str, str]]:
     out = []
-    with open(path, encoding="utf-8") as f:
+    with utf8_input(path), open(path, encoding="utf-8") as f:
         for line in f:
             parts = line.split()
             if not parts:

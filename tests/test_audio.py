@@ -200,6 +200,14 @@ class TestCorpus:
         assert total > 0 and correct / total > 0.9
 
 
+def test_manifest_not_utf8_named(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_bytes(b"utt_id,speaker_id,path\n\xff\xfeu0,s0,a.wav\n")
+    with pytest.raises(DataError) as err:
+        read_manifest(path)
+    assert str(err.value) == f"{path}: not UTF-8 text (invalid start byte)"
+
+
 class TestWavIO:
     def test_round_trip(self, tmp_path):
         wav = Waveform(rng(12).uniform(-0.9, 0.9, 5000))
@@ -278,6 +286,13 @@ class TestReadTrials:
         with pytest.raises(DataError) as err:
             read_trials(path)
         assert str(err.value) == f"{path}: bad trial line {line}"
+
+    def test_not_utf8_named(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"u0 u1 target\n\xff\xfeu2 u3 nontarget\n")
+        with pytest.raises(DataError) as err:
+            read_trials(path)
+        assert str(err.value) == f"{path}: not UTF-8 text (invalid start byte)"
 
     @pytest.mark.parametrize("data", [b"\n", b"\n \n\t\n", b"\r\n  \r\n"])
     def test_blank_lines_only(self, tmp_path, data):

@@ -265,12 +265,12 @@ class TestTrain:
 
 # checkpoint of the tiny config trained with seed 0, the seed a run gets when neither
 # --seed, the config file nor DTCF_SEED gives one
-SEED_0_CHECKPOINT = "b784f46bd341c701aa8f0091668d91499b239f87905417cadeb305684343386e"
+SEED_0_CHECKPOINT = "6bf7155ff5b8036a131369d81ba7c23b431e269f44e93f2889b465ac9ffac3dd"
 # the trained fixture's embeddings of the full manifest, and its eval line and score
 # file on the trial list
-TRAINED_EXTRACT = "f75f5c1b6fc6fe3ddcd1cd340ce7090a95d4a9f52bf553326c3ca2a63074cbae"
-TRAINED_EVAL_LINE = "0f41fdb0c7aabacd47de42a47637b71585d18a7b554470bb72658f633733b5b7"
-TRAINED_SCORES = "32bf4cf92512a67d5fb2389ee842856558acca09777bd2d117865f7400f1cdb9"
+TRAINED_EXTRACT = "33bd84f1581dc62f8178691ab1e668d53aba284c63fa0442f5ec35045656277c"
+TRAINED_EVAL_LINE = "f7de5a129bd79b78fce77e4bb76baa9fc792211187140ab38f4cb172815225bc"
+TRAINED_SCORES = "3ae25ff36704f83547da49f11ccac831592648aedb2790ec8b9b2b74dc05c1bd"
 
 
 def test_trained_extract_and_eval_are_pinned(trained, corpus_dir, tmp_path, capsys):
@@ -533,6 +533,30 @@ class TestExtract:
         assert "tensor" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, name, first_line, code", [
+    ("eval-trials", "trials.txt", b"a0 a1 target\n", 5),
+    ("eval-emb", "emb.csv", b"utt_id,speaker_id,e0\n", 5),
+    ("extract", "manifest.csv", b"utt_id,speaker_id,path\n", 5),
+    ("train-manifest", "train.csv", b"utt_id,speaker_id,path\n", 5),
+    ("train-config", "run.cfg", b"steps = 3\n", 2),
+])
+def test_non_utf8_input_named(trained, tmp_path, capsys, command, name, first_line, code):
+    bad = tmp_path / name
+    bad.write_bytes(first_line + b"\xff\xfe second line\n")
+    (tmp_path / "good_emb.csv").write_text("utt_id,speaker_id,e0\na0,s,1.0\na1,s,2.0\n")
+    (tmp_path / "good_trials.txt").write_text("a0 a1 target\n")
+    out = str(tmp_path / "out")
+    argv = {"eval-trials": ["eval", "--emb", str(tmp_path / "good_emb.csv"), "--trials", str(bad)],
+            "eval-emb": ["eval", "--emb", str(bad), "--trials", str(tmp_path / "good_trials.txt")],
+            "extract": ["extract", "--ckpt", str(trained / "checkpoint.bin"),
+                        "--manifest", str(bad), "--out", out],
+            "train-manifest": ["train", "--manifest", str(bad), "--out", out],
+            "train-config": ["train", "--config", str(bad), "--out", out]}[command]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert str(bad) in err and ("not UTF-8 text" in err or "can't decode byte 0xff" in err)
+
+
 class TestEval:
     @pytest.fixture()
     def separable(self, tmp_path):
@@ -650,8 +674,8 @@ def test_seeded_eval_with_quoted_ids_is_pinned(tmp_path, capsys):
     assert sha(tmp_path / "scores.csv") == SEEDED_EVAL_SCORES
 
 # sha256 of the full stdout: every target's error, the worst one and PASS
-GRADCHECK_SE_STDOUT = "25443d5f18d63e6afff194936c2da7c8d30607e8ff4b9c9e42dbdc835c20e172"
-GRADCHECK_DTCF_STDOUT = "0493a4d5554b47b9100d0dc000435213796d568a778afe009d157fe462a9cc7c"
+GRADCHECK_SE_STDOUT = "bb514bcbb08abf81bc6675e52dab8deddcdf90f24929ba87997ebf9ddf7cf2a5"
+GRADCHECK_DTCF_STDOUT = "6727b88ce9825f71c3b133620e1171d768613784bf74c635a19defd6dc51a2e9"
 
 
 class TestGradcheckCmd:

@@ -419,6 +419,13 @@ class TestExport:
         ids = [l.split(",")[0] for l in path.read_text().strip().splitlines()[1:]]
         assert ids == sorted(ids)
 
+    def test_not_utf8_named(self, tmp_path):
+        path = tmp_path / "e.csv"
+        path.write_bytes(b"utt_id,speaker_id,e0,e1\n\xff\xfeu0,s0,1.0,2.0\n")
+        with pytest.raises(DataError) as err:
+            read_embeddings(path)
+        assert str(err.value) == f"{path}: not UTF-8 text (invalid start byte)"
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "e.csv"
         path.write_text("utt_id,speaker_id,e0,e1\n\nu0,s0,1.0,2.0\n\nu1,s1,3.0,4.0\n\n")

@@ -541,7 +541,7 @@ class TestTrainLoop:
 
 # toy_step_digest() with one BLAS thread; conv2d's kernel gradient, summed tap by tap
 # and block by block, sets its bits
-TOY_STEP_GRADS = "47b4d5b4283cbf86392e017ce55b8157e87d1d4ed69a3760b938497b2ad0bcaa"
+TOY_STEP_GRADS = "542b1195f52ddfe99974c345063aff1d5a5402354808884dc3368c3ac0c1dd42"
 
 
 def toy_step(backbone=BackboneConfig(widths=(4, 8, 16, 32), blocks=(1, 1, 1, 1),
@@ -644,6 +644,12 @@ class TestConfigFile:
     def test_bad_choice(self):
         with pytest.raises(ConfigError, match="attention"):
             parse_config_text("attention = cbam\n")
+
+    def test_not_utf8_named(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"steps = 7\n\xff\xfe = 1\n")
+        with pytest.raises(ConfigError, match=r"cannot read config .*bad\.cfg: .*byte 0xff"):
+            load_config(path)
 
     def test_every_object_field_is_a_config_key(self):
         # cmd_train fills these objects by field name; a field without a key
