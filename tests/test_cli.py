@@ -539,7 +539,7 @@ class TestExtract:
     ("extract", "manifest.csv", b"utt_id,speaker_id,path\n", 5),
     ("train-manifest", "train.csv", b"utt_id,speaker_id,path\n", 5),
     ("train-config", "run.cfg", b"steps = 3\n", 2),
-])
+], ids=["eval-trials", "eval-emb", "extract", "train-manifest", "train-config"])
 def test_non_utf8_input_named(trained, tmp_path, capsys, command, name, first_line, code):
     bad = tmp_path / name
     bad.write_bytes(first_line + b"\xff\xfe second line\n")
