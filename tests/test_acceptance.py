@@ -70,17 +70,17 @@ def test_criterion_2_duality_mask_equivariance():
             blk = DTCFBlock(c, red, rng=rng(100 + case), dtype=np.float64)
             x = r.normal(size=(c, t, f))
             xcf, xct = blk.pool(Tensor(np.asarray(x[None], dtype=np.float64)))
-            mct0, mcf0 = (m.data[0] for m in blk.masks(blk.encode(xcf, xct), f_len=f))
+            mct0, mcf0 = (m.data[0] for m in blk.masks(*blk.encode(xcf, xct)))
 
             pt = r.permutation(t)
             xcf1, xct1 = blk.pool(Tensor(np.asarray(x[None, :, pt, :], dtype=np.float64)))
-            mct1, mcf1 = (m.data[0] for m in blk.masks(blk.encode(xcf1, xct1), f_len=f))
+            mct1, mcf1 = (m.data[0] for m in blk.masks(*blk.encode(xcf1, xct1)))
             np.testing.assert_allclose(mct1, mct0[:, pt], atol=1e-12)
             np.testing.assert_allclose(mcf1, mcf0, atol=1e-12)
 
             pf = r.permutation(f)
             xcf2, xct2 = blk.pool(Tensor(np.asarray(x[None, :, :, pf], dtype=np.float64)))
-            mct2, mcf2 = (m.data[0] for m in blk.masks(blk.encode(xcf2, xct2), f_len=f))
+            mct2, mcf2 = (m.data[0] for m in blk.masks(*blk.encode(xcf2, xct2)))
             np.testing.assert_allclose(mcf2, mcf0[:, pf], atol=1e-12)
             np.testing.assert_allclose(mct2, mct0, atol=1e-12)
 

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from dtcf.attention import DTCFBlock, SEBlock, reduced_channels
+from dtcf.attention import DTCFBlock, SEBlock, _per_column, reduced_channels
 from dtcf.errors import ConfigError, ShapeError
-from dtcf.tensor import Tensor, grad_check
+from dtcf.tensor import Tensor, grad_check, matmul, reshape, topo_order, transpose
 
 
 def rng(seed=0):
@@ -172,18 +172,20 @@ class TestDTCF:
         block = dtcf_block(4)
         block.w1.data[:] = 0.0
         xcf, xct = block.pool(one(rng(18).normal(size=(4, 3, 5))))
-        enc = block.encode(xcf, xct)
-        np.testing.assert_array_equal(enc.data[0], np.zeros((1, 5 + 3)))
+        hf, ht = block.encode(xcf, xct)
+        np.testing.assert_array_equal(hf.data[0], np.zeros((1, 5)))
+        np.testing.assert_array_equal(ht.data[0], np.zeros((1, 3)))
 
     def test_encode_column_independence(self):
         block = dtcf_block(8, seed=19)
         block.w1.data[:] = np.abs(block.w1.data) + 0.1   # keep the relu pass-through
         xcf = rng(20).normal(size=(8, 4))
         xct = rng(21).normal(size=(8, 3))
-        base = block.encode(one(xcf), one(xct)).data[0]
+        columns = lambda pair: np.concatenate([h.data[0] for h in pair], axis=1)
+        base = columns(block.encode(one(xcf), one(xct)))
         xcf2 = xcf.copy()
         xcf2[:, 2] += 5.0
-        pert = block.encode(one(xcf2), one(xct)).data[0]
+        pert = columns(block.encode(one(xcf2), one(xct)))
         changed = np.any(base != pert, axis=0)
         assert changed[2] and not changed[[0, 1, 3, 4, 5, 6]].any()
 
@@ -191,33 +193,28 @@ class TestDTCF:
         block = dtcf_block(8, r=8, seed=22)   # C' = 1
         xcf = rng(23).normal(size=(8, 4))
         xct = rng(24).normal(size=(8, 3))
-        u = np.concatenate([xcf, xct], axis=1)
-        expect = np.maximum(block.w1.data @ u, 0.0)
-        np.testing.assert_allclose(block.encode(one(xcf), one(xct)).data[0], expect, atol=1e-6)
+        hf, ht = block.encode(one(xcf), one(xct))
+        np.testing.assert_allclose(hf.data[0], np.maximum(block.w1.data @ xcf, 0.0), atol=1e-6)
+        np.testing.assert_allclose(ht.data[0], np.maximum(block.w1.data @ xct, 0.0), atol=1e-6)
 
     def test_masks_zero_weights_half(self):
         block = dtcf_block(4, seed=25)
         block.w2.data[:] = 0.0
         block.w3.data[:] = 0.0
-        enc = one(rng(26).normal(size=(1, 9)))
-        mct, mcf = block.masks(enc, f_len=5)
+        enc = rng(26).normal(size=(1, 9))
+        mct, mcf = block.masks(one(enc[:, :5]), one(enc[:, 5:]))
         np.testing.assert_allclose(mct.data[0], np.full((4, 4), 0.5), atol=1e-12)
         np.testing.assert_allclose(mcf.data[0], np.full((4, 5), 0.5), atol=1e-12)
 
     def test_masks_in_unit_interval_and_oracle(self):
         block = dtcf_block(4, r=4, seed=27)
         enc = rng(28).normal(size=(1, 9))
-        mct, mcf = block.masks(one(enc), f_len=5)
+        mct, mcf = block.masks(one(enc[:, :5]), one(enc[:, 5:]))
         mct, mcf = mct.data[0], mcf.data[0]
         assert np.all((mct > 0) & (mct < 1))
         assert np.all((mcf > 0) & (mcf < 1))
         np.testing.assert_allclose(mct, sigmoid(block.w2.data @ enc[:, 5:]), atol=1e-6)
         np.testing.assert_allclose(mcf, sigmoid(block.w3.data @ enc[:, :5]), atol=1e-6)
-
-    def test_masks_bad_split(self):
-        block = dtcf_block(4)
-        with pytest.raises(ShapeError):
-            block.masks(one(np.zeros((1, 6))), f_len=6)
 
     def test_apply_quarter_with_zero_weights(self):
         block = dtcf_block(4)
@@ -250,10 +247,10 @@ class TestDTCF:
         block = dtcf_block(4, r=4, seed=36)
         x = rng(37).normal(size=(4, 6, 5))
         xcf, xct = block.pool(one(x))
-        mct0, mcf0 = block.masks(block.encode(xcf, xct), f_len=5)
+        mct0, mcf0 = block.masks(*block.encode(xcf, xct))
         pt = rng(38).permutation(6)
         xcf2, xct2 = block.pool(one(x[:, pt, :]))
-        mct1, mcf1 = block.masks(block.encode(xcf2, xct2), f_len=5)
+        mct1, mcf1 = block.masks(*block.encode(xcf2, xct2))
         np.testing.assert_allclose(mct1.data[0], mct0.data[0][:, pt], atol=1e-12)
         np.testing.assert_allclose(mcf1.data[0], mcf0.data[0], atol=1e-12)
 
@@ -261,10 +258,10 @@ class TestDTCF:
         block = dtcf_block(4, r=4, seed=39)
         x = rng(40).normal(size=(4, 6, 5))
         xcf, xct = block.pool(one(x))
-        mct0, mcf0 = block.masks(block.encode(xcf, xct), f_len=5)
+        mct0, mcf0 = block.masks(*block.encode(xcf, xct))
         pf = rng(41).permutation(5)
         xcf2, xct2 = block.pool(one(x[:, :, pf]))
-        mct1, mcf1 = block.masks(block.encode(xcf2, xct2), f_len=5)
+        mct1, mcf1 = block.masks(*block.encode(xcf2, xct2))
         np.testing.assert_allclose(mcf1.data[0], mcf0.data[0][:, pf], atol=1e-12)
         np.testing.assert_allclose(mct1.data[0], mct0.data[0], atol=1e-12)
 
@@ -273,11 +270,11 @@ class TestDTCF:
         block = dtcf_block(4, r=2, seed=42)
         x = rng(43).normal(size=(4, 6, 5))
         xcf, xct = block.pool(one(x))
-        mct0 = block.masks(block.encode(xcf, xct), f_len=5)[0].data[0]
+        mct0 = block.masks(*block.encode(xcf, xct))[0].data[0]
         x2 = x.copy()
         x2[:, 3, :] += rng(44).normal(size=(4, 5))
         xcf2, xct2 = block.pool(one(x2))
-        mct1 = block.masks(block.encode(xcf2, xct2), f_len=5)[0].data[0]
+        mct1 = block.masks(*block.encode(xcf2, xct2))[0].data[0]
         others = [t for t in range(6) if t != 3]
         np.testing.assert_allclose(mct1[:, others], mct0[:, others], atol=1e-12)
         assert np.any(np.abs(mct1[:, 3] - mct0[:, 3]) > 1e-9)
@@ -318,12 +315,78 @@ class TestDTCF:
         for target in (x, mct, mcf):
             assert grad_check(lambda _: loss(), target) < 1e-6
 
+    @pytest.mark.parametrize("b, c, t, f, r", [
+        (1, 4, 5, 6, 4), (1, 8, 1, 7, 2), (1, 8, 6, 1, 2), (1, 4, 1, 1, 8), (3, 8, 5, 4, 2),
+        (3, 4, 1, 9, 8), (3, 16, 7, 1, 4), (2, 16, 9, 11, 16), (3, 6, 4, 3, 3), (2, 12, 2, 5, 4),
+    ], ids=lambda v: str(v))
+    def test_apply_matches_concat_form_oracle(self, b, c, t, f, r):
+        # each mask is an excitation of one profile's columns; the oracle encodes the
+        # concatenated [freq, time] profile and splits it, as the paper draws the block
+        block = dtcf_block(c, r=r, seed=60 + b + c + t + f + r)
+        x = rng(61 + c * t * f).normal(size=(b, c, t, f))
+        out = block.apply(t64(x)).data
+        for i in range(b):
+            _, _, expect = dtcf_apply_oracle(x[i], block.w1.data, block.w2.data, block.w3.data)
+            np.testing.assert_allclose(out[i], expect, rtol=0, atol=1e-12)
+
+    def test_train_mode_block_records_11_op_nodes(self):
+        # two means, two (map, relu) encodings, two (map, sigmoid) masks and the gate
+        block = DTCFBlock(8, 4, rng=rng(62))
+        x = Tensor(rng(63).normal(size=(2, 8, 6, 5)).astype(np.float32), requires_grad=True)
+        ops = [node for node in topo_order(block.apply(x)) if node._parents]
+        assert len(ops) == 11
+
     def test_se_block_gradcheck(self):
         block = se_block(4, r=2, seed=49)
         x = one(rng(50).normal(size=(4, 5, 6)))
         assert grad_check(lambda v: block.apply(v).sum(), x) < 1e-6
         for _, w in block.named_params():
             assert grad_check(lambda _: block.apply(x).sum(), w) < 1e-6
+
+
+# ------------------------------------------------------------------ the per-column map
+
+def per_column_chain(w, u):
+    """The (C2, C1) map of every column of (B, C1, P) as the five-node chain
+    transpose, reshape, matmul, reshape, transpose."""
+    b, c1, p = u.shape
+    flat = reshape(transpose(u, (1, 0, 2)), (c1, b * p))
+    return transpose(reshape(matmul(w, flat), (w.shape[0], b, p)), (1, 0, 2))
+
+
+PER_COLUMN_SHAPES = [(1, 1, 1, 1), (1, 4, 1, 7), (2, 1, 8, 3), (3, 8, 2, 1), (3, 32, 4, 29),
+                     (2, 16, 64, 40), (16, 32, 4, 120)]
+
+
+class TestPerColumn:
+    @pytest.mark.parametrize("b, c2, c1, p", PER_COLUMN_SHAPES, ids=lambda v: str(v))
+    def test_float32_bit_identical_to_the_chain(self, b, c2, c1, p):
+        r = rng(64 + b * c2 * c1 * p)
+        w0 = r.normal(size=(c2, c1)).astype(np.float32)
+        u0 = r.normal(size=(b, c1, p)).astype(np.float32)
+        weight = Tensor(r.normal(size=(b, c2, p)).astype(np.float32))
+        runs = []
+        for fn in (_per_column, per_column_chain):
+            w = Tensor(w0.copy(), requires_grad=True)
+            u = Tensor(u0.copy(), requires_grad=True)
+            out = fn(w, u)
+            (out * weight).sum().backward()
+            runs.append((out.data, w.grad, u.grad))
+        for got, expect in zip(*runs):
+            assert got.dtype == np.float32 and got.shape == expect.shape
+            np.testing.assert_array_equal(got, expect)
+
+    @pytest.mark.parametrize("b, c2, c1, p", PER_COLUMN_SHAPES[:5], ids=lambda v: str(v))
+    def test_gradcheck(self, b, c2, c1, p):
+        r = rng(65 + b * c2 * c1 * p)
+        w, u = t64(r.normal(size=(c2, c1))), t64(r.normal(size=(b, c1, p)))
+        loss = lambda: (_per_column(w, u) * 0.7).tanh().sum()
+        for target in (w, u):
+            assert grad_check(lambda _: loss(), target) < 1e-6
+
+    def test_wrong_channel_count_raises(self):
+        with pytest.raises(ShapeError):
+            _per_column(t64(np.ones((3, 4))), t64(np.ones((2, 5, 6))))
 
 
 # ------------------------------------------------------------------ parameters

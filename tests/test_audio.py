@@ -217,6 +217,50 @@ class TestWavIO:
         np.testing.assert_allclose(back.samples, wav.samples, atol=1.0 / 32767)
 
 
+class TestDamagedWav:
+    """A damaged WAV file ends in a DataError naming it; each case is a prefix or a
+    corruption of a valid file of 50 samples (a 44-byte header and 100 data bytes)."""
+
+    @pytest.fixture
+    def valid(self, tmp_path):
+        write_wav(tmp_path / "ok.wav", Waveform(np.linspace(-0.5, 0.5, 50)))
+        return (tmp_path / "ok.wav").read_bytes()
+
+    def damaged(self, tmp_path, data):
+        path = tmp_path / "bad.wav"
+        path.write_bytes(data)
+        with pytest.raises(DataError) as err:
+            read_wav(path)
+        return str(err.value), path
+
+    @pytest.mark.parametrize("size", [0, 1, 7])
+    def test_under_8_bytes(self, tmp_path, valid, size):
+        message, path = self.damaged(tmp_path, valid[:size])
+        assert message == f"{path}: not a readable WAV file (the file ends inside its header)"
+
+    def test_not_riff(self, tmp_path, valid):
+        message, path = self.damaged(tmp_path, b"RIFX" + valid[4:])
+        assert message == f"{path}: not a readable WAV file (file does not start with RIFF id)"
+
+    @pytest.mark.parametrize("size, reason", [
+        (8, "not a WAVE file"), (12, "fmt chunk and/or data chunk missing"),
+        (20, "the file ends inside its header"), (36, "fmt chunk and/or data chunk missing"),
+    ])
+    def test_header_cut_short(self, tmp_path, valid, size, reason):
+        message, path = self.damaged(tmp_path, valid[:size])
+        assert message == f"{path}: not a readable WAV file ({reason})"
+
+    @pytest.mark.parametrize("size", [45, 143])
+    def test_odd_data_byte_count(self, tmp_path, valid, size):
+        message, path = self.damaged(tmp_path, valid[:size])
+        assert message == f"{path}: data chunk cut short ({size - 44} of 100 bytes)"
+
+    @pytest.mark.parametrize("size", [44, 100, 142])
+    def test_data_shorter_than_its_header_says(self, tmp_path, valid, size):
+        message, path = self.damaged(tmp_path, valid[:size])
+        assert message == f"{path}: data chunk cut short ({size - 44} of 100 bytes)"
+
+
 def stereo_wav(path):
     with wave.open(str(path), "wb") as f:
         f.setnchannels(2)

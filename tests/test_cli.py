@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -555,6 +556,27 @@ def test_non_utf8_input_named(trained, tmp_path, capsys, command, name, first_li
     assert main(argv) == code
     err = capsys.readouterr().err
     assert str(bad) in err and ("not UTF-8 text" in err or "can't decode byte 0xff" in err)
+
+
+@pytest.mark.parametrize("damage", ["not-wav", "cut-short"])
+@pytest.mark.parametrize("command", ["extract", "train"])
+def test_damaged_wav_named(trained, corpus_dir, tiny_config, tmp_path, capsys, command, damage):
+    rows = read_manifest(corpus_dir / "train.csv")
+    bad = tmp_path / "bad.wav"
+    bad.write_bytes(b"utt_id,speaker_id,path\n" if damage == "not-wav"
+                    else Path(rows[0][2]).read_bytes()[:101])
+    manifest = tmp_path / "bad.csv"
+    manifest.write_text("utt_id,speaker_id,path\n" +
+                        "".join(f"{utt},{spk},{bad}\n" for utt, spk, _ in rows))
+    out = tmp_path / "out"
+    argv = {"extract": ["extract", "--ckpt", str(trained / "checkpoint.bin"),
+                        "--manifest", str(manifest), "--out", str(out)],
+            "train": ["train", "--config", str(tiny_config), "--manifest", str(manifest),
+                      "--out", str(out)]}[command]
+    assert main(argv) == 5
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+    assert not out.exists() if command == "extract" else not (out / "checkpoint.bin").exists()
 
 
 class TestEval:

@@ -49,3 +49,41 @@ def test_no_unused_imports(path):
 def test_unused_import_check_sees_an_unused_name():
     source = "import os\nfrom .tensor import Tensor, matmul\n__all__ = ['matmul']\n"
     assert _unused_imports(source) == ["os (line 1)", "Tensor (line 2)"]
+
+
+def _unreferenced_helpers(sources: dict[str, str]) -> list[str]:
+    """The ``_``-prefixed top-level functions and constants of the modules in ``sources``
+    (file name -> source) that no module reads, calls or imports."""
+    defined, used = [], set()
+    for name, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                targets = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+                targets = [n.id for t in nodes for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(name, t) for t in targets if t.startswith("_") and not t.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return [f"{name}: {helper}" for name, helper in defined if helper not in used]
+
+
+def test_no_unreferenced_private_helpers():
+    sources = {p.name: p.read_text() for p in sorted(Path(dtcf.__file__).parent.glob("*.py"))}
+    assert _unreferenced_helpers(sources) == []
+
+
+def test_unreferenced_helper_check_sees_a_dead_helper():
+    sources = {"a.py": "_K, _L = 1, 2\n__all__ = []\ndef _used(): return _K\n"
+                       "def _dead(): return _used()\n",
+               "b.py": "from .a import _shared\nimport a\nx = a._attr\n",
+               "c.py": "def _shared(): pass\n_attr: int = 3\n_gone = 4\n"}
+    assert _unreferenced_helpers(sources) == ["a.py: _L", "a.py: _dead", "c.py: _gone"]
