@@ -6,13 +6,13 @@ C' = C / r.
 
 SE squeezes the whole time-frequency plane to one value per channel, so its
 mask is a single gate per channel. The duality block keeps per-frame and
-per-bin context: it pools time and frequency in parallel, encodes the
-concatenated [freq-profile, time-profile] matrix through a shared 1x1
-bottleneck, then derives one mask over (C, T) and one over (C, F) and
-multiplies both into the map. The pooling means are BLAS products
-(``mean_axis``), and the two multiplies are one graph node (``_gate``)
-whose backward sums each mask's gradient over the other axis with a
-batched matrix product, not a broadcast reduction.
+per-bin context: it pools time and frequency in parallel and runs SE's
+excitation sigmoid(W relu(W1 .)) on every column of the (C, F) and (C, T)
+profiles, with one W1 shared by both. The two masks, over (C, F) and (C, T),
+both multiply the map. The pooling means are BLAS products (``mean_axis``),
+each per-column map is one GEMM node (``_per_column``), and the two
+multiplies are one graph node (``_gate``) whose backward sums each mask's
+gradient over the other axis with a batched matrix product.
 
 Every op takes a leading batch axis B and treats each sample on its own.
 """
@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .layers import Module, xavier_uniform
-from .tensor import Tensor, _node, concat, matmul, mean_axis, reshape, split, transpose
+from .tensor import Tensor, _node, matmul, mean_axis, reshape, transpose
 
 __all__ = ["SEBlock", "DTCFBlock", "reduced_channels"]
 
@@ -65,11 +65,22 @@ def _gate(x: Tensor, mct: Tensor, mcf: Tensor) -> Tensor:
 
 
 def _per_column(w: Tensor, u: Tensor) -> Tensor:
-    """Apply a (C2, C1) channel map independently to every column of (B, C1, P)."""
+    """Apply a (C2, C1) channel map to every column of (B, C1, P): one GEMM node,
+    whose backward runs ``matmul``'s two GEMMs on the (C2, B·P) gradient."""
     b, c1, p = u.shape
-    flat = reshape(transpose(u, (1, 0, 2)), (c1, b * p))
-    out = matmul(w, flat)
-    return transpose(reshape(out, (w.shape[0], b, p)), (1, 0, 2))
+    if w.shape[1] != c1:
+        raise ShapeError(f"channel map {w.shape} does not take {c1} channels")
+    c2 = w.shape[0]
+    flat = u.data.transpose(1, 0, 2).reshape(c1, b * p)
+    out = (w.data @ flat).reshape(c2, b, p).transpose(1, 0, 2)
+
+    def bwd(g):
+        g2 = g.transpose(1, 0, 2).reshape(c2, b * p)
+        if w.requires_grad:
+            w._accum(g2 @ flat.T)
+        if u.requires_grad:
+            u._accum((w.data.T @ g2).reshape(c1, b, p).transpose(1, 0, 2))
+    return _node(out, (w, u), bwd)
 
 
 class SEBlock(Module):
@@ -102,10 +113,10 @@ class DTCFBlock(Module):
     """Duality temporal-channel-frequency attention.
 
     W1 is the shared bias-free bottleneck encoder; W2 produces the time-conditioned
-    channel mask and W3 the frequency-conditioned one. The encoder input is
-    the concatenation [freq profile (B,C,F), time profile (B,C,T)] and the split
-    after encoding uses the same order, so W3 reads the first F columns and
-    W2 the remaining T.
+    channel mask and W3 the frequency-conditioned one. W1 acts on each column
+    on its own, with no bias or normalisation, so encoding the concatenated
+    [freq profile, time profile] and splitting it again, as Coordinate
+    Attention draws it, is the same as encoding each profile.
     """
 
     def __init__(self, channels: int, reduction: int, *, rng: np.random.Generator,
@@ -121,21 +132,15 @@ class DTCFBlock(Module):
             raise ShapeError("empty time or frequency axis")
         return mean_axis(x, 2), mean_axis(x, 3)
 
-    def encode(self, xcf: Tensor, xct: Tensor) -> Tensor:
-        """relu(W1 [xcf, xct]): a (B,C',F+T) joint context, column-independent."""
-        return _per_column(self.w1, concat(xcf, xct, axis=2)).relu()
+    def encode(self, xcf: Tensor, xct: Tensor) -> tuple[Tensor, Tensor]:
+        """The shared encoding of each profile: relu(W1 xcf) (B,C',F) and relu(W1 xct) (B,C',T)."""
+        return _per_column(self.w1, xcf).relu(), _per_column(self.w1, xct).relu()
 
-    def masks(self, x1: Tensor, f_len: int) -> tuple[Tensor, Tensor]:
-        """Split the encoding back at f_len and gate each half.
-
-        Returns (mct, mcf): the time mask sigmoid(W2 . time half), (B,C,T),
-        and the frequency mask sigmoid(W3 . freq half), (B,C,F).
-        """
-        part_f, part_t = split(x1, axis=2, at=f_len)
-        return (_per_column(self.w2, part_t).sigmoid(),
-                _per_column(self.w3, part_f).sigmoid())
+    def masks(self, hf: Tensor, ht: Tensor) -> tuple[Tensor, Tensor]:
+        """(mct, mcf): the time mask sigmoid(W2 ht), (B,C,T), and the frequency
+        mask sigmoid(W3 hf), (B,C,F)."""
+        return _per_column(self.w2, ht).sigmoid(), _per_column(self.w3, hf).sigmoid()
 
     def apply(self, x: Tensor) -> Tensor:
         """Full pipeline: pool, encode, mask, and recalibrate the map."""
-        return _gate(x, *self.masks(self.encode(*self.pool(x)), x.shape[3]))
-
+        return _gate(x, *self.masks(*self.encode(*self.pool(x))))

@@ -123,9 +123,16 @@ def write_wav(path, wav: Waveform) -> None:
 
 
 def read_wav(path) -> Waveform:
-    with wave.open(str(path), "rb") as f:
-        if f.getnchannels() != 1 or f.getsampwidth() != 2:
-            raise DataError(f"{path}: expected 16-bit PCM mono")
-        sr = f.getframerate()
-        pcm = np.frombuffer(f.readframes(f.getnframes()), dtype="<i2")
-    return Waveform(pcm.astype(np.float64) / 32767.0, sr)
+    """A 16-bit PCM mono file; a damaged one raises DataError naming ``path``."""
+    try:
+        with wave.open(str(path), "rb") as f:
+            if f.getnchannels() != 1 or f.getsampwidth() != 2:
+                raise DataError(f"{path}: expected 16-bit PCM mono")
+            sr, n = f.getframerate(), f.getnframes()
+            data = f.readframes(n)
+    except (EOFError, wave.Error) as e:
+        reason = str(e) or "the file ends inside its header"
+        raise DataError(f"{path}: not a readable WAV file ({reason})") from e
+    if len(data) != 2 * n:
+        raise DataError(f"{path}: data chunk cut short ({len(data)} of {2 * n} bytes)")
+    return Waveform(np.frombuffer(data, dtype="<i2").astype(np.float64) / 32767.0, sr)

@@ -5,7 +5,8 @@ Exit codes (stable contract):
     2  usage or configuration error
     3  I/O error (missing/unreadable/truncated files)
     4  training divergence guard tripped
-    5  data mismatch (e.g. unresolvable trial id)
+    5  data mismatch or damaged input (e.g. unresolvable trial id, a WAV
+       file cut short or not a WAV file, text that is not UTF-8)
     6  gradient verification failure
 
 ``--seed`` (for ``train``: then the config file's ``seed``) falls back to the

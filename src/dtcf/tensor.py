@@ -30,7 +30,6 @@ __all__ = [
     "mean_axis",
     "sum_axis",
     "concat",
-    "split",
     "reshape",
     "transpose",
     "topo_order",
@@ -406,24 +405,6 @@ def concat(a: Tensor, b: Tensor, axis: int) -> Tensor:
         if b.requires_grad:
             b._accum(g[sl_b])
     return _node(data, (a, b), bwd)
-
-
-def split(x: Tensor, axis: int, at: int) -> tuple[Tensor, Tensor]:
-    """Split along ``axis`` so the first part has extent ``at``. Inverse of concat."""
-    axis = _axis_check(x, axis)
-    if not 0 < at < x.shape[axis]:
-        raise ShapeError(f"split point {at} out of range for axis extent {x.shape[axis]}")
-
-    def part(span: slice) -> Tensor:
-        sl = tuple(slice(None) if i != axis else span for i in range(x.ndim))
-
-        def bwd(g):
-            full_g = np.zeros_like(x.data)
-            full_g[sl] = g
-            x._accum(full_g)
-        return _node(x.data[sl].copy(), (x,), bwd)
-
-    return part(slice(0, at)), part(slice(at, None))
 
 
 def reshape(x: Tensor, shape) -> Tensor:

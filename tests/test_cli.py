@@ -266,12 +266,12 @@ class TestTrain:
 
 # checkpoint of the tiny config trained with seed 0, the seed a run gets when neither
 # --seed, the config file nor DTCF_SEED gives one
-SEED_0_CHECKPOINT = "6bf7155ff5b8036a131369d81ba7c23b431e269f44e93f2889b465ac9ffac3dd"
+SEED_0_CHECKPOINT = "32ba00c0bb512b64f162ef0bb135f8ee4b185f573f3e1e55b405d7d1261c957a"
 # the trained fixture's embeddings of the full manifest, and its eval line and score
 # file on the trial list
-TRAINED_EXTRACT = "33bd84f1581dc62f8178691ab1e668d53aba284c63fa0442f5ec35045656277c"
-TRAINED_EVAL_LINE = "f7de5a129bd79b78fce77e4bb76baa9fc792211187140ab38f4cb172815225bc"
-TRAINED_SCORES = "3ae25ff36704f83547da49f11ccac831592648aedb2790ec8b9b2b74dc05c1bd"
+TRAINED_EXTRACT = "b3d00a72f811ccfb6431362937e8a2f178803c4a2eb57bdb2c81e788bff85b4e"
+TRAINED_EVAL_LINE = "c87babc6c22f371a15de90a8e38041f23449ba18e9cd3548e3329161724fdfa6"
+TRAINED_SCORES = "ccefb55351b74964ae27e698b427c89a1a98994a6c7f17c7290c1efa95e7f85d"
 
 
 def test_trained_extract_and_eval_are_pinned(trained, corpus_dir, tmp_path, capsys):
@@ -697,7 +697,7 @@ def test_seeded_eval_with_quoted_ids_is_pinned(tmp_path, capsys):
 
 # sha256 of the full stdout: every target's error, the worst one and PASS
 GRADCHECK_SE_STDOUT = "bb514bcbb08abf81bc6675e52dab8deddcdf90f24929ba87997ebf9ddf7cf2a5"
-GRADCHECK_DTCF_STDOUT = "6727b88ce9825f71c3b133620e1171d768613784bf74c635a19defd6dc51a2e9"
+GRADCHECK_DTCF_STDOUT = "de082ea703efa38d15dd1d02a719a53e4aa43fbf98a1dfaf1107367112f99098"
 
 
 class TestGradcheckCmd:

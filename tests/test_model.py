@@ -295,7 +295,7 @@ def test_other_ranks_rejected(call):
     lambda: ASPHead(8 * 5, 4, rng=rng(0)).forward(Tensor(np.ones((2, 8, 7, 4)))),
 ], ids=["se_mask", "dtcf_encode", "asp_forward"])
 def test_wrong_channel_count_raises(call):
-    # each block leaves this check to its first matmul over channels
+    # each block leaves this check to its first product over channels
     with pytest.raises(ShapeError):
         call()
 

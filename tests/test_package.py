@@ -58,11 +58,10 @@ def _unreferenced_helpers(sources: dict[str, str]) -> list[str]:
     for name, source in sources.items():
         tree = ast.parse(source)
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(node, ast.FunctionDef):
                 targets = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
-                targets = [n.id for t in nodes for n in ast.walk(t) if isinstance(n, ast.Name)]
+            elif isinstance(node, ast.Assign):
+                targets = [n.id for t in node.targets for n in ast.walk(t) if isinstance(n, ast.Name)]
             else:
                 continue
             defined += [(name, t) for t in targets if t.startswith("_") and not t.startswith("__")]
@@ -85,5 +84,5 @@ def test_unreferenced_helper_check_sees_a_dead_helper():
     sources = {"a.py": "_K, _L = 1, 2\n__all__ = []\ndef _used(): return _K\n"
                        "def _dead(): return _used()\n",
                "b.py": "from .a import _shared\nimport a\nx = a._attr\n",
-               "c.py": "def _shared(): pass\n_attr: int = 3\n_gone = 4\n"}
+               "c.py": "def _shared(): pass\n_attr = 3\n_gone = 4\n"}
     assert _unreferenced_helpers(sources) == ["a.py: _L", "a.py: _dead", "c.py: _gone"]

@@ -541,7 +541,7 @@ class TestTrainLoop:
 
 # toy_step_digest() with one BLAS thread; conv2d's kernel gradient, summed tap by tap
 # and block by block, sets its bits
-TOY_STEP_GRADS = "542b1195f52ddfe99974c345063aff1d5a5402354808884dc3368c3ac0c1dd42"
+TOY_STEP_GRADS = "7488548f12ffd6b924c658b478d7cc84086791be1254a3e5c71465ed85a18fea"
 
 
 def toy_step(backbone=BackboneConfig(widths=(4, 8, 16, 32), blocks=(1, 1, 1, 1),
