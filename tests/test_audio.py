@@ -10,7 +10,7 @@ import pytest
 from dtcf.audio import (AugmentConfig, Waveform, fbank,
                         mel_filterbank, read_wav, spec_augment, write_wav)
 from dtcf.errors import ConfigError, DataError
-from dtcf.synth import (SyntheticSpeakerSpec, read_manifest, read_trials,
+from dtcf.synth import (SyntheticSpeakerSpec, _formant_gain, read_manifest, read_trials,
                         synth_corpus, synth_utterance)
 
 
@@ -138,6 +138,84 @@ class TestSynthUtterance:
     def test_invalid_spec(self):
         with pytest.raises(ConfigError):
             SyntheticSpeakerSpec("x", (800.0, 700.0, 2500.0), (90.0, 110.0), -6.0, 0)
+
+
+# F0 up to 100 Hz: the most harmonics a corpus voice gets, 72 (0.45 * 16 kHz / f_hi)
+SPEC_LOW = SyntheticSpeakerSpec("low", (450.0, 1300.0, 2700.0), (80.0, 100.0), -4.0, seed=3)
+
+
+def one_array_utterance(spec, duration, utt_seed):
+    """The oracle: the harmonic bank rendered over the whole utterance as one
+    (harmonics x samples) array, as `synth_utterance` did before it rendered blocks."""
+    rng = np.random.default_rng((spec.seed, utt_seed))
+    n = int(round(duration * 16000))
+    t = np.arange(n) / 16000
+    f_lo, f_hi = spec.f0_range
+    wobble_rate = rng.uniform(0.4, 1.6)
+    wobble_phase = rng.uniform(0, 2 * np.pi)
+    f0 = f_lo + (f_hi - f_lo) * (0.5 + 0.45 * np.sin(2 * np.pi * wobble_rate * t + wobble_phase))
+    n_harm = max(3, int((0.45 * 16000) / f_hi))
+    phase = 2.0 * np.pi * np.cumsum(f0) / 16000
+    ks = np.arange(1, n_harm + 1)[:, None]
+    coarse = _formant_gain(ks * f0[None, ::160], spec.formants, spec.tilt_db_per_octave)
+    amp = np.repeat(coarse, 160, axis=1)[:, :n]
+    sig = (amp * np.sin(ks * phase[None, :])).sum(axis=0)
+    sig = sig + rng.normal(size=n) * (10.0 ** (-40.0 / 20.0)) * max(np.abs(sig).max(), 1e-9)
+    return 0.95 * sig / np.abs(sig).max()
+
+
+class TestSynthUtteranceBlocks:
+    """`synth_utterance` equals the one-array oracle bit for bit. The lengths sit
+    on and around multiples of 4,096 samples (the render block) and of 160 (the
+    amplitude grid's step): 16,000 and 160,000 are 1 s and 10 s, 16,384 is four
+    blocks, 20,480 both five blocks and 128 grid steps, and a length one sample
+    past a multiple of the block leaves a one-sample remainder."""
+
+    @pytest.mark.parametrize("spec", [SPEC_LOW, SPEC_A, SPEC_B], ids=["72-harm", "60-harm", "34-harm"])
+    @pytest.mark.parametrize("n", [16000, 160000, 16383, 16384, 16385, 20479, 20480, 20481, 40961])
+    def test_equals_one_array_oracle(self, spec, n):
+        duration = n / 16000
+        wav = synth_utterance(spec, duration, utt_seed=n % 7)
+        assert wav.samples.size == n
+        assert np.array_equal(wav.samples, one_array_utterance(spec, duration, n % 7))
+
+    def test_memory_is_result_plus_a_block(self):
+        """10 s at 72 harmonics: the working memory beyond the 1.2 MiB result
+        stays under 16 MiB, where the whole bank's (72, 160000) float64 arrays
+        (88 MiB each) would take about 267 MiB."""
+        tracemalloc.start()
+        try:
+            wav = synth_utterance(SPEC_LOW, 10.0, utt_seed=0)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert wav.samples.size == 160000
+        work_mb = (peak - current) / 2**20
+        assert work_mb < 16, f"{work_mb:.1f} MiB"
+
+
+def corpus_files(out_dir):
+    return sorted(p.relative_to(out_dir).as_posix() for p in out_dir.rglob("*") if p.is_file())
+
+
+def corpus_digest(out_dir):
+    """sha256 over every file of a corpus in path order: each relative path, then its bytes."""
+    digest = hashlib.sha256()
+    for rel in corpus_files(out_dir):
+        digest.update(rel.encode() + b"\0")
+        digest.update((out_dir / rel).read_bytes())
+    return digest.hexdigest()
+
+
+# every WAV, manifest.csv, train.csv and trials.txt of synth_corpus(3, 4, seed=0)
+DEFAULT_CORPUS_DIGEST = "5c26d0bb46d7ce387d0bab9f80493e0e53ea9cbd8b6cfd6e3f6b41f0feacc00f"
+
+
+def test_default_corpus_digest(tmp_path):
+    synth_corpus(3, 4, seed=0, out_dir=tmp_path)
+    assert corpus_files(tmp_path) == ["manifest.csv", "train.csv", "trials.txt"] + [
+        f"wav/spk{s:03d}_u{u:03d}.wav" for s in range(3) for u in range(4)]
+    assert corpus_digest(tmp_path) == DEFAULT_CORPUS_DIGEST
 
 
 @pytest.fixture(scope="module")
