@@ -123,7 +123,7 @@ def write_wav(path, wav: Waveform) -> None:
 
 
 def read_wav(path) -> Waveform:
-    """A 16-bit PCM mono file; a damaged one raises DataError naming ``path``."""
+    """A 16-bit PCM mono file; a damaged or empty one raises DataError naming ``path``."""
     try:
         with wave.open(str(path), "rb") as f:
             if f.getnchannels() != 1 or f.getsampwidth() != 2:
@@ -135,4 +135,6 @@ def read_wav(path) -> Waveform:
         raise DataError(f"{path}: not a readable WAV file ({reason})") from e
     if len(data) != 2 * n:
         raise DataError(f"{path}: data chunk cut short ({len(data)} of {2 * n} bytes)")
+    if n == 0:
+        raise DataError(f"{path}: data chunk is empty")
     return Waveform(np.frombuffer(data, dtype="<i2").astype(np.float64) / 32767.0, sr)

@@ -6,7 +6,7 @@ Exit codes (stable contract):
     3  I/O error (missing/unreadable/truncated files)
     4  training divergence guard tripped
     5  data mismatch or damaged input (e.g. unresolvable trial id, a WAV
-       file cut short or not a WAV file, text that is not UTF-8)
+       file cut short, empty or not a WAV file, text that is not UTF-8)
     6  gradient verification failure
 
 ``--seed`` (for ``train``: then the config file's ``seed``) falls back to the

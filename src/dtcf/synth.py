@@ -3,7 +3,9 @@
 Each synthetic speaker is a harmonic voice defined by three formant
 resonances, an F0 range, and a spectral tilt. Utterances are additive
 harmonic synthesis with a slowly wandering pitch contour plus low-level
-noise, peak-normalised, and written as 16-bit PCM wavs.
+noise, peak-normalised, and written as 16-bit PCM wavs. The harmonic bank
+is rendered over blocks of samples, so an utterance's working memory is
+bounded by the block, not by its length.
 
 Corpus layout written by ``synth_corpus``:
     wav/<utt_id>.wav
@@ -28,6 +30,9 @@ __all__ = ["SyntheticSpeakerSpec", "CorpusSummary", "synth_utterance",
 
 _NOISE_DB = -40.0
 _HELD_OUT_FRACTION = 0.25
+# Samples per block of the harmonic bank: its (harmonics, block) float64 arrays
+# stay near 2 MiB each at 72 harmonics, whatever the utterance's length.
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -81,11 +86,23 @@ def synth_utterance(spec: SyntheticSpeakerSpec, duration: float, utt_seed: int) 
     phase = 2.0 * np.pi * np.cumsum(f0) / SAMPLE_RATE
     ks = np.arange(1, n_harm + 1)[:, None]
 
-    # amplitudes vary slowly: evaluate on a coarse grid, then repeat
+    # amplitudes vary slowly: evaluate on a coarse grid, one column per 160 samples
     step = 160
     coarse = _formant_gain(ks * f0[None, ::step], spec.formants, spec.tilt_db_per_octave)
-    amp = np.repeat(coarse, step, axis=1)[:, :n]
-    sig = (amp * np.sin(ks * phase[None, :])).sum(axis=0)
+    # The bank over equal blocks of at most _BLOCK samples, in place in one buffer.
+    # Each sample gets the whole-utterance bank's float64 operations and sum(axis=0)
+    # adds the harmonics in order, so the samples are bit-identical to it; numpy
+    # would sum a one-sample block pairwise, and n >= 16000 leaves none. Allocated
+    # per block instead, the bank went back to the system after each block under
+    # glibc's default trim threshold, for about 9x the page faults.
+    sig = np.empty(n)
+    buf = np.empty(n_harm * _BLOCK)
+    for idx in np.array_split(np.arange(n), -(-n // _BLOCK)):
+        bank = buf[:n_harm * idx.size].reshape(n_harm, idx.size)
+        np.multiply(ks, phase[idx], out=bank)
+        np.sin(bank, out=bank)
+        bank *= coarse[:, idx // step]
+        sig[idx] = bank.sum(axis=0)
 
     sig = sig + rng.normal(size=n) * (10.0 ** (_NOISE_DB / 20.0)) * max(np.abs(sig).max(), 1e-9)
     sig = 0.95 * sig / np.abs(sig).max()

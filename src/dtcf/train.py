@@ -299,6 +299,12 @@ def train(model: SpeakerModel, head: AAMHead, corpus: Corpus, cfg: TrainConfig,
     batch larger than the corpus. Each checkpoint entry is read straight into
     the array of the model, head or optimizer that keeps it; a file that shrinks
     during that read raises CheckpointError and may leave them partly filled.
+
+    Under glibc it first sets the mmap threshold to 32 MiB and the trim
+    threshold to 1 GiB for the whole process (``_keep_freed_heap``), and both
+    outlive the call. Code that allocates afterwards in the same process takes
+    arrays up to 32 MiB from the heap, and what it frees is not returned to
+    the system, so its largest temporaries stay resident until the process exits.
     """
     if cfg.batch_size > len(corpus):
         raise ConfigError(f"batch_size {cfg.batch_size} is larger than the corpus's "

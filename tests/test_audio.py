@@ -7,6 +7,7 @@ import wave
 import numpy as np
 import pytest
 
+import dtcf.synth
 from dtcf.audio import (AugmentConfig, Waveform, fbank,
                         mel_filterbank, read_wav, spec_augment, write_wav)
 from dtcf.errors import ConfigError, DataError
@@ -169,7 +170,8 @@ class TestSynthUtteranceBlocks:
     on and around multiples of 4,096 samples (the render block) and of 160 (the
     amplitude grid's step): 16,000 and 160,000 are 1 s and 10 s, 16,384 is four
     blocks, 20,480 both five blocks and 128 grid steps, and a length one sample
-    past a multiple of the block leaves a one-sample remainder."""
+    past a multiple of the block would leave a one-sample block if the blocks
+    were cut at multiples of it (numpy sums a one-column array pairwise)."""
 
     @pytest.mark.parametrize("spec", [SPEC_LOW, SPEC_A, SPEC_B], ids=["72-harm", "60-harm", "34-harm"])
     @pytest.mark.parametrize("n", [16000, 160000, 16383, 16384, 16385, 20479, 20480, 20481, 40961])
@@ -178,6 +180,12 @@ class TestSynthUtteranceBlocks:
         wav = synth_utterance(spec, duration, utt_seed=n % 7)
         assert wav.samples.size == n
         assert np.array_equal(wav.samples, one_array_utterance(spec, duration, n % 7))
+
+    @pytest.mark.parametrize("block", [3, 159, 160, 161, 1000, 4095, 16383, 200000])
+    def test_any_block_size(self, monkeypatch, block):
+        monkeypatch.setattr(dtcf.synth, "_BLOCK", block)
+        wav = synth_utterance(SPEC_LOW, 16001 / 16000, utt_seed=1)
+        assert np.array_equal(wav.samples, one_array_utterance(SPEC_LOW, 16001 / 16000, 1))
 
     def test_memory_is_result_plus_a_block(self):
         """10 s at 72 harmonics: the working memory beyond the 1.2 MiB result
@@ -337,6 +345,16 @@ class TestDamagedWav:
     def test_data_shorter_than_its_header_says(self, tmp_path, valid, size):
         message, path = self.damaged(tmp_path, valid[:size])
         assert message == f"{path}: data chunk cut short ({size - 44} of 100 bytes)"
+
+    def test_no_frames(self, tmp_path):
+        with wave.open(str(tmp_path / "empty.wav"), "wb") as f:
+            f.setnchannels(1)
+            f.setsampwidth(2)
+            f.setframerate(16000)
+        data = (tmp_path / "empty.wav").read_bytes()
+        assert len(data) == 44                  # a well-formed header, an empty data chunk
+        message, path = self.damaged(tmp_path, data)
+        assert message == f"{path}: data chunk is empty"
 
 
 def stereo_wav(path):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import wave
 from pathlib import Path
 
 import numpy as np
@@ -558,13 +559,19 @@ def test_non_utf8_input_named(trained, tmp_path, capsys, command, name, first_li
     assert str(bad) in err and ("not UTF-8 text" in err or "can't decode byte 0xff" in err)
 
 
-@pytest.mark.parametrize("damage", ["not-wav", "cut-short"])
+@pytest.mark.parametrize("damage", ["not-wav", "cut-short", "no-frames"])
 @pytest.mark.parametrize("command", ["extract", "train"])
 def test_damaged_wav_named(trained, corpus_dir, tiny_config, tmp_path, capsys, command, damage):
     rows = read_manifest(corpus_dir / "train.csv")
     bad = tmp_path / "bad.wav"
-    bad.write_bytes(b"utt_id,speaker_id,path\n" if damage == "not-wav"
-                    else Path(rows[0][2]).read_bytes()[:101])
+    if damage == "no-frames":                   # a well-formed header, an empty data chunk
+        with wave.open(str(bad), "wb") as f:
+            f.setnchannels(1)
+            f.setsampwidth(2)
+            f.setframerate(16000)
+    else:
+        bad.write_bytes(b"utt_id,speaker_id,path\n" if damage == "not-wav"
+                        else Path(rows[0][2]).read_bytes()[:101])
     manifest = tmp_path / "bad.csv"
     manifest.write_text("utt_id,speaker_id,path\n" +
                         "".join(f"{utt},{spk},{bad}\n" for utt, spk, _ in rows))
