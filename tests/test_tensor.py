@@ -1,6 +1,11 @@
 """Tensor engine tests: forward oracles and gradient verification."""
 
+import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,6 +143,30 @@ FULL_WIDTH_CONVS = [
     (128, 256, 3, (2, 2), 150, 20), (128, 256, 1, (2, 2), 150, 20), (256, 256, 3, (1, 1), 75, 10)]
 
 
+def backward_block(cin, cout):
+    """Grid positions per block of conv2d's backward for these channel counts."""
+    return dtt._BLOCK_COLS
+
+
+# full_width_grads_digest() with one BLAS thread
+FULL_WIDTH_GRADS = "43bba0a42c139fb7ec1aebdfb26df80de21254241e3d228b0c0a52732b7cde8b"
+
+
+def full_width_grads_digest() -> str:
+    """sha256 over the float32 dx and dW of the full-width stem and stage-1 3x3 convs
+    at B=1 on 300 frames, for a seeded input and upstream gradient."""
+    digest = hashlib.sha256()
+    for cin, cout, kernel, stride, t, f in FULL_WIDTH_CONVS[:2]:
+        x = Tensor(rng(48).standard_normal((1, cin, t, f)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng(49).standard_normal((cout, cin, kernel, kernel)).astype(np.float32),
+                   requires_grad=True)
+        out = conv2d(x, w, stride, (kernel // 2, kernel // 2))
+        g = rng(50).standard_normal(out.shape).astype(np.float32)
+        (out * Tensor(g)).sum().backward()
+        digest.update(x.grad.tobytes() + w.grad.tobytes())
+    return digest.hexdigest()
+
+
 class TestConv2d:
     def test_one_by_one_identity(self):
         x = rng(7).normal(size=(1, 4, 5))
@@ -219,19 +248,21 @@ class TestConv2d:
     @pytest.mark.parametrize("b", [1, 3])
     @pytest.mark.parametrize("stride", [(1, 1), (1, 2), (2, 2)])
     @pytest.mark.parametrize("kernel", [3, 1])
-    def test_float64_against_im2col_over_many_blocks(self, b, stride, kernel):
+    @pytest.mark.parametrize("cin,cout", [(3, 5), (16, 20)])
+    def test_float64_against_im2col_over_many_blocks(self, b, stride, kernel, cin, cout):
         # 3 forward tiles per sample, not all of one height, and a phase grid of at
-        # least 3 backward blocks
+        # least 3 backward blocks, for channel counts on both sides of 16
         (sh, sw), p = stride, kernel // 2
-        f = sw * max(32, -(-3 * dtt._BLOCK_COLS // (b * (3 * dtt._TILE_ROWS + 2))))
+        block = backward_block(cin, cout)
+        f = sw * max(32, -(-3 * block // (b * (3 * dtt._TILE_ROWS + 2))))
         fo = (f + 2 * p - kernel) // sw + 1
         rows = max(dtt._TILE_ROWS, -(-dtt._TILE_POSITIONS // fo))
         t = sh * (3 * rows + 2)
         to = (t + 2 * p - kernel) // sh + 1
-        assert to // rows == 3 and to % 3 and b * (t // sh) * (f // sw) >= 3 * dtt._BLOCK_COLS
+        assert to // rows == 3 and to % 3 and b * (t // sh) * (f // sw) >= 3 * block
         padding = (p, p)
-        x = Tensor(rng(43).standard_normal((b, 3, t, f)), requires_grad=True)
-        w = Tensor(rng(44).standard_normal((5, 3, kernel, kernel)), requires_grad=True)
+        x = Tensor(rng(43).standard_normal((b, cin, t, f)), requires_grad=True)
+        w = Tensor(rng(44).standard_normal((cout, cin, kernel, kernel)), requires_grad=True)
         out = conv2d(x, w, stride, padding)
         g = rng(45).standard_normal(out.shape)
         (out * Tensor(g)).sum().backward()
@@ -240,15 +271,27 @@ class TestConv2d:
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_gradchecks_with_blocks_of_a_few_columns(self, monkeypatch):
-        # the float64 gradchecks above, with tiles of 2 rows and backward blocks of 5
-        # positions, so every tile and block edge lies inside their small grids
+        # the float64 gradchecks above, with tiles of 2 rows and every backward block
+        # constant at 5, so every tile and block edge lies inside their small grids
         monkeypatch.setattr(dtt, "_TILE_ROWS", 2)
         monkeypatch.setattr(dtt, "_TILE_POSITIONS", 1)
-        monkeypatch.setattr(dtt, "_BLOCK_COLS", 5)
+        for name in [n for n in vars(dtt) if n.startswith("_BLOCK_")]:
+            monkeypatch.setattr(dtt, name, 5)
+        assert backward_block(2, 3) == backward_block(2, 4) == 5
         self.test_gradients_via_finite_differences()
         for stride in [(1, 1), (1, 2), (2, 2)]:
             for kernel, padding in [(3, (1, 1)), (1, (0, 0))]:
                 self.test_batched_gradients_weighted_upstream(stride, kernel, padding)
+
+    def test_full_width_gradients_pinned(self):
+        # one BLAS thread in a fresh process, as for the toy step's digest in test_train.py
+        paths = [str(Path(__file__).parent), str(Path(dtt.__file__).parents[1])]
+        child = subprocess.run(
+            [sys.executable, "-c", "from test_tensor import full_width_grads_digest as d; print(d())"],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(paths)},
+            capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.strip() == FULL_WIDTH_GRADS
 
     def test_forward_peak_is_output_padded_input_and_two_tiles(self):
         # a full-width stage-1 conv on 300 frames: one GEMM over all its im2col columns
