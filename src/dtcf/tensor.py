@@ -243,9 +243,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # kernel matrix (2.4 MB at 256 channels). At these sizes OpenBLAS keeps the
 # bits of the one-GEMM product; 16-row tiles do not.
 _TILE_ROWS, _TILE_POSITIONS = 32, 1024
-# Backward positions per tap GEMM: at <= 32 float32 channels a block of gf with
-# its block of xq or dq (1 MiB) stays in a 2 MiB L2 across a phase's taps.
-_BLOCK_COLS = 4096
+# Backward blocks are sized by values per operand, not by positions: a block of gf
+# with its block of xq or dq stays in a 2 MiB L2 across a phase's taps. 65,536
+# values (256 KiB of float32) give 16,384 positions at 4 channels and 8,192 at 8,
+# where 4,096 positions made hundreds of tiny GEMMs per conv; from 16 channels up
+# the floor of 4,096 positions holds, the best block there.
+_BLOCK_COLS, _BLOCK_VALUES = 4096, 65536
+
+
+def _block_positions(cin: int, cout: int) -> int:
+    """Grid positions per block of the backward of a conv from cin to cout channels."""
+    return max(_BLOCK_COLS, _BLOCK_VALUES // max(cin, cout))
 
 
 def _phase_cut(u: int, stride: int, pad: int, size: int) -> tuple[slice, slice]:
@@ -322,22 +330,23 @@ def conv2d(x: Tensor, kernels: Tensor, stride=(1, 1), padding=(0, 0)) -> Tensor:
         wt = np.ascontiguousarray(kernels.data.transpose(2, 3, 1, 0))
         dw = np.zeros((kh, kw, cin, cout), dtype=kernels.dtype)
         dx = np.zeros(x.shape, dtype=x.dtype)
+        block = _block_positions(cin, cout)
         for (u, v), phase_taps in taps.items():
             (qu, ru), (qv, rv) = _phase_cut(u, sh, ph, t), _phase_cut(v, sw, pw, f)
             if kernels.requires_grad:
                 xq = np.zeros((cin, b, tq, fq), dtype=x.dtype)
                 xq[:, :, qu, qv] = x.data[:, :, ru, rv].transpose(1, 0, 2, 3)
                 xq = xq.reshape(cin, n)
-                for lo in range(0, n, _BLOCK_COLS):
+                for lo in range(0, n, block):
                     for di, dj, s in phase_taps:
-                        hi = min(lo + _BLOCK_COLS, n - s)
+                        hi = min(lo + block, n - s)
                         dw[di, dj] += xq[:, lo + s:hi + s] @ gf[:, lo:hi].T
                 del xq
             if x.requires_grad:
                 dq = np.zeros((cin, n), dtype=x.dtype)
-                for lo in range(0, n, _BLOCK_COLS):
+                for lo in range(0, n, block):
                     for di, dj, s in phase_taps:
-                        hi = min(lo + _BLOCK_COLS, n - s)
+                        hi = min(lo + block, n - s)
                         dq[:, lo + s:hi + s] += wt[di, dj] @ gf[:, lo:hi]
                 dx[:, :, ru, rv] = dq.reshape(cin, b, tq, fq)[:, :, qu, qv].transpose(1, 0, 2, 3)
         if kernels.requires_grad:

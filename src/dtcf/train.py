@@ -296,7 +296,9 @@ def train(model: SpeakerModel, head: AAMHead, corpus: Corpus, cfg: TrainConfig,
     un-resumed trajectory exactly. A checkpoint at or past ``cfg.steps``, from
     a corpus with other speakers or another utterance count, or whose loop
     state is malformed, is refused before anything is restored or written, as is a
-    batch larger than the corpus. Each checkpoint entry is read straight into
+    batch larger than the corpus. Every row's features are read before
+    ``out_dir`` is made, so a damaged or missing WAV file raises before step 1
+    and makes no directory. Each checkpoint entry is read straight into
     the array of the model, head or optimizer that keeps it; a file that shrinks
     during that read raises CheckpointError and may leave them partly filled.
 
@@ -358,6 +360,8 @@ def train(model: SpeakerModel, head: AAMHead, corpus: Corpus, cfg: TrainConfig,
         load_checkpoint(resume_from, into)
         order = np.array(order)
 
+    for index in range(len(corpus)):      # a bad WAV file stops the run before a file is written
+        corpus.features(index)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = out_dir / "checkpoint.bin"

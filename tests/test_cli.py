@@ -267,7 +267,7 @@ class TestTrain:
 
 # checkpoint of the tiny config trained with seed 0, the seed a run gets when neither
 # --seed, the config file nor DTCF_SEED gives one
-SEED_0_CHECKPOINT = "32ba00c0bb512b64f162ef0bb135f8ee4b185f573f3e1e55b405d7d1261c957a"
+SEED_0_CHECKPOINT = "82545aaccaa9f59f9635f748a818d501795e8c6eb1d574de2497f4ad67bc4c10"
 # the trained fixture's embeddings of the full manifest, and its eval line and score
 # file on the trial list
 TRAINED_EXTRACT = "b3d00a72f811ccfb6431362937e8a2f178803c4a2eb57bdb2c81e788bff85b4e"
@@ -583,7 +583,26 @@ def test_damaged_wav_named(trained, corpus_dir, tiny_config, tmp_path, capsys, c
     assert main(argv) == 5
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
-    assert not out.exists() if command == "extract" else not (out / "checkpoint.bin").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("damage, code", [("cut-short", 5), ("missing", 3)])
+def test_train_finds_a_bad_late_row_before_step_1(corpus_dir, tiny_config, tmp_path, capsys,
+                                                  damage, code):
+    # only the manifest's last row is bad, and 3 steps of 2 draw at most 6 of its rows
+    rows = read_manifest(corpus_dir / "train.csv")
+    bad = tmp_path / "bad.wav"
+    if damage == "cut-short":
+        bad.write_bytes(Path(rows[-1][2]).read_bytes()[:101])
+    manifest = tmp_path / "late.csv"
+    manifest.write_text("utt_id,speaker_id,path\n" + "".join(
+        f"{utt},{spk},{path}\n" for utt, spk, path in rows[:-1]) + f"{rows[-1][0]},{rows[-1][1]},{bad}\n")
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(tiny_config), "--manifest", str(manifest),
+                 "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert str(bad) in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 class TestEval:

@@ -143,11 +143,6 @@ FULL_WIDTH_CONVS = [
     (128, 256, 3, (2, 2), 150, 20), (128, 256, 1, (2, 2), 150, 20), (256, 256, 3, (1, 1), 75, 10)]
 
 
-def backward_block(cin, cout):
-    """Grid positions per block of conv2d's backward for these channel counts."""
-    return dtt._BLOCK_COLS
-
-
 # full_width_grads_digest() with one BLAS thread
 FULL_WIDTH_GRADS = "43bba0a42c139fb7ec1aebdfb26df80de21254241e3d228b0c0a52732b7cde8b"
 
@@ -253,7 +248,7 @@ class TestConv2d:
         # 3 forward tiles per sample, not all of one height, and a phase grid of at
         # least 3 backward blocks, for channel counts on both sides of 16
         (sh, sw), p = stride, kernel // 2
-        block = backward_block(cin, cout)
+        block = dtt._block_positions(cin, cout)
         f = sw * max(32, -(-3 * block // (b * (3 * dtt._TILE_ROWS + 2))))
         fo = (f + 2 * p - kernel) // sw + 1
         rows = max(dtt._TILE_ROWS, -(-dtt._TILE_POSITIONS // fo))
@@ -277,7 +272,7 @@ class TestConv2d:
         monkeypatch.setattr(dtt, "_TILE_POSITIONS", 1)
         for name in [n for n in vars(dtt) if n.startswith("_BLOCK_")]:
             monkeypatch.setattr(dtt, name, 5)
-        assert backward_block(2, 3) == backward_block(2, 4) == 5
+        assert dtt._block_positions(2, 3) == dtt._block_positions(2, 4) == 5
         self.test_gradients_via_finite_differences()
         for stride in [(1, 1), (1, 2), (2, 2)]:
             for kernel, padding in [(3, (1, 1)), (1, (0, 0))]:

@@ -541,7 +541,7 @@ class TestTrainLoop:
 
 # toy_step_digest() with one BLAS thread; conv2d's kernel gradient, summed tap by tap
 # and block by block, sets its bits
-TOY_STEP_GRADS = "7488548f12ffd6b924c658b478d7cc84086791be1254a3e5c71465ed85a18fea"
+TOY_STEP_GRADS = "7e2a091b9d3679778d4197a4f6ad6e059b9662d74c7b012cf40e12dd457d115c"
 
 
 def toy_step(backbone=BackboneConfig(widths=(4, 8, 16, 32), blocks=(1, 1, 1, 1),
