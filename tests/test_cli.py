@@ -589,14 +589,15 @@ def test_damaged_wav_named(trained, corpus_dir, tiny_config, tmp_path, capsys, c
 @pytest.mark.parametrize("damage, code", [("cut-short", 5), ("missing", 3)])
 def test_train_finds_a_bad_late_row_before_step_1(corpus_dir, tiny_config, tmp_path, capsys,
                                                   damage, code):
-    # only the manifest's last row is bad, and 3 steps of 2 draw at most 6 of its rows
-    rows = read_manifest(corpus_dir / "train.csv")
+    # only the last of the manifest's 12 rows is bad, and 3 steps of 2 draw 6 of them
+    rows = read_manifest(corpus_dir / "manifest.csv")
     bad = tmp_path / "bad.wav"
     if damage == "cut-short":
         bad.write_bytes(Path(rows[-1][2]).read_bytes()[:101])
+    rows[-1] = (*rows[-1][:2], bad)
     manifest = tmp_path / "late.csv"
-    manifest.write_text("utt_id,speaker_id,path\n" + "".join(
-        f"{utt},{spk},{path}\n" for utt, spk, path in rows[:-1]) + f"{rows[-1][0]},{rows[-1][1]},{bad}\n")
+    manifest.write_text("utt_id,speaker_id,path\n" +
+                        "".join(f"{utt},{spk},{path}\n" for utt, spk, path in rows))
     out = tmp_path / "out"
     assert main(["train", "--config", str(tiny_config), "--manifest", str(manifest),
                  "--out", str(out)]) == code

@@ -243,10 +243,9 @@ class TestConv2d:
     @pytest.mark.parametrize("b", [1, 3])
     @pytest.mark.parametrize("stride", [(1, 1), (1, 2), (2, 2)])
     @pytest.mark.parametrize("kernel", [3, 1])
-    @pytest.mark.parametrize("cin,cout", [(3, 5), (16, 20)])
-    def test_float64_against_im2col_over_many_blocks(self, b, stride, kernel, cin, cout):
+    def test_float64_against_im2col_over_many_blocks(self, b, stride, kernel, cin=3, cout=5):
         # 3 forward tiles per sample, not all of one height, and a phase grid of at
-        # least 3 backward blocks, for channel counts on both sides of 16
+        # least 3 backward blocks
         (sh, sw), p = stride, kernel // 2
         block = dtt._block_positions(cin, cout)
         f = sw * max(32, -(-3 * block // (b * (3 * dtt._TILE_ROWS + 2))))
@@ -264,6 +263,14 @@ class TestConv2d:
         refs = im2col_conv2d(x.data, w.data, stride, padding, g)
         for got, ref in zip((out.data, x.grad, w.grad), refs):
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("b", [1, 3])
+    @pytest.mark.parametrize("stride", [(1, 1), (1, 2), (2, 2)])
+    @pytest.mark.parametrize("kernel", [3, 1])
+    def test_float64_against_im2col_over_many_blocks_from_16_channels(self, b, stride, kernel):
+        # the test above with the other branch of the block rule: blocks of positions,
+        # not of values
+        self.test_float64_against_im2col_over_many_blocks(b, stride, kernel, 16, 20)
 
     def test_gradchecks_with_blocks_of_a_few_columns(self, monkeypatch):
         # the float64 gradchecks above, with tiles of 2 rows and every backward block
