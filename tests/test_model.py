@@ -1,10 +1,13 @@
 """Backbone, pooling, and embedding tests."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from dtcf.attention import DTCFBlock, SEBlock
 from dtcf.errors import ConfigError, ShapeError
+from dtcf.loss import AAMHead
 from dtcf.model import ATTENTION_KINDS, ASPHead, BackboneConfig, ResidualBlock, SpeakerModel
 from dtcf.tensor import Tensor, grad_check, no_grad
 
@@ -310,3 +313,44 @@ def test_wrong_channel_count_raises(call):
 def test_named_input_errors(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+def initial_values_digest(module) -> str:
+    """sha256 over each parameter and buffer in walk order: its name, dtype and shape, then its bytes."""
+    digest = hashlib.sha256()
+    for name, arr in [(n, p.data) for n, p in module.named_params()] + module.named_buffers():
+        digest.update(f"{name} {arr.dtype.str} {arr.shape}\n".encode())
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    return digest.hexdigest()
+
+
+# initial_values_digest of SpeakerModel(seed=3) by (width, attention, dtype): the seeded draw's
+# values and order, which every seeded run and pinned digest downstream rests on
+SEED_3_MODELS = {
+    ("toy", "none", "float32"): "4c1622424adb882101daaaf07a9f84a121ab7c3476a2f3b97ef3b38bda5579da",
+    ("toy", "none", "float64"): "8507ad8762fc1b1cc646320ed735480a40dd7f276d87a1123833001b12581740",
+    ("toy", "se", "float32"): "2ac1a7549df2c9b7a68444632d717465271be41cec7fdaa575c01d10e32b2178",
+    ("toy", "se", "float64"): "5b051e3e256bc6b0aa04294d1ccda2ede3223bdea61af878b28534dd7bfded64",
+    ("toy", "dtcf", "float32"): "7b772248ba36fd98e69eb638e606e669da42ddab3768e76aff7c30b5b7839dd0",
+    ("toy", "dtcf", "float64"): "24a9809cf94196323034faa475baafe4b01b2f96725c2e7f0b21233028d320c3",
+    ("full", "none", "float32"): "098d983c93c0c626ac88ba1efcfe42b88a6c6d8916e18a01814a4e96391f825f",
+    ("full", "none", "float64"): "4acd6b6739d1ea7909b2faa6cad0311436aa7820d7222c9521b256fec083f795",
+    ("full", "se", "float32"): "4526dc8885166599140bea22d764481d8445af19575285f4ce0d606da5b6c143",
+    ("full", "se", "float64"): "f58e0c4893735b3ec68ebc422140de51f06d717de173066ffedf5030ef97964e",
+    ("full", "dtcf", "float32"): "7ab1bff42ec3d5541584dc8fa91a32f7737d7bb6036cb535909a0df2a0426790",
+    ("full", "dtcf", "float64"): "d88acdf69a74e4a0ca7781faf795585239522f6a22c92c3566554a29904a0bcf",
+}
+AAM_HEAD_7_512_SEED_9 = "f24d386c19e83ff894aedf1701793f96757644c47f8247d48f5e773cbbdd4d98"
+
+
+@pytest.mark.parametrize("width, kind, dtype", list(SEED_3_MODELS),
+                         ids=["-".join(key) for key in SEED_3_MODELS])
+def test_seeded_initial_values_pinned(width, kind, dtype):
+    cfg = BackboneConfig(**(TOY if width == "toy" else {}), attention=kind)
+    model = SpeakerModel(cfg, seed=3, dtype=np.dtype(dtype).type)
+    assert initial_values_digest(model) == SEED_3_MODELS[width, kind, dtype]
+
+
+def test_seeded_head_initial_values_pinned():
+    head = AAMHead(7, 512, rng=rng(9))
+    assert initial_values_digest(head) == AAM_HEAD_7_512_SEED_9
