@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .layers import Module, xavier_uniform
+from .layers import Module, parameter
 from .tensor import Tensor, _node, matmul, mean_axis, reshape, transpose
 
 __all__ = ["SEBlock", "DTCFBlock", "reduced_channels"]
@@ -86,11 +86,10 @@ def _per_column(w: Tensor, u: Tensor) -> Tensor:
 class SEBlock(Module):
     """Squeeze-and-excitation: global-average squeeze, two bias-free FC layers, sigmoid gate."""
 
-    def __init__(self, channels: int, reduction: int, *, rng: np.random.Generator,
-                 dtype=np.float32):
+    def __init__(self, channels: int, reduction: int, *, dtype=np.float32):
         c_red = reduced_channels(channels, reduction)
-        self.w1 = xavier_uniform(rng, (c_red, channels), dtype)
-        self.w2 = xavier_uniform(rng, (channels, c_red), dtype)
+        self.w1 = parameter(np.zeros((c_red, channels), dtype=dtype))
+        self.w2 = parameter(np.zeros((channels, c_red), dtype=dtype))
 
     def squeeze(self, x: Tensor) -> Tensor:
         """Mean over time and frequency: (B,C,T,F) -> (B,C)."""
@@ -119,12 +118,11 @@ class DTCFBlock(Module):
     Attention draws it, is the same as encoding each profile.
     """
 
-    def __init__(self, channels: int, reduction: int, *, rng: np.random.Generator,
-                 dtype=np.float32):
+    def __init__(self, channels: int, reduction: int, *, dtype=np.float32):
         c_red = reduced_channels(channels, reduction)
-        self.w1 = xavier_uniform(rng, (c_red, channels), dtype)
-        self.w2 = xavier_uniform(rng, (channels, c_red), dtype)
-        self.w3 = xavier_uniform(rng, (channels, c_red), dtype)
+        self.w1 = parameter(np.zeros((c_red, channels), dtype=dtype))
+        self.w2 = parameter(np.zeros((channels, c_red), dtype=dtype))
+        self.w3 = parameter(np.zeros((channels, c_red), dtype=dtype))
 
     def pool(self, x: Tensor) -> tuple[Tensor, Tensor]:
         """Parallel means: xcf (B,C,F) over time, xct (B,C,T) over frequency."""

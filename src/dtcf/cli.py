@@ -28,6 +28,7 @@ from .audio import AugmentConfig, fbank, read_wav
 from .config import SCHEMA, load_config
 from .errors import (CheckpointError, ConfigError, DataError, DivergenceError,
                      DomainError, GradCheckError, ShapeError)
+from .layers import draw
 from .metrics import (DCFParams, compute_eer, compute_min_dcf, export_embeddings,
                       read_embeddings, score_trials, write_scores)
 from .model import ATTENTION_BLOCKS, ATTENTION_KINDS, BackboneConfig
@@ -78,7 +79,8 @@ def cmd_train(args) -> int:
 
     backbone = _from_config(BackboneConfig, cfg)
     corpus = Corpus.load(cfg["manifest"], backbone.n_mels)
-    model, head = build_model_and_head(backbone, corpus.n_speakers, cfg["seed"],
+    seed = None if args.resume else cfg["seed"]     # a resume takes every value from its checkpoint
+    model, head = build_model_and_head(backbone, corpus.n_speakers, seed,
                                        **{k: cfg[k] for k in ("scale", "margin") if k in cfg})
     print(f"params={model.param_count()} attention={cfg['attention']} "
           f"speakers={corpus.n_speakers}")
@@ -137,7 +139,7 @@ def cmd_gradcheck(args) -> int:
     seed = _seed_default(args.seed)
     rng = np.random.default_rng(seed)
     kind = args.attention
-    block = ATTENTION_BLOCKS[kind](c, args.reduction, rng=rng, dtype=np.float64)
+    block = draw(ATTENTION_BLOCKS[kind](c, args.reduction, dtype=np.float64), rng)
     x = Tensor(rng.normal(size=(1, c, t, f)))
 
     def scalar(_ignored):

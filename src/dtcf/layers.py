@@ -1,9 +1,10 @@
 """Parameterised layers assembled from the tensor engine.
 
-Initialisation scheme (deterministic given the supplied Generator):
-conv kernels He-uniform, batchnorm gamma=1 beta=0, linear weights
-Xavier-uniform with zero bias. Fans come from the weight's shape: fan-in is
-the product of every axis after the first, and fan-out the first axis.
+A layer's constructor only declares its parameters: weights and biases as
+zeros, batchnorm gamma=1 beta=0. Initial values come from one seeded walk,
+``draw`` (conv kernels He-uniform, linear weights Xavier-uniform), or from a
+checkpoint. Fans come from the weight's shape: fan-in is the product of
+every axis after the first, and fan-out the first axis.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ import numpy as np
 from .errors import ConfigError
 from .tensor import Tensor, _node, conv2d, matmul, reshape, transpose
 
-__all__ = ["Module", "Conv2dLayer", "BatchNorm2d", "LinearLayer", "parameter",
-           "he_uniform", "xavier_uniform"]
+__all__ = ["Module", "Conv2dLayer", "BatchNorm2d", "LinearLayer", "parameter", "draw"]
 
 
 def parameter(data: np.ndarray) -> Tensor:
@@ -26,16 +26,6 @@ def parameter(data: np.ndarray) -> Tensor:
     p = Tensor(data)
     p.requires_grad = True
     return p
-
-
-def he_uniform(rng: np.random.Generator, shape, dtype=np.float32) -> Tensor:
-    limit = np.sqrt(6.0 / np.prod(shape[1:]))
-    return parameter(rng.uniform(-limit, limit, shape).astype(dtype))
-
-
-def xavier_uniform(rng: np.random.Generator, shape, dtype=np.float32) -> Tensor:
-    limit = np.sqrt(6.0 / (shape[0] + shape[1]))
-    return parameter(rng.uniform(-limit, limit, shape).astype(dtype))
 
 
 class Module:
@@ -65,17 +55,27 @@ class Module:
         return sum(p.data.size for _, p in self.named_params())
 
 
+def draw(module: Module, rng: np.random.Generator) -> Module:
+    """Fill ``module``'s rank-4 (He) and rank-2 (Xavier) weights in place, in
+    ``named_params()`` order, and return it; biases and batchnorm terms keep their values."""
+    for _, p in module.named_params():
+        if p.ndim in (2, 4):
+            limit = np.sqrt(6.0 / (np.prod(p.shape[1:]) if p.ndim == 4 else sum(p.shape)))
+            p.data[...] = rng.uniform(-limit, limit, p.shape)
+    return module
+
+
 class Conv2dLayer(Module):
     """2-D convolution without bias (a batchnorm always follows), padded by kernel // 2."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel=(3, 3), stride=(1, 1), *,
-                 rng: np.random.Generator, dtype=np.float32):
+                 dtype=np.float32):
         kh, kw = kernel
         if kh < 1 or kw < 1 or in_channels < 1 or out_channels < 1:
             raise ConfigError("kernel dims and channel counts must be positive")
         self.stride = tuple(stride)
         self.padding = (kh // 2, kw // 2)
-        self.kernels = he_uniform(rng, (out_channels, in_channels, kh, kw), dtype)
+        self.kernels = parameter(np.zeros((out_channels, in_channels, kh, kw), dtype=dtype))
 
     def forward(self, x: Tensor) -> Tensor:
         return conv2d(x, self.kernels, self.stride, self.padding)
@@ -158,9 +158,8 @@ def _bn_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float):
 class LinearLayer(Module):
     """Fully connected layer: weight (out, in) plus bias."""
 
-    def __init__(self, in_features: int, out_features: int, *, rng: np.random.Generator,
-                 dtype=np.float32):
-        self.weight = xavier_uniform(rng, (out_features, in_features), dtype)
+    def __init__(self, in_features: int, out_features: int, *, dtype=np.float32):
+        self.weight = parameter(np.zeros((out_features, in_features), dtype=dtype))
         self.bias = parameter(np.zeros(out_features, dtype=dtype))
 
     def forward(self, x: Tensor) -> Tensor:

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError
-from .layers import Module, xavier_uniform
+from .layers import Module, draw, parameter
 from .tensor import Tensor, matmul, sum_axis, transpose
 
 __all__ = ["AAMHead", "ce_loss_batch"]
@@ -23,15 +23,18 @@ _SIN_EPS = 1e-12  # keeps d/dcos sqrt(1-cos^2) finite at exact parallelism
 
 
 class AAMHead(Module):
-    """Speaker classification head with scaled-cosine margin logits."""
+    """Speaker classification head with scaled-cosine margin logits; its weights
+    are drawn from ``rng``, or left zero for a checkpoint when it is None."""
 
     def __init__(self, n_classes: int, emb_dim: int, scale: float = 30.0,
-                 margin: float = 0.2, *, rng: np.random.Generator, dtype=np.float32):
+                 margin: float = 0.2, *, rng: np.random.Generator | None, dtype=np.float32):
         self.check(n_classes, scale, margin)
         self.scale = scale
         self.margin = margin
         self.n_classes = n_classes
-        self.weights = xavier_uniform(rng, (n_classes, emb_dim), dtype)
+        self.weights = parameter(np.zeros((n_classes, emb_dim), dtype=dtype))
+        if rng is not None:
+            draw(self, rng)
 
     @staticmethod
     def check(n_classes: int, scale: float, margin: float) -> None:

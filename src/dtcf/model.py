@@ -23,7 +23,7 @@ import numpy as np
 
 from .attention import DTCFBlock, SEBlock
 from .errors import ConfigError, ShapeError
-from .layers import BatchNorm2d, Conv2dLayer, LinearLayer, Module, parameter, xavier_uniform
+from .layers import BatchNorm2d, Conv2dLayer, LinearLayer, Module, draw, parameter
 from .tensor import Tensor, concat, matmul, no_grad, reshape, sum_axis, transpose
 
 __all__ = ["BackboneConfig", "ResidualBlock", "ASPHead", "SpeakerModel"]
@@ -77,21 +77,21 @@ class ResidualBlock(Module):
     """conv-bn-relu-conv-bn, attention gate, then skip addition and relu."""
 
     def __init__(self, in_channels: int, out_channels: int, stride=(1, 1), *,
-                 attention: str, reduction: int, rng: np.random.Generator, dtype=np.float32):
-        self.conv1 = Conv2dLayer(in_channels, out_channels, stride=stride, rng=rng, dtype=dtype)
+                 attention: str, reduction: int, dtype=np.float32):
+        self.conv1 = Conv2dLayer(in_channels, out_channels, stride=stride, dtype=dtype)
         self.bn1 = BatchNorm2d(out_channels, dtype=dtype)
-        self.conv2 = Conv2dLayer(out_channels, out_channels, rng=rng, dtype=dtype)
+        self.conv2 = Conv2dLayer(out_channels, out_channels, dtype=dtype)
         self.bn2 = BatchNorm2d(out_channels, dtype=dtype)
         if stride != (1, 1) or in_channels != out_channels:
             self.down_conv = Conv2dLayer(in_channels, out_channels, kernel=(1, 1),
-                                         stride=stride, rng=rng, dtype=dtype)
+                                         stride=stride, dtype=dtype)
             self.down_bn = BatchNorm2d(out_channels, dtype=dtype)
         else:
             self.down_conv = None
             self.down_bn = None
         self.attn = None
         if attention != "none":
-            self.attn = ATTENTION_BLOCKS[attention](out_channels, reduction, rng=rng, dtype=dtype)
+            self.attn = ATTENTION_BLOCKS[attention](out_channels, reduction, dtype=dtype)
 
     def forward(self, x: Tensor, training: bool = False) -> Tensor:
         main = self.bn1.forward(self.conv1.forward(x), training).relu()
@@ -115,11 +115,10 @@ class ASPHead(Module):
 
     eps = 1e-9   # keeps the standard deviation's gradient finite at zero spread
 
-    def __init__(self, in_dim: int, hidden: int, *, rng: np.random.Generator,
-                 dtype=np.float32):
-        self.w = xavier_uniform(rng, (hidden, in_dim), dtype)
+    def __init__(self, in_dim: int, hidden: int, *, dtype=np.float32):
+        self.w = parameter(np.zeros((hidden, in_dim), dtype=dtype))
         self.b = parameter(np.zeros(hidden, dtype=dtype))
-        self.v = xavier_uniform(rng, (hidden, 1), dtype)
+        self.v = parameter(np.zeros((hidden, 1), dtype=dtype))
 
     def _frames(self, fmap: Tensor) -> Tensor:
         b, c, t, f = fmap.shape
@@ -146,16 +145,16 @@ class ASPHead(Module):
 
 
 class SpeakerModel(Module):
-    """Backbone + pooling + embedding layer. Construction is rng-seeded."""
+    """Backbone + pooling + embedding layer; its weights are drawn from ``seed``,
+    or left zero for a checkpoint when it is None."""
 
     MIN_FRAMES = 8
 
-    def __init__(self, config: BackboneConfig, seed: int = 0, dtype=np.float32):
-        rng = np.random.default_rng(seed)
+    def __init__(self, config: BackboneConfig, seed: int | None = 0, dtype=np.float32):
         self.config = config
         self.dtype = dtype
         w = config.widths
-        self.stem_conv = Conv2dLayer(1, w[0], rng=rng, dtype=dtype)
+        self.stem_conv = Conv2dLayer(1, w[0], dtype=dtype)
         self.stem_bn = BatchNorm2d(w[0], dtype=dtype)
         self.stages: list[list[ResidualBlock]] = []
         in_ch = w[0]
@@ -164,14 +163,15 @@ class SpeakerModel(Module):
             for j in range(count):
                 stage.append(ResidualBlock(
                     in_ch, width, stride=stride if j == 0 else (1, 1),
-                    attention=config.attention, reduction=config.reduction,
-                    rng=rng, dtype=dtype))
+                    attention=config.attention, reduction=config.reduction, dtype=dtype))
                 in_ch = width
             self.stages.append(stage)
         self._final_freq = self._trace_freq(config)
         stats_dim = w[-1] * self._final_freq
-        self.asp = ASPHead(stats_dim, config.asp_hidden, rng=rng, dtype=dtype)
-        self.emb = LinearLayer(2 * stats_dim, config.emb_dim, rng=rng, dtype=dtype)
+        self.asp = ASPHead(stats_dim, config.asp_hidden, dtype=dtype)
+        self.emb = LinearLayer(2 * stats_dim, config.emb_dim, dtype=dtype)
+        if seed is not None:
+            draw(self, np.random.default_rng(seed))
 
     @staticmethod
     def _trace_freq(cfg: BackboneConfig) -> int:

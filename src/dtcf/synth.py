@@ -203,9 +203,10 @@ def _write_manifest(path: Path, rows) -> None:
 
 
 def read_manifest(path) -> list[tuple[str, str, Path]]:
-    """Rows of (utt_id, speaker_id, absolute path); paths resolve from the manifest."""
+    """Rows of (utt_id, speaker_id, absolute path); paths resolve from the manifest.
+    A row that repeats an earlier row's utt_id raises DataError naming its line."""
     path = Path(path)
-    out = []
+    out, seen = [], set()
     with utf8_input(path), open(path, encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
@@ -215,6 +216,9 @@ def read_manifest(path) -> list[tuple[str, str, Path]]:
             if len(row) != 3:
                 raise DataError(f"{path}: bad manifest row {row}")
             utt, spk, rel = row
+            if utt in seen:
+                raise DataError(f"{path}:{reader.line_num}: utt_id {utt!r} repeats an earlier row")
+            seen.add(utt)
             out.append((utt, spk, (path.parent / rel).resolve()))
     if not out:
         raise DataError(f"{path}: empty manifest")

@@ -104,6 +104,9 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 2 (batchnorm statistics)")
         if self.steps < 1 or self.crop < SpeakerModel.MIN_FRAMES or self.checkpoint_every < 1:
             raise ConfigError(f"steps >= 1, crop >= {SpeakerModel.MIN_FRAMES}, checkpoint_every >= 1")
+        if self.augment.time_mask_max >= self.crop:
+            raise ConfigError(f"time_mask_max {self.augment.time_mask_max} must be smaller "
+                              f"than crop {self.crop}")
 
 
 class Corpus:
@@ -177,11 +180,11 @@ def save_training_state(path, model: SpeakerModel, head: AAMHead, opt: AdamState
                     {"step": opt.step, **(extra or {})})
 
 
-def build_model_and_head(backbone: BackboneConfig, n_classes: int, seed: int = 0, **head):
-    """The model, seeded by ``seed``, and its AAMHead, seeded by ``seed + 1`` and given ``head``."""
-    model = SpeakerModel(backbone, seed=seed)
-    head = AAMHead(n_classes, backbone.emb_dim, **head, rng=np.random.default_rng(seed + 1))
-    return model, head
+def build_model_and_head(backbone: BackboneConfig, n_classes: int, seed: int | None = 0, **head):
+    """The model, drawn from ``seed``, and its AAMHead, drawn from ``seed + 1`` and given
+    ``head``; with ``seed=None`` both are left undrawn for a checkpoint to fill."""
+    rng = None if seed is None else np.random.default_rng(seed + 1)
+    return SpeakerModel(backbone, seed=seed), AAMHead(n_classes, backbone.emb_dim, **head, rng=rng)
 
 
 def _read_state(path, config: dict, extra: dict):
@@ -213,15 +216,15 @@ def _malformed(path, key: str, value):
 def load_training_state(path):
     """Rebuild (model, head, opt, extra) from a checkpoint file.
 
-    They are built from the header, and each entry is read straight into the
-    array of theirs that keeps it.
+    They are built from the header, undrawn, and each entry is read straight
+    into the array of theirs that keeps it.
     """
     state = []
 
     def into(config, extra):
         backbone, head_fields, step = _read_state(path, config, extra)
         with _malformed(path, "config 'backbone' and 'head'", (backbone, head_fields)):
-            model, head = build_model_and_head(backbone, **head_fields)
+            model, head = build_model_and_head(backbone, seed=None, **head_fields)
         opt = AdamState(_named_params(model, head))
         opt.step = step
         state.extend((model, head, opt))
@@ -232,13 +235,16 @@ def load_training_state(path):
 
 
 def load_model(path) -> SpeakerModel:
-    """The model of a checkpoint file, built from its header; only ``model.*`` entries are read."""
+    """The model of a checkpoint file, built undrawn from its header; only ``model.*`` entries are read.
+    It first sets the process-wide heap thresholds as ``train()`` does (``_keep_freed_heap``),
+    so each later ``embed`` reuses the heap the previous one freed."""
+    _keep_freed_heap()
     models = []
 
     def into(config, extra):
         backbone, _, _ = _read_state(path, config, extra)
         with _malformed(path, "config 'backbone'", backbone):
-            models.append(SpeakerModel(backbone))
+            models.append(SpeakerModel(backbone, seed=None))
         return _state_tensors(models[0])
 
     load_checkpoint(path, into)
@@ -295,12 +301,13 @@ def train(model: SpeakerModel, head: AAMHead, corpus: Corpus, cfg: TrainConfig,
     loop continues from the saved step to ``cfg.steps``, reproducing the
     un-resumed trajectory exactly. A checkpoint at or past ``cfg.steps``, from
     a corpus with other speakers or another utterance count, or whose loop
-    state is malformed, is refused before anything is restored or written, as is a
-    batch larger than the corpus. Every row's features are read before
-    ``out_dir`` is made, so a damaged or missing WAV file raises before step 1
-    and makes no directory. Each checkpoint entry is read straight into
-    the array of the model, head or optimizer that keeps it; a file that shrinks
-    during that read raises CheckpointError and may leave them partly filled.
+    state is malformed, is refused before anything is restored or written, as are a
+    batch larger than the corpus and a ``freq_mask_max`` of at least the model's
+    ``n_mels``. Every row's features are read before ``out_dir`` is made, so a
+    damaged or missing WAV file raises before step 1 and makes no directory.
+    Each checkpoint entry is read straight into the array of the model, head or
+    optimizer that keeps it; a file that shrinks during that read raises
+    CheckpointError and may leave them partly filled.
 
     Under glibc it first sets the mmap threshold to 32 MiB and the trim
     threshold to 1 GiB for the whole process (``_keep_freed_heap``), and both
@@ -311,6 +318,9 @@ def train(model: SpeakerModel, head: AAMHead, corpus: Corpus, cfg: TrainConfig,
     if cfg.batch_size > len(corpus):
         raise ConfigError(f"batch_size {cfg.batch_size} is larger than the corpus's "
                           f"{len(corpus)} utterances")
+    if cfg.augment.freq_mask_max >= model.config.n_mels:
+        raise ConfigError(f"freq_mask_max {cfg.augment.freq_mask_max} must be smaller "
+                          f"than n_mels {model.config.n_mels}")
     _keep_freed_heap()
     named = _named_params(model, head)
     params = [p for _, p in named]

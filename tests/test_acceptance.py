@@ -14,6 +14,7 @@ import pytest
 
 from dtcf.attention import DTCFBlock, SEBlock
 from dtcf.audio import AugmentConfig, fbank, read_wav
+from dtcf.layers import draw
 from dtcf.loss import AAMHead, ce_loss_batch
 from dtcf.metrics import compute_eer, compute_min_dcf, score_trials
 from dtcf.model import BackboneConfig, SpeakerModel
@@ -67,7 +68,7 @@ def test_criterion_2_duality_mask_equivariance():
             c = int(r.choice([4, 8]))
             t, f = int(r.integers(3, 11)), int(r.integers(3, 11))
             red = int(r.choice([2, 4]))
-            blk = DTCFBlock(c, red, rng=rng(100 + case), dtype=np.float64)
+            blk = draw(DTCFBlock(c, red, dtype=np.float64), rng(100 + case))
             x = r.normal(size=(c, t, f))
             xcf, xct = blk.pool(Tensor(np.asarray(x[None], dtype=np.float64)))
             mct0, mcf0 = (m.data[0] for m in blk.masks(*blk.encode(xcf, xct)))
@@ -84,7 +85,7 @@ def test_criterion_2_duality_mask_equivariance():
             np.testing.assert_allclose(mcf2, mcf0[:, pf], atol=1e-12)
             np.testing.assert_allclose(mct2, mct0, atol=1e-12)
 
-            se = SEBlock(c, red, rng=rng(200 + case), dtype=np.float64)
+            se = draw(SEBlock(c, red, dtype=np.float64), rng(200 + case))
             xp = x[:, pt][:, :, pf]
             m0 = se.mask(se.squeeze(Tensor(np.asarray(x[None], dtype=np.float64)))).data[0]
             m1 = se.mask(se.squeeze(Tensor(np.asarray(xp[None], dtype=np.float64)))).data[0]
@@ -95,8 +96,8 @@ def test_criterion_3_parameter_accounting():
     with criterion(3, "attention param formulas and ~9M full-model total"):
         for c in (32, 64, 128, 256):
             cr = c // 8
-            assert SEBlock(c, 8, rng=rng(0)).param_count() == 2 * c * cr
-            assert DTCFBlock(c, 8, rng=rng(0)).param_count() == 3 * c * cr
+            assert SEBlock(c, 8).param_count() == 2 * c * cr
+            assert DTCFBlock(c, 8).param_count() == 3 * c * cr
         total = SpeakerModel(BackboneConfig(attention="dtcf"), seed=0).param_count()
         assert abs(total - 9_000_000) <= 0.10 * 9_000_000, f"total {total}"
 

@@ -5,6 +5,7 @@ import pytest
 
 from dtcf.attention import DTCFBlock, SEBlock, _per_column, reduced_channels
 from dtcf.errors import ConfigError, ShapeError
+from dtcf.layers import draw
 from dtcf.tensor import Tensor, grad_check, matmul, reshape, topo_order, transpose
 
 
@@ -22,11 +23,11 @@ def one(arr):
 
 
 def se_block(C, r=8, seed=0):
-    return SEBlock(C, r, rng=rng(seed), dtype=np.float64)
+    return draw(SEBlock(C, r, dtype=np.float64), rng(seed))
 
 
 def dtcf_block(C, r=8, seed=0):
-    return DTCFBlock(C, r, rng=rng(seed), dtype=np.float64)
+    return draw(DTCFBlock(C, r, dtype=np.float64), rng(seed))
 
 
 def sigmoid(v):
@@ -331,7 +332,7 @@ class TestDTCF:
 
     def test_train_mode_block_records_11_op_nodes(self):
         # two means, two (map, relu) encodings, two (map, sigmoid) masks and the gate
-        block = DTCFBlock(8, 4, rng=rng(62))
+        block = draw(DTCFBlock(8, 4), rng(62))
         x = Tensor(rng(63).normal(size=(2, 8, 6, 5)).astype(np.float32), requires_grad=True)
         ops = [node for node in topo_order(block.apply(x)) if node._parents]
         assert len(ops) == 11

@@ -9,6 +9,9 @@ import numpy as np
 import pytest
 
 import dtcf.checkpoint
+import dtcf.layers
+import dtcf.loss
+import dtcf.model
 from dtcf import cli
 from dtcf.attention import DTCFBlock, SEBlock
 from dtcf.checkpoint import MAGIC, load_checkpoint, save_checkpoint
@@ -20,7 +23,7 @@ from dtcf.metrics import compute_eer, compute_min_dcf, export_embeddings, read_e
 from dtcf.model import BackboneConfig, SpeakerModel
 from dtcf.synth import read_manifest, read_trials
 from dtcf.train import (AdamState, TrainConfig, TrainReport, Triangular2Schedule,
-                        _named_params, load_training_state, save_training_state)
+                        _named_params, load_model, load_training_state, save_training_state)
 
 
 def sha(path):
@@ -113,8 +116,7 @@ class TestTrain:
             out = capsys.readouterr().out
             line = next(l for l in out.splitlines() if l.startswith("params="))
             logged[kind] = int(line.split()[0].split("=")[1])
-        rng = np.random.default_rng(0)
-        expect = sum(DTCFBlock(c, 8, rng=rng).param_count() - SEBlock(c, 8, rng=rng).param_count()
+        expect = sum(DTCFBlock(c, 8).param_count() - SEBlock(c, 8).param_count()
                      for c in (2, 4, 8, 16))
         assert logged["dtcf"] - logged["se"] == expect
 
@@ -192,6 +194,20 @@ class TestTrain:
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"batch_size {rows + 2} is larger than the corpus's {rows} utterances" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("keys, flags, named", [
+        ("time_mask_max = 10\n", ["--crop", "9"], "time_mask_max 10 must be smaller than crop 9"),
+        ("n_mels = 8\nfreq_mask_max = 8\n", [], "freq_mask_max 8 must be smaller than n_mels 8"),
+    ], ids=["time-mask-crop", "freq-mask-n-mels"])
+    def test_mask_not_narrower_than_features_exit_2(self, tiny_config, tmp_path, capsys,
+                                                     keys, flags, named):
+        # each is a valid setting on its own; together they would fail at step 1
+        cfg = tmp_path / "masks.cfg"
+        cfg.write_text(tiny_config.read_text() + keys)
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg), *flags, "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
         assert not out.exists()
 
     def test_other_mel_count_trains_and_extracts(self, tiny_config, corpus_dir, tmp_path):
@@ -402,6 +418,47 @@ def incomplete_checkpoints(trained, tmp_path):
         yield missing, path
 
 
+def forbid_draw(monkeypatch):
+    """Make ``layers.draw``, at every module that looks it up, raise if called."""
+    def refuse(module, rng):
+        raise AssertionError(f"drew initial values for a {type(module).__name__}")
+    for module in (dtcf.layers, dtcf.model, dtcf.loss, cli):
+        monkeypatch.setattr(module, "draw", refuse)
+
+
+class TestLoadsDrawNothing:
+    def test_the_patch_sees_a_draw(self, monkeypatch):
+        forbid_draw(monkeypatch)
+        with pytest.raises(AssertionError, match="SpeakerModel"):
+            SpeakerModel(BackboneConfig(widths=(2, 4, 8, 16), blocks=(1, 1, 1, 1)), seed=0)
+        with pytest.raises(AssertionError, match="AAMHead"):
+            AAMHead(3, 8, rng=np.random.default_rng(0))
+
+    def test_load_model(self, trained, monkeypatch):
+        forbid_draw(monkeypatch)
+        model = load_model(trained / "checkpoint.bin")
+        _, tensors, _ = load_checkpoint(trained / "checkpoint.bin")
+        for name, p in model.named_params():
+            np.testing.assert_array_equal(p.data, tensors[f"model.{name}"], err_msg=name)
+
+    def test_load_training_state(self, trained, monkeypatch):
+        forbid_draw(monkeypatch)
+        _, head, _, _ = load_training_state(trained / "checkpoint.bin")
+        _, tensors, _ = load_checkpoint(trained / "checkpoint.bin")
+        np.testing.assert_array_equal(head.weights.data, tensors["head.weights"])
+
+    def test_train_resume(self, tiny_config, trained, tmp_path, monkeypatch):
+        # 3 steps and a resume to 5 write the checkpoint that 5 straight steps write
+        assert main(["train", "--config", str(tiny_config), "--attention", "dtcf",
+                     "--steps", "5", "--out", str(tmp_path / "straight")]) == 0
+        forbid_draw(monkeypatch)
+        assert main(["train", "--config", str(tiny_config), "--attention", "dtcf",
+                     "--steps", "5", "--resume", str(trained / "checkpoint.bin"),
+                     "--out", str(tmp_path / "resumed")]) == 0
+        assert (sha(tmp_path / "resumed" / "checkpoint.bin")
+                == sha(tmp_path / "straight" / "checkpoint.bin"))
+
+
 class TestExtract:
     def test_missing_audio_file_exit_5(self, trained, tmp_path, capsys):
         manifest = tmp_path / "gone.csv"
@@ -583,6 +640,23 @@ def test_damaged_wav_named(trained, corpus_dir, tiny_config, tmp_path, capsys, c
     assert main(argv) == 5
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["extract", "train"])
+def test_repeated_utt_id_exit_5(trained, corpus_dir, tiny_config, tmp_path, capsys, command):
+    # the second row takes the first row's id but keeps its own WAV file
+    rows = read_manifest(corpus_dir / "manifest.csv")
+    rows[1] = (rows[0][0], *rows[1][1:])
+    manifest = tmp_path / "twice.csv"
+    manifest.write_text("utt_id,speaker_id,path\n" +
+                        "".join(f"{utt},{spk},{path}\n" for utt, spk, path in rows))
+    out = tmp_path / "out"
+    argv = {"extract": ["--ckpt", str(trained / "checkpoint.bin"), "--manifest", str(manifest)],
+            "train": ["--config", str(tiny_config), "--manifest", str(manifest)]}[command]
+    assert main([command, *argv, "--out", str(out)]) == 5
+    err = capsys.readouterr().err
+    assert err == f"error: {manifest}:3: utt_id '{rows[0][0]}' repeats an earlier row\n"
     assert not out.exists()
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dtcf.errors import ConfigError, ShapeError
-from dtcf.layers import BatchNorm2d, Conv2dLayer, LinearLayer
+from dtcf.layers import BatchNorm2d, Conv2dLayer, LinearLayer, draw
 from dtcf.tensor import Tensor, grad_check
 
 from test_tensor import conv2d_oracle, one
@@ -20,24 +20,24 @@ def t64(arr, requires_grad=False):
 
 class TestConvLayer:
     def test_identity_one_by_one(self):
-        layer = Conv2dLayer(1, 1, kernel=(1, 1), rng=rng(1), dtype=np.float64)
+        layer = draw(Conv2dLayer(1, 1, kernel=(1, 1), dtype=np.float64), rng(1))
         layer.kernels.data[:] = 1.0
         x = one(rng(2).normal(size=(1, 4, 5)))
         np.testing.assert_allclose(layer.forward(x).data[0], x.data[0], atol=1e-12)
 
     def test_matches_oracle(self):
-        layer = Conv2dLayer(2, 3, stride=(2, 1), rng=rng(5), dtype=np.float64)
+        layer = draw(Conv2dLayer(2, 3, stride=(2, 1), dtype=np.float64), rng(5))
         x = rng(7).normal(size=(2, 6, 5))
         expect = conv2d_oracle(x, layer.kernels.data, (2, 1), (1, 1))
         np.testing.assert_allclose(layer.forward(one(x)).data[0], expect, atol=1e-6)
 
     def test_channel_mismatch(self):
-        layer = Conv2dLayer(2, 3, rng=rng(8))
+        layer = draw(Conv2dLayer(2, 3), rng(8))
         with pytest.raises(ShapeError):
             layer.forward(Tensor(np.zeros((1, 3, 4, 4), dtype=np.float32)))
 
     def test_input_of_another_rank_named(self):
-        layer = Conv2dLayer(2, 3, rng=rng(8))
+        layer = draw(Conv2dLayer(2, 3), rng(8))
         with pytest.raises(ShapeError, match=r"conv2d input must be rank 4 .*\(2, 4, 4\)"):
             layer.forward(Tensor(np.zeros((2, 4, 4), dtype=np.float32)))
 
@@ -45,14 +45,14 @@ class TestConvLayer:
         for t, f, s, p, k in [(200, 80, (1, 1), (1, 1), (3, 3)),
                               (200, 80, (2, 2), (1, 1), (3, 3)),
                               (101, 40, (2, 2), (1, 1), (3, 3))]:
-            layer = Conv2dLayer(1, 4, kernel=k, stride=s, rng=rng(9))
+            layer = draw(Conv2dLayer(1, 4, kernel=k, stride=s), rng(9))
             out = layer.forward(Tensor(np.zeros((1, 1, t, f), dtype=np.float32)))
             expect_t = (t + 2 * p[0] - k[0]) // s[0] + 1
             expect_f = (f + 2 * p[1] - k[1]) // s[1] + 1
             assert out.shape == (1, 4, expect_t, expect_f)
 
     def test_gradcheck_params_and_input(self):
-        layer = Conv2dLayer(2, 2, stride=(1, 1), rng=rng(10), dtype=np.float64)
+        layer = draw(Conv2dLayer(2, 2, stride=(1, 1), dtype=np.float64), rng(10))
         x = one(rng(11).normal(size=(2, 4, 4)))
         assert grad_check(lambda v: layer.forward(v).sum(), x) < 1e-6
         assert grad_check(lambda _: layer.forward(x).sum(), layer.kernels) < 1e-6
@@ -168,20 +168,20 @@ class TestBatchNorm:
 
 class TestLinear:
     def test_identity_weight(self):
-        layer = LinearLayer(4, 4, rng=rng(20), dtype=np.float64)
+        layer = draw(LinearLayer(4, 4, dtype=np.float64), rng(20))
         layer.weight.data[:] = np.eye(4)
         layer.bias.data[:] = 0.0
         x = rng(21).normal(size=4)
         np.testing.assert_allclose(layer.forward(one(x)).data[0], x, atol=1e-12)
 
     def test_zero_weight_bias_only(self):
-        layer = LinearLayer(3, 2, rng=rng(22), dtype=np.float64)
+        layer = draw(LinearLayer(3, 2, dtype=np.float64), rng(22))
         layer.weight.data[:] = 0.0
         layer.bias.data[:] = [5.0, -1.0]
         np.testing.assert_allclose(layer.forward(one(rng(23).normal(size=3))).data[0], [5.0, -1.0])
 
     def test_matches_matmul_oracle(self):
-        layer = LinearLayer(5, 3, rng=rng(24), dtype=np.float64)
+        layer = draw(LinearLayer(5, 3, dtype=np.float64), rng(24))
         layer.bias.data[:] = rng(25).normal(size=3)
         x = rng(26).normal(size=5)
         expect = np.zeros(3)
@@ -192,27 +192,42 @@ class TestLinear:
         np.testing.assert_allclose(layer.forward(one(x)).data[0], expect, atol=1e-6)
 
     def test_length_mismatch(self):
-        layer = LinearLayer(5, 3, rng=rng(27))
+        layer = draw(LinearLayer(5, 3), rng(27))
         with pytest.raises(ShapeError):
             layer.forward(Tensor(np.zeros((1, 4), dtype=np.float32)))
 
     def test_batched_matches_single(self):
-        layer = LinearLayer(4, 3, rng=rng(28), dtype=np.float64)
+        layer = draw(LinearLayer(4, 3, dtype=np.float64), rng(28))
         xs = rng(29).normal(size=(5, 4))
         batched = layer.forward(t64(xs)).data
         for i in range(5):
             np.testing.assert_allclose(batched[i], layer.forward(one(xs[i])).data[0], atol=1e-12)
 
     def test_gradcheck(self):
-        layer = LinearLayer(4, 3, rng=rng(30), dtype=np.float64)
+        layer = draw(LinearLayer(4, 3, dtype=np.float64), rng(30))
         x = one(rng(31).normal(size=4))
         assert grad_check(lambda v: layer.forward(v).sigmoid().sum(), x) < 1e-6
         assert grad_check(lambda _: layer.forward(x).sigmoid().sum(), layer.weight) < 1e-6
         assert grad_check(lambda _: layer.forward(x).sigmoid().sum(), layer.bias) < 1e-6
 
 
+@pytest.mark.parametrize("build, limit", [
+    (lambda: Conv2dLayer(3, 5), np.sqrt(6 / 27)),                 # He: fan-in 3 * 3 * 3
+    (lambda: Conv2dLayer(4, 6, kernel=(1, 1)), np.sqrt(6 / 4)),
+    (lambda: LinearLayer(7, 4), np.sqrt(6 / 11)),                 # Xavier: fan-in 7, fan-out 4
+], ids=["conv-3x3", "conv-1x1", "linear"])
+def test_draw_fills_weights_within_their_fan_limit(build, limit):
+    layer = build()
+    weight = layer.named_params()[0][1].data
+    assert not weight.any()
+    assert draw(layer, rng(3)) is layer
+    assert 0.5 * limit < np.abs(weight).max() <= limit
+    for name, p in layer.named_params()[1:]:
+        assert not p.data.any(), name                             # a bias is not drawn
+
+
 @pytest.mark.parametrize("cin, cout, kernel", [(0, 3, (3, 3)), (2, 0, (3, 3)), (2, 3, (0, 3))],
                          ids=["no-input-channels", "no-output-channels", "empty-kernel"])
 def test_conv_layer_sizes_must_be_positive(cin, cout, kernel):
     with pytest.raises(ConfigError, match="must be positive"):
-        Conv2dLayer(cin, cout, kernel=kernel, rng=rng(0))
+        Conv2dLayer(cin, cout, kernel=kernel)

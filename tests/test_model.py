@@ -7,6 +7,7 @@ import pytest
 
 from dtcf.attention import DTCFBlock, SEBlock
 from dtcf.errors import ConfigError, ShapeError
+from dtcf.layers import draw
 from dtcf.loss import AAMHead
 from dtcf.model import ATTENTION_KINDS, ASPHead, BackboneConfig, ResidualBlock, SpeakerModel
 from dtcf.tensor import Tensor, grad_check, no_grad
@@ -40,7 +41,7 @@ def stage_shapes(model, x):
 
 class TestResidualBlock:
     def test_zero_convs_identity_skip_gives_relu(self):
-        blk = ResidualBlock(4, 4, attention="none", reduction=8, rng=rng(1), dtype=np.float64)
+        blk = draw(ResidualBlock(4, 4, attention="none", reduction=8, dtype=np.float64), rng(1))
         blk.conv1.kernels.data[:] = 0.0
         blk.conv2.kernels.data[:] = 0.0
         x = rng(2).normal(size=(4, 6, 5))
@@ -48,17 +49,17 @@ class TestResidualBlock:
         np.testing.assert_allclose(out, np.maximum(x, 0), atol=1e-12)
 
     def test_strided_shapes(self):
-        blk = ResidualBlock(4, 8, stride=(2, 2), attention="none", reduction=8, rng=rng(3))
+        blk = draw(ResidualBlock(4, 8, stride=(2, 2), attention="none", reduction=8), rng(3))
         out = blk.forward(Tensor(rng(4).normal(size=(1, 4, 10, 8)).astype(np.float32)),
                           training=False)
         assert out.shape == (1, 8, 5, 4)
-        blk2 = ResidualBlock(4, 8, stride=(1, 2), attention="none", reduction=8, rng=rng(5))
+        blk2 = draw(ResidualBlock(4, 8, stride=(1, 2), attention="none", reduction=8), rng(5))
         out2 = blk2.forward(Tensor(rng(6).normal(size=(1, 4, 10, 8)).astype(np.float32)),
                             training=False)
         assert out2.shape == (1, 8, 10, 4)
 
     def test_with_dtcf_matches_composed_oracle(self):
-        blk = ResidualBlock(3, 3, attention="dtcf", reduction=3, rng=rng(7), dtype=np.float64)
+        blk = draw(ResidualBlock(3, 3, attention="dtcf", reduction=3, dtype=np.float64), rng(7))
         x = rng(8).normal(size=(3, 5, 4))
         # compose the same pipeline from the already-tested pieces
         h = blk.bn1.forward(blk.conv1.forward(one(x)), False).relu()
@@ -71,8 +72,8 @@ class TestResidualBlock:
     def test_batched_train_mode_gradcheck(self):
         # a downsampling DTCF block: both convs, the 1x1 skip conv and three
         # train-mode batchnorms, over a batch of 3 with a random upstream weight
-        blk = ResidualBlock(4, 6, stride=(1, 2), attention="dtcf", reduction=2,
-                            rng=rng(107), dtype=np.float64)
+        blk = draw(ResidualBlock(4, 6, stride=(1, 2), attention="dtcf", reduction=2,
+                                 dtype=np.float64), rng(107))
         x = t64(rng(207).normal(size=(3, 4, 6, 8)))
         r = t64(rng(307).normal(size=(3, 6, 6, 4)))
         loss = lambda v: (blk.forward(v, training=True) * r).sum()
@@ -85,7 +86,7 @@ class TestResidualBlock:
 
 class TestASP:
     def make(self, dim, hidden=6, seed=10):
-        return ASPHead(dim, hidden, rng=rng(seed), dtype=np.float64)
+        return draw(ASPHead(dim, hidden, dtype=np.float64), rng(seed))
 
     def test_single_frame_mean_and_sqrt_eps(self):
         asp = self.make(8)
@@ -133,7 +134,7 @@ class TestASP:
 
 class TestModuleWalk:
     def test_block_names_its_layers_entries_in_order(self):
-        blk = ResidualBlock(4, 8, stride=(1, 2), attention="dtcf", reduction=2, rng=rng(0))
+        blk = draw(ResidualBlock(4, 8, stride=(1, 2), attention="dtcf", reduction=2), rng(0))
         assert [name for name, _ in blk.named_params()] == [
             "conv1.kernels", "bn1.gamma", "bn1.beta", "conv2.kernels", "bn2.gamma", "bn2.beta",
             "down_conv.kernels", "down_bn.gamma", "down_bn.beta", "attn.w1", "attn.w2", "attn.w3"]
@@ -292,10 +293,9 @@ def test_other_ranks_rejected(call):
 
 
 @pytest.mark.parametrize("call", [
-    lambda: SEBlock(8, 2, rng=rng(0)).mask(Tensor(np.ones((2, 6)))),
-    lambda: DTCFBlock(8, 2, rng=rng(0)).encode(Tensor(np.ones((2, 6, 5))),
-                                               Tensor(np.ones((2, 6, 7)))),
-    lambda: ASPHead(8 * 5, 4, rng=rng(0)).forward(Tensor(np.ones((2, 8, 7, 4)))),
+    lambda: SEBlock(8, 2).mask(Tensor(np.ones((2, 6)))),
+    lambda: DTCFBlock(8, 2).encode(Tensor(np.ones((2, 6, 5))), Tensor(np.ones((2, 6, 7)))),
+    lambda: ASPHead(8 * 5, 4).forward(Tensor(np.ones((2, 8, 7, 4)))),
 ], ids=["se_mask", "dtcf_encode", "asp_forward"])
 def test_wrong_channel_count_raises(call):
     # each block leaves this check to its first product over channels
@@ -349,6 +349,19 @@ def test_seeded_initial_values_pinned(width, kind, dtype):
     cfg = BackboneConfig(**(TOY if width == "toy" else {}), attention=kind)
     model = SpeakerModel(cfg, seed=3, dtype=np.dtype(dtype).type)
     assert initial_values_digest(model) == SEED_3_MODELS[width, kind, dtype]
+
+
+@pytest.mark.parametrize("kind", ATTENTION_KINDS)
+def test_undrawn_model_holds_its_declared_values(kind):
+    # seed=None leaves every weight at zero for a checkpoint to fill; the model still runs
+    m = SpeakerModel(BackboneConfig(**TOY, attention=kind), seed=None)
+    for name, p in m.named_params():
+        assert np.array_equal(p.data, np.ones_like(p.data) if name.endswith(".gamma")
+                              else np.zeros_like(p.data)), name
+    assert all(np.all(np.isfinite(buf)) for _, buf in m.named_buffers())
+    emb = m.embed(rng(31).normal(size=(30, 80)).astype(np.float32))
+    assert np.all(np.isfinite(emb))
+    assert not np.any(AAMHead(7, 512, rng=None).weights.data)
 
 
 def test_seeded_head_initial_values_pinned():

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -20,6 +21,22 @@ def test_every_exported_name_exists(name):
     exported = getattr(module, "__all__", [])
     assert len(set(exported)) == len(exported)
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def test_only_the_top_level_builders_take_a_seed():
+    # every other layer declares its parameters; layers.draw alone gives them initial values
+    from dtcf.layers import Module
+    for name in MODULES:
+        importlib.import_module(name)
+    classes, stack = [], [Module]
+    while stack:
+        subclasses = [c for c in stack.pop().__subclasses__() if c.__module__.startswith("dtcf.")]
+        classes += subclasses
+        stack += subclasses
+    assert len(classes) >= 9
+    seeded = sorted(c.__name__ for c in classes
+                    if {"rng", "seed"} & set(inspect.signature(c.__init__).parameters))
+    assert seeded == ["AAMHead", "SpeakerModel"]
 
 
 def _unused_imports(source: str) -> list[str]:

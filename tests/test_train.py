@@ -15,6 +15,7 @@ import pytest
 
 import dtcf.checkpoint
 import dtcf.tensor as dt
+import dtcf.train
 from dtcf.audio import AugmentConfig
 from dtcf.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from dtcf.cli import _from_config
@@ -329,6 +330,19 @@ class TestTrainingStateRoundTrip:
         assert held <= 1.1 * model_bytes, f"{held / model_bytes:.2f}x the model held"
         assert model_peak <= build_peak + 0.1 * model_bytes, \
             f"peak {(model_peak - build_peak) / model_bytes:.2f}x the model above the build's"
+
+    def test_only_load_model_sets_the_heap_thresholds(self, tmp_path, monkeypatch):
+        # extract's embeds reuse a heap that is not trimmed; a training-state load leaves
+        # the allocator to train(), which sets it itself
+        model, head = build_model_and_head(BackboneConfig(**TINY), 3)
+        path = tmp_path / "state.bin"
+        save_training_state(path, model, head, AdamState(_named_params(model, head)))
+        calls = []
+        monkeypatch.setattr(dtcf.train, "_keep_freed_heap", lambda: calls.append("load"))
+        load_training_state(path)
+        assert calls == []
+        load_model(path)
+        assert calls == ["load"]
 
     def test_load_model_reads_the_model_entries(self, small_corpus, tmp_path):
         model, head = tiny_setup(small_corpus)
@@ -678,13 +692,15 @@ class TestConfigFile:
     (lambda: TrainConfig(batch_size=1), ConfigError, "batch_size"),
     (lambda: TrainConfig(steps=0), ConfigError, "steps >= 1"),
     (lambda: TrainConfig(crop=SpeakerModel.MIN_FRAMES - 1), ConfigError, "crop >= 8"),
+    (lambda: TrainConfig(crop=10), ConfigError, "time_mask_max 10 must be smaller than crop 10"),
     (lambda: TrainConfig(checkpoint_every=0), ConfigError, "checkpoint_every >= 1"),
     (lambda: Corpus([("u0", "a", Path("a0.wav")), ("u1", "a", Path("a1.wav")),
                      ("u2", "b", Path("b0.wav"))], 80), DataError, r"fewer than 2 .*\['b'\]"),
     (lambda: parse_config_text("steps = 7\nsteps 8\n"), ConfigError, "2: expected 'key = value'"),
     (lambda: load_config(Path(__file__).parent / "no_such.cfg"), ConfigError,
      "cannot read config"),
-], ids=["lr-negative-iteration", "batch-1", "steps-0", "crop-short", "checkpoint-every-0",
+], ids=["lr-negative-iteration", "batch-1", "steps-0", "crop-short", "crop-within-time-mask",
+        "checkpoint-every-0",
         "speaker-one-utterance", "config-line-without-equals", "config-unreadable"])
 def test_named_input_errors(call, error, match):
     with pytest.raises(error, match=match):
