@@ -93,8 +93,6 @@ class SEBlock(Module):
 
     def squeeze(self, x: Tensor) -> Tensor:
         """Mean over time and frequency: (B,C,T,F) -> (B,C)."""
-        if x.shape[2] < 1 or x.shape[3] < 1:
-            raise ShapeError("empty time or frequency axis")
         return mean_axis(mean_axis(x, 3), 2)
 
     def mask(self, xc: Tensor) -> Tensor:
@@ -126,8 +124,6 @@ class DTCFBlock(Module):
 
     def pool(self, x: Tensor) -> tuple[Tensor, Tensor]:
         """Parallel means: xcf (B,C,F) over time, xct (B,C,T) over frequency."""
-        if x.shape[2] < 1 or x.shape[3] < 1:
-            raise ShapeError("empty time or frequency axis")
         return mean_axis(x, 2), mean_axis(x, 3)
 
     def encode(self, xcf: Tensor, xct: Tensor) -> tuple[Tensor, Tensor]:

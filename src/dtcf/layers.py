@@ -18,7 +18,7 @@ __all__ = ["Module", "Conv2dLayer", "BatchNorm2d", "LinearLayer", "parameter", "
 
 
 def parameter(data: np.ndarray) -> Tensor:
-    """A trainable leaf holding ``data`` and no gradient array.
+    """The one maker of a trainable leaf: ``data``, marked ``requires_grad``, and no gradient array.
 
     ``zero_grads`` or ``backward`` gives it one, so a layer that is only
     built or loaded for inference holds its weights once.

@@ -111,10 +111,10 @@ def synth_utterance(spec: SyntheticSpeakerSpec, duration: float, utt_seed: int) 
 
 def _speaker_specs(n_speakers: int, rng: np.random.Generator) -> list[SyntheticSpeakerSpec]:
     """Evenly spaced formant triples with jitter below half the grid gap."""
-    def spread(lo, hi, jitter_frac=0.3):
+    def spread(lo, hi):
         base = np.linspace(lo, hi, n_speakers)
         gap = (hi - lo) / max(n_speakers - 1, 1)
-        return base + rng.uniform(-jitter_frac, jitter_frac, n_speakers) * gap
+        return base + rng.uniform(-0.3, 0.3, n_speakers) * gap
 
     f1s = spread(350.0, 850.0)[rng.permutation(n_speakers)]
     f2s = spread(1100.0, 2100.0)[rng.permutation(n_speakers)]

@@ -1,13 +1,14 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 Every network operation in the toolkit is expressed through the ops in this
-module. A Tensor wraps a numpy array; each op records its parents and a
-backward closure on the output node, and ``backward()`` replays the closures
-in reverse topological order. A graph is walked once: each interior node's
-closure, parents and gradient are dropped as soon as its closure has run, so
-the memory of the graph is freed during the walk, and a second walk over it
-raises DomainError. Training runs at float32, gradient checks at float64: a
-Tensor takes the dtype of the array it wraps.
+module. A Tensor wraps a numpy array; each op records the parents that need a
+gradient and a backward closure on the output node, so constants never enter
+the graph, and ``backward()`` replays the closures in reverse topological
+order. A graph is walked once: each interior node's closure, parents and
+gradient are dropped as soon as its closure has run, so the memory of the
+graph is freed during the walk, and a second walk over it raises DomainError.
+Training runs at float32, gradient checks at float64: a Tensor takes the
+dtype of the array it wraps.
 
 Broadcasting is deliberately narrow: both operands must have the same rank
 and every dimension must either match or be 1 on one side. Anything fancier
@@ -55,24 +56,24 @@ def no_grad():
 
 
 class Tensor:
-    """A numpy array plus an optional slot on the recorded graph.
+    """A numpy array plus its slot on the recorded graph.
 
-    ``requires_grad`` marks leaves whose gradient should be populated by
-    ``backward``; it is initialised to zeros on creation so that leaves left
-    untouched by a backward pass report a zero gradient rather than None. A
-    layer parameter (``layers.parameter``) starts without one instead, until
-    ``zero_grads`` or ``backward`` gives it one.
+    A Tensor is built from its data alone, as a constant: it never enters the
+    graph and gets no gradient. ``layers.parameter`` is the one maker of
+    trainable leaves (``requires_grad``, with ``grad`` None until
+    ``zero_grads`` or ``backward`` gives it one), and ``_node`` the one maker
+    of interior nodes. A number operand of ``+ - * /`` becomes a constant of
+    the other operand's dtype and rank, so each operator has one rule.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False,
-                 _parents: tuple = (), _backward: Callable | None = None):
+    def __init__(self, data):
         self.data = np.asarray(data)
-        self.requires_grad = requires_grad
-        self.grad = np.zeros_like(self.data) if requires_grad else None
-        self._parents = _parents
-        self._backward = _backward
+        self.requires_grad = False
+        self.grad = None
+        self._parents = ()
+        self._backward = None
 
     @property
     def shape(self) -> tuple:
@@ -92,41 +93,35 @@ class Tensor:
         else:
             self.grad += g
 
+    def _lift(self, other) -> "Tensor":
+        """``other``, with a number made a constant of this dtype and rank."""
+        if isinstance(other, Tensor):
+            return other
+        return Tensor(np.full((1,) * self.ndim, other, dtype=self.dtype))
+
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, Tensor):
-            return _binary(self, other, np.add,
-                           lambda g, a, b: g, lambda g, a, b: g)
-        return _unary(self, self.data + self.dtype.type(other), lambda g: g)
+        return _binary(self, self._lift(other), np.add, lambda g, a, b: g, lambda g, a, b: g)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return _binary(self, other, np.subtract,
-                           lambda g, a, b: g, lambda g, a, b: -g)
-        return _unary(self, self.data - self.dtype.type(other), lambda g: g)
+        return _binary(self, self._lift(other), np.subtract,
+                       lambda g, a, b: g, lambda g, a, b: -g)
 
     def __rsub__(self, other):
-        return _unary(self, self.dtype.type(other) - self.data, lambda g: -g)
+        return self._lift(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return _binary(self, other, np.multiply,
-                           lambda g, a, b: g * b, lambda g, a, b: g * a)
-        c = self.dtype.type(other)
-        return _unary(self, self.data * c, lambda g: g * c)
+        return _binary(self, self._lift(other), np.multiply,
+                       lambda g, a, b: g * b, lambda g, a, b: g * a)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            return _binary(self, other, np.divide,
-                           lambda g, a, b: g / b,
-                           lambda g, a, b: -g * a / (b * b))
-        c = self.dtype.type(other)
-        return _unary(self, self.data / c, lambda g: g / c)
+        return _binary(self, self._lift(other), np.divide,
+                       lambda g, a, b: g / b, lambda g, a, b: -g * a / (b * b))
 
     # -- pointwise nonlinearities -------------------------------------------
 
@@ -170,12 +165,14 @@ class Tensor:
 
 # -- graph plumbing -----------------------------------------------------------
 
-def _node(data: np.ndarray, parents: tuple, backward_fn: Callable | None) -> Tensor:
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out = Tensor(data, _parents=parents, _backward=backward_fn)
-        out.requires_grad = True     # its grad stays None until backward reaches it
-        return out
-    return Tensor(data)
+def _node(data: np.ndarray, parents: tuple, backward_fn: Callable) -> Tensor:
+    """The output of an op: an interior node over those of ``parents`` that
+    require a gradient, or a constant if none does or recording is off."""
+    out = Tensor(data)
+    tape = tuple(p for p in parents if p.requires_grad) if _grad_enabled else ()
+    if tape:
+        out.requires_grad, out._parents, out._backward = True, tape, backward_fn
+    return out
 
 
 def _unary(x: Tensor, data: np.ndarray, dgrad: Callable) -> Tensor:
@@ -374,6 +371,8 @@ def mean_axis(x: Tensor, axis: int) -> Tensor:
     """
     axis = _axis_check(x, axis)
     n = x.shape[axis]
+    if n == 0:
+        raise ShapeError(f"mean over empty axis {axis} of shape {x.shape}")
     pre, post = int(np.prod(x.shape[:axis])), int(np.prod(x.shape[axis + 1:]))
     w = np.full(n, 1 / n, dtype=x.dtype)
     data = x.data.reshape(pre, n) @ w if post == 1 else w @ x.data.reshape(pre, n, post)
@@ -487,13 +486,13 @@ def zero_grads(params: Iterable[Tensor]) -> None:
 
 # -- verification harness ------------------------------------------------------
 
-def inject_backward_fault(x: Tensor, factor: float = 1.01) -> Tensor:
-    """Identity forward with a deliberately wrong backward rule.
+def inject_backward_fault(x: Tensor) -> Tensor:
+    """Identity forward with a deliberately wrong backward rule: it scales the gradient by 1.01.
 
     Verification fixture: inserting this into a graph must make grad_check
     fail, proving the checker can detect a corrupted rule.
     """
-    return _unary(x, x.data.copy(), lambda g: g * factor)
+    return _unary(x, x.data.copy(), lambda g: g * 1.01)
 
 
 def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> float:
@@ -507,7 +506,7 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> f
     if not eps > 0:
         raise ConfigError(f"finite-difference step eps must be > 0, got {eps}")
     x.requires_grad = True
-    x.grad = np.zeros_like(x.data)
+    zero_grads([x])
     out = f(x)
     backward(out)
     analytic = x.grad.copy()

@@ -398,7 +398,7 @@ def train(model: SpeakerModel, head: AAMHead, corpus: Corpus, cfg: TrainConfig,
         for idx in batch_idx:
             crop = _crop_features(corpus.features(int(idx)), cfg.crop, rng)
             crops.append(spec_augment(crop, cfg.augment, rng))
-        batch = Tensor(np.stack(crops).astype(np.float32))
+        batch = Tensor(np.stack(crops))
         labels = corpus.labels[batch_idx]
 
         zero_grads(params)

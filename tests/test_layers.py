@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dtcf.errors import ConfigError, ShapeError
-from dtcf.layers import BatchNorm2d, Conv2dLayer, LinearLayer, draw
+from dtcf.layers import BatchNorm2d, Conv2dLayer, LinearLayer, draw, parameter
 from dtcf.tensor import Tensor, grad_check
 
 from test_tensor import conv2d_oracle, one
@@ -14,8 +14,8 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
-def t64(arr, requires_grad=False):
-    return Tensor(np.asarray(arr, dtype=np.float64), requires_grad=requires_grad)
+def t64(arr):
+    return Tensor(np.asarray(arr, dtype=np.float64))
 
 
 class TestConvLayer:
@@ -123,7 +123,7 @@ class TestBatchNorm:
         ref = {"out": ref_out, "x": istd * (dxhat - m1 - xhat * m2),
                "gamma": (g * xhat).sum(axis=axes), "beta": g.sum(axis=axes)}
 
-        xt = Tensor(np.asarray(x, dtype=np.float32), requires_grad=True)
+        xt = parameter(np.asarray(x, dtype=np.float32))
         out = bn.forward(xt, training=True)
         out._backward(g)
         got = {"out": out.data, "x": xt.grad, "gamma": bn.gamma.grad, "beta": bn.beta.grad}

@@ -7,8 +7,9 @@ import pytest
 
 import dtcf.tensor as dt
 from dtcf.errors import ConfigError, DomainError, ShapeError
+from dtcf.layers import parameter
 from dtcf.loss import AAMHead, ce_loss_batch
-from dtcf.tensor import grad_check
+from dtcf.tensor import grad_check, topo_order
 
 
 def rng(seed=0):
@@ -150,6 +151,17 @@ class TestCELoss:
     def test_stability_under_huge_logits(self):
         lv = ce_one([1e4, 0.0, -1e4], 0)
         assert float(lv.data) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_tape_holds_only_what_needs_a_gradient():
+    # the one-hots, the softmax shift, the feasibility mask and every number operand
+    # are constants: none of them is recorded
+    h = head(seed=16)
+    emb = parameter(rng(17).normal(size=(4, 8)))
+    labels = np.array([0, 3, 3, 1])
+    order = topo_order(ce_loss_batch(h.logits_batch(emb, labels), labels))
+    assert emb in order and h.weights in order
+    assert [node.shape for node in order if not node.requires_grad] == []
 
 
 class TestMarginProperties:

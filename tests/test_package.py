@@ -39,6 +39,12 @@ def test_only_the_top_level_builders_take_a_seed():
     assert seeded == ["AAMHead", "SpeakerModel"]
 
 
+def test_a_tensor_is_built_from_its_data_alone():
+    # layers.parameter alone makes a trainable leaf, and tensor._node alone an interior node
+    from dtcf.tensor import Tensor
+    assert list(inspect.signature(Tensor.__init__).parameters) == ["self", "data"]
+
+
 def _unused_imports(source: str) -> list[str]:
     """Names a module imports but never reads and does not list in ``__all__``."""
     tree = ast.parse(source)

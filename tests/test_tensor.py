@@ -12,14 +12,20 @@ import pytest
 
 import dtcf.tensor as dtt
 from dtcf.errors import ConfigError, DomainError, GradCheckError, ShapeError
+from dtcf.layers import parameter
 from dtcf.tensor import (
     Tensor, backward, concat, conv2d, grad_check, matmul, mean_axis, reshape,
-    sum_axis, topo_order, transpose,
+    sum_axis, topo_order, transpose, zero_grads,
 )
 
 
-def t64(arr, requires_grad=False):
-    return Tensor(np.asarray(arr, dtype=np.float64), requires_grad=requires_grad)
+def t64(arr):
+    return Tensor(np.asarray(arr, dtype=np.float64))
+
+
+def p64(arr):
+    """A trainable float64 leaf."""
+    return parameter(np.asarray(arr, dtype=np.float64))
 
 
 def one(arr):
@@ -117,8 +123,8 @@ class TestMatmul:
             matmul(t64(np.zeros((2, 3))), t64(np.zeros((4, 2))))
 
     def test_backward_formula(self):
-        a = t64(rng(5).normal(size=(3, 4)), requires_grad=True)
-        b = t64(rng(6).normal(size=(4, 2)), requires_grad=True)
+        a = p64(rng(5).normal(size=(3, 4)))
+        b = p64(rng(6).normal(size=(4, 2)))
         matmul(a, b).sum().backward()
         g = np.ones((3, 2))
         np.testing.assert_allclose(a.grad, g @ b.data.T, atol=1e-12)
@@ -152,9 +158,8 @@ def full_width_grads_digest() -> str:
     at B=1 on 300 frames, for a seeded input and upstream gradient."""
     digest = hashlib.sha256()
     for cin, cout, kernel, stride, t, f in FULL_WIDTH_CONVS[:2]:
-        x = Tensor(rng(48).standard_normal((1, cin, t, f)).astype(np.float32), requires_grad=True)
-        w = Tensor(rng(49).standard_normal((cout, cin, kernel, kernel)).astype(np.float32),
-                   requires_grad=True)
+        x = parameter(rng(48).standard_normal((1, cin, t, f)).astype(np.float32))
+        w = parameter(rng(49).standard_normal((cout, cin, kernel, kernel)).astype(np.float32))
         out = conv2d(x, w, stride, (kernel // 2, kernel // 2))
         g = rng(50).standard_normal(out.shape).astype(np.float32)
         (out * Tensor(g)).sum().backward()
@@ -228,9 +233,8 @@ class TestConv2d:
         # summed in another order, so within float32 roundoff
         b = 1 if (cin, cout, kernel, stride, t, f) in FULL_WIDTH_CONVS else 4
         padding = (kernel // 2, kernel // 2)
-        x = Tensor(rng(36).standard_normal((b, cin, t, f)).astype(np.float32), requires_grad=True)
-        w = Tensor(rng(37).standard_normal((cout, cin, kernel, kernel)).astype(np.float32),
-                   requires_grad=True)
+        x = parameter(rng(36).standard_normal((b, cin, t, f)).astype(np.float32))
+        w = parameter(rng(37).standard_normal((cout, cin, kernel, kernel)).astype(np.float32))
         out = conv2d(x, w, stride, padding)
         g = rng(38).standard_normal(out.shape).astype(np.float32)
         ref_out, ref_dx, ref_dw = im2col_conv2d(x.data, w.data, stride, padding, g)
@@ -255,8 +259,8 @@ class TestConv2d:
         to = (t + 2 * p - kernel) // sh + 1
         assert to // rows == 3 and to % 3 and b * (t // sh) * (f // sw) >= 3 * block
         padding = (p, p)
-        x = Tensor(rng(43).standard_normal((b, cin, t, f)), requires_grad=True)
-        w = Tensor(rng(44).standard_normal((cout, cin, kernel, kernel)), requires_grad=True)
+        x = parameter(rng(43).standard_normal((b, cin, t, f)))
+        w = parameter(rng(44).standard_normal((cout, cin, kernel, kernel)))
         out = conv2d(x, w, stride, padding)
         g = rng(45).standard_normal(out.shape)
         (out * Tensor(g)).sum().backward()
@@ -313,8 +317,8 @@ class TestConv2d:
 
     def test_forward_keeps_only_its_output(self):
         # the backward rebuilds what it needs from x, which the graph holds anyway
-        x = Tensor(rng(39).standard_normal((4, 8, 120, 40)).astype(np.float32), requires_grad=True)
-        w = Tensor(rng(40).standard_normal((16, 8, 3, 3)).astype(np.float32), requires_grad=True)
+        x = parameter(rng(39).standard_normal((4, 8, 120, 40)).astype(np.float32))
+        w = parameter(rng(40).standard_normal((16, 8, 3, 3)).astype(np.float32))
         padded = x.data.itemsize * 4 * 8 * 122 * 42
         tracemalloc.start()
         try:
@@ -366,7 +370,7 @@ class TestMeanAxis:
             mean_axis(t64(np.zeros((2, 2))), 2)
 
     def test_backward_distributes(self):
-        x = t64(rng(17).normal(size=(4, 3)), requires_grad=True)
+        x = p64(rng(17).normal(size=(4, 3)))
         mean_axis(x, 0).sum().backward()
         np.testing.assert_allclose(x.grad, np.full((4, 3), 1 / 4), atol=1e-12)
 
@@ -391,8 +395,8 @@ class TestConcatSplit:
             concat(t64(np.zeros((2, 3))), t64(np.zeros((3, 4))), axis=1)
 
     def test_grad_routes_to_sources(self):
-        a = t64(rng(21).normal(size=(2, 3)), requires_grad=True)
-        b = t64(rng(22).normal(size=(2, 2)), requires_grad=True)
+        a = p64(rng(21).normal(size=(2, 3)))
+        b = p64(rng(22).normal(size=(2, 2)))
         weight = t64(np.arange(10.0).reshape(2, 5) / 10)
         (concat(a, b, axis=1) * weight).sum().backward()
         np.testing.assert_array_equal(a.grad, weight.data[:, :3])
@@ -459,32 +463,67 @@ class TestElementwise:
         assert grad_check(fn, t64(x)) < 1e-6
 
 
+# each op with a number c: the Tensor form, numpy's own scalar arithmetic, and its
+# gradient for the upstream g at the dtype's c
+NUMBER_OPS = {
+    "add": (lambda x, c: x + c, lambda a, c: a + c, lambda g, c: g),
+    "sub": (lambda x, c: x - c, lambda a, c: a - c, lambda g, c: g),
+    "mul": (lambda x, c: x * c, lambda a, c: a * c, lambda g, c: g * c),
+    "div": (lambda x, c: x / c, lambda a, c: a / c, lambda g, c: g / c),
+    "radd": (lambda x, c: c + x, lambda a, c: c + a, lambda g, c: g),
+    "rsub": (lambda x, c: c - x, lambda a, c: c - a, lambda g, c: -g),
+    "rmul": (lambda x, c: c * x, lambda a, c: c * a, lambda g, c: c * g),
+}
+
+
+@pytest.mark.parametrize("op", NUMBER_OPS)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(), (3, 4), (2, 3, 1, 5)], ids=["rank0", "rank2", "rank4"])
+@pytest.mark.parametrize("c", [0.3, 7])
+def test_number_operand_is_numpy_scalar_arithmetic(op, dtype, shape, c):
+    # a number is lifted to a constant Tensor, whose broadcast gives the bytes of
+    # numpy's arithmetic with the number at the operand's dtype, forward and backward
+    fn, forward, grad = NUMBER_OPS[op]
+    r = rng(51)
+    a = r.uniform(0.5, 2.0, shape).astype(dtype)
+    g = np.asarray(r.normal(size=shape), dtype=dtype)
+    x = parameter(a.copy())
+    out = fn(x, c)
+    out._backward(g)
+    cd = dtype(c)
+    for got, want in ((out.data, np.asarray(forward(a, cd))), (x.grad, np.asarray(grad(g, cd)))):
+        assert got.dtype == want.dtype == dtype and got.shape == shape
+        assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------- backward
 
 class TestBackward:
     def test_d_sum_x_squared(self):
-        x = t64(rng(26).normal(size=(3, 3)), requires_grad=True)
+        x = p64(rng(26).normal(size=(3, 3)))
         (x * x).sum().backward()
         np.testing.assert_allclose(x.grad, 2 * x.data, atol=1e-12)
 
     def test_off_path_grad_is_zeros(self):
-        x = t64(rng(27).normal(size=(2, 2)), requires_grad=True)
-        other = t64(rng(28).normal(size=(2, 2)), requires_grad=True)
+        # as in a training step, zero_grads gives every parameter its gradient array
+        x = p64(rng(27).normal(size=(2, 2)))
+        other = p64(rng(28).normal(size=(2, 2)))
+        zero_grads([x, other])
         (x * x).sum().backward()
         np.testing.assert_array_equal(other.grad, np.zeros((2, 2)))
 
     def test_non_scalar_root_rejected(self):
         with pytest.raises(ShapeError):
-            backward(t64(np.zeros((2,)), requires_grad=True))
+            backward(p64(np.zeros((2,))))
 
     def test_fanout_accumulates(self):
-        x = t64([3.0], requires_grad=True)
+        x = p64([3.0])
         y = x * 2.0 + x * 5.0
         y.sum().backward()
         np.testing.assert_allclose(x.grad, [7.0])
 
     def test_second_backward_raises(self):
-        x = t64(rng(34).normal(size=(2, 2)), requires_grad=True)
+        x = p64(rng(34).normal(size=(2, 2)))
         y = (x * 3.0).sigmoid()
         loss = y.sum()
         loss.backward()
@@ -495,7 +534,7 @@ class TestBackward:
         np.testing.assert_allclose(x.grad, 3.0 * y.data * (1 - y.data), atol=1e-12)
 
     def test_second_loss_over_a_backpropagated_graph_raises(self):
-        x = t64(rng(35).normal(size=(2, 2)), requires_grad=True)
+        x = p64(rng(35).normal(size=(2, 2)))
         h = (x * 3.0).sigmoid()
         first, second = h.sum(), (h * h).sum()
         first.backward()
@@ -512,7 +551,7 @@ class TestBackward:
         alpha, beta = 0.7, -1.3
 
         def grad_of(fn):
-            x = t64(base, requires_grad=True)
+            x = p64(base)
             fn(x).backward()
             return x.grad
 
@@ -522,7 +561,7 @@ class TestBackward:
         np.testing.assert_allclose(combined, alpha * gf + beta * gg, atol=1e-7)
 
     def test_topo_order_properties(self):
-        a = t64(rng(32).normal(size=(2, 2)), requires_grad=True)
+        a = p64(rng(32).normal(size=(2, 2)))
         b = a * 2.0
         c = (a + b) * b
         order = topo_order(c.sum())
@@ -584,14 +623,14 @@ class TestGradCheck:
 class TestShapeContracts:
     def test_mean_then_broadcast_mul_preserves_shape(self):
         # squeeze -> gate -> rescale pipeline must never drift the map shape
-        x = t64(rng(39).normal(size=(6, 5, 4)), requires_grad=True)
+        x = p64(rng(39).normal(size=(6, 5, 4)))
         pooled = mean_axis(mean_axis(x, 2), 1)      # (C,)
         gate = reshape(pooled.sigmoid(), (6, 1, 1))
         out = x * gate
         assert out.shape == x.shape
 
     def test_reshape_transpose_roundtrip(self):
-        x = t64(rng(40).normal(size=(2, 3, 4)), requires_grad=True)
+        x = p64(rng(40).normal(size=(2, 3, 4)))
         y = transpose(reshape(reshape(transpose(x, (1, 0, 2)), (3, 8)), (3, 2, 4)), (1, 0, 2))
         np.testing.assert_array_equal(y.data, x.data)
         y.sum().backward()

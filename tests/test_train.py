@@ -21,6 +21,7 @@ from dtcf.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from dtcf.cli import _from_config
 from dtcf.config import SCHEMA, load_config, parse_config_text
 from dtcf.errors import CheckpointError, ConfigError, DataError, DivergenceError
+from dtcf.layers import parameter
 from dtcf.loss import AAMHead, ce_loss_batch
 from dtcf.model import ATTENTION_KINDS, BackboneConfig, SpeakerModel
 from dtcf.synth import synth_corpus
@@ -88,7 +89,7 @@ class TestTriangular2:
 
 class TestAdam:
     def one_param(self, value=1.0):
-        p = dt.Tensor(np.asarray([value], dtype=np.float64), requires_grad=True)
+        p = parameter(np.asarray([value], dtype=np.float64))
         return [("p", p)], p
 
     def test_zero_grad_no_change(self):
