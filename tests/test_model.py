@@ -341,6 +341,7 @@ SEED_3_MODELS = {
     ("full", "dtcf", "float64"): "d88acdf69a74e4a0ca7781faf795585239522f6a22c92c3566554a29904a0bcf",
 }
 AAM_HEAD_7_512_SEED_9 = "f24d386c19e83ff894aedf1701793f96757644c47f8247d48f5e773cbbdd4d98"
+AAM_HEAD_7_512_SEED_9_FLOAT64 = "b1884dcaef58dbc00792afed8b7664830a3544224e49dd95e2445598b7684aa1"
 
 
 @pytest.mark.parametrize("width, kind, dtype", list(SEED_3_MODELS),
@@ -367,3 +368,8 @@ def test_undrawn_model_holds_its_declared_values(kind):
 def test_seeded_head_initial_values_pinned():
     head = AAMHead(7, 512, rng=rng(9))
     assert initial_values_digest(head) == AAM_HEAD_7_512_SEED_9
+
+
+def test_seeded_float64_head_initial_values_pinned():
+    head = AAMHead(7, 512, rng=rng(9), dtype=np.float64)
+    assert initial_values_digest(head) == AAM_HEAD_7_512_SEED_9_FLOAT64
