@@ -86,10 +86,10 @@ def _per_column(w: Tensor, u: Tensor) -> Tensor:
 class SEBlock(Module):
     """Squeeze-and-excitation: global-average squeeze, two bias-free FC layers, sigmoid gate."""
 
-    def __init__(self, channels: int, reduction: int, *, dtype=np.float32):
+    def __init__(self, channels: int, reduction: int):
         c_red = reduced_channels(channels, reduction)
-        self.w1 = parameter(np.zeros((c_red, channels), dtype=dtype))
-        self.w2 = parameter(np.zeros((channels, c_red), dtype=dtype))
+        self.w1 = parameter(np.zeros((c_red, channels), dtype=np.float32))
+        self.w2 = parameter(np.zeros((channels, c_red), dtype=np.float32))
 
     def squeeze(self, x: Tensor) -> Tensor:
         """Mean over time and frequency: (B,C,T,F) -> (B,C)."""
@@ -116,11 +116,11 @@ class DTCFBlock(Module):
     Attention draws it, is the same as encoding each profile.
     """
 
-    def __init__(self, channels: int, reduction: int, *, dtype=np.float32):
+    def __init__(self, channels: int, reduction: int):
         c_red = reduced_channels(channels, reduction)
-        self.w1 = parameter(np.zeros((c_red, channels), dtype=dtype))
-        self.w2 = parameter(np.zeros((channels, c_red), dtype=dtype))
-        self.w3 = parameter(np.zeros((channels, c_red), dtype=dtype))
+        self.w1 = parameter(np.zeros((c_red, channels), dtype=np.float32))
+        self.w2 = parameter(np.zeros((channels, c_red), dtype=np.float32))
+        self.w3 = parameter(np.zeros((channels, c_red), dtype=np.float32))
 
     def pool(self, x: Tensor) -> tuple[Tensor, Tensor]:
         """Parallel means: xcf (B,C,F) over time, xct (B,C,T) over frequency."""

@@ -28,7 +28,7 @@ from .audio import AugmentConfig, fbank, read_wav
 from .config import SCHEMA, load_config
 from .errors import (CheckpointError, ConfigError, DataError, DivergenceError,
                      DomainError, GradCheckError, ShapeError)
-from .layers import draw
+from .layers import cast, draw
 from .metrics import (DCFParams, compute_eer, compute_min_dcf, export_embeddings,
                       read_embeddings, score_trials, write_scores)
 from .model import ATTENTION_BLOCKS, ATTENTION_KINDS, BackboneConfig
@@ -139,7 +139,7 @@ def cmd_gradcheck(args) -> int:
     seed = _seed_default(args.seed)
     rng = np.random.default_rng(seed)
     kind = args.attention
-    block = draw(ATTENTION_BLOCKS[kind](c, args.reduction, dtype=np.float64), rng)
+    block = draw(cast(ATTENTION_BLOCKS[kind](c, args.reduction), np.float64), rng)
     x = Tensor(rng.normal(size=(1, c, t, f)))
 
     def scalar(_ignored):

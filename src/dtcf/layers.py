@@ -1,9 +1,9 @@
 """Parameterised layers assembled from the tensor engine.
 
-A layer's constructor only declares its parameters: weights and biases as
-zeros, batchnorm gamma=1 beta=0. Initial values come from one seeded walk,
-``draw`` (conv kernels He-uniform, linear weights Xavier-uniform), or from a
-checkpoint. Fans come from the weight's shape: fan-in is the product of
+A layer's constructor only declares its parameters, at float32: weights and
+biases as zeros, batchnorm gamma=1 beta=0; ``cast`` alone converts a module to
+another dtype. Initial values come from one seeded walk, ``draw`` (conv
+kernels He-uniform, linear weights Xavier-uniform), or from a checkpoint. Fans come from the weight's shape: fan-in is the product of
 every axis after the first, and fan-out the first axis.
 """
 
@@ -14,7 +14,7 @@ import numpy as np
 from .errors import ConfigError
 from .tensor import Tensor, _node, conv2d, matmul, reshape, transpose
 
-__all__ = ["Module", "Conv2dLayer", "BatchNorm2d", "LinearLayer", "parameter", "draw"]
+__all__ = ["Module", "Conv2dLayer", "BatchNorm2d", "LinearLayer", "parameter", "draw", "cast"]
 
 
 def parameter(data: np.ndarray) -> Tensor:
@@ -65,17 +65,33 @@ def draw(module: Module, rng: np.random.Generator) -> Module:
     return module
 
 
+def cast(module: Module, dtype) -> Module:
+    """Convert ``module``'s parameters and buffers to ``dtype`` in place, and return it.
+
+    Each parameter keeps its Tensor object and takes new data; each buffer is
+    replaced on its owner. For a module as built, before ``draw``, a load or an
+    optimizer: a float64 module cast after ``draw`` holds float32-rounded weights.
+    """
+    for name, value in vars(module).items():
+        if isinstance(value, Tensor):
+            value.data = value.data.astype(dtype)
+        elif isinstance(value, np.ndarray):
+            setattr(module, name, value.astype(dtype))
+    for _, sub in module.modules():
+        cast(sub, dtype)
+    return module
+
+
 class Conv2dLayer(Module):
     """2-D convolution without bias (a batchnorm always follows), padded by kernel // 2."""
 
-    def __init__(self, in_channels: int, out_channels: int, kernel=(3, 3), stride=(1, 1), *,
-                 dtype=np.float32):
+    def __init__(self, in_channels: int, out_channels: int, kernel=(3, 3), stride=(1, 1)):
         kh, kw = kernel
         if kh < 1 or kw < 1 or in_channels < 1 or out_channels < 1:
             raise ConfigError("kernel dims and channel counts must be positive")
         self.stride = tuple(stride)
         self.padding = (kh // 2, kw // 2)
-        self.kernels = parameter(np.zeros((out_channels, in_channels, kh, kw), dtype=dtype))
+        self.kernels = parameter(np.zeros((out_channels, in_channels, kh, kw), dtype=np.float32))
 
     def forward(self, x: Tensor) -> Tensor:
         return conv2d(x, self.kernels, self.stride, self.padding)
@@ -94,11 +110,11 @@ class BatchNorm2d(Module):
     momentum = 0.1
     eps = 1e-5
 
-    def __init__(self, channels: int, dtype=np.float32):
-        self.gamma = parameter(np.ones(channels, dtype=dtype))
-        self.beta = parameter(np.zeros(channels, dtype=dtype))
-        self.running_mean = np.zeros(channels, dtype=dtype)
-        self.running_var = np.ones(channels, dtype=dtype)
+    def __init__(self, channels: int):
+        self.gamma = parameter(np.ones(channels, dtype=np.float32))
+        self.beta = parameter(np.zeros(channels, dtype=np.float32))
+        self.running_mean = np.zeros(channels, dtype=np.float32)
+        self.running_var = np.ones(channels, dtype=np.float32)
 
     def forward(self, x: Tensor, training: bool = False) -> Tensor:
         if training:
@@ -158,9 +174,9 @@ def _bn_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float):
 class LinearLayer(Module):
     """Fully connected layer: weight (out, in) plus bias."""
 
-    def __init__(self, in_features: int, out_features: int, *, dtype=np.float32):
-        self.weight = parameter(np.zeros((out_features, in_features), dtype=dtype))
-        self.bias = parameter(np.zeros(out_features, dtype=dtype))
+    def __init__(self, in_features: int, out_features: int):
+        self.weight = parameter(np.zeros((out_features, in_features), dtype=np.float32))
+        self.bias = parameter(np.zeros(out_features, dtype=np.float32))
 
     def forward(self, x: Tensor) -> Tensor:
         return matmul(x, transpose(self.weight, (1, 0))) + reshape(self.bias, (1, -1))

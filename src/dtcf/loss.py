@@ -27,12 +27,12 @@ class AAMHead(Module):
     are drawn from ``rng``, or left zero for a checkpoint when it is None."""
 
     def __init__(self, n_classes: int, emb_dim: int, scale: float = 30.0,
-                 margin: float = 0.2, *, rng: np.random.Generator | None, dtype=np.float32):
+                 margin: float = 0.2, *, rng: np.random.Generator | None):
         self.check(n_classes, scale, margin)
         self.scale = scale
         self.margin = margin
         self.n_classes = n_classes
-        self.weights = parameter(np.zeros((n_classes, emb_dim), dtype=dtype))
+        self.weights = parameter(np.zeros((n_classes, emb_dim), dtype=np.float32))
         if rng is not None:
             draw(self, rng)
 
@@ -41,8 +41,8 @@ class AAMHead(Module):
         """Raise ConfigError unless a head with these fields can be built."""
         if n_classes < 2:
             raise ConfigError("need at least two classes")
-        if scale <= 0 or not 0 <= margin < math.pi / 2:
-            raise ConfigError("require scale > 0 and margin in [0, pi/2)")
+        if not 0 < scale < math.inf or not 0 <= margin < math.pi / 2:
+            raise ConfigError("require finite scale > 0 and margin in [0, pi/2)")
 
     def logits_batch(self, emb: Tensor, labels: np.ndarray) -> Tensor:
         """(B, D) embeddings + integer labels -> (B, K) margin logits."""

@@ -77,21 +77,20 @@ class ResidualBlock(Module):
     """conv-bn-relu-conv-bn, attention gate, then skip addition and relu."""
 
     def __init__(self, in_channels: int, out_channels: int, stride=(1, 1), *,
-                 attention: str, reduction: int, dtype=np.float32):
-        self.conv1 = Conv2dLayer(in_channels, out_channels, stride=stride, dtype=dtype)
-        self.bn1 = BatchNorm2d(out_channels, dtype=dtype)
-        self.conv2 = Conv2dLayer(out_channels, out_channels, dtype=dtype)
-        self.bn2 = BatchNorm2d(out_channels, dtype=dtype)
+                 attention: str, reduction: int):
+        self.conv1 = Conv2dLayer(in_channels, out_channels, stride=stride)
+        self.bn1 = BatchNorm2d(out_channels)
+        self.conv2 = Conv2dLayer(out_channels, out_channels)
+        self.bn2 = BatchNorm2d(out_channels)
         if stride != (1, 1) or in_channels != out_channels:
-            self.down_conv = Conv2dLayer(in_channels, out_channels, kernel=(1, 1),
-                                         stride=stride, dtype=dtype)
-            self.down_bn = BatchNorm2d(out_channels, dtype=dtype)
+            self.down_conv = Conv2dLayer(in_channels, out_channels, kernel=(1, 1), stride=stride)
+            self.down_bn = BatchNorm2d(out_channels)
         else:
             self.down_conv = None
             self.down_bn = None
         self.attn = None
         if attention != "none":
-            self.attn = ATTENTION_BLOCKS[attention](out_channels, reduction, dtype=dtype)
+            self.attn = ATTENTION_BLOCKS[attention](out_channels, reduction)
 
     def forward(self, x: Tensor, training: bool = False) -> Tensor:
         main = self.bn1.forward(self.conv1.forward(x), training).relu()
@@ -115,10 +114,10 @@ class ASPHead(Module):
 
     eps = 1e-9   # keeps the standard deviation's gradient finite at zero spread
 
-    def __init__(self, in_dim: int, hidden: int, *, dtype=np.float32):
-        self.w = parameter(np.zeros((hidden, in_dim), dtype=dtype))
-        self.b = parameter(np.zeros(hidden, dtype=dtype))
-        self.v = parameter(np.zeros((hidden, 1), dtype=dtype))
+    def __init__(self, in_dim: int, hidden: int):
+        self.w = parameter(np.zeros((hidden, in_dim), dtype=np.float32))
+        self.b = parameter(np.zeros(hidden, dtype=np.float32))
+        self.v = parameter(np.zeros((hidden, 1), dtype=np.float32))
 
     def _frames(self, fmap: Tensor) -> Tensor:
         b, c, t, f = fmap.shape
@@ -150,12 +149,11 @@ class SpeakerModel(Module):
 
     MIN_FRAMES = 8
 
-    def __init__(self, config: BackboneConfig, seed: int | None = 0, dtype=np.float32):
+    def __init__(self, config: BackboneConfig, seed: int | None = 0):
         self.config = config
-        self.dtype = dtype
         w = config.widths
-        self.stem_conv = Conv2dLayer(1, w[0], dtype=dtype)
-        self.stem_bn = BatchNorm2d(w[0], dtype=dtype)
+        self.stem_conv = Conv2dLayer(1, w[0])
+        self.stem_bn = BatchNorm2d(w[0])
         self.stages: list[list[ResidualBlock]] = []
         in_ch = w[0]
         for width, count, stride in zip(w, config.blocks, config.strides):
@@ -163,13 +161,13 @@ class SpeakerModel(Module):
             for j in range(count):
                 stage.append(ResidualBlock(
                     in_ch, width, stride=stride if j == 0 else (1, 1),
-                    attention=config.attention, reduction=config.reduction, dtype=dtype))
+                    attention=config.attention, reduction=config.reduction))
                 in_ch = width
             self.stages.append(stage)
         self._final_freq = self._trace_freq(config)
         stats_dim = w[-1] * self._final_freq
-        self.asp = ASPHead(stats_dim, config.asp_hidden, dtype=dtype)
-        self.emb = LinearLayer(2 * stats_dim, config.emb_dim, dtype=dtype)
+        self.asp = ASPHead(stats_dim, config.asp_hidden)
+        self.emb = LinearLayer(2 * stats_dim, config.emb_dim)
         if seed is not None:
             draw(self, np.random.default_rng(seed))
 
@@ -204,8 +202,9 @@ class SpeakerModel(Module):
 
     def embed(self, feats: np.ndarray) -> np.ndarray:
         """Eval-mode embedding of one (T, 80) utterance; deterministic, no graph recorded."""
+        x = Tensor(np.asarray(feats, dtype=self.emb.weight.dtype)[None])
         with no_grad():
-            out = self.forward(Tensor(np.asarray(feats, dtype=self.dtype)[None]), training=False)
+            out = self.forward(x, training=False)
         return out.data[0].copy()
 
     # -- parameter access ---------------------------------------------------

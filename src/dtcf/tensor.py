@@ -502,35 +502,39 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> f
     Returns max over coordinates of
     |analytic - numeric| / max(|analytic|, |numeric|, 1e-12). Raises
     GradCheckError if either gradient is not finite, or if both are all zero.
+    ``x`` gets back its ``requires_grad`` and ``grad`` on return and on a raise.
     """
     if not eps > 0:
         raise ConfigError(f"finite-difference step eps must be > 0, got {eps}")
-    x.requires_grad = True
-    zero_grads([x])
-    out = f(x)
-    backward(out)
-    analytic = x.grad.copy()
-    if np.any(~np.isfinite(analytic)):
-        idx = np.unravel_index(int(np.argmin(np.isfinite(analytic))), analytic.shape)
-        raise GradCheckError(f"NaN/Inf in analytic gradient at index {idx}")
+    held = x.requires_grad, x.grad
+    try:
+        x.requires_grad = True
+        zero_grads([x])
+        backward(f(x))
+        analytic = x.grad.copy()
+        if np.any(~np.isfinite(analytic)):
+            idx = np.unravel_index(int(np.argmin(np.isfinite(analytic))), analytic.shape)
+            raise GradCheckError(f"NaN/Inf in analytic gradient at index {idx}")
 
-    numeric = np.zeros_like(x.data)
-    flat = x.data.reshape(-1)
-    nflat = numeric.reshape(-1)
-    with no_grad():
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            hi = float(f(x).data)
-            flat[i] = orig - eps
-            lo = float(f(x).data)
-            flat[i] = orig
-            nflat[i] = (hi - lo) / (2 * eps)
-    if np.any(~np.isfinite(numeric)):
-        idx = np.unravel_index(int(np.argmin(np.isfinite(numeric))), numeric.shape)
-        raise GradCheckError(f"NaN/Inf in numeric gradient at index {idx}")
-    if not analytic.any() and not numeric.any():
-        raise GradCheckError("analytic and numeric gradients are all exactly zero: nothing checked")
+        numeric = np.zeros_like(x.data)
+        flat = x.data.reshape(-1)
+        nflat = numeric.reshape(-1)
+        with no_grad():
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + eps
+                hi = float(f(x).data)
+                flat[i] = orig - eps
+                lo = float(f(x).data)
+                flat[i] = orig
+                nflat[i] = (hi - lo) / (2 * eps)
+        if np.any(~np.isfinite(numeric)):
+            idx = np.unravel_index(int(np.argmin(np.isfinite(numeric))), numeric.shape)
+            raise GradCheckError(f"NaN/Inf in numeric gradient at index {idx}")
+        if not analytic.any() and not numeric.any():
+            raise GradCheckError("analytic and numeric gradients are all exactly zero: nothing checked")
 
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-12)
-    return float(np.max(np.abs(analytic - numeric) / denom))
+        denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-12)
+        return float(np.max(np.abs(analytic - numeric) / denom))
+    finally:
+        x.requires_grad, x.grad = held

@@ -40,8 +40,8 @@ class Triangular2Schedule:
     step_size: int = 500
 
     def __post_init__(self):
-        if self.base_lr >= self.max_lr or self.step_size < 1:
-            raise ConfigError("require base_lr < max_lr and step_size >= 1")
+        if not (0 <= self.base_lr < self.max_lr < math.inf) or self.step_size < 1:
+            raise ConfigError("require finite 0 <= base_lr < max_lr and step_size >= 1")
 
 
 def lr_at(sched: Triangular2Schedule, iteration: int) -> float:
@@ -104,6 +104,8 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 2 (batchnorm statistics)")
         if self.steps < 1 or self.crop < SpeakerModel.MIN_FRAMES or self.checkpoint_every < 1:
             raise ConfigError(f"steps >= 1, crop >= {SpeakerModel.MIN_FRAMES}, checkpoint_every >= 1")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.augment.time_mask_max >= self.crop:
             raise ConfigError(f"time_mask_max {self.augment.time_mask_max} must be smaller "
                               f"than crop {self.crop}")

@@ -14,7 +14,7 @@ import pytest
 
 from dtcf.attention import DTCFBlock, SEBlock
 from dtcf.audio import AugmentConfig, fbank, read_wav
-from dtcf.layers import draw
+from dtcf.layers import cast, draw
 from dtcf.loss import AAMHead, ce_loss_batch
 from dtcf.metrics import compute_eer, compute_min_dcf, score_trials
 from dtcf.model import BackboneConfig, SpeakerModel
@@ -68,7 +68,7 @@ def test_criterion_2_duality_mask_equivariance():
             c = int(r.choice([4, 8]))
             t, f = int(r.integers(3, 11)), int(r.integers(3, 11))
             red = int(r.choice([2, 4]))
-            blk = draw(DTCFBlock(c, red, dtype=np.float64), rng(100 + case))
+            blk = draw(cast(DTCFBlock(c, red), np.float64), rng(100 + case))
             x = r.normal(size=(c, t, f))
             xcf, xct = blk.pool(Tensor(np.asarray(x[None], dtype=np.float64)))
             mct0, mcf0 = (m.data[0] for m in blk.masks(*blk.encode(xcf, xct)))
@@ -85,7 +85,7 @@ def test_criterion_2_duality_mask_equivariance():
             np.testing.assert_allclose(mcf2, mcf0[:, pf], atol=1e-12)
             np.testing.assert_allclose(mct2, mct0, atol=1e-12)
 
-            se = draw(SEBlock(c, red, dtype=np.float64), rng(200 + case))
+            se = draw(cast(SEBlock(c, red), np.float64), rng(200 + case))
             xp = x[:, pt][:, :, pf]
             m0 = se.mask(se.squeeze(Tensor(np.asarray(x[None], dtype=np.float64)))).data[0]
             m1 = se.mask(se.squeeze(Tensor(np.asarray(xp[None], dtype=np.float64)))).data[0]
@@ -133,7 +133,7 @@ def test_criterion_5_metric_oracles():
 
 def test_criterion_6_aam_reductions():
     with criterion(6, "margin-free reduction, margin monotonicity, ln K at uniform"):
-        h0 = AAMHead(6, 16, scale=30.0, margin=0.0, rng=rng(30), dtype=np.float64)
+        h0 = draw(cast(AAMHead(6, 16, scale=30.0, margin=0.0, rng=None), np.float64), rng(30))
         emb = rng(31).normal(size=16)
         logits = h0.logits_batch(Tensor(emb[None]), np.array([2])).data[0]
         wn = h0.weights.data / np.linalg.norm(h0.weights.data, axis=1, keepdims=True)
@@ -144,8 +144,8 @@ def test_criterion_6_aam_reductions():
             r = rng(400 + i)
             e = r.normal(size=16)
             label = int(r.integers(0, 6))
-            ha = AAMHead(6, 16, margin=0.0, rng=rng(500 + i), dtype=np.float64)
-            hb = AAMHead(6, 16, margin=0.2, rng=rng(500 + i), dtype=np.float64)
+            ha = draw(cast(AAMHead(6, 16, margin=0.0, rng=None), np.float64), rng(500 + i))
+            hb = draw(cast(AAMHead(6, 16, margin=0.2, rng=None), np.float64), rng(500 + i))
             e1, lab = Tensor(np.asarray(e[None], dtype=np.float64)), np.array([label])
             la = float(ce_loss_batch(ha.logits_batch(e1, lab), lab).data)
             lb = float(ce_loss_batch(hb.logits_batch(e1, lab), lab).data)

@@ -5,7 +5,7 @@ import pytest
 
 from dtcf.attention import DTCFBlock, SEBlock, _per_column, reduced_channels
 from dtcf.errors import ConfigError, ShapeError
-from dtcf.layers import draw, parameter
+from dtcf.layers import cast, draw, parameter
 from dtcf.tensor import Tensor, grad_check, matmul, mean_axis, reshape, topo_order, transpose
 
 
@@ -23,11 +23,11 @@ def one(arr):
 
 
 def se_block(C, r=8, seed=0):
-    return draw(SEBlock(C, r, dtype=np.float64), rng(seed))
+    return draw(cast(SEBlock(C, r), np.float64), rng(seed))
 
 
 def dtcf_block(C, r=8, seed=0):
-    return draw(DTCFBlock(C, r, dtype=np.float64), rng(seed))
+    return draw(cast(DTCFBlock(C, r), np.float64), rng(seed))
 
 
 def sigmoid(v):

@@ -280,6 +280,19 @@ class TestTrain:
         assert f"{key} must be >= 1, got {value}" in capsys.readouterr().err
         assert not (tmp_path / "o8" / "checkpoint.bin").exists()
 
+    # each of these trained to exit 0 (a negative rate or decay) or, once not finite, tripped
+    # the divergence guard at step 1-2 and left an empty output directory behind
+    @pytest.mark.parametrize("key,value", [
+        ("base_lr", "-0.5"), ("weight_decay", "-1.0"), ("max_lr", "nan"), ("max_lr", "inf"),
+        ("weight_decay", "nan"), ("scale", "nan"), ("scale", "inf")])
+    def test_bad_rate_decay_or_scale_exit_2(self, tiny_config, tmp_path, capsys, key, value):
+        cfg = tmp_path / "rate.cfg"
+        cfg.write_text(tiny_config.read_text() + f"{key} = {value}\n")
+        out = tmp_path / "o9"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
 
 # checkpoint of the tiny config trained with seed 0, the seed a run gets when neither
 # --seed, the config file nor DTCF_SEED gives one
@@ -378,6 +391,8 @@ MALFORMED_HEADERS = {
     "step-str": ("extract", "extra", {"step": "x"}),
     "widths-int": ("extract", "backbone", {"widths": 5}),
     "scale-str": ("extract", "head", {"scale": "x"}),
+    "scale-nan": ("extract", "head", {"scale": float("nan")}),
+    "scale-inf": ("train", "head", {"scale": float("inf")}),
     "widths-not-doubling": ("train", "backbone", {"widths": [2, 4, 8, 17]}),
 }
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dtcf.errors import ConfigError, ShapeError
-from dtcf.layers import BatchNorm2d, Conv2dLayer, LinearLayer, draw, parameter
+from dtcf.layers import BatchNorm2d, Conv2dLayer, LinearLayer, cast, draw, parameter
 from dtcf.tensor import Tensor, grad_check
 
 from test_tensor import conv2d_oracle, one
@@ -20,13 +20,13 @@ def t64(arr):
 
 class TestConvLayer:
     def test_identity_one_by_one(self):
-        layer = draw(Conv2dLayer(1, 1, kernel=(1, 1), dtype=np.float64), rng(1))
+        layer = draw(cast(Conv2dLayer(1, 1, kernel=(1, 1)), np.float64), rng(1))
         layer.kernels.data[:] = 1.0
         x = one(rng(2).normal(size=(1, 4, 5)))
         np.testing.assert_allclose(layer.forward(x).data[0], x.data[0], atol=1e-12)
 
     def test_matches_oracle(self):
-        layer = draw(Conv2dLayer(2, 3, stride=(2, 1), dtype=np.float64), rng(5))
+        layer = draw(cast(Conv2dLayer(2, 3, stride=(2, 1)), np.float64), rng(5))
         x = rng(7).normal(size=(2, 6, 5))
         expect = conv2d_oracle(x, layer.kernels.data, (2, 1), (1, 1))
         np.testing.assert_allclose(layer.forward(one(x)).data[0], expect, atol=1e-6)
@@ -52,7 +52,7 @@ class TestConvLayer:
             assert out.shape == (1, 4, expect_t, expect_f)
 
     def test_gradcheck_params_and_input(self):
-        layer = draw(Conv2dLayer(2, 2, stride=(1, 1), dtype=np.float64), rng(10))
+        layer = draw(cast(Conv2dLayer(2, 2, stride=(1, 1)), np.float64), rng(10))
         x = one(rng(11).normal(size=(2, 4, 4)))
         assert grad_check(lambda v: layer.forward(v).sum(), x) < 1e-6
         assert grad_check(lambda _: layer.forward(x).sum(), layer.kernels) < 1e-6
@@ -60,20 +60,20 @@ class TestConvLayer:
 
 class TestBatchNorm:
     def test_eval_identity_running_stats(self):
-        bn = BatchNorm2d(3, dtype=np.float64)
+        bn = cast(BatchNorm2d(3), np.float64)
         x = rng(12).normal(size=(3, 4, 5))
         out = bn.forward(one(x), training=False).data[0]
         np.testing.assert_allclose(out, x / np.sqrt(1 + 1e-5), atol=1e-10)
 
     def test_train_normalizes_batch(self):
-        bn = BatchNorm2d(3, dtype=np.float64)
+        bn = cast(BatchNorm2d(3), np.float64)
         x = t64(rng(13).normal(loc=2.0, scale=3.0, size=(4, 3, 5, 6)))
         out = bn.forward(x, training=True).data
         np.testing.assert_allclose(out.mean(axis=(0, 2, 3)), 0.0, atol=1e-5)
         np.testing.assert_allclose(out.var(axis=(0, 2, 3)), 1.0, atol=1e-4)
 
     def test_running_stat_momentum_blend(self):
-        bn = BatchNorm2d(2, dtype=np.float64)
+        bn = cast(BatchNorm2d(2), np.float64)
         data = rng(14).normal(size=(3, 2, 4, 4))
         bn.forward(t64(data), training=True)
         n = 3 * 4 * 4
@@ -88,7 +88,7 @@ class TestBatchNorm:
             bn.forward(Tensor(np.zeros((1, 2, 3, 3), dtype=np.float32)), training=True)
 
     def test_eval_deterministic_pure(self):
-        bn = BatchNorm2d(2, dtype=np.float64)
+        bn = cast(BatchNorm2d(2), np.float64)
         bn.running_mean[:] = [0.3, -0.2]
         bn.running_var[:] = [2.0, 0.5]
         x = one(rng(15).normal(size=(2, 3, 3)))
@@ -98,7 +98,7 @@ class TestBatchNorm:
         np.testing.assert_array_equal(bn.running_mean, [0.3, -0.2])  # eval never mutates
 
     def test_gradcheck_train_mode(self):
-        bn = BatchNorm2d(2, dtype=np.float64)
+        bn = cast(BatchNorm2d(2), np.float64)
         x = t64(rng(16).normal(size=(3, 2, 3, 4)))
         assert grad_check(lambda v: (bn.forward(v, training=True) * 2.0).tanh().sum(), x) < 1e-6
         assert grad_check(lambda _: bn.forward(x, training=True).tanh().sum(), bn.gamma) < 1e-6
@@ -133,7 +133,7 @@ class TestBatchNorm:
             assert err < 1e-5, name
 
     def test_gradcheck_eval_mode(self):
-        bn = BatchNorm2d(2, dtype=np.float64)
+        bn = cast(BatchNorm2d(2), np.float64)
         bn.running_mean[:] = [0.1, -0.4]
         bn.running_var[:] = [1.5, 0.7]
         x = one(rng(17).normal(size=(2, 4, 4)))
@@ -141,7 +141,7 @@ class TestBatchNorm:
 
     def seeded_eval_bn(self, seed):
         r = rng(seed)
-        bn = BatchNorm2d(3, dtype=np.float64)
+        bn = cast(BatchNorm2d(3), np.float64)
         bn.running_mean[:] = r.normal(scale=2.0, size=3)
         bn.running_var[:] = r.uniform(0.2, 3.0, 3)
         bn.gamma.data[:] = r.uniform(0.5, 1.5, 3)
@@ -168,20 +168,20 @@ class TestBatchNorm:
 
 class TestLinear:
     def test_identity_weight(self):
-        layer = draw(LinearLayer(4, 4, dtype=np.float64), rng(20))
+        layer = draw(cast(LinearLayer(4, 4), np.float64), rng(20))
         layer.weight.data[:] = np.eye(4)
         layer.bias.data[:] = 0.0
         x = rng(21).normal(size=4)
         np.testing.assert_allclose(layer.forward(one(x)).data[0], x, atol=1e-12)
 
     def test_zero_weight_bias_only(self):
-        layer = draw(LinearLayer(3, 2, dtype=np.float64), rng(22))
+        layer = draw(cast(LinearLayer(3, 2), np.float64), rng(22))
         layer.weight.data[:] = 0.0
         layer.bias.data[:] = [5.0, -1.0]
         np.testing.assert_allclose(layer.forward(one(rng(23).normal(size=3))).data[0], [5.0, -1.0])
 
     def test_matches_matmul_oracle(self):
-        layer = draw(LinearLayer(5, 3, dtype=np.float64), rng(24))
+        layer = draw(cast(LinearLayer(5, 3), np.float64), rng(24))
         layer.bias.data[:] = rng(25).normal(size=3)
         x = rng(26).normal(size=5)
         expect = np.zeros(3)
@@ -197,14 +197,14 @@ class TestLinear:
             layer.forward(Tensor(np.zeros((1, 4), dtype=np.float32)))
 
     def test_batched_matches_single(self):
-        layer = draw(LinearLayer(4, 3, dtype=np.float64), rng(28))
+        layer = draw(cast(LinearLayer(4, 3), np.float64), rng(28))
         xs = rng(29).normal(size=(5, 4))
         batched = layer.forward(t64(xs)).data
         for i in range(5):
             np.testing.assert_allclose(batched[i], layer.forward(one(xs[i])).data[0], atol=1e-12)
 
     def test_gradcheck(self):
-        layer = draw(LinearLayer(4, 3, dtype=np.float64), rng(30))
+        layer = draw(cast(LinearLayer(4, 3), np.float64), rng(30))
         x = one(rng(31).normal(size=4))
         assert grad_check(lambda v: layer.forward(v).sigmoid().sum(), x) < 1e-6
         assert grad_check(lambda _: layer.forward(x).sigmoid().sum(), layer.weight) < 1e-6

@@ -7,7 +7,7 @@ import pytest
 
 import dtcf.tensor as dt
 from dtcf.errors import ConfigError, DomainError, ShapeError
-from dtcf.layers import parameter
+from dtcf.layers import cast, draw, parameter
 from dtcf.loss import AAMHead, ce_loss_batch
 from dtcf.tensor import grad_check, topo_order
 
@@ -21,7 +21,7 @@ def t64(arr):
 
 
 def head(K=5, dim=8, s=30.0, m=0.2, seed=0):
-    return AAMHead(K, dim, scale=s, margin=m, rng=rng(seed), dtype=np.float64)
+    return draw(cast(AAMHead(K, dim, scale=s, margin=m, rng=None), np.float64), rng(seed))
 
 
 def logits_one(h, emb, label):

@@ -7,7 +7,7 @@ import pytest
 
 from dtcf.attention import DTCFBlock, SEBlock
 from dtcf.errors import ConfigError, ShapeError
-from dtcf.layers import draw
+from dtcf.layers import cast, draw
 from dtcf.loss import AAMHead
 from dtcf.model import ATTENTION_KINDS, ASPHead, BackboneConfig, ResidualBlock, SpeakerModel
 from dtcf.tensor import Tensor, grad_check, no_grad
@@ -41,7 +41,7 @@ def stage_shapes(model, x):
 
 class TestResidualBlock:
     def test_zero_convs_identity_skip_gives_relu(self):
-        blk = draw(ResidualBlock(4, 4, attention="none", reduction=8, dtype=np.float64), rng(1))
+        blk = draw(cast(ResidualBlock(4, 4, attention="none", reduction=8), np.float64), rng(1))
         blk.conv1.kernels.data[:] = 0.0
         blk.conv2.kernels.data[:] = 0.0
         x = rng(2).normal(size=(4, 6, 5))
@@ -59,7 +59,7 @@ class TestResidualBlock:
         assert out2.shape == (1, 8, 10, 4)
 
     def test_with_dtcf_matches_composed_oracle(self):
-        blk = draw(ResidualBlock(3, 3, attention="dtcf", reduction=3, dtype=np.float64), rng(7))
+        blk = draw(cast(ResidualBlock(3, 3, attention="dtcf", reduction=3), np.float64), rng(7))
         x = rng(8).normal(size=(3, 5, 4))
         # compose the same pipeline from the already-tested pieces
         h = blk.bn1.forward(blk.conv1.forward(one(x)), False).relu()
@@ -72,13 +72,12 @@ class TestResidualBlock:
     def test_batched_train_mode_gradcheck(self):
         # a downsampling DTCF block: both convs, the 1x1 skip conv and three
         # train-mode batchnorms, over a batch of 3 with a random upstream weight
-        blk = draw(ResidualBlock(4, 6, stride=(1, 2), attention="dtcf", reduction=2,
-                                 dtype=np.float64), rng(107))
+        blk = draw(cast(ResidualBlock(4, 6, stride=(1, 2), attention="dtcf", reduction=2),
+                        np.float64), rng(107))
         x = t64(rng(207).normal(size=(3, 4, 6, 8)))
         r = t64(rng(307).normal(size=(3, 6, 6, 4)))
         loss = lambda v: (blk.forward(v, training=True) * r).sum()
         assert grad_check(loss, x) < 1e-6
-        x.requires_grad = False
         for _, mod in blk.modules():
             for _, p in mod.named_params():
                 assert grad_check(lambda _: loss(x), p) < 1e-6
@@ -86,7 +85,7 @@ class TestResidualBlock:
 
 class TestASP:
     def make(self, dim, hidden=6, seed=10):
-        return draw(ASPHead(dim, hidden, dtype=np.float64), rng(seed))
+        return draw(cast(ASPHead(dim, hidden), np.float64), rng(seed))
 
     def test_single_frame_mean_and_sqrt_eps(self):
         asp = self.make(8)
@@ -244,7 +243,7 @@ class TestSpeakerModel:
 
     def test_full_model_gradcheck_toy(self):
         cfg = BackboneConfig(**TOY, attention="dtcf")
-        m = SpeakerModel(cfg, seed=5, dtype=np.float64)
+        m = draw(cast(SpeakerModel(cfg, seed=None), np.float64), rng(5))
         feats = one(rng(27).normal(size=(10, 80)))
         err = grad_check(lambda v: m.forward(v, training=False).sum(), feats)
         assert err < 1e-4
@@ -263,7 +262,7 @@ class TestSpeakerModel:
                 p.data[:] = r.normal(scale=0.3, size=p.shape)
         for name, buf in m32.named_buffers():
             buf[:] = r.uniform(0.5, 2.0, buf.shape) if name.endswith("var") else r.normal(size=buf.shape)
-        m64 = SpeakerModel(cfg, seed=7, dtype=np.float64)
+        m64 = cast(SpeakerModel(cfg, seed=None), np.float64)
         for (_, p), (_, q) in zip(m32.named_params(), m64.named_params()):
             q.data[:] = p.data
         for (_, a), (_, b) in zip(m32.named_buffers(), m64.named_buffers()):
@@ -348,7 +347,10 @@ AAM_HEAD_7_512_SEED_9_FLOAT64 = "b1884dcaef58dbc00792afed8b7664830a3544224e49dd9
                          ids=["-".join(key) for key in SEED_3_MODELS])
 def test_seeded_initial_values_pinned(width, kind, dtype):
     cfg = BackboneConfig(**(TOY if width == "toy" else {}), attention=kind)
-    model = SpeakerModel(cfg, seed=3, dtype=np.dtype(dtype).type)
+    if dtype == "float32":
+        model = SpeakerModel(cfg, seed=3)
+    else:
+        model = draw(cast(SpeakerModel(cfg, seed=None), np.float64), rng(3))
     assert initial_values_digest(model) == SEED_3_MODELS[width, kind, dtype]
 
 
@@ -371,5 +373,37 @@ def test_seeded_head_initial_values_pinned():
 
 
 def test_seeded_float64_head_initial_values_pinned():
-    head = AAMHead(7, 512, rng=rng(9), dtype=np.float64)
+    head = draw(cast(AAMHead(7, 512, rng=None), np.float64), rng(9))
     assert initial_values_digest(head) == AAM_HEAD_7_512_SEED_9_FLOAT64
+
+
+@pytest.mark.parametrize("width", ["toy", "full"])
+@pytest.mark.parametrize("kind", ATTENTION_KINDS)
+def test_built_model_and_head_are_float32(width, kind):
+    # every declaration spells float32; layers.cast alone makes another dtype
+    m = SpeakerModel(BackboneConfig(**(TOY if width == "toy" else {}), attention=kind))
+    head = AAMHead(7, 512, rng=rng(9))
+    arrays = [p.data for _, p in m.named_params() + head.named_params()] + [
+        buf for _, buf in m.named_buffers()]
+    assert {arr.dtype for arr in arrays} == {np.dtype(np.float32)}
+
+
+@pytest.mark.parametrize("kind", ATTENTION_KINDS)
+def test_cast_converts_every_entry_in_place_and_order(kind):
+    m = SpeakerModel(BackboneConfig(**TOY, attention=kind), seed=None)
+    params, buffers = m.named_params(), m.named_buffers()
+    assert cast(m, np.float64) is m
+    cast_params, cast_buffers = m.named_params(), m.named_buffers()
+    assert [name for name, _ in cast_params] == [name for name, _ in params]
+    assert [name for name, _ in cast_buffers] == [name for name, _ in buffers]
+    for (name, p), (_, q) in zip(params, cast_params):
+        assert q is p and p.dtype == np.float64 and p.requires_grad, name
+    for (name, old), (_, new) in zip(buffers, cast_buffers):
+        assert new.dtype == np.float64 and np.array_equal(new, old), name
+
+
+def test_embed_of_a_cast_model_is_float64():
+    m = draw(cast(SpeakerModel(BackboneConfig(**TOY, attention="dtcf"), seed=None), np.float64),
+             rng(3))
+    emb = m.embed(rng(32).normal(size=(30, 80)).astype(np.float32))
+    assert emb.dtype == np.float64 and emb.shape == (512,)

@@ -23,8 +23,23 @@ def test_every_exported_name_exists(name):
     assert [n for n in exported if not hasattr(module, n)] == []
 
 
-def test_only_the_top_level_builders_take_a_seed():
-    # every other layer declares its parameters; layers.draw alone gives them initial values
+# the constructor parameters of every Module subclass: only the top-level builders take a seed,
+# since layers.draw alone gives initial values, and none takes a dtype, since layers.cast alone
+# converts one; a new option shows up as a diff of this table
+MODULE_PARAMETERS = {
+    "AAMHead": ["n_classes", "emb_dim", "scale", "margin", "rng"],
+    "ASPHead": ["in_dim", "hidden"],
+    "BatchNorm2d": ["channels"],
+    "Conv2dLayer": ["in_channels", "out_channels", "kernel", "stride"],
+    "DTCFBlock": ["channels", "reduction"],
+    "LinearLayer": ["in_features", "out_features"],
+    "ResidualBlock": ["in_channels", "out_channels", "stride", "attention", "reduction"],
+    "SEBlock": ["channels", "reduction"],
+    "SpeakerModel": ["config", "seed"],
+}
+
+
+def test_module_constructor_parameters_pinned():
     from dtcf.layers import Module
     for name in MODULES:
         importlib.import_module(name)
@@ -33,10 +48,8 @@ def test_only_the_top_level_builders_take_a_seed():
         subclasses = [c for c in stack.pop().__subclasses__() if c.__module__.startswith("dtcf.")]
         classes += subclasses
         stack += subclasses
-    assert len(classes) >= 9
-    seeded = sorted(c.__name__ for c in classes
-                    if {"rng", "seed"} & set(inspect.signature(c.__init__).parameters))
-    assert seeded == ["AAMHead", "SpeakerModel"]
+    table = {c.__name__: list(inspect.signature(c.__init__).parameters)[1:] for c in classes}
+    assert table == MODULE_PARAMETERS
 
 
 def test_a_tensor_is_built_from_its_data_alone():

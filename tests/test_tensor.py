@@ -619,6 +619,22 @@ class TestGradCheck:
         fn = lambda v: ((v * v).sqrt() * 0.5 + v.tanh()).exp().sum()
         assert grad_check(fn, t64(np.abs(x))) < 1e-6
 
+    def test_constant_variable_is_restored(self):
+        # a later check or loss over another leaf must not compute a gradient for x again
+        x, w = t64(rng(43).normal(size=(3,))), p64(rng(44).normal(size=(3,)))
+        assert grad_check(lambda v: (v * w).sum(), x) < 1e-6
+        assert x.requires_grad is False and x.grad is None
+        loss = (x * w).sum()
+        assert all(node is not x for node in topo_order(loss))
+
+    def test_parameter_keeps_its_gradient_through_a_raise(self):
+        w = p64(-1.0 - np.abs(rng(45).normal(size=(4,))))
+        held = w.grad = np.full(4, 7.0)
+        with pytest.raises(GradCheckError, match="all exactly zero"):
+            grad_check(lambda v: v.relu().sum(), w)
+        assert w.requires_grad is True and w.grad is held
+        np.testing.assert_array_equal(held, 7.0)
+
 
 class TestShapeContracts:
     def test_mean_then_broadcast_mul_preserves_shape(self):
