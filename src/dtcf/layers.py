@@ -3,8 +3,9 @@
 A layer's constructor only declares its parameters, at float32: weights and
 biases as zeros, batchnorm gamma=1 beta=0; ``cast`` alone converts a module to
 another dtype. Initial values come from one seeded walk, ``draw`` (conv
-kernels He-uniform, linear weights Xavier-uniform), or from a checkpoint. Fans come from the weight's shape: fan-in is the product of
-every axis after the first, and fan-out the first axis.
+kernels He-uniform, linear weights Xavier-uniform), or from a checkpoint.
+Fans come from the weight's shape: fan-in is the product of every axis after
+the first, and fan-out the first axis.
 """
 
 from __future__ import annotations

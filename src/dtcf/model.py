@@ -202,9 +202,8 @@ class SpeakerModel(Module):
 
     def embed(self, feats: np.ndarray) -> np.ndarray:
         """Eval-mode embedding of one (T, 80) utterance; deterministic, no graph recorded."""
-        x = Tensor(np.asarray(feats, dtype=self.emb.weight.dtype)[None])
         with no_grad():
-            out = self.forward(x, training=False)
+            out = self.forward(Tensor(np.asarray(feats, self.emb.weight.dtype)[None]), training=False)
         return out.data[0].copy()
 
     # -- parameter access ---------------------------------------------------
