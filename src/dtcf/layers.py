@@ -15,7 +15,8 @@ import numpy as np
 from .errors import ConfigError
 from .tensor import Tensor, _node, conv2d, matmul, reshape, transpose
 
-__all__ = ["Module", "Conv2dLayer", "BatchNorm2d", "LinearLayer", "parameter", "draw", "cast"]
+__all__ = ["Module", "Conv2dLayer", "BatchNorm2d", "BatchNormReLU2d", "LinearLayer", "parameter",
+           "draw", "cast"]
 
 
 def parameter(data: np.ndarray) -> Tensor:
@@ -110,6 +111,7 @@ class BatchNorm2d(Module):
 
     momentum = 0.1
     eps = 1e-5
+    relu = False
 
     def __init__(self, channels: int):
         self.gamma = parameter(np.ones(channels, dtype=np.float32))
@@ -121,14 +123,15 @@ class BatchNorm2d(Module):
         if training:
             if x.shape[0] < 2:
                 raise ConfigError("train-mode batchnorm needs a batch of >= 2 samples")
-            out, mu, var = _bn_train(x, self.gamma, self.beta, self.eps)
+            out, mu, var = _bn_train(x, self.gamma, self.beta, self.eps, self.relu)
             self._update_running(mu, var, x.data.size // x.shape[1])
             return out
         shp = (1, -1, 1, 1)
         istd = Tensor((1.0 / np.sqrt(self.running_var + self.eps)).reshape(shp).astype(x.dtype))
         scale = reshape(self.gamma, shp) * istd
         shift = reshape(self.beta, shp) - Tensor(self.running_mean.reshape(shp)) * scale
-        return x * scale + shift
+        out = x * scale + shift
+        return out.relu() if self.relu else out
 
     def _update_running(self, mu: np.ndarray, var: np.ndarray, n: int) -> None:
         var_u = var.reshape(-1) * n / (n - 1)
@@ -137,25 +140,42 @@ class BatchNorm2d(Module):
         self.running_var = ((1 - m) * self.running_var + m * var_u).astype(self.running_var.dtype)
 
 
-def _bn_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float):
-    """Fused batch-norm forward and whitening backward; also returns the batch mean and variance.
+class BatchNormReLU2d(BatchNorm2d):
+    """``BatchNorm2d`` followed by ReLU. In train mode the two are one graph
+    node, which keeps neither the normalised map nor the map before the ReLU."""
+
+    relu = True
+
+
+def _bn_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, relu: bool):
+    """Fused batch-norm forward and whitening backward, with the ReLU after it
+    if ``relu``; also returns the batch mean and variance.
 
     One pass each for the mean, the centring, the variance and the
     normalisation. The backward uses dβ = Σg and dγ = Σg·x̂, so that
     mean(g·γ) = γ·dβ/n and mean(g·γ·x̂) = γ·dγ/n need no pass of their own.
+    The node keeps only ``x``, which the graph holds anyway, and its output:
+    the backward rebuilds x̂ from ``x`` by the forward's own operations, and
+    takes the ReLU's mask from the output, which is positive where its input was.
     """
     axes = (0, 2, 3)
     shp = (1, -1, 1, 1)
     n = x.data.size // x.shape[1]
     mu = x.data.mean(axis=axes, keepdims=True)
-    xhat = x.data - mu
-    var = (np.einsum("bctf,bctf->c", xhat, xhat) / n).reshape(shp)
+    out = x.data - mu        # centred, normalised, then scaled and shifted in place
+    var = (np.einsum("bctf,bctf->c", out, out) / n).reshape(shp)
     istd = 1.0 / np.sqrt(var + eps)
-    xhat *= istd
-    out = xhat * gamma.data.reshape(shp)
+    out *= istd
+    out *= gamma.data.reshape(shp)
     out += beta.data.reshape(shp)
+    if relu:
+        np.maximum(out, 0, out=out)
 
     def bwd(g):
+        if relu:
+            g = g * (out > 0)
+        xhat = x.data - mu
+        xhat *= istd
         dbeta = g.sum(axis=axes)
         dgamma = np.einsum("bctf,bctf->c", g, xhat)
         if beta.requires_grad:
@@ -163,7 +183,8 @@ def _bn_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float):
         if gamma.requires_grad:
             gamma._accum(dgamma)
         if x.requires_grad:
-            dx = xhat * (dgamma / -n).reshape(shp)
+            dx = xhat
+            dx *= (dgamma / -n).reshape(shp)
             dx += g
             dx -= (dbeta / n).reshape(shp)
             dx *= gamma.data.reshape(shp) * istd

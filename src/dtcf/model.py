@@ -23,8 +23,8 @@ import numpy as np
 
 from .attention import DTCFBlock, SEBlock
 from .errors import ConfigError, ShapeError
-from .layers import BatchNorm2d, Conv2dLayer, LinearLayer, Module, draw, parameter
-from .tensor import Tensor, concat, matmul, no_grad, reshape, sum_axis, transpose
+from .layers import BatchNorm2d, BatchNormReLU2d, Conv2dLayer, LinearLayer, Module, draw, parameter
+from .tensor import Tensor, add_relu, concat, matmul, no_grad, reshape, sum_axis, transpose
 
 __all__ = ["BackboneConfig", "ResidualBlock", "ASPHead", "SpeakerModel"]
 
@@ -79,7 +79,7 @@ class ResidualBlock(Module):
     def __init__(self, in_channels: int, out_channels: int, stride=(1, 1), *,
                  attention: str, reduction: int):
         self.conv1 = Conv2dLayer(in_channels, out_channels, stride=stride)
-        self.bn1 = BatchNorm2d(out_channels)
+        self.bn1 = BatchNormReLU2d(out_channels)
         self.conv2 = Conv2dLayer(out_channels, out_channels)
         self.bn2 = BatchNorm2d(out_channels)
         if stride != (1, 1) or in_channels != out_channels:
@@ -93,7 +93,7 @@ class ResidualBlock(Module):
             self.attn = ATTENTION_BLOCKS[attention](out_channels, reduction)
 
     def forward(self, x: Tensor, training: bool = False) -> Tensor:
-        main = self.bn1.forward(self.conv1.forward(x), training).relu()
+        main = self.bn1.forward(self.conv1.forward(x), training)
         main = self.bn2.forward(self.conv2.forward(main), training)
         if self.attn is not None:
             main = self.attn.apply(main)
@@ -101,7 +101,7 @@ class ResidualBlock(Module):
             skip = self.down_bn.forward(self.down_conv.forward(x), training)
         else:
             skip = x
-        return (main + skip).relu()
+        return add_relu(main, skip)
 
 
 class ASPHead(Module):
@@ -153,7 +153,7 @@ class SpeakerModel(Module):
         self.config = config
         w = config.widths
         self.stem_conv = Conv2dLayer(1, w[0])
-        self.stem_bn = BatchNorm2d(w[0])
+        self.stem_bn = BatchNormReLU2d(w[0])
         self.stages: list[list[ResidualBlock]] = []
         in_ch = w[0]
         for width, count, stride in zip(w, config.blocks, config.strides):
@@ -181,7 +181,7 @@ class SpeakerModel(Module):
     # -- forward paths ------------------------------------------------------
 
     def forward_map(self, x: Tensor, training: bool = False) -> Tensor:
-        v = self.stem_bn.forward(self.stem_conv.forward(x), training).relu()
+        v = self.stem_bn.forward(self.stem_conv.forward(x), training)
         for stage in self.stages:
             for block in stage:
                 v = block.forward(v, training)

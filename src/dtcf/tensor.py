@@ -26,6 +26,7 @@ from .errors import ConfigError, DomainError, GradCheckError, ShapeError
 
 __all__ = [
     "Tensor",
+    "add_relu",
     "matmul",
     "conv2d",
     "mean_axis",
@@ -216,6 +217,24 @@ def _binary(a: Tensor, b: Tensor, fwd, da: Callable, db: Callable) -> Tensor:
     return _node(data, (a, b), bwd)
 
 
+def add_relu(a: Tensor, b: Tensor) -> Tensor:
+    """``(a + b).relu()`` as one node over same-shape operands, which keeps
+    no sum before the ReLU: the mask comes from the output, positive where
+    the sum was."""
+    if a.shape != b.shape:
+        raise ShapeError(f"add_relu takes operands of one shape, got {a.shape} and {b.shape}")
+    data = a.data + b.data
+    np.maximum(data, 0, out=data)
+
+    def bwd(g):
+        g = g * (data > 0)
+        if a.requires_grad:
+            a._accum(g)
+        if b.requires_grad:
+            b._accum(g)
+    return _node(data, (a, b), bwd)
+
+
 # -- linear algebra -----------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -379,7 +398,7 @@ def mean_axis(x: Tensor, axis: int) -> Tensor:
     data = data.reshape(x.shape[:axis] + x.shape[axis + 1:])
 
     def bwd(g):
-        x._accum(np.broadcast_to(np.expand_dims(g, axis), x.shape) / n)
+        x._accum(np.broadcast_to(np.expand_dims(g / n, axis), x.shape))
     return _node(data, (x,), bwd)
 
 
@@ -502,7 +521,7 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> f
     Returns max over coordinates of
     |analytic - numeric| / max(|analytic|, |numeric|, 1e-12). Raises
     GradCheckError if either gradient is not finite, or if both are all zero.
-    ``x`` gets back its ``requires_grad`` and ``grad`` on return and on a raise.
+    ``x`` gets back its data, ``requires_grad`` and ``grad`` on return and on a raise.
     """
     if not eps > 0:
         raise ConfigError(f"finite-difference step eps must be > 0, got {eps}")
@@ -522,11 +541,13 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> f
         with no_grad():
             for i in range(flat.size):
                 orig = flat[i]
-                flat[i] = orig + eps
-                hi = float(f(x).data)
-                flat[i] = orig - eps
-                lo = float(f(x).data)
-                flat[i] = orig
+                try:
+                    flat[i] = orig + eps
+                    hi = float(f(x).data)
+                    flat[i] = orig - eps
+                    lo = float(f(x).data)
+                finally:
+                    flat[i] = orig
                 nflat[i] = (hi - lo) / (2 * eps)
         if np.any(~np.isfinite(numeric)):
             idx = np.unravel_index(int(np.argmin(np.isfinite(numeric))), numeric.shape)

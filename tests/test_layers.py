@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from dtcf.errors import ConfigError, ShapeError
-from dtcf.layers import BatchNorm2d, Conv2dLayer, LinearLayer, cast, draw, parameter
+from dtcf.layers import (BatchNorm2d, BatchNormReLU2d, Conv2dLayer, LinearLayer, cast, draw,
+                         parameter)
 from dtcf.tensor import Tensor, grad_check
 
 from test_tensor import conv2d_oracle, one
@@ -56,6 +57,17 @@ class TestConvLayer:
         x = one(rng(11).normal(size=(2, 4, 4)))
         assert grad_check(lambda v: layer.forward(v).sum(), x) < 1e-6
         assert grad_check(lambda _: layer.forward(x).sum(), layer.kernels) < 1e-6
+
+
+def seeded_bn(seed, cls=BatchNorm2d, dtype=np.float64):
+    """A 3-channel batchnorm with seeded running statistics and affine terms."""
+    r = rng(seed)
+    bn = cast(cls(3), dtype)
+    bn.running_mean[:] = r.normal(scale=2.0, size=3)
+    bn.running_var[:] = r.uniform(0.2, 3.0, 3)
+    bn.gamma.data[:] = r.uniform(0.5, 1.5, 3)
+    bn.beta.data[:] = r.normal(size=3)
+    return bn
 
 
 class TestBatchNorm:
@@ -139,17 +151,8 @@ class TestBatchNorm:
         x = one(rng(17).normal(size=(2, 4, 4)))
         assert grad_check(lambda v: bn.forward(v, training=False).sigmoid().sum(), x) < 1e-6
 
-    def seeded_eval_bn(self, seed):
-        r = rng(seed)
-        bn = cast(BatchNorm2d(3), np.float64)
-        bn.running_mean[:] = r.normal(scale=2.0, size=3)
-        bn.running_var[:] = r.uniform(0.2, 3.0, 3)
-        bn.gamma.data[:] = r.uniform(0.5, 1.5, 3)
-        bn.beta.data[:] = r.normal(size=3)
-        return bn
-
     def test_eval_matches_textbook_formula(self):
-        bn = self.seeded_eval_bn(22)
+        bn = seeded_bn(22)
         x = rng(23).normal(loc=1.0, scale=2.0, size=(2, 3, 7, 5))
         shp = (1, -1, 1, 1)
         want = ((x - bn.running_mean.reshape(shp)) / np.sqrt(bn.running_var.reshape(shp) + bn.eps)
@@ -158,9 +161,38 @@ class TestBatchNorm:
         np.testing.assert_allclose(out, want, rtol=1e-12, atol=1e-12)
 
     def test_gradcheck_eval_mode_input_and_affine(self):
-        bn = self.seeded_eval_bn(24)
+        bn = seeded_bn(24)
         x = t64(rng(25).normal(size=(2, 3, 4, 3)))
         loss = lambda v: bn.forward(v, training=False).sigmoid().sum()
+        assert grad_check(loss, x) < 1e-6
+        assert grad_check(lambda _: loss(x), bn.gamma) < 1e-6
+        assert grad_check(lambda _: loss(x), bn.beta) < 1e-6
+
+
+class TestBatchNormReLU:
+    @pytest.mark.parametrize("training", [True, False])
+    def test_float32_is_batchnorm_then_relu_bit_for_bit(self, training):
+        x = rng(30).normal(loc=0.5, scale=2.0, size=(4, 3, 9, 7)).astype(np.float32)
+        g = Tensor(rng(31).normal(size=x.shape).astype(np.float32))
+        runs = []
+        for cls in (BatchNormReLU2d, BatchNorm2d):
+            bn, xt = seeded_bn(32, cls, np.float32), parameter(x.copy())
+            out = bn.forward(xt, training)
+            out = out if cls is BatchNormReLU2d else out.relu()
+            (out * g).sum().backward()
+            runs.append([out.data, xt.grad, bn.gamma.grad, bn.beta.grad,
+                         bn.running_mean, bn.running_var])
+        fused, composed = runs
+        assert 0 < (fused[0] == 0).mean() < 1
+        for a, b in zip(fused, composed):
+            assert a.dtype == b.dtype == np.float32 and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_gradcheck(self, training):
+        bn = seeded_bn(33, BatchNormReLU2d)
+        x = t64(rng(34).normal(size=(3, 3, 4, 5)))
+        r = t64(rng(35).normal(size=x.shape))
+        loss = lambda v: (bn.forward(v, training) * r).sum()
         assert grad_check(loss, x) < 1e-6
         assert grad_check(lambda _: loss(x), bn.gamma) < 1e-6
         assert grad_check(lambda _: loss(x), bn.beta) < 1e-6

@@ -30,6 +30,7 @@ MODULE_PARAMETERS = {
     "AAMHead": ["n_classes", "emb_dim", "scale", "margin", "rng"],
     "ASPHead": ["in_dim", "hidden"],
     "BatchNorm2d": ["channels"],
+    "BatchNormReLU2d": ["channels"],
     "Conv2dLayer": ["in_channels", "out_channels", "kernel", "stride"],
     "DTCFBlock": ["channels", "reduction"],
     "LinearLayer": ["in_features", "out_features"],
@@ -50,6 +51,17 @@ def test_module_constructor_parameters_pinned():
         stack += subclasses
     table = {c.__name__: list(inspect.signature(c.__init__).parameters)[1:] for c in classes}
     assert table == MODULE_PARAMETERS
+
+
+def test_perfbench_patch_points_keep_their_signatures():
+    # perfbench/tracing.py replaces these methods by wrapper(bn, x, training=False) and
+    # wrapper(layer, x), so a parameter added to either would never reach it; the fused
+    # batchnorm+ReLU layer inherits the wrapped forward, so it may not define its own
+    from dtcf.layers import BatchNorm2d, BatchNormReLU2d, Conv2dLayer
+    params = inspect.signature(BatchNorm2d.forward).parameters
+    assert list(params) == ["self", "x", "training"] and params["training"].default is False
+    assert list(inspect.signature(Conv2dLayer.forward).parameters) == ["self", "x"]
+    assert "forward" not in vars(BatchNormReLU2d)
 
 
 def test_a_tensor_is_built_from_its_data_alone():

@@ -14,7 +14,7 @@ import dtcf.tensor as dtt
 from dtcf.errors import ConfigError, DomainError, GradCheckError, ShapeError
 from dtcf.layers import parameter
 from dtcf.tensor import (
-    Tensor, backward, concat, conv2d, grad_check, matmul, mean_axis, reshape,
+    Tensor, add_relu, backward, concat, conv2d, grad_check, matmul, mean_axis, reshape,
     sum_axis, topo_order, transpose, zero_grads,
 )
 
@@ -374,6 +374,15 @@ class TestMeanAxis:
         mean_axis(x, 0).sum().backward()
         np.testing.assert_allclose(x.grad, np.full((4, 3), 1 / 4), atol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [3, 7])
+    def test_backward_is_the_broadcast_gradient_over_n_bit_for_bit(self, n, dtype):
+        x = parameter(np.zeros((2, n, 5), dtype=dtype))
+        g = rng(21).normal(size=(2, 5)).astype(dtype)
+        mean_axis(x, 1)._backward(g)
+        want = np.broadcast_to(np.expand_dims(g, 1), x.shape) / n
+        assert x.grad.dtype == dtype and x.grad.tobytes() == want.tobytes()
+
     def test_sum_axis_keepdims(self):
         x = t64(rng(18).normal(size=(2, 3, 4)))
         out = sum_axis(x, 1, keepdims=True)
@@ -635,6 +644,41 @@ class TestGradCheck:
         assert w.requires_grad is True and w.grad is held
         np.testing.assert_array_equal(held, 7.0)
 
+    def test_variable_data_is_restored_through_a_raise(self):
+        # call 1 is the analytic pass; call 3 runs at the first coordinate minus eps
+        x = t64([1.0, 2.0, 3.0])
+        calls = []
+
+        def f(v):
+            calls.append(v)
+            if len(calls) == 3:
+                raise DomainError("probe")
+            return v.sum()
+
+        with pytest.raises(DomainError, match="probe"):
+            grad_check(f, x)
+        assert x.data.tobytes() == np.array([1.0, 2.0, 3.0]).tobytes()
+
+
+class TestAddRelu:
+    def test_float32_is_sum_then_relu_bit_for_bit(self):
+        a0, b0 = (rng(s).normal(size=(4, 3, 6, 5)).astype(np.float32) for s in (50, 51))
+        g = Tensor(rng(52).normal(size=a0.shape).astype(np.float32))
+        runs = []
+        for fused in (True, False):
+            a, b = parameter(a0.copy()), parameter(b0.copy())
+            out = add_relu(a, b) if fused else (a + b).relu()
+            (out * g).sum().backward()
+            runs.append([out.data, a.grad, b.grad])
+        assert 0 < (runs[0][0] == 0).mean() < 1
+        for x, y in zip(*runs):
+            assert x.dtype == y.dtype == np.float32 and x.tobytes() == y.tobytes()
+
+    def test_gradcheck(self):
+        a, b, r = (t64(rng(s).normal(size=(2, 3, 4, 5))) for s in (53, 54, 55))
+        assert grad_check(lambda v: (add_relu(v, b) * r).sum(), a) < 1e-6
+        assert grad_check(lambda v: (add_relu(a, v) * r).sum(), b) < 1e-6
+
 
 class TestShapeContracts:
     def test_mean_then_broadcast_mul_preserves_shape(self):
@@ -676,8 +720,10 @@ def _finite_only_at_first_call():
      "rank mismatch"),
     (lambda: grad_check(_finite_only_at_first_call(), t64(rng(41).normal(size=(3,)))),
      GradCheckError, "numeric gradient"),
+    (lambda: add_relu(t64(np.ones((2, 3))), t64(np.ones((1, 3)))), ShapeError,
+     r"one shape, got \(2, 3\) and \(1, 3\)"),
 ], ids=["matmul-rank", "conv2d-kernel-rank", "conv2d-input-rank", "conv2d-stride",
-        "conv2d-padding", "concat-rank", "grad-check-numeric-nan"])
+        "conv2d-padding", "concat-rank", "grad-check-numeric-nan", "add-relu-shape"])
 def test_named_input_errors(call, error, match):
     with pytest.raises(error, match=match):
         call()
