@@ -9,10 +9,11 @@ mask is a single gate per channel. The duality block keeps per-frame and
 per-bin context: it pools time and frequency in parallel and runs SE's
 excitation sigmoid(W relu(W1 .)) on every column of the (C, F) and (C, T)
 profiles, with one W1 shared by both. The two masks, over (C, F) and (C, T),
-both multiply the map. The pooling means are BLAS products (``mean_axis``),
-each per-column map is one GEMM node (``_per_column``), and the two
-multiplies are one graph node (``_gate``) whose backward sums each mask's
-gradient over the other axis with a batched matrix product.
+both multiply the map. The pooling means are BLAS products (``mean_axis``).
+Every weight, in both blocks, is applied by ``tensor.per_column``: one GEMM
+node over SE's (B, C) squeeze or over every column of a (B, C, P) profile.
+The two multiplies are one graph node (``_gate``) whose backward sums each
+mask's gradient over the other axis with a batched matrix product.
 
 Every op takes a leading batch axis B and treats each sample on its own.
 """
@@ -21,9 +22,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 from .layers import Module, parameter
-from .tensor import Tensor, _node, matmul, mean_axis, reshape, transpose
+from .tensor import Tensor, _node, mean_axis, per_column, reshape
 
 __all__ = ["SEBlock", "DTCFBlock", "reduced_channels"]
 
@@ -64,25 +65,6 @@ def _gate(x: Tensor, mct: Tensor, mcf: Tensor) -> Tensor:
     return _node(out, (x, mct, mcf), bwd)
 
 
-def _per_column(w: Tensor, u: Tensor) -> Tensor:
-    """Apply a (C2, C1) channel map to every column of (B, C1, P): one GEMM node,
-    whose backward runs ``matmul``'s two GEMMs on the (C2, B·P) gradient."""
-    b, c1, p = u.shape
-    if w.shape[1] != c1:
-        raise ShapeError(f"channel map {w.shape} does not take {c1} channels")
-    c2 = w.shape[0]
-    flat = u.data.transpose(1, 0, 2).reshape(c1, b * p)
-    out = (w.data @ flat).reshape(c2, b, p).transpose(1, 0, 2)
-
-    def bwd(g):
-        g2 = g.transpose(1, 0, 2).reshape(c2, b * p)
-        if w.requires_grad:
-            w._accum(g2 @ flat.T)
-        if u.requires_grad:
-            u._accum((w.data.T @ g2).reshape(c1, b, p).transpose(1, 0, 2))
-    return _node(out, (w, u), bwd)
-
-
 class SEBlock(Module):
     """Squeeze-and-excitation: global-average squeeze, two bias-free FC layers, sigmoid gate."""
 
@@ -97,8 +79,7 @@ class SEBlock(Module):
 
     def mask(self, xc: Tensor) -> Tensor:
         """Gate per channel: sigmoid(W2 relu(W1 xc)), (B,C) -> (B,C), strictly in (0,1)."""
-        hidden = matmul(xc, transpose(self.w1, (1, 0))).relu()
-        return matmul(hidden, transpose(self.w2, (1, 0))).sigmoid()
+        return per_column(self.w2, per_column(self.w1, xc).relu()).sigmoid()
 
     def apply(self, x: Tensor) -> Tensor:
         """Recalibrate: multiply every (t, f) cell of channel c by its gate."""
@@ -128,12 +109,12 @@ class DTCFBlock(Module):
 
     def encode(self, xcf: Tensor, xct: Tensor) -> tuple[Tensor, Tensor]:
         """The shared encoding of each profile: relu(W1 xcf) (B,C',F) and relu(W1 xct) (B,C',T)."""
-        return _per_column(self.w1, xcf).relu(), _per_column(self.w1, xct).relu()
+        return per_column(self.w1, xcf).relu(), per_column(self.w1, xct).relu()
 
     def masks(self, hf: Tensor, ht: Tensor) -> tuple[Tensor, Tensor]:
         """(mct, mcf): the time mask sigmoid(W2 ht), (B,C,T), and the frequency
         mask sigmoid(W3 hf), (B,C,F)."""
-        return _per_column(self.w2, ht).sigmoid(), _per_column(self.w3, hf).sigmoid()
+        return per_column(self.w2, ht).sigmoid(), per_column(self.w3, hf).sigmoid()
 
     def apply(self, x: Tensor) -> Tensor:
         """Full pipeline: pool, encode, mask, and recalibrate the map."""

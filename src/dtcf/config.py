@@ -40,7 +40,7 @@ SCHEMA.update(manifest=str, scale=float, margin=float, attention=_parse_attentio
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
-    cfg = {}
+    cfg, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -50,6 +50,9 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
         key, _, value = (p.strip() for p in line.partition("="))
         if key not in SCHEMA:
             raise ConfigError(f"{source}:{lineno}: unknown config key '{key}'")
+        if key in lines:
+            raise ConfigError(f"{source}:{lineno}: config key '{key}' repeats line {lines[key]}")
+        lines[key] = lineno
         try:
             cfg[key] = SCHEMA[key](value)
         except ValueError as e:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .tensor import Tensor, _node, conv2d, matmul, reshape, transpose
+from .tensor import Tensor, _node, conv2d, per_column, reshape
 
 __all__ = ["Module", "Conv2dLayer", "BatchNorm2d", "BatchNormReLU2d", "LinearLayer", "parameter",
            "draw", "cast"]
@@ -201,4 +201,4 @@ class LinearLayer(Module):
         self.bias = parameter(np.zeros(out_features, dtype=np.float32))
 
     def forward(self, x: Tensor) -> Tensor:
-        return matmul(x, transpose(self.weight, (1, 0))) + reshape(self.bias, (1, -1))
+        return per_column(self.weight, x) + reshape(self.bias, (1, -1))

@@ -15,11 +15,23 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError
 from .layers import Module, draw, parameter
-from .tensor import Tensor, matmul, sum_axis, transpose
+from .tensor import Tensor, per_column, sum_axis
 
 __all__ = ["AAMHead", "ce_loss_batch"]
 
 _SIN_EPS = 1e-12  # keeps d/dcos sqrt(1-cos^2) finite at exact parallelism
+
+
+def _onehot(labels, b: int, k: int, dtype) -> np.ndarray:
+    """The (B, K) one-hot of ``labels``, which must be B integers in [0, K)."""
+    labels = np.asarray(labels)
+    if labels.shape != (b,):
+        raise ShapeError(f"expected {b} labels, got shape {labels.shape}")
+    if labels.dtype.kind not in "iu" or np.any((labels < 0) | (labels >= k)):
+        raise ConfigError(f"labels must be integers in [0,{k})")
+    onehot = np.zeros((b, k), dtype=dtype)
+    onehot[np.arange(b), labels] = 1.0
+    return onehot
 
 
 class AAMHead(Module):
@@ -48,20 +60,13 @@ class AAMHead(Module):
         """(B, D) embeddings + integer labels -> (B, K) margin logits."""
         if emb.ndim != 2 or emb.shape[1] != self.weights.shape[1]:
             raise ShapeError(f"expected (B,{self.weights.shape[1]}) embeddings, got {emb.shape}")
-        labels = np.asarray(labels)
-        if labels.min() < 0 or labels.max() >= self.n_classes:
-            raise ConfigError(f"labels must lie in [0,{self.n_classes})")
-        b = emb.shape[0]
+        hot = Tensor(_onehot(labels, emb.shape[0], self.n_classes, emb.dtype))
         norms = sum_axis(emb * emb, 1, keepdims=True).sqrt()
         if np.any(norms.data < 1e-12):
             raise DomainError("zero-norm embedding")
         e = emb / norms
         wn = self.weights / sum_axis(self.weights * self.weights, 1, keepdims=True).sqrt()
-        cos = matmul(e, transpose(wn, (1, 0)))                     # (B, K)
-
-        onehot = np.zeros((b, self.n_classes), dtype=emb.data.dtype)
-        onehot[np.arange(b), labels] = 1.0
-        hot = Tensor(onehot)
+        cos = per_column(wn, e)                                    # (B, K)
         cos_t = sum_axis(cos * hot, 1, keepdims=True)              # (B, 1)
         sin_t = ((1.0 - cos_t * cos_t).relu() + _SIN_EPS).sqrt()
         phi = cos_t * math.cos(self.margin) - sin_t * math.sin(self.margin)
@@ -76,11 +81,10 @@ def ce_loss_batch(logits: Tensor, labels: np.ndarray) -> Tensor:
     if logits.ndim != 2:
         raise ShapeError(f"expected (B,K) logits, got {logits.shape}")
     b, k = logits.shape
-    onehot = np.zeros((b, k), dtype=logits.data.dtype)
-    onehot[np.arange(b), np.asarray(labels)] = 1.0
+    hot = Tensor(_onehot(labels, b, k, logits.dtype))
     # max-shifted for stability; the shift is constant w.r.t. the graph
     shift = Tensor(logits.data.max(axis=1, keepdims=True))
     z = logits - shift
     lse = sum_axis(z.exp(), 1).log()                               # (B,)
-    zt = sum_axis(z * Tensor(onehot), 1)
+    zt = sum_axis(z * hot, 1)
     return (lse - zt).sum() / b

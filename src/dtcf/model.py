@@ -24,7 +24,7 @@ import numpy as np
 from .attention import DTCFBlock, SEBlock
 from .errors import ConfigError, ShapeError
 from .layers import BatchNorm2d, BatchNormReLU2d, Conv2dLayer, LinearLayer, Module, draw, parameter
-from .tensor import Tensor, add_relu, concat, matmul, no_grad, reshape, sum_axis, transpose
+from .tensor import Tensor, add_relu, concat, no_grad, per_column, reshape, sum_axis, transpose
 
 __all__ = ["BackboneConfig", "ResidualBlock", "ASPHead", "SpeakerModel"]
 
@@ -125,9 +125,9 @@ class ASPHead(Module):
 
     def _weights(self, h: Tensor) -> Tensor:
         b, t, d = h.shape
-        scores = matmul(reshape(h, (b * t, d)), transpose(self.w, (1, 0)))
+        scores = per_column(self.w, reshape(h, (b * t, d)))
         scores = (scores + reshape(self.b, (1, -1))).tanh()
-        scores = reshape(matmul(scores, self.v), (b, t))
+        scores = reshape(per_column(reshape(self.v, (1, -1)), scores), (b, t))
         # shift by the (constant) per-utterance max for a stable softmax
         shift = Tensor(scores.data.max(axis=1, keepdims=True))
         ez = (scores - shift).exp()

@@ -214,7 +214,7 @@ def read_manifest(path) -> list[tuple[str, str, Path]]:
             raise DataError(f"{path}: bad manifest header {header}")
         for row in reader:
             if len(row) != 3:
-                raise DataError(f"{path}: bad manifest row {row}")
+                raise DataError(f"{path}:{reader.line_num}: bad manifest row {row}")
             utt, spk, rel = row
             if utt in seen:
                 raise DataError(f"{path}:{reader.line_num}: utt_id {utt!r} repeats an earlier row")

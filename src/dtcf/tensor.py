@@ -27,7 +27,7 @@ from .errors import ConfigError, DomainError, GradCheckError, ShapeError
 __all__ = [
     "Tensor",
     "add_relu",
-    "matmul",
+    "per_column",
     "conv2d",
     "mean_axis",
     "sum_axis",
@@ -237,20 +237,25 @@ def add_relu(a: Tensor, b: Tensor) -> Tensor:
 
 # -- linear algebra -----------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """2-D matrix product; backward is dA = g Bᵀ, dB = Aᵀ g."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects rank-2 operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions differ: {a.shape} @ {b.shape}")
-    data = a.data @ b.data
+def per_column(w: Tensor, u: Tensor) -> Tensor:
+    """Apply a (C2, C1) weight to every column of a (B, C1) or (B, C1, P) input:
+    one GEMM over its (C1, B·P) view, and one for each gradient. The output is
+    C-contiguous; on a (B, C1) input it and the gradients equal ``u @ w.T``,
+    ``g @ w`` and ``(u.T @ g).T`` bit for bit."""
+    if w.ndim != 2 or u.ndim not in (2, 3) or w.shape[1] != u.shape[1]:
+        raise ShapeError(f"weight {w.shape} does not take the columns of {u.shape}")
+    c2, c1 = w.shape
+    cols = u.data.swapaxes(0, 1)
+    flat = cols.reshape(c1, -1)
+    out = np.ascontiguousarray((w.data @ flat).reshape((c2,) + cols.shape[1:]).swapaxes(0, 1))
 
     def bwd(g):
-        if a.requires_grad:
-            a._accum(g @ b.data.T)
-        if b.requires_grad:
-            b._accum(a.data.T @ g)
-    return _node(data, (a, b), bwd)
+        g2 = g.swapaxes(0, 1).reshape(c2, -1)
+        if w.requires_grad:
+            w._accum(g2 @ flat.T)
+        if u.requires_grad:
+            u._accum(np.moveaxis((g2.T @ w.data).reshape(cols.shape[1:] + (c1,)), -1, 1))
+    return _node(out, (w, u), bwd)
 
 
 # Forward tiles span whole output rows of one sample: at least 32 rows, so a

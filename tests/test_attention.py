@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from dtcf.attention import DTCFBlock, SEBlock, _per_column, reduced_channels
+from dtcf.attention import DTCFBlock, SEBlock, reduced_channels
 from dtcf.errors import ConfigError, ShapeError
 from dtcf.layers import cast, draw, parameter
-from dtcf.tensor import Tensor, grad_check, matmul, mean_axis, reshape, topo_order, transpose
+from dtcf.tensor import Tensor, grad_check, mean_axis, per_column, topo_order
 
 
 def rng(seed=0):
@@ -347,12 +347,16 @@ class TestDTCF:
 
 # ------------------------------------------------------------------ the per-column map
 
-def per_column_chain(w, u):
-    """The (C2, C1) map of every column of (B, C1, P) as the five-node chain
-    transpose, reshape, matmul, reshape, transpose."""
+def per_column_chain(w, u, g):
+    """The (C2, C1) map of every column of (B, C1, P) and its gradients for the upstream
+    gradient ``g``, in numpy as the five-node chain transpose, reshape, matmul, reshape,
+    transpose computed them: the output and the weight and input gradients."""
     b, c1, p = u.shape
-    flat = reshape(transpose(u, (1, 0, 2)), (c1, b * p))
-    return transpose(reshape(matmul(w, flat), (w.shape[0], b, p)), (1, 0, 2))
+    c2 = w.shape[0]
+    flat = np.ascontiguousarray(u.transpose(1, 0, 2)).reshape(c1, b * p)
+    g2 = np.ascontiguousarray(g.transpose(1, 0, 2)).reshape(c2, b * p)
+    out = (w @ flat).reshape(c2, b, p).transpose(1, 0, 2)
+    return out, g2 @ flat.T, (w.T @ g2).reshape(c1, b, p).transpose(1, 0, 2)
 
 
 PER_COLUMN_SHAPES = [(1, 1, 1, 1), (1, 4, 1, 7), (2, 1, 8, 3), (3, 8, 2, 1), (3, 32, 4, 29),
@@ -360,20 +364,18 @@ PER_COLUMN_SHAPES = [(1, 1, 1, 1), (1, 4, 1, 7), (2, 1, 8, 3), (3, 8, 2, 1), (3,
 
 
 class TestPerColumn:
+    """``tensor.per_column`` on DTCF's (B, C1, P) profiles; test_tensor checks (B, C1) inputs."""
+
     @pytest.mark.parametrize("b, c2, c1, p", PER_COLUMN_SHAPES, ids=lambda v: str(v))
     def test_float32_bit_identical_to_the_chain(self, b, c2, c1, p):
         r = rng(64 + b * c2 * c1 * p)
         w0 = r.normal(size=(c2, c1)).astype(np.float32)
         u0 = r.normal(size=(b, c1, p)).astype(np.float32)
-        weight = Tensor(r.normal(size=(b, c2, p)).astype(np.float32))
-        runs = []
-        for fn in (_per_column, per_column_chain):
-            w = parameter(w0.copy())
-            u = parameter(u0.copy())
-            out = fn(w, u)
-            (out * weight).sum().backward()
-            runs.append((out.data, w.grad, u.grad))
-        for got, expect in zip(*runs):
+        g = r.normal(size=(b, c2, p)).astype(np.float32)
+        w, u = parameter(w0.copy()), parameter(u0.copy())
+        out = per_column(w, u)
+        (out * Tensor(g)).sum().backward()
+        for got, expect in zip((out.data, w.grad, u.grad), per_column_chain(w0, u0, g)):
             assert got.dtype == np.float32 and got.shape == expect.shape
             np.testing.assert_array_equal(got, expect)
 
@@ -381,13 +383,13 @@ class TestPerColumn:
     def test_gradcheck(self, b, c2, c1, p):
         r = rng(65 + b * c2 * c1 * p)
         w, u = t64(r.normal(size=(c2, c1))), t64(r.normal(size=(b, c1, p)))
-        loss = lambda: (_per_column(w, u) * 0.7).tanh().sum()
+        loss = lambda: (per_column(w, u) * 0.7).tanh().sum()
         for target in (w, u):
             assert grad_check(lambda _: loss(), target) < 1e-6
 
     def test_wrong_channel_count_raises(self):
-        with pytest.raises(ShapeError):
-            _per_column(t64(np.ones((3, 4))), t64(np.ones((2, 5, 6))))
+        with pytest.raises(ShapeError, match=r"weight \(3, 4\) does not take the columns of"):
+            per_column(t64(np.ones((3, 4))), t64(np.ones((2, 5, 6))))
 
 
 # ------------------------------------------------------------------ parameters

@@ -384,8 +384,9 @@ def written(path, text):
      "at least 4 utterances"),
     (lambda tmp: read_manifest(written(tmp / "m.csv", "utt,spk,path\nu0,s0,a.wav\n")),
      DataError, "bad manifest header"),
-    (lambda tmp: read_manifest(written(tmp / "m.csv", "utt_id,speaker_id,path\nu0,s0\n")),
-     DataError, "bad manifest row"),
+    (lambda tmp: read_manifest(written(tmp / "m.csv",
+                                       "utt_id,speaker_id,path\nu0,s0,a.wav\nu1,s1\n")),
+     DataError, r"m\.csv:3: bad manifest row \['u1', 's1'\]"),
     (lambda tmp: read_manifest(written(tmp / "m.csv", "utt_id,speaker_id,path\n")),
      DataError, "empty manifest"),
     (lambda tmp: read_trials(written(tmp / "t.txt", "u0 u1 target\nu0 u2\n")),

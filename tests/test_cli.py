@@ -53,6 +53,15 @@ seed = 1
 """
 
 
+def with_keys(config, text):
+    """The text of the config file ``config`` with the ``key = value`` lines of ``text``
+    in place of its own lines for those keys, since a config refuses a repeated key."""
+    keys = {line.partition("=")[0].strip() for line in text.splitlines()}
+    kept = [line for line in config.read_text().splitlines()
+            if line.partition("=")[0].strip() not in keys]
+    return "\n".join(kept) + "\n" + text
+
+
 @pytest.fixture(scope="module")
 def tiny_config(tmp_path_factory, corpus_dir):
     path = tmp_path_factory.mktemp("cfg") / "tiny.cfg"
@@ -122,9 +131,9 @@ class TestTrain:
 
     def test_config_values_reach_checkpoint_and_log(self, tiny_config, tmp_path):
         cfg = tmp_path / "wide.cfg"
-        cfg.write_text(tiny_config.read_text() + "widths = 4,8,16,32\nreduction = 2\n"
+        cfg.write_text(with_keys(tiny_config, "widths = 4,8,16,32\nreduction = 2\n"
                        "emb_dim = 12\nasp_hidden = 6\nscale = 12.5\nmargin = 0.15\n"
-                       "base_lr = 1e-6\nsteps = 1\n")
+                       "base_lr = 1e-6\nsteps = 1\n"))
         assert main(["train", "--config", str(cfg), "--attention", "se",
                      "--out", str(tmp_path / "o")]) == 0
         config, _, _ = load_checkpoint(tmp_path / "o" / "checkpoint.bin")
@@ -180,7 +189,7 @@ class TestTrain:
         source = trained / "checkpoint.bin"
         before = sha(source)
         cfg = tmp_path / "head.cfg"
-        cfg.write_text(tiny_config.read_text() + f"{key} = {value}\nsteps = 5\n")
+        cfg.write_text(with_keys(tiny_config, f"{key} = {value}\nsteps = 5\n"))
         assert main(["train", "--config", str(cfg), "--resume", str(source),
                      "--out", str(tmp_path / "o5")]) == 3
         assert f"head {key}" in capsys.readouterr().err
@@ -204,7 +213,7 @@ class TestTrain:
                                                      keys, flags, named):
         # each is a valid setting on its own; together they would fail at step 1
         cfg = tmp_path / "masks.cfg"
-        cfg.write_text(tiny_config.read_text() + keys)
+        cfg.write_text(with_keys(tiny_config, keys))
         out = tmp_path / "o"
         assert main(["train", "--config", str(cfg), *flags, "--out", str(out)]) == 2
         assert named in capsys.readouterr().err
@@ -212,7 +221,7 @@ class TestTrain:
 
     def test_other_mel_count_trains_and_extracts(self, tiny_config, corpus_dir, tmp_path):
         cfg = tmp_path / "mels.cfg"
-        cfg.write_text(tiny_config.read_text() + "n_mels = 40\nsteps = 2\n")
+        cfg.write_text(with_keys(tiny_config, "n_mels = 40\nsteps = 2\n"))
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
         ckpt = tmp_path / "o" / "checkpoint.bin"
         assert load_checkpoint(ckpt)[0]["backbone"]["n_mels"] == 40
@@ -226,7 +235,7 @@ class TestTrain:
         source = tmp_path / "nan.bin"
         save_checkpoint(source, config, tensors, extra)
         cfg = tmp_path / "longer.cfg"
-        cfg.write_text(tiny_config.read_text() + "steps = 5\n")
+        cfg.write_text(with_keys(tiny_config, "steps = 5\n"))
         assert main(["train", "--config", str(cfg), "--resume", str(source),
                      "--out", str(tmp_path / "o6")]) == 4
         assert "divergence guard" in capsys.readouterr().err
@@ -267,15 +276,15 @@ class TestTrain:
                                      "n_time_masks", "n_freq_masks"])
     def test_negative_augment_value_exit_2(self, tiny_config, tmp_path, capsys, key):
         cfg = tmp_path / "mask.cfg"
-        cfg.write_text(tiny_config.read_text() + f"{key} = -1\n")
+        cfg.write_text(with_keys(tiny_config, f"{key} = -1\n"))
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o7")]) == 2
-        assert key in capsys.readouterr().err
+        assert f"{key} must be >= 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "o7" / "checkpoint.bin").exists()
 
     @pytest.mark.parametrize("key,value", [("emb_dim", -1), ("emb_dim", 0), ("asp_hidden", 0)])
     def test_non_positive_size_exit_2(self, tiny_config, tmp_path, capsys, key, value):
         cfg = tmp_path / "size.cfg"
-        cfg.write_text(tiny_config.read_text() + f"{key} = {value}\n")
+        cfg.write_text(with_keys(tiny_config, f"{key} = {value}\n"))
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o8")]) == 2
         assert f"{key} must be >= 1, got {value}" in capsys.readouterr().err
         assert not (tmp_path / "o8" / "checkpoint.bin").exists()
@@ -287,7 +296,7 @@ class TestTrain:
         ("weight_decay", "nan"), ("scale", "nan"), ("scale", "inf")])
     def test_bad_rate_decay_or_scale_exit_2(self, tiny_config, tmp_path, capsys, key, value):
         cfg = tmp_path / "rate.cfg"
-        cfg.write_text(tiny_config.read_text() + f"{key} = {value}\n")
+        cfg.write_text(with_keys(tiny_config, f"{key} = {value}\n"))
         out = tmp_path / "o9"
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
         assert key in capsys.readouterr().err

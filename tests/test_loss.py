@@ -195,8 +195,27 @@ class TestMarginProperties:
      r"expected \(B,8\) embeddings"),
     (lambda: ce_loss_batch(t64(np.ones(3)), np.array([0])), ShapeError,
      r"expected \(B,K\) logits"),
+    # label -1 used to index the last class, and a (B, 1) column to broadcast into a loss
+    (lambda: ce_loss_batch(t64(np.ones((2, 3))), np.array([0, -1])), ConfigError,
+     r"labels must be integers in \[0,3\)"),
+    (lambda: ce_loss_batch(t64(np.ones((2, 3))), np.array([[0], [1]])), ShapeError,
+     r"expected 2 labels, got shape \(2, 1\)"),
+    (lambda: ce_loss_batch(t64(np.ones((2, 3))), np.array([0, 1, 2])), ShapeError,
+     r"expected 2 labels, got shape \(3,\)"),
+    (lambda: ce_loss_batch(t64(np.ones((2, 3))), np.array([0, 3])), ConfigError,
+     r"labels must be integers in \[0,3\)"),
+    (lambda: ce_loss_batch(t64(np.ones((2, 3))), np.array([0.0, 1.0])), ConfigError,
+     r"labels must be integers in \[0,3\)"),
+    (lambda: head(K=3).logits_batch(t64(np.ones((2, 8))), np.array([0, -1])), ConfigError,
+     r"labels must be integers in \[0,3\)"),
+    (lambda: head(K=3).logits_batch(t64(np.ones((2, 8))), np.array([[0], [1]])), ShapeError,
+     r"expected 2 labels, got shape \(2, 1\)"),
+    (lambda: head(K=3).logits_batch(t64(np.ones((2, 8))), np.array([0])), ShapeError,
+     r"expected 2 labels, got shape \(1,\)"),
 ], ids=["one-class", "scale-0", "margin-negative", "margin-right-angle", "emb-width",
-        "emb-rank-1", "logits-rank-1"])
+        "emb-rank-1", "logits-rank-1", "ce-label-negative", "ce-label-column", "ce-label-count",
+        "ce-label-past-k", "ce-label-float", "aam-label-negative", "aam-label-column",
+        "aam-label-count"])
 def test_named_input_errors(call, error, match):
     with pytest.raises(error, match=match):
         call()

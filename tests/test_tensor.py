@@ -14,7 +14,7 @@ import dtcf.tensor as dtt
 from dtcf.errors import ConfigError, DomainError, GradCheckError, ShapeError
 from dtcf.layers import parameter
 from dtcf.tensor import (
-    Tensor, add_relu, backward, concat, conv2d, grad_check, matmul, mean_axis, reshape,
+    Tensor, add_relu, backward, concat, conv2d, grad_check, mean_axis, per_column, reshape,
     sum_axis, topo_order, transpose, zero_grads,
 )
 
@@ -100,35 +100,59 @@ def mean_axis_oracle(x, axis):
     return out / moved.shape[0]
 
 
-# ---------------------------------------------------------------- matmul
+# ---------------------------------------------------------------- per_column
 
-class TestMatmul:
+# (B, C2, C1) of every weight the toy model applies to a batch of vectors at B=16 (SE's
+# W1 and W2 at 32 channels, ASP's w and v, the embedding layer, the AAM head), and
+# small and degenerate ones
+RANK2_SHAPES = [(1, 1, 1), (3, 4, 5), (16, 4, 32), (16, 32, 4), (480, 128, 320),
+                (480, 1, 128), (16, 512, 640), (16, 10, 512)]
+
+
+class TestPerColumn:
+    """``per_column`` on a (B, C1) batch of vectors; test_attention checks the (B, C1, P) form."""
+
     def test_identity(self):
         m = rng(1).normal(size=(3, 3))
-        out = matmul(t64(np.eye(3)), t64(m))
+        out = per_column(t64(np.eye(3)), t64(m))
         np.testing.assert_array_equal(out.data, m)
 
     def test_zeros(self):
-        out = matmul(t64(np.zeros((2, 3))), t64(rng(2).normal(size=(3, 4))))
+        out = per_column(t64(rng(2).normal(size=(4, 3))), t64(np.zeros((2, 3))))
         np.testing.assert_array_equal(out.data, np.zeros((2, 4)))
 
     def test_against_triple_loop(self):
-        a = rng(3).normal(size=(4, 5))
-        b = rng(4).normal(size=(5, 6))
-        out = matmul(t64(a), t64(b))
-        np.testing.assert_allclose(out.data, matmul_oracle(a, b), atol=1e-6)
+        x = rng(3).normal(size=(4, 5))
+        w = rng(4).normal(size=(6, 5))
+        out = per_column(t64(w), t64(x))
+        np.testing.assert_allclose(out.data, matmul_oracle(x, w.T), atol=1e-6)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            matmul(t64(np.zeros((2, 3))), t64(np.zeros((4, 2))))
+        with pytest.raises(ShapeError, match=r"weight \(4, 2\) does not take the columns of"):
+            per_column(t64(np.zeros((4, 2))), t64(np.zeros((2, 3))))
 
     def test_backward_formula(self):
-        a = p64(rng(5).normal(size=(3, 4)))
-        b = p64(rng(6).normal(size=(4, 2)))
-        matmul(a, b).sum().backward()
-        g = np.ones((3, 2))
-        np.testing.assert_allclose(a.grad, g @ b.data.T, atol=1e-12)
-        np.testing.assert_allclose(b.grad, a.data.T @ g, atol=1e-12)
+        # float32 bytes of x @ w.T, and of the gradients g @ w and (x.T @ g).T
+        for b, c2, c1 in RANK2_SHAPES:
+            r = rng(5 + b * c2 * c1)
+            w = parameter(r.normal(size=(c2, c1)).astype(np.float32))
+            x = parameter(r.normal(size=(b, c1)).astype(np.float32))
+            g = r.normal(size=(b, c2)).astype(np.float32)
+            out = per_column(w, x)
+            (out * Tensor(g)).sum().backward()
+            assert out.data.flags.c_contiguous
+            for got, expect in [(out.data, x.data @ w.data.T), (x.grad, g @ w.data),
+                                (w.grad, (x.data.T @ g).T)]:
+                assert got.dtype == np.float32
+                np.testing.assert_array_equal(got, expect)
+
+    @pytest.mark.parametrize("b, c2, c1", RANK2_SHAPES[:4], ids=lambda v: str(v))
+    def test_gradcheck(self, b, c2, c1):
+        r = rng(6 + b * c2 * c1)
+        w, x = t64(r.normal(size=(c2, c1))), t64(r.normal(size=(b, c1)))
+        loss = lambda: (per_column(w, x) * 0.7).tanh().sum()
+        for target in (w, x):
+            assert grad_check(lambda _: loss(), target) < 1e-6
 
 
 # ---------------------------------------------------------------- conv2d
@@ -552,8 +576,8 @@ class TestBackward:
 
     def test_composite_matches_finite_differences(self):
         w = t64(rng(29).normal(size=(4, 3)))
-        x = t64(rng(30).normal(size=(3, 2)))
-        assert grad_check(lambda v: matmul(w, v).sigmoid().sum(), x) < 1e-6
+        x = t64(rng(30).normal(size=(2, 3)))
+        assert grad_check(lambda v: per_column(w, v).sigmoid().sum(), x) < 1e-6
 
     def test_linearity_of_backward(self):
         base = rng(31).normal(size=(3, 3))
@@ -585,7 +609,7 @@ class TestBackward:
         x = t64(rng(33).normal(size=(4, 4)) * 50)
         for fn in [lambda v: v.relu(), lambda v: v.sigmoid(), lambda v: v.tanh(),
                    lambda v: v.exp() if np.all(v.data < 100) else v,
-                   lambda v: matmul(v, v)]:
+                   lambda v: per_column(v, v)]:
             assert np.all(np.isfinite(fn(x).data))
 
 
@@ -707,7 +731,8 @@ def _finite_only_at_first_call():
 
 
 @pytest.mark.parametrize("call, error, match", [
-    (lambda: matmul(t64(np.ones(3)), t64(np.ones((3, 2)))), ShapeError, "rank-2 operands"),
+    (lambda: per_column(t64(np.ones((2, 3))), t64(np.ones(3))), ShapeError,
+     r"weight \(2, 3\) does not take the columns of \(3,\)"),
     (lambda: conv2d(t64(np.ones((1, 2, 4, 4))), t64(np.ones((3, 2, 3)))), ShapeError,
      "kernels must be rank 4"),
     (lambda: conv2d(t64(np.ones((2, 4, 4))), t64(np.ones((3, 2, 3, 3)))), ShapeError,
@@ -722,7 +747,7 @@ def _finite_only_at_first_call():
      GradCheckError, "numeric gradient"),
     (lambda: add_relu(t64(np.ones((2, 3))), t64(np.ones((1, 3)))), ShapeError,
      r"one shape, got \(2, 3\) and \(1, 3\)"),
-], ids=["matmul-rank", "conv2d-kernel-rank", "conv2d-input-rank", "conv2d-stride",
+], ids=["per-column-rank", "conv2d-kernel-rank", "conv2d-input-rank", "conv2d-stride",
         "conv2d-padding", "concat-rank", "grad-check-numeric-nan", "add-relu-shape"])
 def test_named_input_errors(call, error, match):
     with pytest.raises(error, match=match):

@@ -636,6 +636,16 @@ class TestTrainStep:
         assert after_forward <= 60 << 20, f"{after_forward / 2**20:.1f} MiB after the forward"
         assert peak <= 76 << 20, f"{peak / 2**20:.1f} MiB peak"
 
+    @pytest.mark.parametrize("attention, nodes", [("dtcf", 189), ("se", 173), ("none", 133)])
+    def test_step_records_its_tape(self, attention, nodes):
+        # train-toy-dtcf's step (B=16, crop 120) at each attention kind: every weight is
+        # one per_column node, with no transpose of its own
+        model, head, _, feats, _ = toy_step(BackboneConfig(
+            widths=(4, 8, 16, 32), blocks=(1, 1, 1, 1), attention=attention), batch=16)
+        labels = np.arange(16) % 10
+        loss = ce_loss_batch(head.logits_batch(model.forward(feats, training=True), labels), labels)
+        assert len(dt.topo_order(loss)) == nodes
+
     @pytest.mark.slow
     def test_full_width_forward_memory(self):
         # the full-width DTCF model (8.4M parameters) at B=2, crop 200: a training
@@ -678,6 +688,12 @@ class TestConfigFile:
     def test_bad_choice(self):
         with pytest.raises(ConfigError, match="attention"):
             parse_config_text("attention = cbam\n")
+
+    def test_repeated_key_names_both_lines(self):
+        # the later value used to win silently
+        with pytest.raises(ConfigError) as err:
+            parse_config_text("steps = 3\n# c\nsteps = 5\n", source="run.cfg")
+        assert str(err.value) == "run.cfg:3: config key 'steps' repeats line 1"
 
     def test_not_utf8_named(self, tmp_path):
         path = tmp_path / "bad.cfg"
