@@ -195,7 +195,7 @@ class TestMarginProperties:
      r"expected \(B,8\) embeddings"),
     (lambda: ce_loss_batch(t64(np.ones(3)), np.array([0])), ShapeError,
      r"expected \(B,K\) logits"),
-    # label -1 used to index the last class, and a (B, 1) column to broadcast into a loss
+    # unchecked, label -1 indexes the last class and a (B, 1) column broadcasts into a loss
     (lambda: ce_loss_batch(t64(np.ones((2, 3))), np.array([0, -1])), ConfigError,
      r"labels must be integers in \[0,3\)"),
     (lambda: ce_loss_batch(t64(np.ones((2, 3))), np.array([[0], [1]])), ShapeError,

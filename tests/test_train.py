@@ -690,7 +690,7 @@ class TestConfigFile:
             parse_config_text("attention = cbam\n")
 
     def test_repeated_key_names_both_lines(self):
-        # the later value used to win silently
+        # else the later value would win silently
         with pytest.raises(ConfigError) as err:
             parse_config_text("steps = 3\n# c\nsteps = 5\n", source="run.cfg")
         assert str(err.value) == "run.cfg:3: config key 'steps' repeats line 1"
