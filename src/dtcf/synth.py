@@ -228,12 +228,12 @@ def read_manifest(path) -> list[tuple[str, str, Path]]:
 def read_trials(path) -> list[tuple[str, str, str]]:
     out = []
     with utf8_input(path), open(path, encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, start=1):
             parts = line.split()
             if not parts:
                 continue
             if len(parts) != 3 or parts[2] not in ("target", "nontarget"):
-                raise DataError(f"{path}: bad trial line {line!r}")
+                raise DataError(f"{path}:{lineno}: bad trial line {line!r}")
             out.append((parts[0], parts[1], parts[2]))
     if not out:
         raise DataError(f"{path}: empty trial list")

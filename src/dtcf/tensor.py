@@ -5,8 +5,9 @@ module. A Tensor wraps a numpy array; each op records the parents that need a
 gradient and a backward closure on the output node, so constants never enter
 the graph, and ``backward()`` replays the closures in reverse topological
 order. A graph is walked once: each interior node's closure, parents and
-gradient are dropped as soon as its closure has run, so the memory of the
-graph is freed during the walk, and a second walk over it raises DomainError.
+gradient are dropped as soon as its closure has run, and the walk holds no
+node it has passed, so a map that only the graph holds is freed during the
+walk. A second walk over the graph raises DomainError.
 Training runs at float32, gradient checks at float64: a Tensor takes the
 dtype of the array it wraps.
 
@@ -490,14 +491,19 @@ def backward(root: Tensor) -> None:
 
     The graph is walked once: as each interior node's closure runs, its
     closure, parents and gradient are dropped, so the arrays the closure saved
-    are freed during the walk. The node's ``data`` stays. A later backward
-    that reaches a freed node with a gradient raises DomainError.
+    are freed during the walk. The walk pops each node off its order, so once
+    a node's closure has run nothing in the graph holds the node (its
+    consumers ran and were dropped before it): its ``data`` is freed before
+    the next closure runs, unless the caller holds the node, as ``train()``
+    holds the logits. A later backward that reaches a freed node with a
+    gradient raises DomainError.
     """
     if root.shape != ():
         raise ShapeError(f"backward root must be a scalar, got shape {root.shape}")
     order = topo_order(root)
     root._accum(np.ones((), dtype=root.dtype))
-    for node in reversed(order):
+    while order:
+        node = order.pop()
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
             node._backward, node._parents, node.grad = _freed, (), None

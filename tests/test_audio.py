@@ -407,26 +407,26 @@ class TestReadTrials:
     """What `read_trials` returns, and the exact error it raises, for lines that
     a check of the whole token stream alone would misread."""
 
-    @pytest.mark.parametrize("data, line", [
+    @pytest.mark.parametrize("data, lineno, line", [
         # 4 tokens then 2: the token count is still a multiple of 3, and every third
         # token is a label
-        (b"u0 u1 target u2\nu3 target\n", "'u0 u1 target u2\\n'"),
-        (b"u0 u1 target\nu0 u2 maybe\n", "'u0 u2 maybe\\n'"),
-        (b"target u1 nontarget\ntarget target\n", "'target target\\n'"),
-        (b"u0 u1 target\n\n   \n\t\nu2 u3\nu4 u5 maybe\n", "'u2 u3\\n'"),
-        (b"u0 u1 target\r\nu2 u3 maybe\r\n", "'u2 u3 maybe\\n'"),
-        (b"u0 u1 target\ru2 u3 maybe\r", "'u2 u3 maybe\\n'"),
-        (b"u0 u1 target\nu2 u3 maybe", "'u2 u3 maybe'"),
-        (b"u0 u1 target\n" * 5000 + b"u0 u1 target nontarget\n",
+        (b"u0 u1 target u2\nu3 target\n", 1, "'u0 u1 target u2\\n'"),
+        (b"u0 u1 target\nu0 u2 maybe\n", 2, "'u0 u2 maybe\\n'"),
+        (b"target u1 nontarget\ntarget target\n", 2, "'target target\\n'"),
+        (b"u0 u1 target\n\n   \n\t\nu2 u3\nu4 u5 maybe\n", 5, "'u2 u3\\n'"),
+        (b"u0 u1 target\r\nu2 u3 maybe\r\n", 2, "'u2 u3 maybe\\n'"),
+        (b"u0 u1 target\ru2 u3 maybe\r", 2, "'u2 u3 maybe\\n'"),
+        (b"u0 u1 target\nu2 u3 maybe", 2, "'u2 u3 maybe'"),
+        (b"u0 u1 target\n" * 5000 + b"u0 u1 target nontarget\n", 5001,
          "'u0 u1 target nontarget\\n'"),
     ], ids=["4-then-2-tokens", "bad-label", "id-target-short-line", "after-blank-lines",
             "crlf", "cr", "no-final-newline", "after-5000-lines"])
-    def test_bad_line_named_as_written(self, tmp_path, data, line):
+    def test_bad_line_named_as_written(self, tmp_path, data, lineno, line):
         path = tmp_path / "t.txt"
         path.write_bytes(data)
         with pytest.raises(DataError) as err:
             read_trials(path)
-        assert str(err.value) == f"{path}: bad trial line {line}"
+        assert str(err.value) == f"{path}:{lineno}: bad trial line {line}"
 
     def test_not_utf8_named(self, tmp_path):
         path = tmp_path / "t.txt"

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -573,6 +574,45 @@ class TestBackward:
         first.backward()
         with pytest.raises(DomainError, match="already backpropagated"):
             second.backward()
+
+    def test_walk_frees_each_map_it_has_passed(self):
+        # mid's data is held only by the graph; the walk holds no node it has passed, so
+        # by the time the probe's closure below mid runs, that array is gone
+        x = p64(rng(36).normal(size=(3, 3)))
+        freed = []
+
+        def probe_bwd(g):
+            freed.append(mid_ref() is None)
+            x._accum(g)
+        mid = dtt._node(x.data.copy(), (x,), probe_bwd) * 2.0
+        mid_ref = weakref.ref(mid.data)
+        loss = mid.sum()
+        del mid
+        loss.backward()
+        assert freed == [True]
+        np.testing.assert_array_equal(x.grad, np.full((3, 3), 2.0))
+
+    def test_a_node_the_caller_holds_keeps_its_data(self):
+        # as train() reads the logits after the backward: within the walk a held map
+        # stays while one beside it that only the graph holds is freed, and after it
+        # the held map is unchanged and a second walk raises
+        x = p64(rng(37).normal(size=(3, 3)))
+        seen = []
+
+        def probe_bwd(g):
+            seen.append((held_ref() is not None, free_ref() is None))
+            x._accum(g)
+        free = dtt._node(x.data.copy(), (x,), probe_bwd) * 2.0
+        held = free.tanh()
+        loss = (held * held).sum()
+        free_ref, held_ref = weakref.ref(free.data), weakref.ref(held.data)
+        want = held.data.copy()
+        del free
+        loss.backward()
+        assert seen == [(True, True)]
+        np.testing.assert_array_equal(held.data, want)
+        with pytest.raises(DomainError, match="already backpropagated"):
+            loss.backward()
 
     def test_composite_matches_finite_differences(self):
         w = t64(rng(29).normal(size=(4, 3)))

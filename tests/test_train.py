@@ -571,6 +571,22 @@ def toy_step(backbone=BackboneConfig(widths=(4, 8, 16, 32), blocks=(1, 1, 1, 1),
     return model, head, named, feats, np.array([0, 3, 5, 9])[:batch]
 
 
+def traced_step(model, head, feats, labels) -> tuple[int, int]:
+    """Traced bytes a train-mode step holds after its forward, and the peak of its backward."""
+    tracemalloc.start()
+    try:
+        loss = ce_loss_batch(head.logits_batch(model.forward(feats, training=True), labels),
+                             labels)
+        held, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        loss.backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(float(loss.data))
+    return held, peak
+
+
 def toy_step_digest() -> str:
     """sha256 over every parameter's name and float32 gradient after one toy_step backward."""
     model, head, named, feats, labels = toy_step()
@@ -636,6 +652,15 @@ class TestTrainStep:
         assert after_forward <= 60 << 20, f"{after_forward / 2**20:.1f} MiB after the forward"
         assert peak <= 76 << 20, f"{peak / 2**20:.1f} MiB peak"
 
+    def test_backward_frees_each_map_it_passes(self):
+        # train-toy-dtcf's step (B=16, crop 120): the backward peaks 1.5 MiB above the
+        # 56.3 MiB the forward holds as each map is freed once the walk passes it, and
+        # 14.1 MiB above it if the walk holds every node until it ends
+        model, head, _, feats, _ = toy_step(batch=16)
+        held, peak = traced_step(model, head, feats, np.arange(16) % 10)
+        assert peak - held <= 5 << 20, (f"backward peaks {(peak - held) / 2**20:.1f} MiB "
+                                        f"above the {held / 2**20:.1f} MiB of the forward")
+
     @pytest.mark.parametrize("attention, nodes", [("dtcf", 189), ("se", 173), ("none", 133)])
     def test_step_records_its_tape(self, attention, nodes):
         # train-toy-dtcf's step (B=16, crop 120) at each attention kind: every weight is
@@ -649,17 +674,13 @@ class TestTrainStep:
     @pytest.mark.slow
     def test_full_width_forward_memory(self):
         # the full-width DTCF model (8.4M parameters) at B=2, crop 200: a training
-        # step peaks at what its forward holds
+        # step peaks at what its forward holds. The backward peaks 9.9 MiB above it as
+        # the walk frees each map it passes, and 22.7 MiB if the walk holds them all
         model, head, _, feats, labels = toy_step(BackboneConfig(attention="dtcf"), 2, 200)
-        tracemalloc.start()
-        try:
-            loss = ce_loss_batch(head.logits_batch(model.forward(feats, training=True), labels),
-                                 labels)
-            held, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        held, peak = traced_step(model, head, feats, labels)
         assert held <= 800 << 20, f"{held / 2**20:.0f} MiB held after the forward"
-        assert np.isfinite(float(loss.data))
+        assert peak - held <= 16 << 20, (f"backward peaks {(peak - held) / 2**20:.1f} MiB "
+                                         f"above the {held / 2**20:.1f} MiB of the forward")
 
 
 class TestConfigFile:
