@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .layers import Module, parameter
-from .tensor import Tensor, _node, mean_axis, per_column, reshape
+from .tensor import Tensor, _node, _slots, mean_axis, per_column, reshape
 
 __all__ = ["SEBlock", "DTCFBlock", "reduced_channels"]
 
@@ -45,24 +45,26 @@ def _gate(x: Tensor, mct: Tensor, mcf: Tensor) -> Tensor:
 
     One graph node. The forward is the two broadcast multiplies in order; the
     backward gives each mask its sum over the other axis as a batched
-    product over the (B·C, T, F) view of ``g * x``.
+    product over the (B·C, T, F) view of ``g * x``. The node keeps the map and
+    both masks, and not its output.
     """
     b, c, t, f = x.shape
-    out = x.data * mct.data[..., None]
-    out *= mcf.data[..., None, :]
+    xd, td, fd, (xs, ts, fs) = x.data, mct.data, mcf.data, _slots(x, mct, mcf)
+    out = xd * td[..., None]
+    out *= fd[..., None, :]
 
     def bwd(g):
-        if x.requires_grad:
-            gx = g * mcf.data[..., None, :]
-            gx *= mct.data[..., None]
-            x._accum(gx)
-        if mct.requires_grad or mcf.requires_grad:
-            gm = (g * x.data).reshape(b * c, t, f)
-            if mct.requires_grad:
-                mct._accum(np.matmul(gm, mcf.data.reshape(b * c, f, 1)).reshape(b, c, t))
-            if mcf.requires_grad:
-                mcf._accum(np.matmul(mct.data.reshape(b * c, 1, t), gm).reshape(b, c, f))
-    return _node(out, (x, mct, mcf), bwd)
+        if xs is not None:
+            gx = g * fd[..., None, :]
+            gx *= td[..., None]
+            xs._accum(gx)
+        if ts is not None or fs is not None:
+            gm = (g * xd).reshape(b * c, t, f)
+            if ts is not None:
+                ts._accum(np.matmul(gm, fd.reshape(b * c, f, 1)).reshape(b, c, t))
+            if fs is not None:
+                fs._accum(np.matmul(td.reshape(b * c, 1, t), gm).reshape(b, c, f))
+    return _node(out, (xs, ts, fs), bwd)
 
 
 class SEBlock(Module):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .tensor import Tensor, _node, conv2d, per_column, reshape
+from .tensor import Tensor, _node, _slots, conv2d, per_column, reshape
 
 __all__ = ["Module", "Conv2dLayer", "BatchNorm2d", "BatchNormReLU2d", "LinearLayer", "parameter",
            "draw", "cast"]
@@ -154,43 +154,45 @@ def _bn_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, relu: bool):
     One pass each for the mean, the centring, the variance and the
     normalisation. The backward uses dβ = Σg and dγ = Σg·x̂, so that
     mean(g·γ) = γ·dβ/n and mean(g·γ·x̂) = γ·dγ/n need no pass of their own.
-    The node keeps only ``x``, which the graph holds anyway, and its output:
-    the backward rebuilds x̂ from ``x`` by the forward's own operations, and
-    takes the ReLU's mask from the output, which is positive where its input was.
+    The node keeps ``x``, gamma and, only with the ReLU, its output: the
+    backward rebuilds x̂ from ``x`` by the forward's own operations, and takes
+    the ReLU's mask from the output, which is positive where its input was.
     """
     axes = (0, 2, 3)
     shp = (1, -1, 1, 1)
-    n = x.data.size // x.shape[1]
-    mu = x.data.mean(axis=axes, keepdims=True)
-    out = x.data - mu        # centred, normalised, then scaled and shifted in place
+    xd, gd, (xs, gs, bs) = x.data, gamma.data, _slots(x, gamma, beta)
+    n = xd.size // x.shape[1]
+    mu = xd.mean(axis=axes, keepdims=True)
+    out = xd - mu        # centred, normalised, then scaled and shifted in place
     var = (np.einsum("bctf,bctf->c", out, out) / n).reshape(shp)
     istd = 1.0 / np.sqrt(var + eps)
     out *= istd
-    out *= gamma.data.reshape(shp)
+    out *= gd.reshape(shp)
     out += beta.data.reshape(shp)
     if relu:
         np.maximum(out, 0, out=out)
+    relu_out = out if relu else None
 
     def bwd(g):
-        if relu:
-            g = g * (out > 0)
-        xhat = x.data - mu
+        if relu_out is not None:
+            g = g * (relu_out > 0)
+        xhat = xd - mu
         xhat *= istd
         dbeta = g.sum(axis=axes)
         dgamma = np.einsum("bctf,bctf->c", g, xhat)
-        if beta.requires_grad:
-            beta._accum(dbeta)
-        if gamma.requires_grad:
-            gamma._accum(dgamma)
-        if x.requires_grad:
+        if bs is not None:
+            bs._accum(dbeta)
+        if gs is not None:
+            gs._accum(dgamma)
+        if xs is not None:
             dx = xhat
             dx *= (dgamma / -n).reshape(shp)
             dx += g
             dx -= (dbeta / n).reshape(shp)
-            dx *= gamma.data.reshape(shp) * istd
-            x._accum(dx)
+            dx *= gd.reshape(shp) * istd
+            xs._accum(dx)
 
-    return _node(out, (x, gamma, beta), bwd), mu, var
+    return _node(out, (xs, gs, bs), bwd), mu, var
 
 
 class LinearLayer(Module):

@@ -1,13 +1,16 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 Every network operation in the toolkit is expressed through the ops in this
-module. A Tensor wraps a numpy array; each op records the parents that need a
-gradient and a backward closure on the output node, so constants never enter
-the graph, and ``backward()`` replays the closures in reverse topological
-order. A graph is walked once: each interior node's closure, parents and
-gradient are dropped as soon as its closure has run, and the walk holds no
-node it has passed, so a map that only the graph holds is freed during the
-walk. A second walk over the graph raises DomainError.
+module. A Tensor wraps a numpy array. An op whose parents need a gradient
+gives its output a slot on the tape: the output's gradient, the backward
+closure and the slots of those parents, and never an array. Each closure
+captures by name only the arrays its rule reads, so a map that no rule reads
+is freed once the caller drops its Tensor, and constants never enter the
+tape. A trainable leaf is its own slot. ``backward()`` replays the closures in
+reverse topological order. A tape is walked once: each slot's closure,
+parents and gradient are dropped as soon as its closure has run, and the walk
+holds no slot it has passed, so the arrays a closure kept are freed during
+the walk. A second walk over the tape raises DomainError.
 Training runs at float32, gradient checks at float64: a Tensor takes the
 dtype of the array it wraps.
 
@@ -57,25 +60,42 @@ def no_grad():
         _grad_enabled = prev
 
 
+class _Slot:
+    """An op's output on the tape: its gradient, the closure that passes that
+    gradient to its parents, and their slots. It holds no array of its own."""
+
+    __slots__ = ("grad", "_backward", "_parents")
+
+    def __init__(self, parents: tuple, backward_fn: Callable):
+        self.grad, self._backward, self._parents = None, backward_fn, parents
+
+    def _accum(self, g: np.ndarray) -> None:
+        if self.grad is None:
+            self.grad = g.copy()
+        else:
+            self.grad += g
+
+
 class Tensor:
-    """A numpy array plus its slot on the recorded graph.
+    """A numpy array, and the slot of the op that made it if it is on the tape.
 
     A Tensor is built from its data alone, as a constant: it never enters the
-    graph and gets no gradient. ``layers.parameter`` is the one maker of
+    tape and gets no gradient. ``layers.parameter`` is the one maker of
     trainable leaves (``requires_grad``, with ``grad`` None until
-    ``zero_grads`` or ``backward`` gives it one), and ``_node`` the one maker
-    of interior nodes. A number operand of ``+ - * /`` becomes a constant of
-    the other operand's dtype and rank, so each operator has one rule.
+    ``zero_grads`` or ``backward`` gives it one); a leaf is its own slot.
+    ``_node`` is the one maker of interior nodes, whose ``_parents`` and
+    ``_backward`` are those of their slot. A number operand of ``+ - * /``
+    becomes a constant of the other operand's dtype and rank, so each
+    operator has one rule.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_slot")
 
     def __init__(self, data):
         self.data = np.asarray(data)
         self.requires_grad = False
         self.grad = None
-        self._parents = ()
-        self._backward = None
+        self._slot = None
 
     @property
     def shape(self) -> tuple:
@@ -89,11 +109,19 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def _accum(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = g.copy()
-        else:
-            self.grad += g
+    @property
+    def _parents(self) -> tuple:
+        return () if self._slot is None else self._slot._parents
+
+    @property
+    def _backward(self):
+        return None if self._slot is None else self._slot._backward
+
+    @_backward.setter
+    def _backward(self, fn: Callable) -> None:
+        self._slot._backward = fn
+
+    _accum = _Slot._accum
 
     def _lift(self, other) -> "Tensor":
         """``other``, with a number made a constant of this dtype and rank."""
@@ -104,32 +132,35 @@ class Tensor:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        return _binary(self, self._lift(other), np.add, lambda g, a, b: g, lambda g, a, b: g)
+        return _binary(self, self._lift(other), np.add, lambda g: g, lambda g: g)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return _binary(self, self._lift(other), np.subtract,
-                       lambda g, a, b: g, lambda g, a, b: -g)
+        return _binary(self, self._lift(other), np.subtract, lambda g: g, lambda g: -g)
 
     def __rsub__(self, other):
         return self._lift(other) - self
 
     def __mul__(self, other):
-        return _binary(self, self._lift(other), np.multiply,
-                       lambda g, a, b: g * b, lambda g, a, b: g * a)
+        other = self._lift(other)
+        a, b = self.data, other.data
+        return _binary(self, other, np.multiply, lambda g: g * b, lambda g: g * a)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return _binary(self, self._lift(other), np.divide,
-                       lambda g, a, b: g / b, lambda g, a, b: -g * a / (b * b))
+        other = self._lift(other)
+        a, b = self.data, other.data
+        return _binary(self, other, np.divide, lambda g: g / b, lambda g: -g * a / (b * b))
 
     # -- pointwise nonlinearities -------------------------------------------
 
     def relu(self) -> "Tensor":
-        # subgradient at 0 is 0 by convention; mask is recomputed lazily
-        return _unary(self, np.maximum(self.data, 0), lambda g: g * (self.data > 0))
+        # subgradient at 0 is 0 by convention; the mask comes from the output,
+        # which is positive exactly where the input was (both are false for NaN)
+        r = np.maximum(self.data, 0)
+        return _unary(self, r, lambda g: g * (r > 0))
 
     def sigmoid(self) -> "Tensor":
         s = _stable_sigmoid(self.data)
@@ -146,9 +177,10 @@ class Tensor:
         return _unary(self, r, lambda g: g * (0.5 / np.maximum(r, np.finfo(r.dtype).tiny)))
 
     def log(self) -> "Tensor":
-        if np.any(self.data <= 0):
+        x = self.data
+        if np.any(x <= 0):
             raise DomainError("log of non-positive value")
-        return _unary(self, np.log(self.data), lambda g: g / self.data)
+        return _unary(self, np.log(x), lambda g: g / x)
 
     def exp(self) -> "Tensor":
         e = np.exp(self.data)
@@ -167,20 +199,32 @@ class Tensor:
 
 # -- graph plumbing -----------------------------------------------------------
 
-def _node(data: np.ndarray, parents: tuple, backward_fn: Callable) -> Tensor:
-    """The output of an op: an interior node over those of ``parents`` that
-    require a gradient, or a constant if none does or recording is off."""
+def _slots(*tensors: Tensor) -> list:
+    """Each Tensor's slot if it needs a gradient and recording is on, else None."""
+    return [(t._slot or t) if _grad_enabled and t.requires_grad else None for t in tensors]
+
+
+def _node(data: np.ndarray, slots: Sequence, backward_fn: Callable) -> Tensor:
+    """The output of an op: an interior node whose slot holds ``backward_fn`` and
+    the parent slots of ``slots`` that are not None, or a constant if all are.
+
+    The node holds ``data`` for as long as the caller holds the Tensor. The
+    tape holds only what ``backward_fn`` captured: each op's closure captures
+    by name the arrays its rule reads and the parent slots, and no op output.
+    """
     out = Tensor(data)
-    tape = tuple(p for p in parents if p.requires_grad) if _grad_enabled else ()
-    if tape:
-        out.requires_grad, out._parents, out._backward = True, tape, backward_fn
+    parents = tuple(s for s in slots if s is not None)
+    if parents:
+        out.requires_grad, out._slot = True, _Slot(parents, backward_fn)
     return out
 
 
 def _unary(x: Tensor, data: np.ndarray, dgrad: Callable) -> Tensor:
+    xs, = _slots(x)
+
     def bwd(g):
-        x._accum(dgrad(g))
-    return _node(data, (x,), bwd)
+        xs._accum(dgrad(g))
+    return _node(data, (xs,), bwd)
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -207,33 +251,39 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _binary(a: Tensor, b: Tensor, fwd, da: Callable, db: Callable) -> Tensor:
+    """``fwd(a, b)``, whose operands' gradients are ``da(g)`` and ``db(g)`` summed
+    back to their shapes. Each rule, with the arrays it captured, is kept only
+    if its operand needs a gradient."""
     _check_broadcast(a.shape, b.shape)
-    data = fwd(a.data, b.data)
+    sa, sb = _slots(a, b)
+    da, db = (da if sa is not None else None), (db if sb is not None else None)
+    shape_a, shape_b = a.shape, b.shape
 
     def bwd(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(da(g, a.data, b.data), a.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(db(g, a.data, b.data), b.shape))
-    return _node(data, (a, b), bwd)
+        if sa is not None:
+            sa._accum(_unbroadcast(da(g), shape_a))
+        if sb is not None:
+            sb._accum(_unbroadcast(db(g), shape_b))
+    return _node(fwd(a.data, b.data), (sa, sb), bwd)
 
 
 def add_relu(a: Tensor, b: Tensor) -> Tensor:
     """``(a + b).relu()`` as one node over same-shape operands, which keeps
-    no sum before the ReLU: the mask comes from the output, positive where
-    the sum was."""
+    only its output: the mask comes from the output, positive where the sum
+    was, so neither operand nor the sum before the ReLU is kept."""
     if a.shape != b.shape:
         raise ShapeError(f"add_relu takes operands of one shape, got {a.shape} and {b.shape}")
     data = a.data + b.data
     np.maximum(data, 0, out=data)
+    sa, sb = _slots(a, b)
 
     def bwd(g):
         g = g * (data > 0)
-        if a.requires_grad:
-            a._accum(g)
-        if b.requires_grad:
-            b._accum(g)
-    return _node(data, (a, b), bwd)
+        if sa is not None:
+            sa._accum(g)
+        if sb is not None:
+            sb._accum(g)
+    return _node(data, (sa, sb), bwd)
 
 
 # -- linear algebra -----------------------------------------------------------
@@ -242,21 +292,23 @@ def per_column(w: Tensor, u: Tensor) -> Tensor:
     """Apply a (C2, C1) weight to every column of a (B, C1) or (B, C1, P) input:
     one GEMM over its (C1, B·P) view, and one for each gradient. The output is
     C-contiguous; on a (B, C1) input it and the gradients equal ``u @ w.T``,
-    ``g @ w`` and ``(u.T @ g).T`` bit for bit."""
+    ``g @ w`` and ``(u.T @ g).T`` bit for bit. The node keeps ``flat``, the
+    input's (C1, B·P) view (a copy if the input has rank 3), and the weight."""
     if w.ndim != 2 or u.ndim not in (2, 3) or w.shape[1] != u.shape[1]:
         raise ShapeError(f"weight {w.shape} does not take the columns of {u.shape}")
     c2, c1 = w.shape
+    wd, (ws, us) = w.data, _slots(w, u)
     cols = u.data.swapaxes(0, 1)
-    flat = cols.reshape(c1, -1)
-    out = np.ascontiguousarray((w.data @ flat).reshape((c2,) + cols.shape[1:]).swapaxes(0, 1))
+    flat, positions = cols.reshape(c1, -1), cols.shape[1:]
+    out = np.ascontiguousarray((wd @ flat).reshape((c2,) + positions).swapaxes(0, 1))
 
     def bwd(g):
         g2 = g.swapaxes(0, 1).reshape(c2, -1)
-        if w.requires_grad:
-            w._accum(g2 @ flat.T)
-        if u.requires_grad:
-            u._accum(np.moveaxis((g2.T @ w.data).reshape(cols.shape[1:] + (c1,)), -1, 1))
-    return _node(out, (w, u), bwd)
+        if ws is not None:
+            ws._accum(g2 @ flat.T)
+        if us is not None:
+            us._accum(np.moveaxis((g2.T @ wd).reshape(positions + (c1,)), -1, 1))
+    return _node(out, (ws, us), bwd)
 
 
 # Forward tiles span whole output rows of one sample: at least 32 rows, so a
@@ -295,8 +347,8 @@ def conv2d(x: Tensor, kernels: Tensor, stride=(1, 1), padding=(0, 0)) -> Tensor:
 
     The forward runs one im2col GEMM per tile of output rows of one sample,
     writing the tile's slice of the output, so no column matrix of the whole
-    op exists. The backward keeps nothing but ``x``, which the graph holds
-    anyway: it rebuilds the padded input, channel-first and split into the
+    op exists. The backward keeps nothing but the input and the kernels: it
+    rebuilds the padded input, channel-first and split into the
     sh x sw stride phases its taps read, and takes both gradients tap by tap
     as GEMMs over shifted views of that flat grid, one block of positions at
     a time, so that all of a phase's taps read each block from cache.
@@ -317,9 +369,10 @@ def conv2d(x: Tensor, kernels: Tensor, stride=(1, 1), padding=(0, 0)) -> Tensor:
     if to < 1 or fo < 1:
         raise ConfigError(f"kernel {kh}x{kw} does not fit padded input {t + 2 * ph}x{f + 2 * pw}")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x.data
+    xd, kd, (xs, ks) = x.data, kernels.data, _slots(x, kernels)
+    xp = np.pad(xd, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else xd
     k = cin * kh * kw
-    w2 = kernels.data.reshape(cout, k)
+    w2 = kd.reshape(cout, k)
     out = np.empty((b, cout, to, fo), dtype=np.result_type(xp, w2))
     # im2col windows viewed (b, cin, to, fo, kh, kw); each tile copies its slice to one buffer
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
@@ -349,34 +402,34 @@ def conv2d(x: Tensor, kernels: Tensor, stride=(1, 1), padding=(0, 0)) -> Tensor:
         gf = np.zeros((cout, b, tq, fq), dtype=g.dtype)
         gf[:, :, :to, :fo] = g.transpose(1, 0, 2, 3)
         gf = gf.reshape(cout, n)
-        wt = np.ascontiguousarray(kernels.data.transpose(2, 3, 1, 0))
-        dw = np.zeros((kh, kw, cin, cout), dtype=kernels.dtype)
-        dx = np.zeros(x.shape, dtype=x.dtype)
+        wt = np.ascontiguousarray(kd.transpose(2, 3, 1, 0))
+        dw = np.zeros((kh, kw, cin, cout), dtype=kd.dtype)
+        dx = np.zeros(xd.shape, dtype=xd.dtype)
         block = _block_positions(cin, cout)
         for (u, v), phase_taps in taps.items():
             (qu, ru), (qv, rv) = _phase_cut(u, sh, ph, t), _phase_cut(v, sw, pw, f)
-            if kernels.requires_grad:
-                xq = np.zeros((cin, b, tq, fq), dtype=x.dtype)
-                xq[:, :, qu, qv] = x.data[:, :, ru, rv].transpose(1, 0, 2, 3)
+            if ks is not None:
+                xq = np.zeros((cin, b, tq, fq), dtype=xd.dtype)
+                xq[:, :, qu, qv] = xd[:, :, ru, rv].transpose(1, 0, 2, 3)
                 xq = xq.reshape(cin, n)
                 for lo in range(0, n, block):
                     for di, dj, s in phase_taps:
                         hi = min(lo + block, n - s)
                         dw[di, dj] += xq[:, lo + s:hi + s] @ gf[:, lo:hi].T
                 del xq
-            if x.requires_grad:
-                dq = np.zeros((cin, n), dtype=x.dtype)
+            if xs is not None:
+                dq = np.zeros((cin, n), dtype=xd.dtype)
                 for lo in range(0, n, block):
                     for di, dj, s in phase_taps:
                         hi = min(lo + block, n - s)
                         dq[:, lo + s:hi + s] += wt[di, dj] @ gf[:, lo:hi]
                 dx[:, :, ru, rv] = dq.reshape(cin, b, tq, fq)[:, :, qu, qv].transpose(1, 0, 2, 3)
-        if kernels.requires_grad:
-            kernels._accum(dw.transpose(3, 2, 0, 1))
-        if x.requires_grad:
-            x._accum(dx)
+        if ks is not None:
+            ks._accum(dw.transpose(3, 2, 0, 1))
+        if xs is not None:
+            xs._accum(dx)
 
-    return _node(out, (x, kernels), bwd)
+    return _node(out, (xs, ks), bwd)
 
 
 # -- reductions ----------------------------------------------------------------
@@ -402,20 +455,22 @@ def mean_axis(x: Tensor, axis: int) -> Tensor:
     w = np.full(n, 1 / n, dtype=x.dtype)
     data = x.data.reshape(pre, n) @ w if post == 1 else w @ x.data.reshape(pre, n, post)
     data = data.reshape(x.shape[:axis] + x.shape[axis + 1:])
+    shape, (xs,) = x.shape, _slots(x)
 
     def bwd(g):
-        x._accum(np.broadcast_to(np.expand_dims(g / n, axis), x.shape))
-    return _node(data, (x,), bwd)
+        xs._accum(np.broadcast_to(np.expand_dims(g / n, axis), shape))
+    return _node(data, (xs,), bwd)
 
 
 def sum_axis(x: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     axis = _axis_check(x, axis)
     data = x.data.sum(axis=axis, keepdims=keepdims)
+    shape, (xs,) = x.shape, _slots(x)
 
     def bwd(g):
         ge = g if keepdims else np.expand_dims(g, axis)
-        x._accum(np.broadcast_to(ge, x.shape))
-    return _node(data, (x,), bwd)
+        xs._accum(np.broadcast_to(ge, shape))
+    return _node(data, (xs,), bwd)
 
 
 # -- structural ops --------------------------------------------------------------
@@ -431,40 +486,44 @@ def concat(a: Tensor, b: Tensor, axis: int) -> Tensor:
     data = np.concatenate([a.data, b.data], axis=axis)
     sl_a = tuple(slice(None) if i != axis else slice(0, na) for i in range(a.ndim))
     sl_b = tuple(slice(None) if i != axis else slice(na, None) for i in range(a.ndim))
+    sa, sb = _slots(a, b)
 
     def bwd(g):
-        if a.requires_grad:
-            a._accum(g[sl_a])
-        if b.requires_grad:
-            b._accum(g[sl_b])
-    return _node(data, (a, b), bwd)
+        if sa is not None:
+            sa._accum(g[sl_a])
+        if sb is not None:
+            sb._accum(g[sl_b])
+    return _node(data, (sa, sb), bwd)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
     data = x.data.reshape(shape)
+    in_shape, (xs,) = x.shape, _slots(x)
 
     def bwd(g):
-        x._accum(g.reshape(x.shape))
-    return _node(data, (x,), bwd)
+        xs._accum(g.reshape(in_shape))
+    return _node(data, (xs,), bwd)
 
 
 def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
     data = x.data.transpose(axes)
+    xs, = _slots(x)
 
     def bwd(g):
-        x._accum(g.transpose(inv))
-    return _node(data, (x,), bwd)
+        xs._accum(g.transpose(inv))
+    return _node(data, (xs,), bwd)
 
 
 # -- backward pass -----------------------------------------------------------
 
-def topo_order(root: Tensor) -> list[Tensor]:
-    """The recorded tape below ``root``: parents always precede consumers."""
-    order: list[Tensor] = []
+def topo_order(root: Tensor) -> list:
+    """The tape below ``root`` as slots, a leaf being its own: parents always
+    precede consumers, so the root's slot comes last."""
+    order: list = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple] = [(root._slot or root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -481,7 +540,7 @@ def topo_order(root: Tensor) -> list[Tensor]:
 
 
 def _freed(g: np.ndarray) -> None:
-    """The closure of a node that ``backward`` has already run."""
+    """The closure of a slot that ``backward`` has already run."""
     raise DomainError("backward through a graph that was already backpropagated: "
                       "its closures were freed")
 
@@ -489,19 +548,18 @@ def _freed(g: np.ndarray) -> None:
 def backward(root: Tensor) -> None:
     """Populate ``grad`` of every requires_grad leaf under a scalar root.
 
-    The graph is walked once: as each interior node's closure runs, its
-    closure, parents and gradient are dropped, so the arrays the closure saved
-    are freed during the walk. The walk pops each node off its order, so once
-    a node's closure has run nothing in the graph holds the node (its
-    consumers ran and were dropped before it): its ``data`` is freed before
-    the next closure runs, unless the caller holds the node, as ``train()``
-    holds the logits. A later backward that reaches a freed node with a
-    gradient raises DomainError.
+    The tape is walked once, in reverse topological order. A slot holds no
+    array: what the walk keeps alive is what the closures still to run
+    captured, and what the caller holds (``train()`` holds the logits). As
+    each closure runs, its slot drops it, its parents and its gradient, and
+    the walk pops each slot off its order, so the arrays only that closure
+    captured are freed before the next one runs. A later backward that
+    reaches a walked slot with a gradient raises DomainError.
     """
     if root.shape != ():
         raise ShapeError(f"backward root must be a scalar, got shape {root.shape}")
     order = topo_order(root)
-    root._accum(np.ones((), dtype=root.dtype))
+    order[-1]._accum(np.ones((), dtype=root.dtype))
     while order:
         node = order.pop()
         if node._backward is not None and node.grad is not None:

@@ -334,8 +334,12 @@ class TestDTCF:
         # two means, two (map, relu) encodings, two (map, sigmoid) masks and the gate
         block = draw(DTCFBlock(8, 4), rng(62))
         x = parameter(rng(63).normal(size=(2, 8, 6, 5)).astype(np.float32))
-        ops = [node for node in topo_order(block.apply(x)) if node._parents]
-        assert len(ops) == 11
+        order = topo_order(block.apply(x))
+        ops = [node for node in order if node._parents]
+        # the rest of the tape is its leaves, each its own slot: x and the block's weights
+        leaves = [node for node in order if not node._parents]
+        assert len(ops) == 11 and len(leaves) == 1 + len(block.named_params())
+        assert x in leaves and all(w in leaves for _, w in block.named_params())
 
     def test_se_block_gradcheck(self):
         block = se_block(4, r=2, seed=49)

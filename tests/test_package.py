@@ -64,6 +64,36 @@ def test_perfbench_patch_points_keep_their_signatures():
     assert "forward" not in vars(BatchNormReLU2d)
 
 
+def test_perfbench_can_wrap_the_backward_of_an_op_output():
+    # perfbench/tracing.py reads `_backward` on conv and train-mode batchnorm outputs,
+    # replaces it with a wrapper that calls it, and counts len(topo_order(root)); so an
+    # op output's closure can be read and replaced, backward calls the replacement, and
+    # topo_order is a list whose entries expose `_parents`
+    import numpy as np
+
+    from dtcf.layers import BatchNorm2d, parameter
+    from dtcf.tensor import backward, conv2d, topo_order
+    x = parameter(np.arange(32, dtype=np.float32).reshape(2, 1, 4, 4))
+    kernels = parameter(np.ones((1, 1, 3, 3), dtype=np.float32))
+    conv = conv2d(x, kernels, padding=(1, 1))
+    bn = BatchNorm2d(1)
+    out = bn.forward(conv, training=True)
+    calls = []
+    for node, name in ((conv, "conv"), (out, "bn")):
+        def traced(g, bwd=node._backward, name=name):
+            calls.append(name)
+            bwd(g)
+        node._backward = traced
+    root = (out * out).sum()
+    order = topo_order(root)
+    # x, the kernels, the conv, gamma, beta, the batchnorm, the product and the sum
+    assert isinstance(order, list) and len(order) == 8
+    assert sum(len(node._parents) for node in order) == 8
+    backward(root)
+    assert calls == ["bn", "conv"]
+    assert x.grad.shape == x.shape and kernels.grad.shape == kernels.shape
+
+
 def test_a_tensor_is_built_from_its_data_alone():
     # layers.parameter alone makes a trainable leaf, and tensor._node alone an interior node
     from dtcf.tensor import Tensor

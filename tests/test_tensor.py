@@ -13,7 +13,8 @@ import pytest
 
 import dtcf.tensor as dtt
 from dtcf.errors import ConfigError, DomainError, GradCheckError, ShapeError
-from dtcf.layers import parameter
+from dtcf.attention import _gate
+from dtcf.layers import BatchNorm2d, BatchNormReLU2d, parameter
 from dtcf.tensor import (
     Tensor, add_relu, backward, concat, conv2d, grad_check, mean_axis, per_column, reshape,
     sum_axis, topo_order, transpose, zero_grads,
@@ -450,6 +451,17 @@ class TestElementwise:
         out = t64([-3.0, 0.0, 3.0]).relu()
         np.testing.assert_array_equal(out.data, [0.0, 0.0, 3.0])
 
+    def test_relu_mask_from_its_output_is_the_input_mask_bit_for_bit(self):
+        # the rule masks by out > 0, which holds exactly where x > 0: max(x, 0) > 0 is
+        # false at ±0.0 and for NaN, as x > 0 is
+        x = np.array([-2.5, -0.0, 0.0, 1e-45, -1e-45, 3.0, np.nan, -np.nan, np.inf, -np.inf],
+                     dtype=np.float32)
+        g = rng(25).normal(size=x.shape).astype(np.float32)
+        xt = parameter(x.copy())
+        xt.relu()._backward(g)
+        want = g * (x > 0)
+        assert xt.grad.dtype == np.float32 and xt.grad.tobytes() == want.tobytes()
+
     def test_broadcast_mul_matches_loop(self):
         x = rng(23).normal(size=(3, 4, 5))
         m = rng(24).normal(size=(3, 4, 1))
@@ -561,8 +573,9 @@ class TestBackward:
         y = (x * 3.0).sigmoid()
         loss = y.sum()
         loss.backward()
-        # leaves keep their gradient and every node its data; interior gradients are dropped
-        assert y.grad is None and loss.grad is None and float(loss.data) == y.data.sum()
+        # leaves keep their gradient and every node its data; the slots drop their gradients
+        assert y._slot.grad is None and loss._slot.grad is None
+        assert float(loss.data) == y.data.sum()
         with pytest.raises(DomainError, match="already backpropagated"):
             loss.backward()
         np.testing.assert_allclose(x.grad, 3.0 * y.data * (1 - y.data), atol=1e-12)
@@ -576,21 +589,25 @@ class TestBackward:
             second.backward()
 
     def test_walk_frees_each_map_it_has_passed(self):
-        # mid's data is held only by the graph; the walk holds no node it has passed, so
-        # by the time the probe's closure below mid runs, that array is gone
+        # mid's data is held only by the rule of the product, which reads it for w's
+        # gradient; the walk holds no slot it has passed, so by the time the probe's
+        # closure below mid runs, that array is gone
         x = p64(rng(36).normal(size=(3, 3)))
+        w = p64(np.full((3, 3), 2.0))
         freed = []
 
         def probe_bwd(g):
             freed.append(mid_ref() is None)
             x._accum(g)
-        mid = dtt._node(x.data.copy(), (x,), probe_bwd) * 2.0
+        mid = dtt._node(x.data.copy(), (x,), probe_bwd)
         mid_ref = weakref.ref(mid.data)
-        loss = mid.sum()
+        loss = (mid * w).sum()
         del mid
+        assert mid_ref() is not None
         loss.backward()
         assert freed == [True]
         np.testing.assert_array_equal(x.grad, np.full((3, 3), 2.0))
+        np.testing.assert_array_equal(w.grad, x.data)
 
     def test_a_node_the_caller_holds_keeps_its_data(self):
         # as train() reads the logits after the backward: within the walk a held map
@@ -603,11 +620,12 @@ class TestBackward:
             seen.append((held_ref() is not None, free_ref() is None))
             x._accum(g)
         free = dtt._node(x.data.copy(), (x,), probe_bwd) * 2.0
-        held = free.tanh()
+        held = (free * free).tanh()
         loss = (held * held).sum()
         free_ref, held_ref = weakref.ref(free.data), weakref.ref(held.data)
         want = held.data.copy()
         del free
+        assert free_ref() is not None
         loss.backward()
         assert seen == [(True, True)]
         np.testing.assert_array_equal(held.data, want)
@@ -637,7 +655,10 @@ class TestBackward:
         a = p64(rng(32).normal(size=(2, 2)))
         b = a * 2.0
         c = (a + b) * b
-        order = topo_order(c.sum())
+        root = c.sum()
+        order = topo_order(root)
+        # the leaf a, then the slots of b, a + b, c and the root, which comes last
+        assert len(order) == 5 and order[-1] is root._slot and sum(n is a for n in order) == 1
         ids = [id(n) for n in order]
         assert len(ids) == len(set(ids))  # each node exactly once
         pos = {id(n): i for i, n in enumerate(order)}
@@ -651,6 +672,69 @@ class TestBackward:
                    lambda v: v.exp() if np.all(v.data < 100) else v,
                    lambda v: per_column(v, v)]:
             assert np.all(np.isfinite(fn(x).data))
+
+
+# ---------------------------------------------------------------- what the tape keeps
+
+MAP = (2, 3, 6, 5)
+
+
+def _map(seed, shape=MAP):
+    """A map only its Tensor holds: a node's output whose own rule keeps nothing."""
+    return parameter(rng(seed).normal(size=shape).astype(np.float32)) + 0.0
+
+
+def _bn_output(relu):
+    """A maker of a train-mode batchnorm's output, with or without its ReLU."""
+    layer = BatchNormReLU2d if relu else BatchNorm2d
+    return lambda seed: layer(MAP[1]).forward(_map(seed), training=True)
+
+
+def _kernels(seed):
+    return parameter(rng(seed).normal(size=(4, MAP[1], 3, 3)).astype(np.float32))
+
+
+# op, and a maker for each of its parents
+NO_RULE_READS = {
+    "add_relu": (add_relu, [_map, _map]),
+    "add": (lambda a, b: a + b, [_map, _map]),
+    "sub": (lambda a, b: a - b, [_map, _map]),
+    "mul-by-a-number": (lambda a: a * 2.0, [_map]),
+    "mean_axis": (lambda a: mean_axis(a, 2), [_map]),
+    "sum_axis": (lambda a: sum_axis(a, 3), [_map]),
+    "relu": (lambda a: a.relu(), [_map]),
+    "batchnorm-output": (add_relu, [_bn_output(False), _map]),
+}
+A_RULE_READS = {
+    "conv2d": (lambda a: conv2d(a, _kernels(70), padding=(1, 1)), [_map]),
+    "per_column": (lambda a: per_column(_map(71, (4, 3)), a), [lambda seed: _map(seed, (2, 3))]),
+    "gate": (_gate, [_map, lambda seed: _map(seed, MAP[:3]),
+                     lambda seed: _map(seed, MAP[:2] + MAP[3:])]),
+    "mul": (lambda a, b: a * b, [_map, _map]),
+    "batchnorm-input": (lambda a: BatchNorm2d(MAP[1]).forward(a, training=True), [_map]),
+    "relu-batchnorm-output": (lambda a: mean_axis(a, 2), [_bn_output(True)]),
+}
+
+
+def _alive_after_forward(op, makers) -> list[bool]:
+    """Build ``op``'s node on parent maps, drop them, and say which of their arrays the
+    tape still holds while the caller holds the node."""
+    parents = [make(60 + i) for i, make in enumerate(makers)]
+    refs = [weakref.ref(p.data) for p in parents]
+    out = op(*parents)
+    del parents
+    assert out.requires_grad
+    return [ref() is not None for ref in refs]
+
+
+@pytest.mark.parametrize("case", NO_RULE_READS)
+def test_a_map_no_rule_reads_is_freed_when_the_caller_drops_it(case):
+    assert _alive_after_forward(*NO_RULE_READS[case]) == [False] * len(NO_RULE_READS[case][1])
+
+
+@pytest.mark.parametrize("case", A_RULE_READS)
+def test_a_map_a_rule_reads_stays_until_the_walk(case):
+    assert _alive_after_forward(*A_RULE_READS[case]) == [True] * len(A_RULE_READS[case][1])
 
 
 # ---------------------------------------------------------------- grad_check
@@ -698,7 +782,8 @@ class TestGradCheck:
         assert grad_check(lambda v: (v * w).sum(), x) < 1e-6
         assert x.requires_grad is False and x.grad is None
         loss = (x * w).sum()
-        assert all(node is not x for node in topo_order(loss))
+        # a leaf is its own slot on the tape: w is the tape's only leaf, and x is not on it
+        assert [node for node in topo_order(loss) if not node._parents] == [w]
 
     def test_parameter_keeps_its_gradient_through_a_raise(self):
         w = p64(-1.0 - np.abs(rng(45).normal(size=(4,))))

@@ -637,7 +637,7 @@ class TestTrainStep:
         # train-toy-dtcf's step (B=16, crop 120). When each train-mode batchnorm kept its
         # normalised map and the ReLUs after the stem, each bn1 and each residual sum were
         # nodes of their own, it held 90.9 MiB after the forward and peaked at 98.6 MiB;
-        # with the fused nodes it holds 56.3 MiB and peaks at 71.7 MiB
+        # with the fused nodes it held 56.3 MiB and peaked at 71.7 MiB
         model, head, _, feats, _ = toy_step(batch=16)
         labels = np.arange(16) % 10
         tracemalloc.start()
@@ -652,10 +652,19 @@ class TestTrainStep:
         assert after_forward <= 60 << 20, f"{after_forward / 2**20:.1f} MiB after the forward"
         assert peak <= 76 << 20, f"{peak / 2**20:.1f} MiB peak"
 
+    def test_forward_holds_only_what_the_rules_read(self):
+        # train-toy-dtcf's step (B=16, crop 120): each backward rule keeps only the arrays
+        # it reads, so the gated maps, the down_bn outputs and the maps before each ReLU
+        # go when the forward drops them. It holds 43.4 MiB after the forward, and 56.3
+        # MiB when the tape held the data of every parent
+        model, head, _, feats, _ = toy_step(batch=16)
+        held, _ = traced_step(model, head, feats, np.arange(16) % 10)
+        assert held <= 48 << 20, f"{held / 2**20:.1f} MiB held after the forward"
+
     def test_backward_frees_each_map_it_passes(self):
-        # train-toy-dtcf's step (B=16, crop 120): the backward peaks 1.5 MiB above the
-        # 56.3 MiB the forward holds as each map is freed once the walk passes it, and
-        # 14.1 MiB above it if the walk holds every node until it ends
+        # train-toy-dtcf's step (B=16, crop 120): the backward peaks 1.6 MiB above the
+        # 43.4 MiB the forward holds as each map is freed once the walk passes it, and
+        # 14.1 MiB above the forward's 56.3 MiB when the walk held every node until it ended
         model, head, _, feats, _ = toy_step(batch=16)
         held, peak = traced_step(model, head, feats, np.arange(16) % 10)
         assert peak - held <= 5 << 20, (f"backward peaks {(peak - held) / 2**20:.1f} MiB "
@@ -674,11 +683,13 @@ class TestTrainStep:
     @pytest.mark.slow
     def test_full_width_forward_memory(self):
         # the full-width DTCF model (8.4M parameters) at B=2, crop 200: a training
-        # step peaks at what its forward holds. The backward peaks 9.9 MiB above it as
-        # the walk frees each map it passes, and 22.7 MiB if the walk holds them all
+        # step peaks at what its forward holds, 231.0 MiB, and 285.7 MiB when the tape
+        # held the data of every parent. The backward peaks 9.9 MiB above it as the walk
+        # frees each map it passes, and 22.7 MiB if the walk holds them all
         model, head, _, feats, labels = toy_step(BackboneConfig(attention="dtcf"), 2, 200)
         held, peak = traced_step(model, head, feats, labels)
         assert held <= 800 << 20, f"{held / 2**20:.0f} MiB held after the forward"
+        assert held <= 250 << 20, f"{held / 2**20:.1f} MiB held after the forward"
         assert peak - held <= 16 << 20, (f"backward peaks {(peak - held) / 2**20:.1f} MiB "
                                          f"above the {held / 2**20:.1f} MiB of the forward")
 
