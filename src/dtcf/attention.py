@@ -46,7 +46,8 @@ def _gate(x: Tensor, mct: Tensor, mcf: Tensor) -> Tensor:
     One graph node. The forward is the two broadcast multiplies in order; the
     backward gives each mask its sum over the other axis as a batched
     product over the (B·C, T, F) view of ``g * x``. The node keeps the map and
-    both masks, and not its output.
+    both masks, and not its output. The map's gradient is a new array that
+    nothing else holds, so the map's slot takes it.
     """
     b, c, t, f = x.shape
     xd, td, fd, (xs, ts, fs) = x.data, mct.data, mcf.data, _slots(x, mct, mcf)
@@ -57,7 +58,7 @@ def _gate(x: Tensor, mct: Tensor, mcf: Tensor) -> Tensor:
         if xs is not None:
             gx = g * fd[..., None, :]
             gx *= td[..., None]
-            xs._accum(gx)
+            xs._take(gx)
         if ts is not None or fs is not None:
             gm = (g * xd).reshape(b * c, t, f)
             if ts is not None:

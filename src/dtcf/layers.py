@@ -157,6 +157,8 @@ def _bn_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, relu: bool):
     The node keeps ``x``, gamma and, only with the ReLU, its output: the
     backward rebuilds x̂ from ``x`` by the forward's own operations, and takes
     the ReLU's mask from the output, which is positive where its input was.
+    dx is built in that rebuilt x̂, which nothing else holds, so the input's
+    slot takes it.
     """
     axes = (0, 2, 3)
     shp = (1, -1, 1, 1)
@@ -190,7 +192,7 @@ def _bn_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, relu: bool):
             dx += g
             dx -= (dbeta / n).reshape(shp)
             dx *= gd.reshape(shp) * istd
-            xs._accum(dx)
+            xs._take(dx)
 
     return _node(out, (xs, gs, bs), bwd), mu, var
 

@@ -6,7 +6,9 @@ gives its output a slot on the tape: the output's gradient, the backward
 closure and the slots of those parents, and never an array. Each closure
 captures by name only the arrays its rule reads, so a map that no rule reads
 is freed once the caller drops its Tensor, and constants never enter the
-tape. A trainable leaf is its own slot. ``backward()`` replays the closures in
+tape. A trainable leaf is its own slot. A slot copies the first gradient it
+is given, unless a closure hands it a new array that nothing else holds
+(``_Slot._take``). ``backward()`` replays the closures in
 reverse topological order. A tape is walked once: each slot's closure,
 parents and gradient are dropped as soon as its closure has run, and the walk
 holds no slot it has passed, so the arrays a closure kept are freed during
@@ -62,7 +64,14 @@ def no_grad():
 
 class _Slot:
     """An op's output on the tape: its gradient, the closure that passes that
-    gradient to its parents, and their slots. It holds no array of its own."""
+    gradient to its parents, and their slots. It holds no array of its own.
+
+    A gradient comes in one of two ways. ``_accum`` copies its first array,
+    since the caller may still hold or read it: a closure's ``g`` and any view
+    of it. ``_take`` keeps its first array as the gradient, and is only for a
+    new array that the closure built and neither reads again nor hands to
+    ``_take`` twice. Either way, a later array is added in place.
+    """
 
     __slots__ = ("grad", "_backward", "_parents")
 
@@ -72,6 +81,12 @@ class _Slot:
     def _accum(self, g: np.ndarray) -> None:
         if self.grad is None:
             self.grad = g.copy()
+        else:
+            self.grad += g
+
+    def _take(self, g: np.ndarray) -> None:
+        if self.grad is None:
+            self.grad = g
         else:
             self.grad += g
 
@@ -121,7 +136,7 @@ class Tensor:
     def _backward(self, fn: Callable) -> None:
         self._slot._backward = fn
 
-    _accum = _Slot._accum
+    _accum, _take = _Slot._accum, _Slot._take
 
     def _lift(self, other) -> "Tensor":
         """``other``, with a number made a constant of this dtype and rank."""
@@ -211,6 +226,9 @@ def _node(data: np.ndarray, slots: Sequence, backward_fn: Callable) -> Tensor:
     The node holds ``data`` for as long as the caller holds the Tensor. The
     tape holds only what ``backward_fn`` captured: each op's closure captures
     by name the arrays its rule reads and the parent slots, and no op output.
+    ``backward_fn`` gives each parent its gradient through ``_accum``, or
+    through ``_take`` for a new array that it reads no more and gives no other
+    parent to take.
     """
     out = Tensor(data)
     parents = tuple(s for s in slots if s is not None)
@@ -270,7 +288,9 @@ def _binary(a: Tensor, b: Tensor, fwd, da: Callable, db: Callable) -> Tensor:
 def add_relu(a: Tensor, b: Tensor) -> Tensor:
     """``(a + b).relu()`` as one node over same-shape operands, which keeps
     only its output: the mask comes from the output, positive where the sum
-    was, so neither operand nor the sum before the ReLU is kept."""
+    was, so neither operand nor the sum before the ReLU is kept. The masked
+    gradient is a new array: ``a``'s slot takes it, and ``b``'s, which gets
+    the same array, copies it."""
     if a.shape != b.shape:
         raise ShapeError(f"add_relu takes operands of one shape, got {a.shape} and {b.shape}")
     data = a.data + b.data
@@ -279,10 +299,10 @@ def add_relu(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         g = g * (data > 0)
-        if sa is not None:
-            sa._accum(g)
         if sb is not None:
             sb._accum(g)
+        if sa is not None:
+            sa._take(g)
     return _node(data, (sa, sb), bwd)
 
 
@@ -345,13 +365,17 @@ def conv2d(x: Tensor, kernels: Tensor, stride=(1, 1), padding=(0, 0)) -> Tensor:
     extents follow the usual floor rule T' = (T + 2p - kh) // s + 1: windows
     that would run past the padded input are dropped.
 
-    The forward runs one im2col GEMM per tile of output rows of one sample,
-    writing the tile's slice of the output, so no column matrix of the whole
-    op exists. The backward keeps nothing but the input and the kernels: it
-    rebuilds the padded input, channel-first and split into the
-    sh x sw stride phases its taps read, and takes both gradients tap by tap
-    as GEMMs over shifted views of that flat grid, one block of positions at
-    a time, so that all of a phase's taps read each block from cache.
+    The forward pads the input into one zeroed array and runs one im2col
+    GEMM per tile of output rows of one sample, writing the tile's slice of
+    the output, so no column matrix of the whole op exists. The backward
+    keeps nothing but the input and the kernels: it rebuilds the padded
+    input, channel-first and split into the sh x sw stride phases its taps
+    read, and takes both gradients tap by tap as GEMMs over shifted views of
+    that flat grid, one block of positions at a time, so that all of a
+    phase's taps read each block from cache. Each phase writes the input
+    positions it holds into ``dx``. When kh >= sh and kw >= sw every phase
+    has a tap, so the phases write every position and ``dx`` starts empty;
+    otherwise it starts at zero. The input's slot takes ``dx``.
     """
     if x.ndim != 4:
         raise ShapeError(f"conv2d input must be rank 4 (B, Cin, T, F), got {x.shape}")
@@ -370,7 +394,10 @@ def conv2d(x: Tensor, kernels: Tensor, stride=(1, 1), padding=(0, 0)) -> Tensor:
         raise ConfigError(f"kernel {kh}x{kw} does not fit padded input {t + 2 * ph}x{f + 2 * pw}")
 
     xd, kd, (xs, ks) = x.data, kernels.data, _slots(x, kernels)
-    xp = np.pad(xd, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else xd
+    xp = xd
+    if ph or pw:
+        xp = np.zeros((b, c, t + 2 * ph, f + 2 * pw), dtype=xd.dtype)
+        xp[:, :, ph:ph + t, pw:pw + f] = xd
     k = cin * kh * kw
     w2 = kd.reshape(cout, k)
     out = np.empty((b, cout, to, fo), dtype=np.result_type(xp, w2))
@@ -404,7 +431,7 @@ def conv2d(x: Tensor, kernels: Tensor, stride=(1, 1), padding=(0, 0)) -> Tensor:
         gf = gf.reshape(cout, n)
         wt = np.ascontiguousarray(kd.transpose(2, 3, 1, 0))
         dw = np.zeros((kh, kw, cin, cout), dtype=kd.dtype)
-        dx = np.zeros(xd.shape, dtype=xd.dtype)
+        dx = (np.empty if kh >= sh and kw >= sw else np.zeros)(xd.shape, dtype=xd.dtype)
         block = _block_positions(cin, cout)
         for (u, v), phase_taps in taps.items():
             (qu, ru), (qv, rv) = _phase_cut(u, sh, ph, t), _phase_cut(v, sw, pw, f)
@@ -427,7 +454,7 @@ def conv2d(x: Tensor, kernels: Tensor, stride=(1, 1), padding=(0, 0)) -> Tensor:
         if ks is not None:
             ks._accum(dw.transpose(3, 2, 0, 1))
         if xs is not None:
-            xs._accum(dx)
+            xs._take(dx)
 
     return _node(out, (xs, ks), bwd)
 
@@ -550,7 +577,10 @@ def backward(root: Tensor) -> None:
 
     The tape is walked once, in reverse topological order. A slot holds no
     array: what the walk keeps alive is what the closures still to run
-    captured, and what the caller holds (``train()`` holds the logits). As
+    captured, the gradients of the slots still to walk, and what the caller
+    holds (``train()`` holds the logits). A slot's gradient is a copy of the
+    first array it was given, or that array itself if the giver took no
+    other copy of it (``_Slot._take``); later ones are added in place. As
     each closure runs, its slot drops it, its parents and its gradient, and
     the walk pops each slot off its order, so the arrays only that closure
     captured are freed before the next one runs. A later backward that

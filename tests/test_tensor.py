@@ -315,6 +315,37 @@ class TestConv2d:
             for kernel, padding in [(3, (1, 1)), (1, (0, 0))]:
                 self.test_batched_gradients_weighted_upstream(stride, kernel, padding)
 
+    @pytest.mark.parametrize("kernel,stride", [(3, (1, 1)), (3, (1, 2)), (3, (2, 2)),
+                                               (1, (1, 2)), (1, (2, 2))])
+    def test_dx_under_a_poisoned_empty(self, monkeypatch, kernel, stride):
+        # every array np.empty gives the backward is NaN: where a tap falls in every
+        # stride phase, the phases must write every input position; a strided 1x1
+        # conv reads only some rows or columns, and the others must stay exact zeros
+        x = parameter(rng(56).standard_normal((2, 3, 7, 9)))
+        w = parameter(rng(57).standard_normal((4, 3, kernel, kernel)))
+        padding = (kernel // 2, kernel // 2)
+        out = conv2d(x, w, stride, padding)
+        g = rng(58).standard_normal(out.shape)
+        empty, poisoned = np.empty, []
+
+        def nan_empty(*args, **kwargs):
+            a = empty(*args, **kwargs)
+            a.fill(np.nan)
+            poisoned.append(a.shape)
+            return a
+        monkeypatch.setattr(np, "empty", nan_empty)
+        (out * Tensor(g)).sum().backward()
+        monkeypatch.undo()
+        assert (x.shape in poisoned) == (kernel == 3)
+        _, ref_dx, _ = im2col_conv2d(x.data, w.data, stride, padding, g)
+        assert np.isfinite(x.grad).all()
+        assert np.linalg.norm(x.grad - ref_dx) <= 1e-12 * np.linalg.norm(ref_dx)
+        if kernel == 1:
+            (sh, sw), (_, _, to, fo) = stride, out.shape
+            read = np.zeros(x.shape, dtype=bool)
+            read[:, :, :(to - 1) * sh + 1:sh, :(fo - 1) * sw + 1:sw] = True
+            assert not read.all() and (x.grad[~read] == 0).all()
+
     def test_full_width_gradients_pinned(self):
         # one BLAS thread in a fresh process, as for the toy step's digest in test_train.py
         paths = [str(Path(__file__).parent), str(Path(dtt.__file__).parents[1])]
@@ -827,6 +858,91 @@ class TestAddRelu:
         a, b, r = (t64(rng(s).normal(size=(2, 3, 4, 5))) for s in (53, 54, 55))
         assert grad_check(lambda v: (add_relu(v, b) * r).sum(), a) < 1e-6
         assert grad_check(lambda v: (add_relu(a, v) * r).sum(), b) < 1e-6
+
+
+def _leaf32(seed, shape=MAP):
+    return parameter(rng(seed).normal(size=shape).astype(np.float32))
+
+
+def _const32(seed, shape=MAP):
+    return Tensor(rng(seed).normal(size=shape).astype(np.float32))
+
+
+def _skip_feeds_another_op(op, p, q):
+    a, skip = p * _const32(80), q * _const32(81)
+    return (op(a, skip) * _const32(82)).sum() + (skip * _const32(83)).sum()
+
+
+def _taker_gets_a_second_gradient(op, p, q):
+    # the walk runs add_relu's rule before the product's, so a's slot takes the masked
+    # gradient and the product then adds into it
+    a = p * _const32(80)
+    return (op(a, q) * _const32(82)).sum() + (a * _const32(83)).sum()
+
+
+def _one_node_as_both_operands(op, p, q):
+    a = p * _const32(80)
+    return (op(a, a) * _const32(82)).sum()
+
+
+ALIASING = {
+    "one-node-as-both-operands": _one_node_as_both_operands,
+    "skip-feeds-another-op": _skip_feeds_another_op,
+    "taker-gets-a-second-gradient": _taker_gets_a_second_gradient,
+}
+
+
+@pytest.mark.parametrize("case", ALIASING)
+def test_add_relu_gradients_are_the_two_node_ones_under_aliasing(case, monkeypatch):
+    taken, take = [], dtt._Slot._take
+
+    def spy(slot, g):
+        taken.append((g, slot.grad is None, g.copy()))
+        take(slot, g)
+    monkeypatch.setattr(dtt._Slot, "_take", spy)
+    runs = []
+    for op in (add_relu, lambda a, b: (a + b).relu()):
+        p, q = _leaf32(84), _leaf32(85)
+        ALIASING[case](op, p, q).backward()
+        runs.append((p.grad, q.grad))
+    for got, want in zip(*runs):
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.dtype == want.dtype == np.float32 and got.tobytes() == want.tobytes()
+    if case == "taker-gets-a-second-gradient":
+        # the array add_relu handed over was taken into an empty slot and then added to,
+        # and the operand that got the same masked gradient kept it as it was
+        (g, empty, before), = taken
+        assert empty and not np.array_equal(g, before)
+        mask = add_relu(_leaf32(84) * _const32(80), _leaf32(85)).data > 0
+        assert runs[0][1].tobytes() == (_const32(82).data * mask).tobytes()
+
+
+TWO_CONSUMERS = {
+    "conv2d": (lambda x: conv2d(x, _kernels(86), (1, 1), (1, 1)),
+               lambda x: conv2d(x, _kernels(87), (2, 2), (1, 1))),
+    "batchnorm": (lambda x: BatchNormReLU2d(MAP[1]).forward(x, training=True),
+                  lambda x: BatchNorm2d(MAP[1]).forward(x * _const32(88), training=True)),
+}
+
+
+@pytest.mark.parametrize("leaf", [True, False], ids=["leaf", "interior"])
+@pytest.mark.parametrize("case", TWO_CONSUMERS)
+def test_an_input_with_two_consumers_gets_the_sum_of_their_gradients(case, leaf):
+    # the first rule's dx is taken into the input's slot and the second's added to it
+    def grad(consumers):
+        p = _leaf32(89)
+        x = p if leaf else p + 0.0
+        loss = Tensor(np.float32(0))
+        for i, f in consumers:
+            y = f(x)
+            loss = loss + (y * _const32(90 + i, y.shape)).sum()
+        loss.backward()
+        return p.grad
+    first, second = TWO_CONSUMERS[case]
+    both = grad([(0, first), (1, second)])
+    alone = grad([(0, first)]) + grad([(1, second)])
+    assert both.dtype == np.float32 and both.tobytes() == alone.tobytes()
 
 
 class TestShapeContracts:
