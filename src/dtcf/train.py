@@ -216,11 +216,9 @@ def _malformed(path, key: str, value):
 
 
 def load_training_state(path):
-    """Rebuild (model, head, opt, extra) from a checkpoint file.
-
-    They are built from the header, undrawn, and each entry is read straight
-    into the array of theirs that keeps it.
-    """
+    """Rebuild (model, head, opt, extra) from a checkpoint file; ``extra`` comes back as
+    stored, unchecked. The first three are built from the header, undrawn, and each entry
+    is read straight into the array of theirs that keeps it."""
     state = []
 
     def into(config, extra):
@@ -295,21 +293,71 @@ class TrainReport:
     checkpoint_path: Path
 
 
+class _Loop:
+    """A run's Generator, epoch order and cursor: ``state`` writes them, ``restore`` reads them."""
+
+    def __init__(self, corpus: Corpus, cfg: TrainConfig):
+        self.corpus, self.cfg = corpus, cfg
+        self.rng = np.random.default_rng(cfg.seed)
+        self.order, self.cursor = self.rng.permutation(len(corpus)), 0
+
+    def state(self) -> dict:
+        return {"rng_state": self.rng.bit_generator.state, "order": self.order.tolist(),
+                "cursor": int(self.cursor), "speakers": self.corpus.speakers}
+
+    def restore(self, path, extra: dict) -> None:
+        """Take the loop state in checkpoint ``path``'s ``extra``, or raise CheckpointError."""
+        n = len(self.corpus)
+        for key in ("rng_state", "order", "cursor", "speakers"):
+            if key not in extra:
+                raise CheckpointError(f"{path}: no training-loop state "
+                                      f"(missing '{key}'); cannot resume from it")
+        for key in ("speakers", "order"):
+            if not isinstance(extra[key], list):
+                raise CheckpointError(f"{path}: checkpoint '{key}' is not a list")
+        speakers, order, cursor = extra["speakers"], extra["order"], extra["cursor"]
+        if speakers != self.corpus.speakers or len(order) != n:
+            raise CheckpointError(f"{path}: checkpoint corpus ({len(speakers)} speakers, "
+                                  f"{len(order)} utterances) does not match this corpus "
+                                  f"({self.corpus.n_speakers} speakers, {n} utterances)")
+        if not all(type(i) is int for i in order) or sorted(order) != list(range(n)):
+            raise CheckpointError(f"{path}: checkpoint 'order' is not a permutation "
+                                  f"of the corpus's {n} utterances")
+        if type(cursor) is not int or not 0 <= cursor <= n:
+            raise CheckpointError(f"{path}: checkpoint 'cursor' {cursor!r} is not in [0, {n}]")
+        with _malformed(path, "'rng_state'", extra["rng_state"]):
+            self.rng.bit_generator.state = extra["rng_state"]
+        self.order, self.cursor = np.array(order), cursor
+
+    def batch(self) -> tuple[Tensor, np.ndarray]:
+        """The next batch and its labels; draws a spent epoch's new order, then crops and masks."""
+        cfg = self.cfg
+        if self.cursor + cfg.batch_size > len(self.order):
+            self.order, self.cursor = self.rng.permutation(len(self.corpus)), 0
+        batch_idx = self.order[self.cursor:self.cursor + cfg.batch_size]
+        self.cursor += cfg.batch_size
+        crops = []
+        for idx in batch_idx:
+            crop = _crop_features(self.corpus.features(int(idx)), cfg.crop, self.rng)
+            crops.append(spec_augment(crop, cfg.augment, self.rng))
+        return Tensor(np.stack(crops)), self.corpus.labels[batch_idx]
+
+
 def train(model: SpeakerModel, head: AAMHead, corpus: Corpus, cfg: TrainConfig,
           sched: Triangular2Schedule, out_dir, resume_from=None) -> TrainReport:
     """Run the optimization loop; writes a checkpoint and the log `step,lr,loss,acc` to ``out_dir``.
 
-    With ``resume_from`` the model/head/optimizer/rng are restored and the
-    loop continues from the saved step to ``cfg.steps``, reproducing the
-    un-resumed trajectory exactly. A checkpoint at or past ``cfg.steps``, from
-    a corpus with other speakers or another utterance count, or whose loop
-    state is malformed, is refused before anything is restored or written, as are a
-    batch larger than the corpus and a ``freq_mask_max`` of at least the model's
-    ``n_mels``. Every row's features are read before ``out_dir`` is made, so a
-    damaged or missing WAV file raises before step 1 and makes no directory.
-    Each checkpoint entry is read straight into the array of the model, head or
-    optimizer that keeps it; a file that shrinks during that read raises
-    CheckpointError and may leave them partly filled.
+    With ``resume_from`` the model, head, optimizer and loop state (``_Loop``) are
+    restored and the loop runs on from the saved step to ``cfg.steps``, reproducing the
+    un-resumed trajectory exactly. A checkpoint at or past ``cfg.steps``, of another
+    backbone or head, or whose loop state ``_Loop.restore`` refuses is refused before
+    anything is restored or written, as are a batch larger than the corpus and a
+    ``freq_mask_max`` of at least the model's ``n_mels``. Every row's features are read
+    before ``out_dir`` is made, so a damaged or missing WAV file raises before step 1
+    and makes no directory. Each checkpoint entry is read straight into the array of
+    the model, head or optimizer that keeps it; a file that shrinks during that read
+    raises CheckpointError and may leave them partly filled. A checkpoint is saved
+    every ``cfg.checkpoint_every`` steps and after the last.
 
     Under glibc it first sets the mmap threshold to 32 MiB and the trim
     threshold to 1 GiB for the whole process (``_keep_freed_heap``), and both
@@ -326,14 +374,11 @@ def train(model: SpeakerModel, head: AAMHead, corpus: Corpus, cfg: TrainConfig,
     _keep_freed_heap()
     named = _named_params(model, head)
     params = [p for _, p in named]
-    rng = np.random.default_rng(cfg.seed)
-    order = rng.permutation(len(corpus))
-    cursor = 0
+    loop = _Loop(corpus, cfg)
     opt = AdamState(named)
 
     if resume_from is not None:
         def into(config, extra):
-            nonlocal order, cursor
             backbone, head_fields, saved_step = _read_state(resume_from, config, extra)
             if backbone != model.config:
                 raise CheckpointError(f"{resume_from}: checkpoint config does not match")
@@ -341,28 +386,7 @@ def train(model: SpeakerModel, head: AAMHead, corpus: Corpus, cfg: TrainConfig,
                 if saved != getattr(head, name):
                     raise CheckpointError(f"{resume_from}: checkpoint head {name} {saved!r} "
                                           f"does not match {getattr(head, name)!r}")
-            for key in ("rng_state", "order", "cursor", "speakers"):
-                if key not in extra:
-                    raise CheckpointError(f"{resume_from}: no training-loop state "
-                                          f"(missing '{key}'); cannot resume from it")
-            for key in ("speakers", "order"):
-                if not isinstance(extra[key], list):
-                    raise CheckpointError(f"{resume_from}: checkpoint '{key}' is not a list")
-            speakers, order, cursor = extra["speakers"], extra["order"], extra["cursor"]
-            if speakers != corpus.speakers or len(order) != len(corpus):
-                raise CheckpointError(
-                    f"{resume_from}: checkpoint corpus ({len(speakers)} speakers, "
-                    f"{len(order)} utterances) does not match this corpus "
-                    f"({corpus.n_speakers} speakers, {len(corpus)} utterances)")
-            if (not all(type(i) is int for i in order)
-                    or sorted(order) != list(range(len(corpus)))):
-                raise CheckpointError(f"{resume_from}: checkpoint 'order' is not a permutation "
-                                      f"of the corpus's {len(corpus)} utterances")
-            if type(cursor) is not int or not 0 <= cursor <= len(corpus):
-                raise CheckpointError(f"{resume_from}: checkpoint 'cursor' {cursor!r} "
-                                      f"is not in [0, {len(corpus)}]")
-            with _malformed(resume_from, "'rng_state'", extra["rng_state"]):
-                rng.bit_generator.state = extra["rng_state"]
+            loop.restore(resume_from, extra)
             if cfg.steps <= saved_step:
                 raise ConfigError(f"{resume_from}: checkpoint is at step {saved_step}, "
                                   f"so steps {cfg.steps} leaves none to run")
@@ -370,7 +394,6 @@ def train(model: SpeakerModel, head: AAMHead, corpus: Corpus, cfg: TrainConfig,
             return _state_tensors(model, head, opt)
 
         load_checkpoint(resume_from, into)
-        order = np.array(order)
 
     for index in range(len(corpus)):      # a bad WAV file stops the run before a file is written
         corpus.features(index)
@@ -379,30 +402,9 @@ def train(model: SpeakerModel, head: AAMHead, corpus: Corpus, cfg: TrainConfig,
     ckpt_path = out_dir / "checkpoint.bin"
     log_path = out_dir / "train_log.csv"
 
-    def snapshot(path):
-        save_training_state(path, model, head, opt, extra={
-            "rng_state": rng.bit_generator.state,
-            "order": [int(i) for i in order],
-            "cursor": int(cursor),
-            "speakers": corpus.speakers,
-        })
-
     log_rows: list[tuple[int, float, float, float]] = []
-    start_step = opt.step
-    for step in range(start_step + 1, cfg.steps + 1):
-        if cursor + cfg.batch_size > len(order):
-            order = rng.permutation(len(corpus))
-            cursor = 0
-        batch_idx = order[cursor:cursor + cfg.batch_size]
-        cursor += cfg.batch_size
-
-        crops = []
-        for idx in batch_idx:
-            crop = _crop_features(corpus.features(int(idx)), cfg.crop, rng)
-            crops.append(spec_augment(crop, cfg.augment, rng))
-        batch = Tensor(np.stack(crops))
-        labels = corpus.labels[batch_idx]
-
+    for step in range(opt.step + 1, cfg.steps + 1):
+        batch, labels = loop.batch()
         zero_grads(params)
         emb = model.forward(batch, training=True)
         logits = head.logits_batch(emb, labels)
@@ -417,16 +419,14 @@ def train(model: SpeakerModel, head: AAMHead, corpus: Corpus, cfg: TrainConfig,
         acc = float((np.argmax(logits.data, axis=1) == labels).mean())
         log_rows.append((step, lr, loss, acc))
 
-        if step % cfg.checkpoint_every == 0:
-            snapshot(ckpt_path)
+        if step % cfg.checkpoint_every == 0 or step == cfg.steps:
+            save_training_state(ckpt_path, model, head, opt, extra=loop.state())
 
-    snapshot(ckpt_path)
     with open(log_path, "w", encoding="utf-8") as f:
         f.write("step,lr,loss,acc\n")
         for row in log_rows:
             f.write(",".join(map(repr, row)) + "\n")
 
-    tail = log_rows[-min(100, len(log_rows)):]
-    final_acc = float(np.mean([r[3] for r in tail])) if tail else 0.0
+    final_acc = float(np.mean([r[3] for r in log_rows[-100:]]))
     return TrainReport(steps=len(log_rows), final_accuracy=final_acc, log_rows=log_rows,
                        log_path=log_path, checkpoint_path=ckpt_path)

@@ -165,6 +165,19 @@ class TestTrain:
                      "--out", str(tmp_path / "o3")]) == 3
         assert "rng_state" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["rng_state", "order", "cursor", "speakers"])
+    def test_resume_without_one_loop_key_exit_3(self, tiny_config, trained, tmp_path, capsys,
+                                                key):
+        config, tensors, extra = load_checkpoint(trained / "checkpoint.bin")
+        del extra[key]
+        ckpt = tmp_path / "partial.bin"
+        save_checkpoint(ckpt, config, tensors, extra)
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(tiny_config), "--steps", "5", "--resume",
+                     str(ckpt), "--out", str(out)]) == 3
+        assert f"(missing '{key}')" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_resume_from_smaller_corpus_exit_3(self, tiny_config, corpus_dir, tmp_path,
                                                capsys):
         # the checkpoint saw all 12 utterances; train.csv holds 6 of them, of the same speakers

@@ -58,6 +58,24 @@ def tiny_cfg(**kw):
 
 
 SCHED = Triangular2Schedule(base_lr=1e-8, max_lr=1e-3, step_size=100)
+# sha256 of the checkpoint tiny_setup's model writes under tiny_cfg() (4 steps, one every 2)
+TINY_CFG_CHECKPOINT = "7765238dbd9ac17b46756d2e4a3016a61f457df7d1cd1f89de5c4773c6a8db64"
+
+
+def record(monkeypatch, *names):
+    """Wrap each of ``dtcf.train``'s ``names`` in a spy; return the list that gets each
+    name appended as ``train()`` calls it."""
+    calls = []
+
+    def spy(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(dtcf.train, name, spy(name, getattr(dtcf.train, name)))
+    return calls
 
 
 class TestTriangular2:
@@ -545,6 +563,25 @@ class TestTrainLoop:
                   resume_from=bad)
         for b, a in zip(before, _state_tensors(model, head, AdamState([])).values()):
             np.testing.assert_array_equal(a, b)
+
+    def test_each_due_checkpoint_saved_once(self, small_corpus, tmp_path, monkeypatch):
+        calls = record(monkeypatch, "save_checkpoint")
+        model, head = tiny_setup(small_corpus)
+        train(model, head, small_corpus, tiny_cfg(), SCHED, out_dir=tmp_path)
+        assert calls == ["save_checkpoint"] * 2          # steps 2 and 4 of 4
+        digest = hashlib.sha256((tmp_path / "checkpoint.bin").read_bytes()).hexdigest()
+        assert digest == TINY_CFG_CHECKPOINT
+
+    def test_patch_points_run_in_step_order(self, small_corpus, tmp_path, monkeypatch):
+        # perfbench times each step from one adam_step return to the next and takes
+        # the span before zero_grads as the batch's data phase
+        calls = record(monkeypatch, "spec_augment", "zero_grads", "ce_loss_batch",
+                       "adam_step", "save_checkpoint")
+        model, head = tiny_setup(small_corpus)
+        cfg = tiny_cfg(steps=2)
+        train(model, head, small_corpus, cfg, SCHED, out_dir=tmp_path)
+        step = ["spec_augment"] * cfg.batch_size + ["zero_grads", "ce_loss_batch", "adam_step"]
+        assert calls == step + step + ["save_checkpoint"]
 
     def test_divergence_guard(self, small_corpus, tmp_path):
         model, _ = tiny_setup(small_corpus)
