@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, atomic_write
 
 __all__ = ["Waveform", "AugmentConfig", "fbank", "spec_augment",
            "mel_filterbank", "read_wav", "write_wav"]
@@ -115,11 +115,11 @@ def spec_augment(feats: np.ndarray, cfg: AugmentConfig,
 
 def write_wav(path, wav: Waveform) -> None:
     pcm = np.clip(np.round(wav.samples * 32767.0), -32768, 32767).astype("<i2")
-    with wave.open(str(path), "wb") as f:
-        f.setnchannels(1)
-        f.setsampwidth(2)
-        f.setframerate(wav.sample_rate)
-        f.writeframes(pcm.tobytes())
+    with atomic_write(path, "wb") as f, wave.open(f, "wb") as w:
+        w.setnchannels(1)
+        w.setsampwidth(2)
+        w.setframerate(wav.sample_rate)
+        w.writeframes(pcm.tobytes())
 
 
 def read_wav(path) -> Waveform:

@@ -3,9 +3,9 @@
 Layout: 8-byte magic, little-endian uint64 header length, UTF-8 JSON header
 (sorted keys), then the raw tensor payload in header order. Writing the same
 state twice produces byte-identical files (no timestamps, no compression),
-which the round-trip tests rely on. A checkpoint is replaced atomically: it
-is written and synced beside its path, then renamed over it, so a write that
-fails leaves the previous file as it was.
+which the round-trip tests rely on. A checkpoint is replaced atomically, as
+every output is (``errors.atomic_write``): a write that fails leaves the
+previous file as it was.
 
 A load checks the whole header before it reads any payload, then reads each
 tensor it is asked for with ``readinto`` straight into the array that keeps
@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointError
+from .errors import CheckpointError, atomic_write
 
 __all__ = ["save_checkpoint", "load_checkpoint", "FORMAT_VERSION"]
 
@@ -43,21 +43,12 @@ def save_checkpoint(path, config: dict, tensors: dict[str, np.ndarray],
     header = json.dumps({"version": FORMAT_VERSION, "config": config,
                          "extra": extra or {}, "tensors": manifest},
                         sort_keys=True, separators=(",", ":")).encode("utf-8")
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as f:
-            f.write(MAGIC)
-            f.write(len(header).to_bytes(8, "little"))
-            f.write(header)
-            for arr in arrays.values():
-                f.write(arr)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_write(path, "wb") as f:
+        f.write(MAGIC)
+        f.write(len(header).to_bytes(8, "little"))
+        f.write(header)
+        for arr in arrays.values():
+            f.write(arr)
 
 
 def load_checkpoint(path, into=None) -> tuple[dict, dict[str, np.ndarray], dict]:

@@ -1,10 +1,15 @@
-"""Exception types shared across the toolkit, and the reader guard that raises one.
+"""Exception types shared across the toolkit, the reader guard that raises one,
+and the one writer every output file goes through.
 
 The CLI maps these onto its stable exit codes, so new error conditions
 should reuse one of the classes below rather than raising bare exceptions.
+``atomic_write`` replaces a file whole or not at all: a write that fails
+(exit 3) leaves the previous file as it was and no temporary beside it.
 """
 
 import contextlib
+import os
+from pathlib import Path
 
 
 @contextlib.contextmanager
@@ -14,6 +19,31 @@ def utf8_input(path):
         yield
     except UnicodeDecodeError as e:
         raise DataError(f"{path}: not UTF-8 text ({e.reason})") from e
+
+
+@contextlib.contextmanager
+def atomic_write(path, mode: str, **kwargs):
+    """The file ``open(path, mode, **kwargs)`` would give, written to ``<name>.tmp``
+    beside the file ``path`` names (through any symlinks), then flushed, fsynced
+    and renamed over it when the block ends. On any exception the temporary is
+    removed. A ``path`` that exists and is not a regular file (a FIFO, /dev/null)
+    is written in place.
+    """
+    path = Path(path).resolve()
+    if path.exists() and not path.is_file():
+        with open(path, mode, **kwargs) as f:
+            yield f
+        return
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode, **kwargs) as f:
+            yield f
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class ShapeError(ValueError):

@@ -142,7 +142,7 @@ class BatchNorm2d(Module):
 
 class BatchNormReLU2d(BatchNorm2d):
     """``BatchNorm2d`` followed by ReLU. In train mode the two are one graph
-    node, which keeps neither the normalised map nor the map before the ReLU."""
+    node, which keeps the normalised map and the output, not the map before the ReLU."""
 
     relu = True
 
@@ -154,22 +154,22 @@ def _bn_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, relu: bool):
     One pass each for the mean, the centring, the variance and the
     normalisation. The backward uses dβ = Σg and dγ = Σg·x̂, so that
     mean(g·γ) = γ·dβ/n and mean(g·γ·x̂) = γ·dγ/n need no pass of their own.
-    The node keeps ``x``, gamma and, only with the ReLU, its output: the
-    backward rebuilds x̂ from ``x`` by the forward's own operations, and takes
-    the ReLU's mask from the output, which is positive where its input was.
-    dx is built in that rebuilt x̂, which nothing else holds, so the input's
-    slot takes it.
+    The node keeps x̂, gamma and, only with the ReLU, its output, and not
+    ``x``: in the model no other rule keeps a batchnorm's input, so x̂ in its
+    place costs no memory, and the backward need not rebuild it. The ReLU's
+    mask comes from the output, which is positive where its input was. dx is
+    built in x̂, which only the closure holds, so the input's slot takes it.
     """
     axes = (0, 2, 3)
     shp = (1, -1, 1, 1)
     xd, gd, (xs, gs, bs) = x.data, gamma.data, _slots(x, gamma, beta)
     n = xd.size // x.shape[1]
     mu = xd.mean(axis=axes, keepdims=True)
-    out = xd - mu        # centred, normalised, then scaled and shifted in place
-    var = (np.einsum("bctf,bctf->c", out, out) / n).reshape(shp)
+    xhat = xd - mu       # centred, then normalised in place
+    var = (np.einsum("bctf,bctf->c", xhat, xhat) / n).reshape(shp)
     istd = 1.0 / np.sqrt(var + eps)
-    out *= istd
-    out *= gd.reshape(shp)
+    xhat *= istd
+    out = xhat * gd.reshape(shp)
     out += beta.data.reshape(shp)
     if relu:
         np.maximum(out, 0, out=out)
@@ -178,8 +178,6 @@ def _bn_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, relu: bool):
     def bwd(g):
         if relu_out is not None:
             g = g * (relu_out > 0)
-        xhat = xd - mu
-        xhat *= istd
         dbeta = g.sum(axis=axes)
         dgamma = np.einsum("bctf,bctf->c", g, xhat)
         if bs is not None:

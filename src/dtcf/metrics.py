@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, DomainError, utf8_input
+from .errors import DataError, DomainError, atomic_write, utf8_input
 
 __all__ = ["DCFParams", "compute_eer",
            "compute_min_dcf", "score_trials", "export_embeddings",
@@ -172,7 +172,7 @@ def write_scores(path, trials: Sequence[tuple[str, str, str]], scores: np.ndarra
     Each block of _WRITE_ROWS rows is written as one string; each distinct
     field of a block is quoted once.
     """
-    with open(path, "w", encoding="utf-8", newline="") as f:
+    with atomic_write(path, "w", encoding="utf-8", newline="") as f:
         f.write("enroll,test,label,score\r\n")
         for lo in range(0, len(trials), _WRITE_ROWS):
             chunk = trials[lo:lo + _WRITE_ROWS]
@@ -188,7 +188,7 @@ def export_embeddings(store: dict[str, tuple[str, np.ndarray]], path) -> None:
     if not utts:
         raise DataError("empty embedding store")
     dim = len(store[utts[0]][1])
-    with open(path, "w", encoding="utf-8", newline="") as f:
+    with atomic_write(path, "w", encoding="utf-8", newline="") as f:
         w = csv.writer(f)
         w.writerow(["utt_id", "speaker_id"] + [f"e{i}" for i in range(dim)])
         for utt in utts:

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import SAMPLE_RATE, Waveform, write_wav
-from .errors import ConfigError, DataError, utf8_input
+from .errors import ConfigError, DataError, atomic_write, utf8_input
 
 __all__ = ["SyntheticSpeakerSpec", "CorpusSummary", "synth_utterance",
            "synth_corpus", "read_manifest", "read_trials"]
@@ -164,7 +164,7 @@ def synth_corpus(n_speakers: int, utts_per_speaker: int, seed: int, out_dir) -> 
     held = [(u, s) for u, s, _, h in rows if h]
     trials = _make_trials(held, rng)
     trials_path = out_dir / "trials.txt"
-    with open(trials_path, "w", encoding="utf-8") as f:
+    with atomic_write(trials_path, "w", encoding="utf-8") as f:
         for enroll, test, label in trials:
             f.write(f"{enroll} {test} {label}\n")
 
@@ -195,7 +195,7 @@ def _make_trials(held: list[tuple[str, str]], rng: np.random.Generator):
 
 
 def _write_manifest(path: Path, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
+    with atomic_write(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["utt_id", "speaker_id", "path"])
         for row in rows:

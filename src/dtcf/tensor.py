@@ -68,9 +68,10 @@ class _Slot:
 
     A gradient comes in one of two ways. ``_accum`` copies its first array,
     since the caller may still hold or read it: a closure's ``g`` and any view
-    of it. ``_take`` keeps its first array as the gradient, and is only for a
-    new array that the closure built and neither reads again nor hands to
-    ``_take`` twice. Either way, a later array is added in place.
+    of it. ``_take`` keeps its first array as the gradient, and is only for an
+    array that only the closure holds (one it built, or one its op made for it
+    alone), handed to ``_take`` once and read no more. Either way, a later
+    array is added in place.
     """
 
     __slots__ = ("grad", "_backward", "_parents")
@@ -227,8 +228,7 @@ def _node(data: np.ndarray, slots: Sequence, backward_fn: Callable) -> Tensor:
     tape holds only what ``backward_fn`` captured: each op's closure captures
     by name the arrays its rule reads and the parent slots, and no op output.
     ``backward_fn`` gives each parent its gradient through ``_accum``, or
-    through ``_take`` for a new array that it reads no more and gives no other
-    parent to take.
+    through ``_take`` for a map that only it holds, handed once and read no more.
     """
     out = Tensor(data)
     parents = tuple(s for s in slots if s is not None)

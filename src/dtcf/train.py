@@ -18,7 +18,7 @@ import numpy as np
 
 from .audio import AugmentConfig, fbank, read_wav, spec_augment
 from .checkpoint import load_checkpoint, save_checkpoint
-from .errors import CheckpointError, ConfigError, DataError, DivergenceError
+from .errors import CheckpointError, ConfigError, DataError, DivergenceError, atomic_write
 from .loss import AAMHead, ce_loss_batch
 from .model import BackboneConfig, SpeakerModel
 from .synth import read_manifest
@@ -422,7 +422,7 @@ def train(model: SpeakerModel, head: AAMHead, corpus: Corpus, cfg: TrainConfig,
         if step % cfg.checkpoint_every == 0 or step == cfg.steps:
             save_training_state(ckpt_path, model, head, opt, extra=loop.state())
 
-    with open(log_path, "w", encoding="utf-8") as f:
+    with atomic_write(log_path, "w", encoding="utf-8") as f:
         f.write("step,lr,loss,acc\n")
         for row in log_rows:
             f.write(",".join(map(repr, row)) + "\n")

@@ -735,6 +735,7 @@ NO_RULE_READS = {
     "sum_axis": (lambda a: sum_axis(a, 3), [_map]),
     "relu": (lambda a: a.relu(), [_map]),
     "batchnorm-output": (add_relu, [_bn_output(False), _map]),
+    "batchnorm-input": (lambda a: BatchNorm2d(MAP[1]).forward(a, training=True), [_map]),
 }
 A_RULE_READS = {
     "conv2d": (lambda a: conv2d(a, _kernels(70), padding=(1, 1)), [_map]),
@@ -742,7 +743,6 @@ A_RULE_READS = {
     "gate": (_gate, [_map, lambda seed: _map(seed, MAP[:3]),
                      lambda seed: _map(seed, MAP[:2] + MAP[3:])]),
     "mul": (lambda a, b: a * b, [_map, _map]),
-    "batchnorm-input": (lambda a: BatchNorm2d(MAP[1]).forward(a, training=True), [_map]),
     "relu-batchnorm-output": (lambda a: mean_axis(a, 2), [_bn_output(True)]),
 }
 

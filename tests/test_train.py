@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import dtcf.checkpoint
+import dtcf.errors
 import dtcf.tensor as dt
 import dtcf.train
 from dtcf.audio import AugmentConfig
@@ -187,7 +188,7 @@ class TestCheckpointContainer:
                     raise OSError("no space left on device")
                 return self.f.write(blob)
 
-        monkeypatch.setattr(dtcf.checkpoint, "open", lambda path, mode: DiskFull(
+        monkeypatch.setattr(dtcf.errors, "open", lambda path, mode: DiskFull(
             real_open(path, mode)), raising=False)
         with pytest.raises(OSError, match="no space left"):
             save_checkpoint(p, {"v": 2}, {"a": tensors["a"] + 1, "b": tensors["b"]}, {})
